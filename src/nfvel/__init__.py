@@ -7,6 +7,7 @@ Core objects are re-exported here; the experiment sweeps live in
 from .bounds import (
     CrlbResult,
     FisherInfo,
+    closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
     fisher_info_closed_form,
@@ -43,12 +44,10 @@ from .waveform import (
     ObservationCube,
     WaveformConfig,
     add_noise,
-    doppler_shift,
     doppler_shifts,
     round_trip_delays,
     snr_from_link_budget,
     subcarrier_frequencies,
-    subcarrier_frequency,
     synthesize_noise_free,
 )
 
@@ -71,10 +70,10 @@ __all__ = [
     "VelocityEstimate",
     "WaveformConfig",
     "add_noise",
+    "closed_form_bounds",
     "crlb_from_fisher",
     "crossover_distance",
     "distance_to_element",
-    "doppler_shift",
     "doppler_shifts",
     "element_distances",
     "fisher_info_closed_form",
@@ -88,7 +87,6 @@ __all__ = [
     "round_trip_delays",
     "snr_from_link_budget",
     "subcarrier_frequencies",
-    "subcarrier_frequency",
     "symmetric_index_grid",
     "synthesize_noise_free",
     "transverse_info_boresight",

@@ -5,8 +5,10 @@ else known.  Two routes compute the 2x2 information matrix:
 
 * :func:`fisher_info_numeric` sums derivative products over every sample of a
   synthesized observation cube;
-* :func:`fisher_info_closed_form` collapses the slow-time sum analytically
-  into a per-subcarrier weight times projection-coefficient sums.
+* :func:`closed_form_bounds` collapses the slow-time sum analytically into a
+  per-subcarrier weight times projection-coefficient sums, and inverts the
+  result, for a batch of points; :func:`fisher_info_closed_form` and
+  :func:`crlb_from_fisher` are its one-point forms.
 
 The routes intentionally share no arithmetic beyond the geometry primitives
 they both consume, so their agreement is a meaningful cross-check.  The rest
@@ -24,7 +26,9 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
+    DegenerateGeometryError,
     TargetState,
+    projection_rows,
     radial_projection_coeffs,
     symmetric_index_grid,
     transverse_projection_coeffs,
@@ -32,13 +36,16 @@ from .geometry import (
 from .waveform import (
     ChannelNoise,
     WaveformConfig,
+    _float_power,
     subcarrier_frequencies,
     synthesize_noise_free,
 )
 
 __all__ = [
+    "BoundRows",
     "CrlbResult",
     "FisherInfo",
+    "closed_form_bounds",
     "crlb_from_fisher",
     "crossover_distance",
     "fisher_info_closed_form",
@@ -57,6 +64,9 @@ _SINGULAR_ABS_FLOOR = 1e-300
 # A mildly negative determinant is rounding residue; anything worse is an
 # upstream bug.
 _NEGATIVE_DET_RTOL = 1e-9
+# Elements per kernel chunk: every (rows, K) temporary of a batch holds about
+# this many values, so memory stays flat however many points a sweep has.
+_CHUNK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -84,9 +94,29 @@ class CrlbResult:
     singular: bool
 
 
-def _validate_positive_snr(snr: float) -> None:
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr!r}")
+@dataclass(frozen=True)
+class BoundRows:
+    """Closed-form information and bounds of a batch, one Python float or bool per row."""
+
+    j_rr: list[float]
+    j_tt: list[float]
+    j_rt: list[float]
+    radial: list[float]
+    transverse: list[float]
+    singular: list[bool]
+    degenerate: list[bool]
+
+
+def _validate_positive(name: str, value) -> None:
+    if not np.all(np.asarray(value) > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def _row_chunks(count: int, width: int):
+    """Slices of at most ``_CHUNK_ELEMENTS // width`` rows covering ``range(count)``."""
+    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
 
 
 def fisher_info_numeric(
@@ -106,7 +136,7 @@ def fisher_info_numeric(
     are used throughout.  The result does not depend on the target's
     velocity, only on its position.
     """
-    _validate_positive_snr(snr)
+    _validate_positive("snr", snr)
     noise = ChannelNoise.from_snr(config, snr)
     cube = synthesize_noise_free(target, geometry, config, noise)
 
@@ -130,44 +160,88 @@ def fisher_info_numeric(
     return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
+def _fisher_rows(
+    distances, angles, geometry: ArrayGeometry, config: WaveformConfig, snr
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``(3, P)`` information entries (zero on degenerate rows) and the mask."""
+    distances = np.asarray(distances, dtype=float).reshape(-1)
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
+    _validate_positive("distance", distances)
+    if not np.all(np.abs(angles) <= math.pi / 2.0):
+        raise ValueError(f"angles must lie in [-pi/2, pi/2], got {angles!r}")
+    _validate_positive("snr", snr)
+
+    m_count = config.num_symbols
+    freqs = subcarrier_frequencies(config)
+    # The weight product keeps the SNR factor where it always sat, so the
+    # rounding matches the published one-point values.
+    head = 2.0 * math.pi**2 * freqs**2 * m_count
+    entries = np.empty((3, distances.size))
+    degenerate = np.empty(distances.size, dtype=bool)
+    width = max(geometry.num_elements, config.num_subcarriers)
+    for rows in _row_chunks(distances.size, width):
+        weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
+        weight_total = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
+        _, q, p, degenerate[rows] = projection_rows(distances[rows], angles[rows], geometry)
+        one_plus_q = 1.0 + q
+        entries[0, rows] = weight_total * np.sum(one_plus_q**2, axis=1)
+        entries[1, rows] = weight_total * np.sum(p**2, axis=1)
+        entries[2, rows] = weight_total * np.sum(p * one_plus_q, axis=1)
+    entries[:, degenerate] = 0.0
+    return entries, degenerate
+
+
+def _crlb(j_rr: float, j_tt: float, j_rt: float) -> tuple[float, float, bool]:
+    """Variance bounds and the singular flag of one information matrix."""
+    if j_rr < 0.0 or j_tt < 0.0:
+        raise ValueError(f"information diagonal must be nonnegative, got {(j_rr, j_tt, j_rt)}")
+    det = j_rr * j_tt - j_rt**2
+    diag_product = j_rr * j_tt
+    if det < -_NEGATIVE_DET_RTOL * max(diag_product, 1.0):
+        raise ValueError(f"information matrix is negative definite: {(j_rr, j_tt, j_rt)}")
+    if det < _SINGULAR_RTOL * max(diag_product, _SINGULAR_ABS_FLOOR):
+        radial = 1.0 / j_rr if j_rr > 0.0 else math.inf
+        transverse = 1.0 / j_tt if (j_tt > 0.0 and j_rr == 0.0) else math.inf
+        return radial, transverse, True
+    return j_tt / det, j_rr / det, False
+
+
+def closed_form_bounds(
+    distances, angles, geometry: ArrayGeometry, config: WaveformConfig, snr
+) -> BoundRows:
+    """Closed-form information and CRLB for P points sharing one array and waveform.
+
+    ``distances`` and ``angles`` (radians) give one target position per
+    point; ``snr`` is one linear SNR for all points or one per point.  For
+    each subcarrier the slow-time sum collapses to the weight
+
+        w_n = 2 * pi^2 * f_n^2 * M * snr * (M^2 - 1) * T_sym^2 / (3 * c^2)
+
+    and the entries are the summed weight times the element sums of
+    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  Rows match the
+    one-point functions bit for bit, but a target on an element or the array
+    centre is marked ``degenerate`` (zero information) instead of raising.
+    """
+    entries, degenerate = _fisher_rows(distances, angles, geometry, config, snr)
+    j_rr, j_tt, j_rt = entries.tolist()
+    bounds = [_crlb(*row) for row in zip(j_rr, j_tt, j_rt)]
+    radial, transverse, singular = map(list, zip(*bounds)) if bounds else ([], [], [])
+    return BoundRows(j_rr, j_tt, j_rt, radial, transverse, singular, degenerate.tolist())
+
+
 def fisher_info_closed_form(
     target: TargetState,
     geometry: ArrayGeometry,
     config: WaveformConfig,
     snr: float,
 ) -> FisherInfo:
-    """Information matrix via the analytic slow-time reduction.
-
-    For each subcarrier the slow-time sum collapses to the weight
-
-        w_n = 2 * pi^2 * f_n^2 * M * snr * (M^2 - 1) * T_sym^2 / (3 * c^2)
-
-    and the matrix entries are that weight times the element sums of
-    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.
-    """
-    _validate_positive_snr(snr)
-    m_count = config.num_symbols
-    freqs = subcarrier_frequencies(config)
-    weights = (
-        2.0
-        * math.pi**2
-        * freqs**2
-        * m_count
-        * snr
-        * (m_count**2 - 1)
-        * config.symbol_time**2
-        / (3.0 * SPEED_OF_LIGHT**2)
-    )
-    weight_total = float(np.sum(weights))
-
-    q = radial_projection_coeffs(target, geometry)
-    p = transverse_projection_coeffs(target, geometry)
-    one_plus_q = 1.0 + q
-    return FisherInfo(
-        j_rr=weight_total * float(np.sum(one_plus_q**2)),
-        j_tt=weight_total * float(np.sum(p**2)),
-        j_rt=weight_total * float(np.sum(p * one_plus_q)),
-    )
+    """Information matrix via the analytic slow-time reduction of :func:`closed_form_bounds`."""
+    entries, degenerate = _fisher_rows([target.distance], [target.angle], geometry, config, snr)
+    if degenerate[0]:
+        raise DegenerateGeometryError()
+    j_rr, j_tt, j_rt = entries[:, 0].tolist()
+    return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
 def crlb_from_fisher(info: FisherInfo) -> CrlbResult:
@@ -178,19 +252,8 @@ def crlb_from_fisher(info: FisherInfo) -> CrlbResult:
     falls back to the single-parameter value ``1/j_rr``.  A meaningfully
     negative determinant or diagonal signals an upstream bug and raises.
     """
-    j_rr, j_tt, j_rt = info.j_rr, info.j_tt, info.j_rt
-    if j_rr < 0.0 or j_tt < 0.0:
-        raise ValueError(f"information diagonal must be nonnegative, got {info!r}")
-    det = info.determinant
-    diag_product = j_rr * j_tt
-    if det < -_NEGATIVE_DET_RTOL * max(diag_product, 1.0):
-        raise ValueError(f"information matrix is negative definite: {info!r}")
-
-    if det < _SINGULAR_RTOL * max(diag_product, _SINGULAR_ABS_FLOOR):
-        radial = 1.0 / j_rr if j_rr > 0.0 else math.inf
-        transverse = 1.0 / j_tt if (j_tt > 0.0 and j_rr == 0.0) else math.inf
-        return CrlbResult(radial=radial, transverse=transverse, singular=True)
-    return CrlbResult(radial=j_tt / det, transverse=j_rr / det, singular=False)
+    radial, transverse, singular = _crlb(info.j_rr, info.j_tt, info.j_rt)
+    return CrlbResult(radial=radial, transverse=transverse, singular=singular)
 
 
 def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float) -> float:
@@ -199,7 +262,7 @@ def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float)
     ``3*c^2 / (8*pi^2*f_c^2*M*N*K*snr*(M^2-1)*T_sym^2)``; infinite for a
     single symbol, since one pulse carries no Doppler information.
     """
-    _validate_positive_snr(snr)
+    _validate_positive("snr", snr)
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
     m_count = config.num_symbols
@@ -236,21 +299,23 @@ def _boresight_weight(config: WaveformConfig, snr: float) -> float:
     )
 
 
-def radial_info_boresight(
-    distance: float, geometry: ArrayGeometry, config: WaveformConfig, snr: float
-) -> float:
+def radial_info_boresight(distance, geometry: ArrayGeometry, config: WaveformConfig, snr: float):
     """Closed-form ``j_rr`` for a target on the array normal.
 
     Equals the boresight weight times ``sum_k (1 + 1/sqrt(1 + k^2*delta^2/d^2))^2``;
     bounded by ``4*K`` times the weight, with equality in the far field.
+    ``distance`` may be an array, which gives an array of the same shape.
     """
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    _validate_positive_snr(snr)
+    _validate_positive("distance", distance)
+    _validate_positive("snr", snr)
+    flat = np.asarray(distance, dtype=float).reshape(-1)
     k_grid = symmetric_index_grid(geometry.num_elements)
-    ratio_sq = (k_grid * geometry.spacing / distance) ** 2
-    terms = (1.0 + 1.0 / np.sqrt(1.0 + ratio_sq)) ** 2
-    return _boresight_weight(config, snr) * float(np.sum(terms))
+    sums = np.empty(flat.size)
+    for rows in _row_chunks(flat.size, geometry.num_elements):
+        ratio_sq = (k_grid * geometry.spacing / flat[rows, None]) ** 2
+        sums[rows] = np.sum((1.0 + 1.0 / np.sqrt(1.0 + ratio_sq)) ** 2, axis=1)
+    info = _boresight_weight(config, snr) * sums
+    return float(info[0]) if np.ndim(distance) == 0 else info.reshape(np.shape(distance))
 
 
 def transverse_info_boresight(
@@ -261,9 +326,8 @@ def transverse_info_boresight(
     Boresight weight times ``(delta^2/d^2) * sum_k k^2/(1 + k^2*delta^2/d^2)``.
     Zero for a single element: one element carries no transverse information.
     """
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    _validate_positive_snr(snr)
+    _validate_positive("distance", distance)
+    _validate_positive("snr", snr)
     k_grid = symmetric_index_grid(geometry.num_elements)
     ratio_sq = (k_grid * geometry.spacing / distance) ** 2
     series = float(np.sum(k_grid**2 / (1.0 + ratio_sq)))
@@ -292,9 +356,8 @@ def transverse_info_boresight_approx(
     ``T_obs^2 ~ (M^2-1)*T_sym^2``, replacing ``(K^2-1)*delta^2`` by ``D^2``.
     The two differ by the factor ``(K+1)/(K-1)``, i.e. about ``2/K``.
     """
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    _validate_positive_snr(snr)
+    _validate_positive("distance", distance)
+    _validate_positive("snr", snr)
     k_count = geometry.num_elements
     m_count = config.num_symbols
     if aperture_form:
@@ -316,8 +379,8 @@ def transverse_info_boresight_approx(
 
 
 def transverse_info_half_wavelength(
-    distance: float, num_elements: int, config: WaveformConfig, snr: float
-) -> float:
+    distance, num_elements: int, config: WaveformConfig, snr: float
+):
     """Boresight transverse information for half-wavelength element spacing.
 
     Substituting ``delta = c/(2*f_c)`` cancels the carrier entirely:
@@ -325,13 +388,13 @@ def transverse_info_half_wavelength(
         pi^2 * M * N * K * snr * (M^2-1) * T_sym^2 * (K^2-1) / (72 * d^2)
 
     The function reads only the grid sizes and symbol time from ``config``;
-    by construction the result is carrier-independent.
+    by construction the result is carrier-independent.  ``distance`` may be
+    an array, which gives an array of the same shape.
     """
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
+    _validate_positive("distance", distance)
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
-    _validate_positive_snr(snr)
+    _validate_positive("snr", snr)
     m_count = config.num_symbols
     return (
         math.pi**2
@@ -342,7 +405,7 @@ def transverse_info_half_wavelength(
         * (m_count**2 - 1)
         * config.symbol_time**2
         * (num_elements**2 - 1)
-        / (72.0 * distance**2)
+        / (72.0 * _float_power(distance, 2))
     )
 
 

@@ -12,7 +12,7 @@ Subcommands
 
 Configuration comes from an optional ``key = value`` file (``--config``),
 overridden by repeatable ``--set key=value`` flags and the dedicated
-``--seed``/``--threads``/``--out`` flags.  Frequencies accept ``GHz``,
+``--seed``/``--trials``/``--snr-list``/``--out`` flags.  Frequencies accept ``GHz``,
 ``MHz``, ``kHz`` and ``Hz`` suffixes; powers accept ``dBm`` or watts; ratio
 quantities (snr, gains, noise figure) accept ``dB``/``dBi`` or a bare linear
 value; durations accept ``s``, ``ms``, ``us``.  Angles are always degrees on
@@ -34,6 +34,7 @@ from .experiments import (
     CsvTable,
     ScenarioConfig,
     SweepSpec,
+    format_cell,
     run_carrier_comparison,
     run_montecarlo,
     run_planar_map,
@@ -169,7 +170,6 @@ _EXPERIMENT_KEYS: dict[str, Callable[[str, str], object]] = {
     "grid_points": _parse_int,
     "refine_tolerance": _parse_float,
     "seed": _parse_int,
-    "threads": _parse_int,
 }
 
 
@@ -214,6 +214,10 @@ def _collect_raw(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[_normalize_key(key)] = value.strip()
+    # The dedicated flags set their configuration keys and win over both.
+    for key in ("seed", "trials", "snr_list"):
+        if getattr(args, key, None) is not None:
+            raw[key] = str(getattr(args, key))
     return raw
 
 
@@ -234,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override one configuration key (repeatable)",
     )
     common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for sweeps")
     common.add_argument("--out", default=None, help="output CSV path")
 
     parser = _Parser(prog="nfvel", description="velocity estimation bounds toolkit")
@@ -269,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _subset(settings: dict, *names: str) -> dict:
-    return {name: settings[name] for name in names if name in settings}
-
-
 def _write_table(table: CsvTable, out: str | None, default_name: str, seed: int) -> None:
     # Every emitted file records the seed alongside the resolved scenario so
     # a rerun from the header alone reproduces it byte for byte.
@@ -281,104 +280,58 @@ def _write_table(table: CsvTable, out: str | None, default_name: str, seed: int)
     print(f"wrote {path}")
 
 
+def _table_command(command: str) -> tuple[Callable[..., CsvTable], tuple[str, ...], str]:
+    """Subcommand -> (runner, experiment keys it takes, default output file).
+
+    Built per call, so a wrapper rebound on a runner's name here is honoured.
+    """
+    distances = ("d_min", "d_max", "points")
+    grid = ("x_min", "x_max", "x_points", "y_min", "y_max", "y_points")
+    search = ("vr_window", "vt_window", "grid_points", "refine_tolerance")
+    return {
+        "sweep": (run_sweep, (), "sweep_{var}.csv"),
+        "fig1": (run_radial_vs_distance, ("apertures", *distances), "fig1_radial_vs_distance.csv"),
+        "fig2": (
+            run_transverse_vs_distance,
+            ("apertures", "angles", *distances),
+            "fig2_transverse_vs_distance.csv",
+        ),
+        "fig3": (run_carrier_comparison, ("carriers", *distances), "fig3_carrier_comparison.csv"),
+        "fig4": (run_planar_map, grid, "fig4_planar_map.csv"),
+        "montecarlo": (run_montecarlo, ("seed", "trials", "snr_list", *search), "montecarlo.csv"),
+    }[command]
+
+
+# Experiment keys whose runner argument has another name.
+_RUNNER_ARGUMENTS = {"angles": "angles_deg", "snr_list": "snr_db_list"}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     scenario_kwargs, experiment = _parse_settings(_collect_raw(args))
-    try:
-        scenario = ScenarioConfig(**scenario_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scenario = ScenarioConfig(**scenario_kwargs)
 
-    threads = args.threads if args.threads is not None else int(experiment.get("threads", 1))
-    seed = args.seed if args.seed is not None else int(experiment.get("seed", 0))
+    seed = experiment.get("seed", 0)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
 
     if args.command == "crlb":
         for key, value in run_single(scenario).items():
-            print(f"{key} = {_stdout_str(value)}")
+            print(f"{key} = {format_cell(value)}")
         return 0
 
+    runner, keys, default_name = _table_command(args.command)
+    kwargs = {_RUNNER_ARGUMENTS.get(key, key): experiment[key] for key in keys if key in experiment}
     if args.command == "sweep":
-        spec = SweepSpec(
+        kwargs["spec"] = SweepSpec(
             variable=args.var,
             start=args.sweep_min,
             stop=args.sweep_max,
             points=args.points,
             log=args.log,
         )
-        table = run_sweep(scenario, spec, threads=threads)
-        _write_table(table, args.out, f"sweep_{spec.variable}.csv", seed)
-        return 0
-
-    if args.command == "fig1":
-        table = run_radial_vs_distance(
-            scenario,
-            threads=threads,
-            **_subset(experiment, "apertures", "d_min", "d_max", "points"),
-        )
-        _write_table(table, args.out, "fig1_radial_vs_distance.csv", seed)
-        return 0
-
-    if args.command == "fig2":
-        kwargs = _subset(experiment, "apertures", "d_min", "d_max", "points")
-        if "angles" in experiment:
-            kwargs["angles_deg"] = experiment["angles"]
-        table = run_transverse_vs_distance(scenario, threads=threads, **kwargs)
-        _write_table(table, args.out, "fig2_transverse_vs_distance.csv", seed)
-        return 0
-
-    if args.command == "fig3":
-        table = run_carrier_comparison(
-            scenario,
-            threads=threads,
-            **_subset(experiment, "carriers", "d_min", "d_max", "points"),
-        )
-        _write_table(table, args.out, "fig3_carrier_comparison.csv", seed)
-        return 0
-
-    if args.command == "fig4":
-        table = run_planar_map(
-            scenario,
-            threads=threads,
-            **_subset(
-                experiment, "x_min", "x_max", "x_points", "y_min", "y_max", "y_points"
-            ),
-        )
-        _write_table(table, args.out, "fig4_planar_map.csv", seed)
-        return 0
-
-    if args.command == "montecarlo":
-        trials = args.trials if args.trials is not None else int(experiment.get("trials", 1000))
-        if args.snr_list is not None:
-            snr_db_list = _parse_list(args.snr_list, "snr-list", _parse_float)
-        else:
-            snr_db_list = experiment.get("snr_list", [0.0, 5.0, 10.0, 15.0, 20.0])
-        table = run_montecarlo(
-            scenario,
-            snr_db_list=snr_db_list,
-            trials=trials,
-            seed=seed,
-            threads=threads,
-            **_subset(
-                experiment, "vr_window", "vt_window", "grid_points", "refine_tolerance"
-            ),
-        )
-        _write_table(table, args.out, "montecarlo.csv", seed)
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
-def _stdout_str(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.12e}" if math.isfinite(value) else "inf"
-    if value is None:
-        return "none"
-    return str(value)
+        default_name = default_name.format(var=args.var)
+    _write_table(runner(scenario, **kwargs), args.out, default_name, seed)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"nfvel: invalid configuration: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"nfvel: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

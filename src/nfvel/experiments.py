@@ -9,14 +9,15 @@ emitted as the literal token ``inf`` (never NaN).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
+    BoundRows,
+    closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
     fisher_info_closed_form,
@@ -33,6 +34,7 @@ __all__ = [
     "CsvTable",
     "ScenarioConfig",
     "SweepSpec",
+    "format_cell",
     "run_montecarlo",
     "run_planar_map",
     "run_radial_vs_distance",
@@ -80,14 +82,11 @@ class ScenarioConfig:
             raise ValueError("give spacing or aperture, not both")
 
     def geometry(self) -> ArrayGeometry:
+        if self.aperture is not None:
+            return _aperture_geometry(self.num_elements, self.aperture)
         spacing = self.spacing
         if spacing is None:
-            if self.aperture is not None:
-                if self.num_elements < 2:
-                    raise ValueError("aperture needs at least two elements")
-                spacing = self.aperture / (self.num_elements - 1)
-            else:
-                spacing = SPEED_OF_LIGHT / (2.0 * self.carrier)
+            spacing = SPEED_OF_LIGHT / (2.0 * self.carrier)
         return ArrayGeometry(num_elements=self.num_elements, spacing=spacing)
 
     def waveform(self) -> WaveformConfig:
@@ -159,7 +158,7 @@ class CsvTable:
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
-            lines.append(",".join(_cell_str(value) for value in row))
+            lines.append(",".join(format_cell(value) for value in row))
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
@@ -168,7 +167,10 @@ class CsvTable:
         return path
 
 
-def _cell_str(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell or ``crlb`` value: 12 significant digits, ``inf``, ``1``/``0``, ``none``."""
+    if value is None:
+        return "none"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -198,11 +200,18 @@ def _root(value: float) -> float:
     return math.sqrt(value) if math.isfinite(value) else math.inf
 
 
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
+    if num_elements < 2:
+        raise ValueError(f"num_elements must be >= 2 to size by aperture, got {num_elements}")
+    return ArrayGeometry(num_elements, aperture / (num_elements - 1))
+
+
+def _bounds(distances, angles, geometry: ArrayGeometry, wf: WaveformConfig, snr) -> BoundRows:
+    """The batch kernel, raising like its one-point form on a degenerate target."""
+    rows = closed_form_bounds(distances, angles, geometry, wf, snr)
+    if any(rows.degenerate):
+        raise DegenerateGeometryError()
+    return rows
 
 
 def _scenario_meta(config: ScenarioConfig) -> dict:
@@ -248,7 +257,6 @@ def run_radial_vs_distance(
     d_min: float | None = None,
     d_max: float | None = None,
     points: int = 200,
-    threads: int = 1,
 ) -> CsvTable:
     """Radial bound against distance at boresight, one row group per aperture.
 
@@ -257,29 +265,24 @@ def run_radial_vs_distance(
     """
     if apertures is None:
         apertures = _default_apertures(config)
+    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
     if d_min is None:
         d_min = min(apertures) / 20.0
     if d_max is None:
         d_max = 100.0 * max(apertures)
     wf = config.waveform()
     distances = np.geomspace(d_min, d_max, points)
-    far_field = radial_crlb_far_field(wf, config.num_elements, config.snr)
+    distance_list = distances.tolist()
+    root_far_field = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
 
-    cases = [(aperture, d) for aperture in apertures for d in distances]
-
-    def _row(case: tuple[float, float]) -> tuple:
-        aperture, d = case
-        geometry = ArrayGeometry(config.num_elements, aperture / (config.num_elements - 1))
-        target = TargetState(distance=float(d), angle=0.0)
-        crlb = crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, config.snr))
-        approx = radial_info_boresight(float(d), geometry, wf, config.snr)
-        return (
-            float(d),
-            aperture,
-            _root(crlb.radial),
-            _root_inverse(approx),
-            _root(far_field),
-        )
+    rows = []
+    for aperture, geometry in zip(apertures, geometries):
+        bounds = _bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
+        approx = radial_info_boresight(distances, geometry, wf, config.snr).tolist()
+        rows += [
+            (d, aperture, _root(radial), _root_inverse(info), root_far_field)
+            for d, radial, info in zip(distance_list, bounds.radial, approx)
+        ]
 
     meta = _scenario_meta(config)
     meta.update(apertures=list(apertures), d_min=d_min, d_max=d_max, points=points)
@@ -292,7 +295,7 @@ def run_radial_vs_distance(
             "root_jrr_inv_approx",
             "root_crlb_vr_far_field",
         ),
-        rows=tuple(_map_ordered(_row, cases, threads)),
+        rows=tuple(rows),
         meta=meta,
     )
 
@@ -304,38 +307,27 @@ def run_transverse_vs_distance(
     d_min: float | None = None,
     d_max: float | None = None,
     points: int = 200,
-    threads: int = 1,
 ) -> CsvTable:
     """Transverse bound against distance for several angles and apertures."""
     if apertures is None:
         apertures = _default_apertures(config)
+    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
     if d_min is None:
         d_min = min(apertures) / 20.0
     if d_max is None:
         d_max = 100.0 * max(apertures)
     wf = config.waveform()
-    distances = np.geomspace(d_min, d_max, points)
+    distances = np.geomspace(d_min, d_max, points).tolist()
 
-    cases = [
-        (aperture, angle_deg, d)
-        for aperture in apertures
-        for angle_deg in angles_deg
-        for d in distances
-    ]
-
-    def _row(case: tuple[float, float, float]) -> tuple:
-        aperture, angle_deg, d = case
-        geometry = ArrayGeometry(config.num_elements, aperture / (config.num_elements - 1))
-        target = TargetState(distance=float(d), angle=angle_deg / 180.0 * math.pi)
-        info = fisher_info_closed_form(target, geometry, wf, config.snr)
-        crlb = crlb_from_fisher(info)
-        return (
-            float(d),
-            angle_deg,
-            aperture,
-            _root(crlb.transverse),
-            _root_inverse(info.j_tt),
-        )
+    rows = []
+    for aperture, geometry in zip(apertures, geometries):
+        for angle_deg in angles_deg:
+            angle = angle_deg / 180.0 * math.pi
+            bounds = _bounds(distances, [angle] * points, geometry, wf, config.snr)
+            rows += [
+                (d, angle_deg, aperture, _root(transverse), _root_inverse(j_tt))
+                for d, transverse, j_tt in zip(distances, bounds.transverse, bounds.j_tt)
+            ]
 
     meta = _scenario_meta(config)
     meta.update(
@@ -354,7 +346,7 @@ def run_transverse_vs_distance(
             "root_crlb_vt_exact",
             "root_jtt_inv",
         ),
-        rows=tuple(_map_ordered(_row, cases, threads)),
+        rows=tuple(rows),
         meta=meta,
     )
 
@@ -365,7 +357,6 @@ def run_carrier_comparison(
     d_min: float = 0.01,
     d_max: float = 1000.0,
     points: int = 200,
-    threads: int = 1,
 ) -> CsvTable:
     """Both bounds against distance for half-wavelength arrays at several carriers.
 
@@ -375,26 +366,21 @@ def run_carrier_comparison(
     """
     base_wf = config.waveform()
     distances = np.geomspace(d_min, d_max, points)
-    cases = [(carrier, d) for carrier in carriers for d in distances]
+    distance_list = distances.tolist()
 
-    def _row(case: tuple[float, float]) -> tuple:
-        carrier, d = case
+    rows = []
+    for carrier in carriers:
         wf = replace(base_wf, carrier=carrier)
         geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
-        target = TargetState(distance=float(d), angle=0.0)
-        crlb = crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, config.snr))
+        bounds = _bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
         halfwave = transverse_info_half_wavelength(
-            float(d), config.num_elements, wf, config.snr
-        )
-        return (
-            float(d),
-            carrier,
-            geometry.aperture,
-            _root(crlb.radial),
-            _root(crlb.transverse),
-            _root_inverse(halfwave),
-            _root(radial_crlb_far_field(wf, config.num_elements, config.snr)),
-        )
+            distances, config.num_elements, wf, config.snr
+        ).tolist()
+        far = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
+        rows += [
+            (d, carrier, geometry.aperture, _root(vr), _root(vt), _root_inverse(info), far)
+            for d, vr, vt, info in zip(distance_list, bounds.radial, bounds.transverse, halfwave)
+        ]
 
     meta = _scenario_meta(config)
     meta.update(carriers=list(carriers), d_min=d_min, d_max=d_max, points=points)
@@ -409,7 +395,7 @@ def run_carrier_comparison(
             "root_crlb_vt_halfwave",
             "root_crlb_vr_far_field",
         ),
-        rows=tuple(_map_ordered(_row, cases, threads)),
+        rows=tuple(rows),
         meta=meta,
     )
 
@@ -422,7 +408,6 @@ def run_planar_map(
     y_min: float = 0.0,
     y_max: float = 50.0,
     y_points: int = 101,
-    threads: int = 1,
 ) -> CsvTable:
     """Transverse bound over a planar grid with a link-budget SNR per point.
 
@@ -432,45 +417,35 @@ def run_planar_map(
     """
     geometry = config.geometry()
     wf = config.waveform()
-    xs = np.linspace(x_min, x_max, x_points)
-    ys = y_min + (y_max - y_min) * np.arange(1, y_points + 1) / y_points
+    xs = np.linspace(x_min, x_max, x_points).tolist()
+    ys = (y_min + (y_max - y_min) * np.arange(1, y_points + 1) / y_points).tolist()
 
-    def _rows_for_y(y: float) -> list[tuple]:
-        rows = []
-        for x in xs:
-            x = float(x)
-            distance = math.hypot(x, y)
-            angle = math.atan2(x, y) if distance > 0.0 else 0.0
-            if distance == 0.0:
-                rows.append((x, y, 0.0, 0.0, math.inf, math.inf, True))
-                continue
-            snr = snr_from_link_budget(
-                distance,
-                wf,
-                radar_cross_section=config.radar_cross_section,
-                tx_gain=config.tx_gain,
-                rx_gain=config.rx_gain,
-                noise_figure=config.noise_figure,
-                temperature=config.temperature,
-            )
-            snr_db = 10.0 * math.log10(snr)
-            try:
-                target = TargetState(distance=distance, angle=angle)
-                crlb = crlb_from_fisher(
-                    fisher_info_closed_form(target, geometry, wf, snr)
-                )
-                root_vt = _root(crlb.transverse)
-                degenerate = crlb.singular
-            except DegenerateGeometryError:
-                root_vt = math.inf
-                degenerate = True
-            rows.append(
-                (x, y, distance, math.degrees(angle), snr_db, root_vt, degenerate)
-            )
-        return rows
+    # Per-point scalars use ``math``, whose rounding the published maps pin.
+    cells = [(x, y, math.hypot(x, y)) for y in ys for x in xs]
+    off_centre = [(x, y, distance) for x, y, distance in cells if distance > 0.0]
+    distances = [distance for _, _, distance in off_centre]
+    angles = [math.atan2(x, y) for x, y, _ in off_centre]
+    snrs = snr_from_link_budget(
+        np.array(distances),
+        wf,
+        radar_cross_section=config.radar_cross_section,
+        tx_gain=config.tx_gain,
+        rx_gain=config.rx_gain,
+        noise_figure=config.noise_figure,
+        temperature=config.temperature,
+    ).tolist()
+    # Degenerate rows come back singular with infinite bounds.
+    bounds = closed_form_bounds(distances, angles, geometry, wf, snrs)
+    evaluated = iter(zip(angles, snrs, bounds.transverse, bounds.singular))
 
-    groups = _map_ordered(_rows_for_y, [float(y) for y in ys], threads)
-    rows = tuple(row for group in groups for row in group)
+    rows = []
+    for x, y, distance in cells:
+        if distance == 0.0:
+            rows.append((x, y, 0.0, 0.0, math.inf, math.inf, True))
+            continue
+        angle, snr, vt, singular = next(evaluated)
+        snr_db = 10.0 * math.log10(snr)
+        rows.append((x, y, distance, math.degrees(angle), snr_db, _root(vt), singular))
 
     meta = _scenario_meta(config)
     meta.update(
@@ -488,7 +463,7 @@ def run_planar_map(
             "root_crlb_vt",
             "degenerate",
         ),
-        rows=rows,
+        rows=tuple(rows),
         meta=meta,
     )
 
@@ -502,7 +477,6 @@ def run_montecarlo(
     vt_window: float = 2.0,
     grid_points: int = 41,
     refine_tolerance: float = 1e-5,
-    threads: int = 1,
 ) -> CsvTable:
     """Estimator MSE against the bounds for a list of SNR operating points.
 
@@ -570,12 +544,12 @@ def run_montecarlo(
             "seed",
             "degenerate_trials",
         ),
-        rows=tuple(_map_ordered(_row, list(snr_db_list), threads)),
+        rows=tuple(_row(snr_db) for snr_db in snr_db_list),
         meta=meta,
     )
 
 
-def run_sweep(config: ScenarioConfig, spec: SweepSpec, threads: int = 1) -> CsvTable:
+def run_sweep(config: ScenarioConfig, spec: SweepSpec) -> CsvTable:
     """Generic one-dimensional sweep of both bounds over a scenario variable."""
     base_spacing = config.geometry().spacing
 
@@ -589,20 +563,23 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, threads: int = 1) -> CsvT
             return replace(config, carrier=value, spacing=base_spacing, aperture=None)
         return replace(config, aperture=value, spacing=None)
 
-    def _row(value: float) -> tuple:
-        sub = _configure(float(value))
-        wf = sub.waveform()
-        crlb = crlb_from_fisher(
-            fisher_info_closed_form(sub.target(), sub.geometry(), wf, sub.snr)
-        )
-        far_field = radial_crlb_far_field(wf, sub.num_elements, sub.snr)
-        return (
-            float(value),
-            _root(crlb.radial),
-            _root(crlb.transverse),
-            _root(far_field),
-            crlb.singular,
-        )
+    values = spec.grid().tolist()
+    # A distance or angle sweep moves only the target, so its grid is one
+    # batch; each carrier or aperture value changes the waveform or the array.
+    groups = [values] if spec.variable in ("distance", "angle") else [[v] for v in values]
+
+    rows = []
+    for group in groups:
+        subs = [_configure(value) for value in group]
+        wf, geometry, snr = subs[0].waveform(), subs[0].geometry(), subs[0].snr
+        bounds = _bounds([s.distance for s in subs], [s.angle for s in subs], geometry, wf, snr)
+        root_far_field = _root(radial_crlb_far_field(wf, geometry.num_elements, snr))
+        rows += [
+            (value, _root(vr), _root(vt), root_far_field, singular)
+            for value, vr, vt, singular in zip(
+                group, bounds.radial, bounds.transverse, bounds.singular
+            )
+        ]
 
     meta = _scenario_meta(config)
     meta.update(
@@ -621,6 +598,6 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec, threads: int = 1) -> CsvT
             "root_crlb_vr_far_field",
             "singular",
         ),
-        rows=tuple(_map_ordered(_row, list(spec.grid()), threads)),
+        rows=tuple(rows),
         meta=meta,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "TargetState",
     "distance_to_element",
     "element_distances",
+    "projection_rows",
     "radial_projection_coeff",
     "radial_projection_coeffs",
     "symmetric_index_grid",
@@ -37,7 +38,12 @@ _COINCIDENCE_RTOL = 1e-12
 
 
 class DegenerateGeometryError(ValueError):
-    """Raised when the target coincides with an array element."""
+    """Raised when the target coincides with an array element or the array centre."""
+
+    def __init__(
+        self, message: str = "target sits on an array element or the array centre; check distance"
+    ) -> None:
+        super().__init__(message)
 
 
 def symmetric_index_grid(count: int) -> np.ndarray:
@@ -158,6 +164,42 @@ class TargetState:
         )
 
 
+def projection_rows(distances, angles, geometry: ArrayGeometry) -> tuple[np.ndarray, ...]:
+    """Element distances and both projection coefficients for P targets at once.
+
+    Returns the ``(P, K)`` arrays ``d_k``, ``q_k`` and ``p_k`` of the
+    single-target functions below, row by row bit-identical to them, and a
+    ``(P,)`` mask of degenerate rows (placeholder values): a target on an
+    element, or so close to the array centre that ``x_k/d`` would overflow.
+    """
+    d = np.asarray(distances, dtype=float).reshape(-1, 1)
+    # Per-row sines from ``math``, as a one-point call computes them.
+    angle_list = np.asarray(angles, dtype=float).reshape(-1).tolist()
+    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
+    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
+
+    centred = d[:, 0] <= _COINCIDENCE_RTOL * geometry.aperture
+    d = np.where(centred[:, None], 1.0, d)
+    x = geometry.element_x_positions
+    ratio = x / d
+    arg = 1.0 + ratio * ratio - 2.0 * ratio * sin_angle
+    # Guard tiny negatives produced by rounding before the square root.
+    element_d = d * np.sqrt(np.maximum(arg, 0.0))
+    scale = np.maximum(d, geometry.aperture)
+    degenerate = centred | np.any(element_d <= _COINCIDENCE_RTOL * scale, axis=1)
+    element_d[degenerate] = 1.0
+    q = (d - x * sin_angle) / element_d
+    p = x * cos_angle / element_d
+    return element_d, q, p, degenerate
+
+
+def _single_target_rows(target: TargetState, geometry: ArrayGeometry) -> tuple[np.ndarray, ...]:
+    element_d, q, p, degenerate = projection_rows([target.distance], [target.angle], geometry)
+    if degenerate[0]:
+        raise DegenerateGeometryError()
+    return element_d[0], q[0], p[0]
+
+
 def element_distances(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
     """Distance from the target to every array element.
 
@@ -167,19 +209,9 @@ def element_distances(target: TargetState, geometry: ArrayGeometry) -> np.ndarra
     Raises
     ------
     DegenerateGeometryError
-        If the target coincides with an element.
+        If the target coincides with an element or with the array centre.
     """
-    d = target.distance
-    ratio = geometry.element_x_positions / d
-    arg = 1.0 + ratio * ratio - 2.0 * ratio * math.sin(target.angle)
-    # Guard tiny negatives produced by rounding before the square root.
-    distances = d * np.sqrt(np.maximum(arg, 0.0))
-    scale = max(d, geometry.aperture)
-    if np.any(distances <= _COINCIDENCE_RTOL * scale):
-        raise DegenerateGeometryError(
-            "target coincides with an array element; projections are undefined"
-        )
-    return distances
+    return _single_target_rows(target, geometry)[0]
 
 
 def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -189,9 +221,7 @@ def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) 
     arg = 1.0 + (x_k / d) ** 2 - 2.0 * (x_k / d) * math.sin(target.angle)
     dist = d * math.sqrt(max(arg, 0.0))
     if dist <= _COINCIDENCE_RTOL * max(d, abs(x_k)):
-        raise DegenerateGeometryError(
-            "target coincides with an array element; projections are undefined"
-        )
+        raise DegenerateGeometryError()
     return dist
 
 
@@ -201,9 +231,7 @@ def radial_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -> np
     ``q_k = (d - x_k*sin(theta)) / d_k``; always in ``[-1, 1]``, equal to 1
     for the centre element.
     """
-    distances = element_distances(target, geometry)
-    numer = target.distance - geometry.element_x_positions * math.sin(target.angle)
-    return numer / distances
+    return _single_target_rows(target, geometry)[1]
 
 
 def radial_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -219,8 +247,7 @@ def transverse_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -
     ``p_k = x_k*cos(theta) / d_k``; zero at the centre element and exactly
     zero everywhere for end-fire targets (``theta = +/-pi/2``).
     """
-    distances = element_distances(target, geometry)
-    return geometry.element_x_positions * _cos_angle(target.angle) / distances
+    return _single_target_rows(target, geometry)[2]
 
 
 def transverse_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:

@@ -24,10 +24,8 @@ from .geometry import (
     ArrayGeometry,
     TargetState,
     element_distances,
-    radial_projection_coeff,
     radial_projection_coeffs,
     symmetric_index_grid,
-    transverse_projection_coeff,
     transverse_projection_coeffs,
 )
 
@@ -36,12 +34,10 @@ __all__ = [
     "ObservationCube",
     "WaveformConfig",
     "add_noise",
-    "doppler_shift",
     "doppler_shifts",
     "round_trip_delays",
     "snr_from_link_budget",
     "subcarrier_frequencies",
-    "subcarrier_frequency",
     "synthesize_noise_free",
 ]
 
@@ -189,11 +185,6 @@ class ObservationCube:
             raise ValueError(f"samples shape {self.samples.shape} != expected {expected}")
 
 
-def subcarrier_frequency(config: WaveformConfig, n: float) -> float:
-    """Absolute frequency of grid index ``n``: ``carrier + n * spacing``."""
-    return config.carrier + n * config.subcarrier_spacing
-
-
 def subcarrier_frequencies(config: WaveformConfig) -> np.ndarray:
     """All subcarrier frequencies on the symmetric grid, Hz."""
     return config.carrier + symmetric_index_grid(config.num_subcarriers) * config.subcarrier_spacing
@@ -202,27 +193,6 @@ def subcarrier_frequencies(config: WaveformConfig) -> np.ndarray:
 def round_trip_delays(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
     """Two-way delay ``(d + d_k)/c`` seen by each element, seconds."""
     return (target.distance + element_distances(target, geometry)) / SPEED_OF_LIGHT
-
-
-def doppler_shift(
-    target: TargetState,
-    geometry: ArrayGeometry,
-    config: WaveformConfig,
-    n: float,
-    k: float,
-) -> float:
-    """Two-way Doppler shift in Hz for one subcarrier/element pair.
-
-    The shift combines the outbound radial component with the per-element
-    projection of the velocity:
-
-        nu = (f_n / c) * (v_r + q_k * v_r + p_k * v_t)
-    """
-    f_n = subcarrier_frequency(config, n)
-    q_k = radial_projection_coeff(target, geometry, k)
-    p_k = transverse_projection_coeff(target, geometry, k)
-    v_los = q_k * target.radial_velocity + p_k * target.transverse_velocity
-    return f_n / SPEED_OF_LIGHT * (target.radial_velocity + v_los)
 
 
 def doppler_shifts(
@@ -286,8 +256,20 @@ def add_noise(
     )
 
 
+def _float_power(value, exponent: int):
+    """``value**exponent`` through Python's float power, element by element for an array.
+
+    numpy's vectorised power can round differently in the last bit; this
+    keeps a batch bit-identical to one-point calls.
+    """
+    if np.ndim(value) == 0:
+        return value**exponent
+    values = np.asarray(value, dtype=float)
+    return np.array([v**exponent for v in values.reshape(-1).tolist()]).reshape(values.shape)
+
+
 def snr_from_link_budget(
-    distance: float,
+    distance,
     config: WaveformConfig,
     *,
     radar_cross_section: float = 1.0,
@@ -299,7 +281,8 @@ def snr_from_link_budget(
     """Per-subcarrier SNR of a point scatterer from the two-way radar equation.
 
     Args:
-        distance: One-way range in metres, > 0.
+        distance: One-way range in metres, > 0; an array gives an array of
+            the same shape.
         config: Burst parameters; supplies per-subcarrier power, wavelength
             and the noise bandwidth (one subcarrier spacing).
         radar_cross_section: Target RCS in m^2.
@@ -311,7 +294,7 @@ def snr_from_link_budget(
     Returns:
         Linear SNR; scales as ``distance**-4``.
     """
-    if not distance > 0.0:
+    if not np.all(np.asarray(distance) > 0.0):
         raise ValueError(f"distance must be positive, got {distance!r}")
     if not radar_cross_section > 0.0:
         raise ValueError(f"radar_cross_section must be positive, got {radar_cross_section!r}")
@@ -329,7 +312,7 @@ def snr_from_link_budget(
         * rx_gain
         * wavelength**2
         * radar_cross_section
-        / ((4.0 * math.pi) ** 3 * distance**4)
+        / ((4.0 * math.pi) ** 3 * _float_power(distance, 4))
     )
     noise_power = (
         BOLTZMANN_CONSTANT * temperature * noise_figure * config.subcarrier_spacing

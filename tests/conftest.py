@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import pytest
 
 from nfvel import ArrayGeometry, TargetState, WaveformConfig
@@ -38,3 +40,21 @@ def make_waveform(**overrides) -> WaveformConfig:
     )
     params.update(overrides)
     return WaveformConfig(**params)
+
+
+def cartesian_los_speeds(target: TargetState, geometry: ArrayGeometry) -> list[float]:
+    """Oracle: the target velocity projected onto each target-to-element unit vector.
+
+    Built from Cartesian positions alone, independent of the projection
+    coefficients, so ``q_k*v_r + p_k*v_t`` must equal entry ``k``.
+    """
+    sin_t, cos_t = math.sin(target.angle), math.cos(target.angle)
+    tx, ty = target.distance * sin_t, target.distance * cos_t
+    v_r, v_t = target.radial_velocity, target.transverse_velocity
+    vx = -v_r * sin_t + v_t * cos_t
+    vy = -v_r * cos_t - v_t * sin_t
+    speeds = []
+    for x_k in geometry.element_x_positions:
+        ex, ey = x_k - tx, -ty
+        speeds.append((vx * ex + vy * ey) / math.hypot(ex, ey))
+    return speeds

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfvel import (
     ArrayGeometry,
     CrlbResult,
+    DegenerateGeometryError,
     FisherInfo,
     TargetState,
+    closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
     fisher_info_closed_form,
@@ -20,6 +24,7 @@ from nfvel import (
     transverse_info_boresight_approx,
     transverse_info_half_wavelength,
 )
+from nfvel.bounds import _CHUNK_ELEMENTS
 
 from conftest import make_waveform
 
@@ -366,3 +371,84 @@ class TestCrossover:
         assert crossover_distance(large) == pytest.approx(
             3.0 * crossover_distance(small), rel=1e-14
         )
+
+
+_ANGLES = st.one_of(
+    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2]),
+    st.floats(-math.pi / 2, math.pi / 2),
+)
+
+
+class TestBatchKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_one_point_calls_and_numeric_route(self, data):
+        # Element counts include K=1, even K and counts whose chunks hold
+        # only a few rows, so that the drawn batches cross chunk boundaries.
+        k = data.draw(st.sampled_from([1, 2, 5, 8, 101, 700, 2048]), label="K")
+        geom = ArrayGeometry(k, data.draw(st.floats(0.002, 0.08), label="spacing"))
+        wf = make_waveform(
+            carrier=data.draw(st.floats(2e9, 40e9), label="carrier"),
+            num_subcarriers=data.draw(st.integers(1, 3), label="N"),
+            num_symbols=data.draw(st.integers(2, 6), label="M"),
+        )
+        chunk_rows = _CHUNK_ELEMENTS // max(k, wf.num_subcarriers)
+        count = data.draw(st.integers(1, min(2 * chunk_rows + 1, 40)), label="P")
+        distances = data.draw(st.lists(st.floats(0.05, 200.0), min_size=count, max_size=count))
+        angles = data.draw(st.lists(_ANGLES, min_size=count, max_size=count))
+        snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
+
+        rows = closed_form_bounds(distances, angles, geom, wf, snrs)
+        for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
+            target = TargetState(d, angle)
+            if rows.degenerate[i]:
+                with pytest.raises(DegenerateGeometryError):
+                    fisher_info_closed_form(target, geom, wf, snr)
+                continue
+            one = fisher_info_closed_form(target, geom, wf, snr)
+            assert (rows.j_rr[i], rows.j_tt[i], rows.j_rt[i]) == (one.j_rr, one.j_tt, one.j_rt)
+            crlb = crlb_from_fisher(one)
+            assert (rows.radial[i], rows.transverse[i], rows.singular[i]) == (
+                crlb.radial,
+                crlb.transverse,
+                crlb.singular,
+            )
+            numeric = fisher_info_numeric(target, geom, wf, snr)
+            scale = max(abs(one.j_rr), abs(one.j_tt), abs(one.j_rt))
+            assert abs(numeric.j_rr - one.j_rr) <= 1e-10 * scale
+            assert abs(numeric.j_tt - one.j_tt) <= 1e-10 * scale
+            assert abs(numeric.j_rt - one.j_rt) <= 1e-10 * scale
+
+    def test_degenerate_rows_are_flagged_not_raised(self):
+        geom = ArrayGeometry(num_elements=5, spacing=0.25)
+        wf = make_waveform()
+        # On the element at x = 0.5, on the array centre, and a regular point.
+        rows = closed_form_bounds([0.5, 1e-300, 3.0], [math.pi / 2, 0.0, 0.2], geom, wf, 1.0)
+        assert rows.degenerate == [True, True, False]
+        assert rows.singular[:2] == [True, True]
+        assert rows.radial[:2] == rows.transverse[:2] == [math.inf, math.inf]
+        assert math.isfinite(rows.transverse[2])
+
+    def test_empty_batch(self):
+        rows = closed_form_bounds([], [], ArrayGeometry(3, 0.1), make_waveform(), 1.0)
+        assert rows.j_rr == rows.radial == rows.degenerate == []
+
+    def test_rejects_invalid_points(self):
+        geom = ArrayGeometry(3, 0.1)
+        wf = make_waveform()
+        with pytest.raises(ValueError, match="distance"):
+            closed_form_bounds([1.0, -1.0], [0.0, 0.0], geom, wf, 1.0)
+        with pytest.raises(ValueError, match="angle"):
+            closed_form_bounds([1.0], [2.0], geom, wf, 1.0)
+        with pytest.raises(ValueError, match="snr"):
+            closed_form_bounds([1.0, 2.0], [0.0, 0.0], geom, wf, [1.0, 0.0])
+
+    def test_array_closed_forms_match_scalar_calls(self):
+        geom = ArrayGeometry(num_elements=700, spacing=0.004)
+        wf = make_waveform()
+        distances = np.geomspace(0.01, 500.0, 60)
+        radial = radial_info_boresight(distances, geom, wf, 2.0)
+        halfwave = transverse_info_half_wavelength(distances, 700, wf, 2.0)
+        for i, d in enumerate(distances.tolist()):
+            assert radial[i] == radial_info_boresight(d, geom, wf, 2.0)
+            assert halfwave[i] == transverse_info_half_wavelength(d, 700, wf, 2.0)

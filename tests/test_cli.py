@@ -123,7 +123,24 @@ class TestExitCodes:
 
     def test_bad_seed_or_threads(self, capsys):
         assert main(["crlb", "--seed", "-1"]) == 1
-        assert main(["crlb", "--threads", "0"]) == 1
+        # Sweeps run on one thread; the option and its key are gone.
+        assert main(["crlb", "--threads", "2"]) == 1
+        capsys.readouterr()
+        assert main(["crlb", "--set", "threads=2"]) == 1
+        assert "'threads'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_aperture_figures_reject_a_single_element(self, command, tmp_path, capsys):
+        out = tmp_path / "single.csv"
+        assert main([command, "--set", "num_elements=1", "--out", str(out)]) == 1
+        assert "num_elements" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_distance_on_the_array_centre_names_distance(self, capsys):
+        assert main(["crlb", "--set", "distance=1e-300"]) == 1
+        assert "distance" in capsys.readouterr().err
 
     def test_usage_errors_exit_one(self, capsys):
         assert main(["bogus"]) == 1
@@ -204,17 +221,3 @@ class TestCsvCommands:
         lines = first.read_text().splitlines()
         assert "# seed = 11" in lines
         assert any(line.startswith("snr_db,") for line in lines)
-
-    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
-        base = [
-            "fig2",
-            "--set", "apertures=0.5",
-            "--set", "points=4",
-            "--set", "d_min=0.5",
-            "--set", "d_max=50",
-        ]
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        assert main([*base, "--out", str(serial)]) == 0
-        assert main([*base, "--threads", "4", "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()

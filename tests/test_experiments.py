@@ -135,17 +135,6 @@ class TestRadialVsDistance:
         exact = _column(self.table, "root_crlb_vr_exact")
         assert all(a >= b * (1 - 1e-12) for a, b in zip(exact, exact[1:]))
 
-    def test_threading_preserves_row_order(self):
-        threaded = run_radial_vs_distance(
-            ScenarioConfig(),
-            apertures=[BASE_APERTURE_28GHZ],
-            d_min=BASE_APERTURE_28GHZ / 5.0,
-            d_max=100.0 * BASE_APERTURE_28GHZ,
-            points=7,
-            threads=4,
-        )
-        assert threaded.render() == self.table.render()
-
 
 class TestTransverseVsDistance:
     def setup_method(self):
@@ -260,12 +249,6 @@ class TestPlanarMap:
         text = table.render()
         assert "nan" not in text.lower()
         assert ",inf," in text or text.rstrip().endswith("inf,1")
-
-    def test_map_is_deterministic_across_threads(self):
-        kwargs = dict(x_min=-2.0, x_max=2.0, x_points=3, y_min=0.0, y_max=8.0, y_points=3)
-        serial = run_planar_map(ScenarioConfig(), **kwargs)
-        threaded = run_planar_map(ScenarioConfig(), threads=3, **kwargs)
-        assert serial.render() == threaded.render()
 
 
 class TestMonteCarloRunner:

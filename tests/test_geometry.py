@@ -17,6 +17,7 @@ from nfvel import (
     transverse_projection_coeff,
     transverse_projection_coeffs,
 )
+from conftest import cartesian_los_speeds
 
 # Independently computed reference values.
 APERTURE_101_HALFWAVE_28GHZ = 0.535343675
@@ -225,17 +226,9 @@ class TestProjectionCoefficients:
             geom = ArrayGeometry(int(rng.integers(2, 25)), float(rng.uniform(0.02, 1.5)))
             target = TargetState(d, theta, v_r, v_t)
 
-            sin_t, cos_t = math.sin(theta), math.cos(theta)
-            tx, ty = d * sin_t, d * cos_t
-            vx = -v_r * sin_t + v_t * cos_t
-            vy = -v_r * cos_t - v_t * sin_t
-
             q = radial_projection_coeffs(target, geom)
             p = transverse_projection_coeffs(target, geom)
-            for idx, x_k in enumerate(geom.element_x_positions):
-                ex, ey = x_k - tx, -ty
-                norm = math.hypot(ex, ey)
-                los_speed = (vx * ex + vy * ey) / norm
+            for idx, los_speed in enumerate(cartesian_los_speeds(target, geom)):
                 assert q[idx] * v_r + p[idx] * v_t == pytest.approx(
                     los_speed, rel=1e-10, abs=1e-10
                 )

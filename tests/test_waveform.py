@@ -13,17 +13,15 @@ from nfvel import (
     TargetState,
     WaveformConfig,
     add_noise,
-    doppler_shift,
     doppler_shifts,
     element_distances,
     round_trip_delays,
     snr_from_link_budget,
     subcarrier_frequencies,
-    subcarrier_frequency,
     symmetric_index_grid,
     synthesize_noise_free,
 )
-from conftest import make_waveform
+from conftest import cartesian_los_speeds, make_waveform
 
 # Independently computed reference values.
 DOPPLER_CENTRE_28GHZ_10MPS = 1867.9589331096513
@@ -69,10 +67,12 @@ class TestWaveformConfig:
 
 class TestSubcarrierFrequencies:
     def test_scalar_form(self):
-        wf = make_waveform()
-        assert subcarrier_frequency(wf, 0.0) == 28e9
-        assert subcarrier_frequency(wf, 2.0) == 28e9 + 240e3
-        assert subcarrier_frequency(wf, -0.5) == 28e9 - 60e3
+        # f_n = carrier + n * spacing at grid indices n = -2..2 and -1.5..1.5
+        odd = subcarrier_frequencies(make_waveform(num_subcarriers=5))
+        assert odd[2] == 28e9
+        assert odd[4] == 28e9 + 240e3
+        even = subcarrier_frequencies(make_waveform(num_subcarriers=4))
+        assert even[1] == 28e9 - 60e3
 
     def test_grid_is_symmetric_about_carrier(self):
         wf = make_waveform(num_subcarriers=12)
@@ -92,7 +92,7 @@ class TestDopplerShift:
         wf = make_waveform()
         geom = ArrayGeometry.half_wavelength(101, 28e9)
         target = TargetState(distance=10.0, angle=0.3, radial_velocity=10.0)
-        shift = doppler_shift(target, geom, wf, 0.0, 0.0)
+        shift = doppler_shifts(target, geom, wf)[0, 50]
         assert shift == pytest.approx(DOPPLER_CENTRE_28GHZ_10MPS, rel=1e-12)
         assert shift == pytest.approx(1868.0, abs=0.1)
 
@@ -100,21 +100,21 @@ class TestDopplerShift:
         wf = make_waveform()
         geom = ArrayGeometry.half_wavelength(11, 28e9)
         target = TargetState(distance=5.0, angle=0.0, transverse_velocity=25.0)
-        assert doppler_shift(target, geom, wf, 0.0, 0.0) == 0.0
+        assert doppler_shifts(target, geom, wf)[0, 5] == 0.0
 
     def test_vectorized_matches_scalar(self):
+        # Every (n, k) entry equals (f_n / c) * (v_r + line-of-sight speed),
+        # with the line-of-sight speed from the Cartesian dot-product oracle.
         wf = make_waveform(num_subcarriers=4)
         geom = ArrayGeometry(num_elements=5, spacing=0.01)
         target = TargetState(2.0, 0.4, radial_velocity=7.0, transverse_velocity=-3.0)
         table = doppler_shifts(target, geom, wf)
         assert table.shape == (4, 5)
-        n_grid = symmetric_index_grid(4)
-        k_grid = symmetric_index_grid(5)
-        for i, n in enumerate(n_grid):
-            for j, k in enumerate(k_grid):
-                assert table[i, j] == pytest.approx(
-                    doppler_shift(target, geom, wf, float(n), float(k)), rel=1e-12
-                )
+        los = cartesian_los_speeds(target, geom)
+        for i, f_n in enumerate(subcarrier_frequencies(wf)):
+            for j in range(geom.num_elements):
+                expected = f_n / SPEED_OF_LIGHT * (target.radial_velocity + los[j])
+                assert table[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_scales_linearly_with_velocity(self):
         wf = make_waveform()
@@ -266,10 +266,20 @@ class TestLinkBudget:
             2.5 * snr_from_link_budget(5.0, wf1), rel=1e-12
         )
 
+    def test_distance_array_matches_scalar_calls(self):
+        wf = make_waveform()
+        distances = np.random.default_rng(5).uniform(0.01, 300.0, size=(40, 5))
+        batch = snr_from_link_budget(distances, wf, noise_figure=3.0)
+        assert batch.shape == (40, 5)
+        for d, snr in zip(distances.ravel().tolist(), batch.ravel().tolist()):
+            assert snr == snr_from_link_budget(d, wf, noise_figure=3.0)
+
     def test_validation(self):
         wf = make_waveform()
         with pytest.raises(ValueError):
             snr_from_link_budget(0.0, wf)
+        with pytest.raises(ValueError):
+            snr_from_link_budget(np.array([1.0, 0.0]), wf)
         with pytest.raises(ValueError):
             snr_from_link_budget(1.0, wf, radar_cross_section=0.0)
         with pytest.raises(ValueError):
