@@ -174,8 +174,8 @@ def _fisher_rows(
 
     m_count = config.num_symbols
     freqs = subcarrier_frequencies(config)
-    # The weight product keeps the SNR factor where it always sat, so the
-    # rounding matches the published one-point values.
+    # The SNR factor stays fourth in the weight product; moving it would
+    # change the rounding of published values.
     head = 2.0 * math.pi**2 * freqs**2 * m_count
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)

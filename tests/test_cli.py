@@ -123,7 +123,7 @@ class TestExitCodes:
 
     def test_bad_seed_or_threads(self, capsys):
         assert main(["crlb", "--seed", "-1"]) == 1
-        # Sweeps run on one thread; the option and its key are gone.
+        # There is no --threads flag and no threads key.
         assert main(["crlb", "--threads", "2"]) == 1
         capsys.readouterr()
         assert main(["crlb", "--set", "threads=2"]) == 1
