@@ -26,7 +26,6 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
-    DegenerateGeometryError,
     TargetState,
     projection_rows,
     radial_projection_coeffs,
@@ -160,38 +159,6 @@ def fisher_info_numeric(
     return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
-def _fisher_rows(
-    distances, angles, geometry: ArrayGeometry, config: WaveformConfig, snr
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``(3, P)`` information entries (zero on degenerate rows) and the mask."""
-    distances = np.asarray(distances, dtype=float).reshape(-1)
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
-    _validate_positive("distance", distances)
-    if not np.all(np.abs(angles) <= math.pi / 2.0):
-        raise ValueError(f"angles must lie in [-pi/2, pi/2], got {angles!r}")
-    _validate_positive("snr", snr)
-
-    m_count = config.num_symbols
-    freqs = subcarrier_frequencies(config)
-    # The SNR factor stays fourth in the weight product; moving it would
-    # change the rounding of published values.
-    head = 2.0 * math.pi**2 * freqs**2 * m_count
-    entries = np.empty((3, distances.size))
-    degenerate = np.empty(distances.size, dtype=bool)
-    width = max(geometry.num_elements, config.num_subcarriers)
-    for rows in _row_chunks(distances.size, width):
-        weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
-        weight_total = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
-        _, q, p, degenerate[rows] = projection_rows(distances[rows], angles[rows], geometry)
-        one_plus_q = 1.0 + q
-        entries[0, rows] = weight_total * np.sum(one_plus_q**2, axis=1)
-        entries[1, rows] = weight_total * np.sum(p**2, axis=1)
-        entries[2, rows] = weight_total * np.sum(p * one_plus_q, axis=1)
-    entries[:, degenerate] = 0.0
-    return entries, degenerate
-
-
 def _crlb(j_rr: float, j_tt: float, j_rt: float) -> tuple[float, float, bool]:
     """Variance bounds and the singular flag of one information matrix."""
     if j_rr < 0.0 or j_tt < 0.0:
@@ -208,7 +175,13 @@ def _crlb(j_rr: float, j_tt: float, j_rt: float) -> tuple[float, float, bool]:
 
 
 def closed_form_bounds(
-    distances, angles, geometry: ArrayGeometry, config: WaveformConfig, snr
+    distances,
+    angles,
+    geometry: ArrayGeometry,
+    config: WaveformConfig,
+    snr,
+    *,
+    flag_degenerate: bool = False,
 ) -> BoundRows:
     """Closed-form information and CRLB for P points sharing one array and waveform.
 
@@ -220,10 +193,35 @@ def closed_form_bounds(
 
     and the entries are the summed weight times the element sums of
     ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  Rows match the
-    one-point functions bit for bit, but a target on an element or the array
-    centre is marked ``degenerate`` (zero information) instead of raising.
+    one-point functions bit for bit.  A target on an element or the array
+    centre raises :class:`DegenerateGeometryError`, as a one-point call does;
+    with ``flag_degenerate`` its row is marked ``degenerate`` instead, with
+    zero information and infinite bounds.
     """
-    entries, degenerate = _fisher_rows(distances, angles, geometry, config, snr)
+    distances = np.asarray(distances, dtype=float).reshape(-1)
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
+    _validate_positive("snr", snr)
+
+    m_count = config.num_symbols
+    freqs = subcarrier_frequencies(config)
+    # The SNR factor stays fourth in the weight product; moving it would
+    # change the rounding of published values.
+    head = 2.0 * math.pi**2 * freqs**2 * m_count
+    entries = np.empty((3, distances.size))
+    degenerate = np.empty(distances.size, dtype=bool)
+    width = max(geometry.num_elements, config.num_subcarriers)
+    for rows in _row_chunks(distances.size, width):
+        weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
+        weight_total = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
+        q, p, degenerate[rows] = projection_rows(
+            distances[rows], angles[rows], geometry, flag_degenerate
+        )
+        one_plus_q = 1.0 + q
+        entries[0, rows] = weight_total * np.sum(one_plus_q**2, axis=1)
+        entries[1, rows] = weight_total * np.sum(p**2, axis=1)
+        entries[2, rows] = weight_total * np.sum(p * one_plus_q, axis=1)
+    entries[:, degenerate] = 0.0
     j_rr, j_tt, j_rt = entries.tolist()
     bounds = [_crlb(*row) for row in zip(j_rr, j_tt, j_rt)]
     radial, transverse, singular = map(list, zip(*bounds)) if bounds else ([], [], [])
@@ -237,11 +235,8 @@ def fisher_info_closed_form(
     snr: float,
 ) -> FisherInfo:
     """Information matrix via the analytic slow-time reduction of :func:`closed_form_bounds`."""
-    entries, degenerate = _fisher_rows([target.distance], [target.angle], geometry, config, snr)
-    if degenerate[0]:
-        raise DegenerateGeometryError()
-    j_rr, j_tt, j_rt = entries[:, 0].tolist()
-    return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
+    rows = closed_form_bounds([target.distance], [target.angle], geometry, config, snr)
+    return FisherInfo(j_rr=rows.j_rr[0], j_tt=rows.j_tt[0], j_rt=rows.j_rt[0])
 
 
 def crlb_from_fisher(info: FisherInfo) -> CrlbResult:

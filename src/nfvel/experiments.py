@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import (
-    BoundRows,
     closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
@@ -27,7 +26,7 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_mse
-from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState
+from .geometry import ArrayGeometry, TargetState
 from .waveform import ChannelNoise, WaveformConfig, snr_from_link_budget
 
 __all__ = [
@@ -206,14 +205,6 @@ def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
     return ArrayGeometry(num_elements, aperture / (num_elements - 1))
 
 
-def _bounds(distances, angles, geometry: ArrayGeometry, wf: WaveformConfig, snr) -> BoundRows:
-    """The batch kernel, raising like its one-point form on a degenerate target."""
-    rows = closed_form_bounds(distances, angles, geometry, wf, snr)
-    if any(rows.degenerate):
-        raise DegenerateGeometryError()
-    return rows
-
-
 def _scenario_meta(config: ScenarioConfig) -> dict:
     meta = asdict(config)
     geometry = config.geometry()
@@ -277,7 +268,7 @@ def run_radial_vs_distance(
 
     rows = []
     for aperture, geometry in zip(apertures, geometries):
-        bounds = _bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
+        bounds = closed_form_bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
         approx = radial_info_boresight(distances, geometry, wf, config.snr).tolist()
         rows += [
             (d, aperture, _root(radial), _root_inverse(info), root_far_field)
@@ -323,7 +314,7 @@ def run_transverse_vs_distance(
     for aperture, geometry in zip(apertures, geometries):
         for angle_deg in angles_deg:
             angle = angle_deg / 180.0 * math.pi
-            bounds = _bounds(distances, [angle] * points, geometry, wf, config.snr)
+            bounds = closed_form_bounds(distances, [angle] * points, geometry, wf, config.snr)
             rows += [
                 (d, angle_deg, aperture, _root(transverse), _root_inverse(j_tt))
                 for d, transverse, j_tt in zip(distances, bounds.transverse, bounds.j_tt)
@@ -372,7 +363,7 @@ def run_carrier_comparison(
     for carrier in carriers:
         wf = replace(base_wf, carrier=carrier)
         geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
-        bounds = _bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
+        bounds = closed_form_bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
         halfwave = transverse_info_half_wavelength(
             distances, config.num_elements, wf, config.snr
         ).tolist()
@@ -435,7 +426,7 @@ def run_planar_map(
         temperature=config.temperature,
     ).tolist()
     # Degenerate rows come back singular with infinite bounds.
-    bounds = closed_form_bounds(distances, angles, geometry, wf, snrs)
+    bounds = closed_form_bounds(distances, angles, geometry, wf, snrs, flag_degenerate=True)
     evaluated = iter(zip(angles, snrs, bounds.transverse, bounds.singular))
 
     rows = []
@@ -572,7 +563,8 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec) -> CsvTable:
     for group in groups:
         subs = [_configure(value) for value in group]
         wf, geometry, snr = subs[0].waveform(), subs[0].geometry(), subs[0].snr
-        bounds = _bounds([s.distance for s in subs], [s.angle for s in subs], geometry, wf, snr)
+        distances, angles = [s.distance for s in subs], [s.angle for s in subs]
+        bounds = closed_form_bounds(distances, angles, geometry, wf, snr)
         root_far_field = _root(radial_crlb_far_field(wf, geometry.num_elements, snr))
         rows += [
             (value, _root(vr), _root(vt), root_far_field, singular)

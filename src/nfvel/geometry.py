@@ -164,42 +164,6 @@ class TargetState:
         )
 
 
-def projection_rows(distances, angles, geometry: ArrayGeometry) -> tuple[np.ndarray, ...]:
-    """Element distances and both projection coefficients for P targets at once.
-
-    Returns the ``(P, K)`` arrays ``d_k``, ``q_k`` and ``p_k`` of the
-    single-target functions below, row by row bit-identical to them, and a
-    ``(P,)`` mask of degenerate rows (placeholder values): a target on an
-    element, or so close to the array centre that ``x_k/d`` would overflow.
-    """
-    d = np.asarray(distances, dtype=float).reshape(-1, 1)
-    # Per-row sines from ``math``, as a one-point call computes them.
-    angle_list = np.asarray(angles, dtype=float).reshape(-1).tolist()
-    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
-    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
-
-    centred = d[:, 0] <= _COINCIDENCE_RTOL * geometry.aperture
-    d = np.where(centred[:, None], 1.0, d)
-    x = geometry.element_x_positions
-    ratio = x / d
-    arg = 1.0 + ratio * ratio - 2.0 * ratio * sin_angle
-    # Guard tiny negatives produced by rounding before the square root.
-    element_d = d * np.sqrt(np.maximum(arg, 0.0))
-    scale = np.maximum(d, geometry.aperture)
-    degenerate = centred | np.any(element_d <= _COINCIDENCE_RTOL * scale, axis=1)
-    element_d[degenerate] = 1.0
-    q = (d - x * sin_angle) / element_d
-    p = x * cos_angle / element_d
-    return element_d, q, p, degenerate
-
-
-def _single_target_rows(target: TargetState, geometry: ArrayGeometry) -> tuple[np.ndarray, ...]:
-    element_d, q, p, degenerate = projection_rows([target.distance], [target.angle], geometry)
-    if degenerate[0]:
-        raise DegenerateGeometryError()
-    return element_d[0], q[0], p[0]
-
-
 def element_distances(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
     """Distance from the target to every array element.
 
@@ -209,9 +173,55 @@ def element_distances(target: TargetState, geometry: ArrayGeometry) -> np.ndarra
     Raises
     ------
     DegenerateGeometryError
-        If the target coincides with an element or with the array centre.
+        If the target coincides with an element, or sits so close to the
+        array centre that ``x_k/d`` would overflow.
     """
-    return _single_target_rows(target, geometry)[0]
+    d = target.distance
+    if d <= _COINCIDENCE_RTOL * geometry.aperture:
+        raise DegenerateGeometryError()
+    ratio = geometry.element_x_positions / d
+    arg = 1.0 + ratio * ratio - 2.0 * ratio * math.sin(target.angle)
+    # Guard tiny negatives produced by rounding before the square root.
+    distances = d * np.sqrt(np.maximum(arg, 0.0))
+    scale = max(d, geometry.aperture)
+    if np.any(distances <= _COINCIDENCE_RTOL * scale):
+        raise DegenerateGeometryError()
+    return distances
+
+
+def projection_rows(
+    distances, angles, geometry: ArrayGeometry, flag_degenerate: bool = False
+) -> tuple[np.ndarray, ...]:
+    """Both projection coefficients for P targets at once.
+
+    Returns the ``(P, K)`` arrays ``q_k`` and ``p_k`` of the single-target
+    functions below, row by row bit-identical to them, and a ``(P,)`` mask of
+    degenerate rows.  Each row's element distances come from one
+    :func:`element_distances` call, so a degenerate target raises
+    :class:`DegenerateGeometryError`; with ``flag_degenerate`` its row is
+    masked instead and holds placeholder values.
+    """
+    distance_list = np.asarray(distances, dtype=float).reshape(-1).tolist()
+    angle_list = np.asarray(angles, dtype=float).reshape(-1).tolist()
+    element_d = np.ones((len(distance_list), geometry.num_elements))
+    degenerate = np.zeros(len(distance_list), dtype=bool)
+    # One rule, in element_distances, decides and raises for a degenerate target.
+    for row, (distance, angle) in enumerate(zip(distance_list, angle_list)):
+        try:
+            element_d[row] = element_distances(TargetState(distance, angle), geometry)
+        except DegenerateGeometryError:
+            if not flag_degenerate:
+                raise
+            degenerate[row] = True
+
+    d = np.array(distance_list).reshape(-1, 1)
+    # Per-row sines from ``math``, as a one-point call computes them.
+    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
+    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
+    x = geometry.element_x_positions
+    q = (d - x * sin_angle) / element_d
+    p = x * cos_angle / element_d
+    return q, p, degenerate
 
 
 def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -231,7 +241,7 @@ def radial_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -> np
     ``q_k = (d - x_k*sin(theta)) / d_k``; always in ``[-1, 1]``, equal to 1
     for the centre element.
     """
-    return _single_target_rows(target, geometry)[1]
+    return projection_rows([target.distance], [target.angle], geometry)[0][0]
 
 
 def radial_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -247,7 +257,7 @@ def transverse_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -
     ``p_k = x_k*cos(theta) / d_k``; zero at the centre element and exactly
     zero everywhere for end-fire targets (``theta = +/-pi/2``).
     """
-    return _single_target_rows(target, geometry)[2]
+    return projection_rows([target.distance], [target.angle], geometry)[1][0]
 
 
 def transverse_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:

@@ -398,7 +398,7 @@ class TestBatchKernel:
         angles = data.draw(st.lists(_ANGLES, min_size=count, max_size=count))
         snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
 
-        rows = closed_form_bounds(distances, angles, geom, wf, snrs)
+        rows = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             target = TargetState(d, angle)
             if rows.degenerate[i]:
@@ -419,11 +419,15 @@ class TestBatchKernel:
             assert abs(numeric.j_tt - one.j_tt) <= 1e-10 * scale
             assert abs(numeric.j_rt - one.j_rt) <= 1e-10 * scale
 
-    def test_degenerate_rows_are_flagged_not_raised(self):
+    def test_degenerate_rows_raise_or_are_flagged(self):
         geom = ArrayGeometry(num_elements=5, spacing=0.25)
         wf = make_waveform()
         # On the element at x = 0.5, on the array centre, and a regular point.
-        rows = closed_form_bounds([0.5, 1e-300, 3.0], [math.pi / 2, 0.0, 0.2], geom, wf, 1.0)
+        distances, angles = [0.5, 1e-300, 3.0], [math.pi / 2, 0.0, 0.2]
+        for i in range(2):
+            with pytest.raises(DegenerateGeometryError, match="distance"):
+                closed_form_bounds(distances[i:], angles[i:], geom, wf, 1.0)
+        rows = closed_form_bounds(distances, angles, geom, wf, 1.0, flag_degenerate=True)
         assert rows.degenerate == [True, True, False]
         assert rows.singular[:2] == [True, True]
         assert rows.radial[:2] == rows.transverse[:2] == [math.inf, math.inf]
