@@ -6,10 +6,10 @@ pair maximises the magnitude of the matched-filter output
     L(v_r, v_t) = | sum_{m,n,k} r_{m,n,k} * conj(model_{m,n,k}(v_r, v_t)) |^2
 
 which is invariant to any common complex gain on the data.  The search runs a
-coarse grid followed by per-axis three-point quadratic refinement.  An axis
-along which the statistic shows no curvature at the peak (end-fire targets
-leave the transverse component unobservable) is flagged unidentifiable
-instead of returning an arbitrary grid value.
+coarse grid, then joint Newton steps on the analytic gradient and Hessian of
+L, which carry the radial/transverse coupling.  An axis along which the
+statistic shows no curvature at the peak (end-fire targets leave the
+transverse component unobservable) is flagged unidentifiable instead.
 """
 
 from __future__ import annotations
@@ -51,21 +51,24 @@ __all__ = [
 # flat along that axis: the component is unidentifiable, not merely noisy.
 _CURVATURE_FLOOR = 1e-12
 
+# Newton refinement gives up after this many steps even if it is still moving.
+_MAX_NEWTON_STEPS = 30
+
 
 @dataclass(frozen=True)
 class MlSearchConfig:
-    """Search window and refinement controls for :func:`ml_estimate`.
+    """Search window and refinement tolerance for :func:`ml_estimate`.
 
-    The spans must bracket the true velocities; keep the radial span narrower
+    The spans must bracket the true velocities; the radial span must be narrower
     than the Doppler ambiguity interval ``c / (2 * f_c * T_sym)`` so the grid
-    sees a single peak.
+    sees a single peak.  Refinement stops once a Newton step moves no axis by
+    ``tolerance`` (m/s); an axis whose grid cell is below it stays on the grid.
     """
 
     radial_span: tuple[float, float]
     transverse_span: tuple[float, float]
     radial_points: int = 41
     transverse_points: int = 41
-    refine_iterations: int = 40
     tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
@@ -74,8 +77,6 @@ class MlSearchConfig:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
         if self.radial_points < 3 or self.transverse_points < 3:
             raise ValueError("coarse grid needs at least 3 points per axis")
-        if self.refine_iterations < 1:
-            raise ValueError(f"refine_iterations must be >= 1, got {self.refine_iterations!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
 
@@ -132,6 +133,12 @@ class _MatchedFilterSearch:
         angle: float,
         search: MlSearchConfig,
     ) -> None:
+        ambiguity = SPEED_OF_LIGHT / (2.0 * config.carrier * config.symbol_time)
+        if not search.radial_span[1] - search.radial_span[0] < ambiguity:
+            raise ValueError(
+                "the radial search window (vr_window) must be narrower than the Doppler "
+                f"ambiguity interval c/(2*f_c*T_sym) = {ambiguity:g} m/s"
+            )
         self.search = search
         position = TargetState(distance=distance, angle=angle)
 
@@ -147,88 +154,75 @@ class _MatchedFilterSearch:
 
         scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
         sens = scale * m_grid[:, None, None] * freqs[None, :, None]
-        self._radial_phase = (sens * (1.0 + q)[None, None, :]).ravel()
-        self._transverse_phase = (sens * p[None, None, :]).ravel()
+        # Rows: the phase per unit radial and per unit transverse velocity.
+        self._phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
 
         self._radial_grid = np.linspace(*search.radial_span, search.radial_points)
         self._transverse_grid = np.linspace(*search.transverse_span, search.transverse_points)
-        self._radial_step = self._radial_grid[1] - self._radial_grid[0]
-        self._transverse_step = self._transverse_grid[1] - self._transverse_grid[0]
-        self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._radial_phase))
-        self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, self._transverse_phase))
-
-    def _compensated(self, samples: np.ndarray) -> np.ndarray:
-        return (samples * self._delay_comp[None, :, :]).ravel()
-
-    def _statistic(self, data: np.ndarray, radial: float, transverse: float) -> float:
-        phase = radial * self._radial_phase + transverse * self._transverse_phase
-        return abs(np.sum(data * np.exp(-1j * phase))) ** 2
+        self._cell = np.array([grid[1] - grid[0] for grid in (self._radial_grid, self._transverse_grid)])
+        self._lower, self._upper = np.array([search.radial_span, search.transverse_span]).T
+        self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._phase[0]))
+        self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, self._phase[1]))
 
     @staticmethod
-    def _axis_curvature(grid_values: np.ndarray, index: int) -> tuple[float, float]:
-        """Three-point curvature and peak value along one axis, clamped interior."""
+    def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
+        """Three-point curvature along one axis, clamped interior."""
         pivot = min(max(index, 1), grid_values.size - 2)
-        lo, mid, hi = grid_values[pivot - 1], grid_values[pivot], grid_values[pivot + 1]
-        return lo - 2.0 * mid + hi, mid
+        return grid_values[pivot - 1] - 2.0 * grid_values[pivot] + grid_values[pivot + 1]
 
     def estimate(self, samples: np.ndarray) -> VelocityEstimate:
-        data = self._compensated(samples)
+        data = (samples * self._delay_comp[None, :, :]).ravel()
         coarse = np.abs((self._radial_table * data[None, :]) @ self._transverse_table.T) ** 2
         i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
         peak = coarse[i0, j0]
         floor = _CURVATURE_FLOOR * max(peak, np.finfo(float).tiny)
 
-        curv_r, _ = self._axis_curvature(coarse[:, j0], int(i0))
-        curv_t, _ = self._axis_curvature(coarse[i0, :], int(j0))
-        radial_ok = abs(curv_r) > floor
-        transverse_ok = abs(curv_t) > floor
+        curv_r = self._axis_curvature(coarse[:, j0], int(i0))
+        curv_t = self._axis_curvature(coarse[i0, :], int(j0))
+        identifiable = np.array([abs(curv_r) > floor, abs(curv_t) > floor])
 
-        radial = float(self._radial_grid[i0]) if radial_ok else math.nan
-        transverse = float(self._transverse_grid[j0]) if transverse_ok else math.nan
-
-        step_r = self._radial_step
-        step_t = self._transverse_step
-        tol = self.search.tolerance
-        for _ in range(self.search.refine_iterations):
-            moved = False
-            if radial_ok and step_r >= tol:
-                radial = self._refine_axis(data, radial, transverse if transverse_ok else 0.0, step_r, axis=0)
-                step_r *= 0.5
-                moved = True
-            if transverse_ok and step_t >= tol:
-                transverse = self._refine_axis(data, radial if radial_ok else 0.0, transverse, step_t, axis=1)
-                step_t *= 0.5
-                moved = True
-            if not moved:
-                break
+        velocity = np.array([self._radial_grid[i0], self._transverse_grid[j0]])
+        # An axis whose coarse cell is already below the tolerance is not refined.
+        free = identifiable & (self._cell >= self.search.tolerance)
+        if free.any():
+            velocity = self._newton(data, velocity, free)
+        radial, transverse = np.where(identifiable, velocity, math.nan)
 
         return VelocityEstimate(
             radial=float(radial),
             transverse=float(transverse),
-            radial_identifiable=bool(radial_ok),
-            transverse_identifiable=bool(transverse_ok),
+            radial_identifiable=bool(identifiable[0]),
+            transverse_identifiable=bool(identifiable[1]),
         )
 
-    def _refine_axis(
-        self, data: np.ndarray, radial: float, transverse: float, step: float, axis: int
-    ) -> float:
-        if axis == 0:
-            values = [
-                self._statistic(data, radial + off, transverse) for off in (-step, 0.0, step)
-            ]
-            centre = radial
-        else:
-            values = [
-                self._statistic(data, radial, transverse + off) for off in (-step, 0.0, step)
-            ]
-            centre = transverse
-        lo, mid, hi = values
-        denom = lo - 2.0 * mid + hi
-        if denom == 0.0:
-            return centre
-        offset = 0.5 * step * (lo - hi) / denom
-        # A parabola fit can overshoot on noisy shoulders; stay inside the bracket.
-        return centre + min(max(offset, -step), step)
+    def _newton(self, data: np.ndarray, velocity: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """Joint Newton ascent of ``|S|^2``, ``S = sum(data * exp(-i * velocity @ phase))``.
+
+        Each step is clipped to one grid cell per axis and the estimate to the spans.
+        """
+        for _ in range(_MAX_NEWTON_STEPS):
+            e = data * np.exp(-1j * (velocity @ self._phase))
+            s_conj = e.sum().conjugate()
+            weighted = self._phase * e
+            first = weighted.sum(axis=1)
+            grad = 2.0 * (s_conj * first).imag
+            hess = 2.0 * (np.outer(first.conjugate(), first) - s_conj * (weighted @ self._phase.T)).real
+            # Hold an axis that is not free, or that its gradient presses
+            # against the span, so that only the other axis moves.
+            moving = free & ~np.where(grad > 0.0, velocity >= self._upper, velocity <= self._lower)
+            grad = np.where(moving, grad, 0.0)
+            hess = np.where(np.outer(moving, moving), hess, -np.eye(2))
+            if hess[0, 0] < 0.0 and hess[0, 0] * hess[1, 1] > hess[0, 1] ** 2:
+                step = np.linalg.solve(hess, -grad)
+            else:
+                # Not concave here: move each axis half a cell up its gradient.
+                step = 0.5 * self._cell * np.sign(grad)
+            step = np.clip(step, -self._cell, self._cell)
+            moved = np.clip(velocity + step, self._lower, self._upper)
+            if np.all(np.abs(moved - velocity) < self.search.tolerance):
+                return moved
+            velocity = moved
+        return velocity
 
 
 def ml_estimate(
@@ -236,9 +230,9 @@ def ml_estimate(
 ) -> VelocityEstimate:
     """ML velocity estimate from one observation cube at a known position.
 
-    Runs the coarse matched-filter grid defined by ``search`` and refines
-    each identifiable axis by iterated three-point quadratic interpolation
-    until the step drops below ``search.tolerance``.
+    Runs the coarse matched-filter grid defined by ``search``, then refines
+    the identifiable axes jointly by Newton steps until a step moves no axis
+    by ``search.tolerance``.
     """
     finder = _MatchedFilterSearch(cube.geometry, cube.config, distance, angle, search)
     return finder.estimate(cube.samples)

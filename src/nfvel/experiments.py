@@ -2,8 +2,8 @@
 
 Every runner returns a :class:`CsvTable` whose rows are plain Python tuples;
 writing the table twice with the same configuration produces byte-identical
-files.  Values are decimal with 12 significant digits; non-finite bounds are
-emitted as the literal token ``inf`` (never NaN).
+files.  Values carry 12 significant digits; non-finite bounds are written as
+``inf``, an MSE that no trial could estimate as ``none``, and never NaN.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class CsvTable:
 
 
 def format_cell(value) -> str:
-    """One CSV cell or ``crlb`` value: 12 significant digits, ``inf``, ``1``/``0``, ``none``."""
+    """One CSV cell or ``crlb`` value: 12 significant digits, ``inf``, ``1``/``0``, ``none``; NaN raises."""
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -176,9 +176,13 @@ def format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
+        if math.isfinite(v):
+            return f"{v:.12e}"
         # The file contract never carries NaN; anything non-finite means an
         # unbounded or unidentifiable quantity.
-        return f"{v:.12e}" if math.isfinite(v) else "inf"
+        if math.isnan(v):
+            raise ValueError("NaN reached an output cell")
+        return "inf"
     return str(value)
 
 
@@ -498,15 +502,16 @@ def run_montecarlo(
             target=target, geometry=geometry, waveform=wf, noise=noise, search=search
         )
         report = monte_carlo_mse(scenario, trials, seed)
+        # An axis that no trial identified (end-fire transverse) has no MSE and no ratio.
         return (
             snr_db,
             report.trials,
-            report.mse_radial,
-            report.mse_transverse,
+            None if math.isnan(report.mse_radial) else report.mse_radial,
+            None if math.isnan(report.mse_transverse) else report.mse_transverse,
             report.crlb_radial,
             report.crlb_transverse,
-            report.ratio_radial,
-            report.ratio_transverse,
+            None if math.isnan(report.mse_radial) else report.ratio_radial,
+            None if math.isnan(report.mse_transverse) else report.ratio_transverse,
             report.seed,
             report.degenerate_trials,
         )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfvel import (
@@ -55,6 +55,32 @@ def _random_scene(rng):
     return target, geom, wf, snr
 
 
+_ANGLES = st.one_of(
+    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2]),
+    st.floats(-math.pi / 2, math.pi / 2),
+)
+
+
+@st.composite
+def _scenes(draw, min_elements=1):
+    """(geometry, waveform, snr, distance) for a target off every element."""
+    num_elements = draw(st.integers(min_elements, 64), label="K")
+    spacing = draw(st.floats(0.002, 0.08), label="spacing")
+    geom = ArrayGeometry(num_elements, spacing)
+    wf = make_waveform(
+        carrier=draw(st.floats(2e9, 40e9), label="carrier"),
+        num_subcarriers=draw(st.integers(1, 4), label="N"),
+        num_symbols=draw(st.integers(2, 8), label="M"),
+    )
+    snr = draw(st.floats(0.01, 1e4), label="snr")
+    distance = draw(st.floats(0.5 * spacing, 500.0), label="distance")
+    # An end-fire target must stay off the elements, which sit a whole or a
+    # half number of spacings from the centre.
+    offset = distance / spacing + (num_elements - 1) / 2.0
+    assume(abs(offset - round(offset)) > 1e-6)
+    return geom, wf, snr, distance
+
+
 class TestRouteAgreement:
     def test_numeric_matches_closed_form_randomized(self):
         rng = np.random.default_rng(20240817)
@@ -84,15 +110,37 @@ class TestRouteAgreement:
             assert b.j_tt == pytest.approx(a.j_tt, rel=1e-12)
             assert b.j_rt == pytest.approx(a.j_rt, rel=1e-12)
 
-    def test_information_is_positive_semidefinite(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            target, geom, wf, snr = _random_scene(rng)
-            info = fisher_info_closed_form(target, geom, wf, snr)
-            assert info.j_rr >= 0.0
-            assert info.j_tt >= 0.0
-            cauchy = math.sqrt(info.j_rr * info.j_tt)
-            assert abs(info.j_rt) <= cauchy * (1.0 + 1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(scene=_scenes(), angle=_ANGLES)
+    def test_information_is_positive_semidefinite(self, scene, angle):
+        geom, wf, snr, distance = scene
+        info = fisher_info_closed_form(TargetState(distance, angle), geom, wf, snr)
+        matrix = info.as_matrix()
+        assert np.array_equal(matrix, matrix.T)
+        assert info.j_rr >= 0.0
+        assert info.j_tt >= 0.0
+        cauchy = math.sqrt(info.j_rr * info.j_tt)
+        assert abs(info.j_rt) <= cauchy * (1.0 + 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=_scenes(), angle=_ANGLES)
+    def test_mirrored_angle_flips_only_the_coupling(self, scene, angle):
+        # The array is symmetric about its centre, so theta -> -theta only
+        # reverses the element order.
+        geom, wf, snr, distance = scene
+        info = fisher_info_closed_form(TargetState(distance, angle), geom, wf, snr)
+        mirror = fisher_info_closed_form(TargetState(distance, -angle), geom, wf, snr)
+        assert mirror.j_rr == pytest.approx(info.j_rr, rel=1e-12, abs=0.0)
+        assert mirror.j_tt == pytest.approx(info.j_tt, rel=1e-12, abs=0.0)
+        assert abs(mirror.j_rt + info.j_rt) <= 1e-12 * math.sqrt(info.j_rr * info.j_tt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scene=_scenes(min_elements=2), factor=st.floats(1.0 + 1e-6, 100.0))
+    def test_boresight_transverse_information_falls_with_distance(self, scene, factor):
+        geom, wf, snr, distance = scene
+        near = fisher_info_closed_form(TargetState(distance, 0.0), geom, wf, snr)
+        far = fisher_info_closed_form(TargetState(distance * factor, 0.0), geom, wf, snr)
+        assert far.j_tt < near.j_tt
 
     def test_information_scales_linearly_with_snr(self):
         geom = ArrayGeometry(num_elements=9, spacing=0.02)
@@ -371,12 +419,6 @@ class TestCrossover:
         assert crossover_distance(large) == pytest.approx(
             3.0 * crossover_distance(small), rel=1e-14
         )
-
-
-_ANGLES = st.one_of(
-    st.sampled_from([-math.pi / 2, 0.0, math.pi / 2]),
-    st.floats(-math.pi / 2, math.pi / 2),
-)
 
 
 class TestBatchKernel:

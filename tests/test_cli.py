@@ -129,6 +129,13 @@ class TestExitCodes:
         assert main(["crlb", "--set", "threads=2"]) == 1
         assert "'threads'" in capsys.readouterr().err
 
+    def test_ambiguous_radial_window_names_vr_window(self, tmp_path, capsys):
+        # c / (2 f_c T_sym) is about 0.32 m/s for the default scenario.
+        out = tmp_path / "mc.csv"
+        assert main(["montecarlo", "--set", "vr_window=2", "--trials", "100", "--out", str(out)]) == 1
+        assert "vr_window" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["fig1", "fig2"])
     def test_aperture_figures_reject_a_single_element(self, command, tmp_path, capsys):
@@ -221,3 +228,23 @@ class TestCsvCommands:
         lines = first.read_text().splitlines()
         assert "# seed = 11" in lines
         assert any(line.startswith("snr_db,") for line in lines)
+
+    def test_montecarlo_end_fire_writes_none_for_the_unidentified_axis(self, tmp_path, capsys):
+        out = tmp_path / "endfire.csv"
+        code = main([
+            "montecarlo",
+            *SMALL_SCENARIO,
+            "--set", "angle=90",
+            "--set", "transverse_velocity=0",
+            "--set", "vr_window=2",
+            "--set", "vt_window=6",
+            "--trials", "100",
+            "--snr-list", "20",
+            "--out", str(out),
+        ])
+        assert code == 0
+        header, values = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        row = dict(zip(header.split(","), values.split(",")))
+        assert row["mse_vt"] == "none" and row["ratio_vt"] == "none"
+        assert row["crlb_vt"] == "inf"
+        assert float(row["mse_vr"]) > 0.0 and float(row["ratio_vr"]) > 0.0

@@ -10,6 +10,7 @@ from nfvel.experiments import (
     CsvTable,
     ScenarioConfig,
     SweepSpec,
+    format_cell,
     run_carrier_comparison,
     run_montecarlo,
     run_planar_map,
@@ -51,6 +52,10 @@ class TestCsvTable:
     def test_floats_carry_twelve_decimals(self):
         text = self._demo().render()
         assert "2.500000000000e+00" in text
+
+    def test_nan_cell_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            format_cell(float("nan"))
 
     def test_row_width_mismatch_raises(self):
         bad = CsvTable(name="demo", columns=("a", "b"), rows=((1,),), meta={})
