@@ -1,21 +1,14 @@
 """Command-line front end for the bounds toolkit.
 
-Subcommands
------------
-``crlb``        one scenario, bounds to stdout
-``sweep``       one swept variable to CSV
-``fig1``        radial bound vs distance, per aperture
-``fig2``        transverse bound vs distance, per angle and aperture
-``fig3``        carrier comparison with half-wavelength arrays
-``fig4``        planar map of the transverse bound with link-budget SNR
-``montecarlo``  estimator MSE vs the bounds over a list of SNRs
-
+Each subcommand (``crlb``, ``sweep``, ``fig1``-``fig4``, ``montecarlo``) runs
+one runner of :mod:`nfvel.experiments`; ``_commands`` holds the table.
 Configuration comes from an optional ``key = value`` file (``--config``),
 overridden by repeatable ``--set key=value`` flags and the dedicated
-``--seed``/``--trials``/``--snr-list``/``--out`` flags.  Frequencies accept ``GHz``,
-``MHz``, ``kHz`` and ``Hz`` suffixes; powers accept ``dBm`` or watts; ratio
-quantities (snr, gains, noise figure) accept ``dB``/``dBi`` or a bare linear
-value; durations accept ``s``, ``ms``, ``us``.  Angles are always degrees on
+``--seed``/``--trials``/``--snr-list``/``--out`` flags.  Scenario keys apply
+to every subcommand; any other key must be a parameter of its runner.
+Frequencies accept ``GHz``, ``MHz``, ``kHz`` and ``Hz`` suffixes; powers
+accept ``dBm`` or watts; ratio quantities (snr, gains, noise figure) accept
+``dB``/``dBi`` or a bare linear value; durations accept ``s``, ``ms``, ``us``.  Angles are always degrees on
 the way in and out.  Exit codes: 0 success, 1 invalid configuration, 2 I/O
 failure.
 """
@@ -23,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import re
 import sys
@@ -31,7 +25,6 @@ from pathlib import Path
 from typing import Callable
 
 from .experiments import (
-    CsvTable,
     ScenarioConfig,
     SweepSpec,
     format_cell,
@@ -126,8 +119,8 @@ def _parse_list(text: str, key: str, item: Callable[[str, str], float]) -> list[
     return [item(part, key) for part in parts]
 
 
-# key -> (parser, scenario-field?)  Scenario keys feed ScenarioConfig;
-# the rest parameterize individual subcommands and are ignored elsewhere.
+# Scenario keys feed ScenarioConfig; experiment keys are arguments of the
+# subcommand's runner (see _dispatch).
 _SCENARIO_KEYS: dict[str, Callable[[str, str], object]] = {
     "carrier": _parse_frequency,
     "num_elements": _parse_int,
@@ -221,6 +214,38 @@ def _collect_raw(args: argparse.Namespace) -> dict[str, str]:
     return raw
 
 
+def _commands() -> dict[str, tuple[str, Callable, str | None]]:
+    """Subcommand -> (help text, runner, default output file or None for stdout).
+
+    Built per call, so a wrapper rebound on a runner's name here is honoured.
+    """
+    return {
+        "crlb": ("bounds for a single scenario", run_single, None),
+        "sweep": ("sweep one variable to CSV", run_sweep, "sweep_{var}.csv"),
+        "fig1": (
+            "radial bound vs distance per aperture",
+            run_radial_vs_distance,
+            "fig1_radial_vs_distance.csv",
+        ),
+        "fig2": (
+            "transverse bound vs distance per angle and aperture",
+            run_transverse_vs_distance,
+            "fig2_transverse_vs_distance.csv",
+        ),
+        "fig3": (
+            "carrier comparison with half-wavelength arrays",
+            run_carrier_comparison,
+            "fig3_carrier_comparison.csv",
+        ),
+        "fig4": ("planar map of the transverse bound", run_planar_map, "fig4_planar_map.csv"),
+        "montecarlo": ("estimator MSE vs the bounds", run_montecarlo, "montecarlo.csv"),
+    }
+
+
+# Experiment keys whose runner argument has another name.
+_RUNNER_ARGUMENTS = {"angles": "angles_deg", "snr_list": "snr_db_list"}
+
+
 class _Parser(argparse.ArgumentParser):
     # The contract reserves exit code 2 for I/O failures, so usage errors
     # (invalid configuration) exit 1 instead of argparse's default 2.
@@ -242,10 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = _Parser(prog="nfvel", description="velocity estimation bounds toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (text, _, _) in _commands().items()
+    }
 
-    sub.add_parser("crlb", parents=[common], help="bounds for a single scenario")
-
-    sweep = sub.add_parser("sweep", parents=[common], help="sweep one variable to CSV")
+    sweep = commands["sweep"]
     sweep.add_argument(
         "--var",
         required=True,
@@ -257,53 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=200)
     sweep.add_argument("--log", action="store_true", help="log-spaced grid")
 
-    for name, text in (
-        ("fig1", "radial bound vs distance per aperture"),
-        ("fig2", "transverse bound vs distance per angle and aperture"),
-        ("fig3", "carrier comparison with half-wavelength arrays"),
-        ("fig4", "planar map of the transverse bound"),
-    ):
-        sub.add_parser(name, parents=[common], help=text)
-
-    mc = sub.add_parser("montecarlo", parents=[common], help="estimator MSE vs the bounds")
+    mc = commands["montecarlo"]
     mc.add_argument("--trials", type=int, default=None)
     mc.add_argument("--snr-list", default=None, help="comma-separated SNRs in dB")
 
     return parser
-
-
-def _write_table(table: CsvTable, out: str | None, default_name: str, seed: int) -> None:
-    # Every emitted file records the seed alongside the resolved scenario so
-    # a rerun from the header alone reproduces it byte for byte.
-    table = replace(table, meta={**table.meta, "seed": seed})
-    path = table.write(out if out else default_name)
-    print(f"wrote {path}")
-
-
-def _table_command(command: str) -> tuple[Callable[..., CsvTable], tuple[str, ...], str]:
-    """Subcommand -> (runner, experiment keys it takes, default output file).
-
-    Built per call, so a wrapper rebound on a runner's name here is honoured.
-    """
-    distances = ("d_min", "d_max", "points")
-    grid = ("x_min", "x_max", "x_points", "y_min", "y_max", "y_points")
-    search = ("vr_window", "vt_window", "grid_points", "refine_tolerance")
-    return {
-        "sweep": (run_sweep, (), "sweep_{var}.csv"),
-        "fig1": (run_radial_vs_distance, ("apertures", *distances), "fig1_radial_vs_distance.csv"),
-        "fig2": (
-            run_transverse_vs_distance,
-            ("apertures", "angles", *distances),
-            "fig2_transverse_vs_distance.csv",
-        ),
-        "fig3": (run_carrier_comparison, ("carriers", *distances), "fig3_carrier_comparison.csv"),
-        "fig4": (run_planar_map, grid, "fig4_planar_map.csv"),
-        "montecarlo": (run_montecarlo, ("seed", "trials", "snr_list", *search), "montecarlo.csv"),
-    }[command]
-
-
-# Experiment keys whose runner argument has another name.
-_RUNNER_ARGUMENTS = {"angles": "angles_deg", "snr_list": "snr_db_list"}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -314,13 +299,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
 
-    if args.command == "crlb":
-        for key, value in run_single(scenario).items():
+    _, runner, default_name = _commands()[args.command]
+    # The runner's parameters are the experiment keys the subcommand takes.
+    # Every file header records the seed, so every subcommand accepts it.
+    parameters = inspect.signature(runner).parameters
+    kwargs = {}
+    for key, value in experiment.items():
+        argument = _RUNNER_ARGUMENTS.get(key, key)
+        if argument in parameters:
+            kwargs[argument] = value
+        elif key != "seed":
+            raise ConfigError(f"{args.command} does not take the key {key!r}")
+
+    if default_name is None:
+        for key, value in runner(scenario, **kwargs).items():
             print(f"{key} = {format_cell(value)}")
         return 0
-
-    runner, keys, default_name = _table_command(args.command)
-    kwargs = {_RUNNER_ARGUMENTS.get(key, key): experiment[key] for key in keys if key in experiment}
     if args.command == "sweep":
         kwargs["spec"] = SweepSpec(
             variable=args.var,
@@ -330,7 +324,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             log=args.log,
         )
         default_name = default_name.format(var=args.var)
-    _write_table(runner(scenario, **kwargs), args.out, default_name, seed)
+    table = runner(scenario, **kwargs)
+    # Every emitted file records the seed alongside the resolved scenario so
+    # a rerun from the header alone reproduces it byte for byte.
+    path = replace(table, meta={**table.meta, "seed": seed}).write(args.out or default_name)
+    print(f"wrote {path}")
     return 0
 
 

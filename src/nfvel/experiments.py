@@ -83,10 +83,9 @@ class ScenarioConfig:
     def geometry(self) -> ArrayGeometry:
         if self.aperture is not None:
             return _aperture_geometry(self.num_elements, self.aperture)
-        spacing = self.spacing
-        if spacing is None:
-            spacing = SPEED_OF_LIGHT / (2.0 * self.carrier)
-        return ArrayGeometry(num_elements=self.num_elements, spacing=spacing)
+        if self.spacing is None:
+            return ArrayGeometry.half_wavelength(self.num_elements, self.carrier)
+        return ArrayGeometry(num_elements=self.num_elements, spacing=self.spacing)
 
     def waveform(self) -> WaveformConfig:
         return WaveformConfig(
@@ -217,9 +216,45 @@ def _scenario_meta(config: ScenarioConfig) -> dict:
     return meta
 
 
-def _default_apertures(config: ScenarioConfig) -> list[float]:
-    base = (config.num_elements - 1) * SPEED_OF_LIGHT / (2.0 * config.carrier)
-    return [base, 2.0 * base, 4.0 * base]
+def _table(
+    name: str, config: ScenarioConfig, columns: tuple[str, ...], rows, **parameters
+) -> CsvTable:
+    """A table whose header echoes the resolved scenario and the runner's parameters."""
+    return CsvTable(
+        name=name,
+        columns=columns,
+        rows=tuple(rows),
+        meta={**_scenario_meta(config), **parameters},
+    )
+
+
+def _check_grid_sizes(**sizes: int) -> None:
+    for key, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{key} must be >= 1, got {size!r}")
+
+
+def _aperture_defaults(
+    config: ScenarioConfig,
+    apertures: Sequence[float] | None,
+    d_min: float | None,
+    d_max: float | None,
+) -> tuple[Sequence[float], list[ArrayGeometry], float, float]:
+    """Apertures, their arrays and the distance span of fig1 and fig2.
+
+    By default the apertures are those of one, two and four half-wavelength
+    arrays, and distances run from a twentieth of the smallest aperture to
+    100 times the largest.  The caller has checked the carrier already.
+    """
+    if apertures is None:
+        base = (config.num_elements - 1) * SPEED_OF_LIGHT / (2.0 * config.carrier)
+        apertures = [base, 2.0 * base, 4.0 * base]
+    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
+    if d_min is None:
+        d_min = min(apertures) / 20.0
+    if d_max is None:
+        d_max = 100.0 * max(apertures)
+    return apertures, geometries, d_min, d_max
 
 
 def run_single(config: ScenarioConfig) -> dict:
@@ -230,8 +265,7 @@ def run_single(config: ScenarioConfig) -> dict:
     info = fisher_info_closed_form(target, geometry, wf, config.snr)
     crlb = crlb_from_fisher(info)
 
-    out: dict = {}
-    out.update(_scenario_meta(config))
+    out = _scenario_meta(config)
     out["angle_deg"] = math.degrees(config.angle)
     out["j_rr"] = info.j_rr
     out["j_tt"] = info.j_tt
@@ -258,14 +292,9 @@ def run_radial_vs_distance(
     Columns hold the exact bound, the reciprocal of the boresight closed
     form, and the far-field floor it approaches.
     """
-    if apertures is None:
-        apertures = _default_apertures(config)
-    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
-    if d_min is None:
-        d_min = min(apertures) / 20.0
-    if d_max is None:
-        d_max = 100.0 * max(apertures)
+    _check_grid_sizes(points=points)
     wf = config.waveform()
+    apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
     root_far_field = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
@@ -279,19 +308,21 @@ def run_radial_vs_distance(
             for d, radial, info in zip(distance_list, bounds.radial, approx)
         ]
 
-    meta = _scenario_meta(config)
-    meta.update(apertures=list(apertures), d_min=d_min, d_max=d_max, points=points)
-    return CsvTable(
-        name="radial-vs-distance",
-        columns=(
+    return _table(
+        "radial-vs-distance",
+        config,
+        (
             "distance_m",
             "aperture_m",
             "root_crlb_vr_exact",
             "root_jrr_inv_approx",
             "root_crlb_vr_far_field",
         ),
-        rows=tuple(rows),
-        meta=meta,
+        rows,
+        apertures=list(apertures),
+        d_min=d_min,
+        d_max=d_max,
+        points=points,
     )
 
 
@@ -304,14 +335,9 @@ def run_transverse_vs_distance(
     points: int = 200,
 ) -> CsvTable:
     """Transverse bound against distance for several angles and apertures."""
-    if apertures is None:
-        apertures = _default_apertures(config)
-    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
-    if d_min is None:
-        d_min = min(apertures) / 20.0
-    if d_max is None:
-        d_max = 100.0 * max(apertures)
+    _check_grid_sizes(points=points)
     wf = config.waveform()
+    apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     distances = np.geomspace(d_min, d_max, points).tolist()
 
     rows = []
@@ -324,25 +350,16 @@ def run_transverse_vs_distance(
                 for d, transverse, j_tt in zip(distances, bounds.transverse, bounds.j_tt)
             ]
 
-    meta = _scenario_meta(config)
-    meta.update(
+    return _table(
+        "transverse-vs-distance",
+        config,
+        ("distance_m", "angle_deg", "aperture_m", "root_crlb_vt_exact", "root_jtt_inv"),
+        rows,
         apertures=list(apertures),
         angles_deg=list(angles_deg),
         d_min=d_min,
         d_max=d_max,
         points=points,
-    )
-    return CsvTable(
-        name="transverse-vs-distance",
-        columns=(
-            "distance_m",
-            "angle_deg",
-            "aperture_m",
-            "root_crlb_vt_exact",
-            "root_jtt_inv",
-        ),
-        rows=tuple(rows),
-        meta=meta,
     )
 
 
@@ -359,6 +376,7 @@ def run_carrier_comparison(
     half-wavelength closed form, which is identical across carriers by
     construction; the radial bound scales with the carrier.
     """
+    _check_grid_sizes(points=points)
     base_wf = config.waveform()
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
@@ -377,11 +395,10 @@ def run_carrier_comparison(
             for d, vr, vt, info in zip(distance_list, bounds.radial, bounds.transverse, halfwave)
         ]
 
-    meta = _scenario_meta(config)
-    meta.update(carriers=list(carriers), d_min=d_min, d_max=d_max, points=points)
-    return CsvTable(
-        name="carrier-comparison",
-        columns=(
+    return _table(
+        "carrier-comparison",
+        config,
+        (
             "distance_m",
             "carrier_hz",
             "aperture_m",
@@ -390,8 +407,11 @@ def run_carrier_comparison(
             "root_crlb_vt_halfwave",
             "root_crlb_vr_far_field",
         ),
-        rows=tuple(rows),
-        meta=meta,
+        rows,
+        carriers=list(carriers),
+        d_min=d_min,
+        d_max=d_max,
+        points=points,
     )
 
 
@@ -410,6 +430,7 @@ def run_planar_map(
     on the array line; a custom grid that does (or that hits an element)
     yields a row flagged degenerate with an ``inf`` bound, never NaN.
     """
+    _check_grid_sizes(x_points=x_points, y_points=y_points)
     geometry = config.geometry()
     wf = config.waveform()
     xs = np.linspace(x_min, x_max, x_points).tolist()
@@ -442,24 +463,13 @@ def run_planar_map(
         snr_db = 10.0 * math.log10(snr)
         rows.append((x, y, distance, math.degrees(angle), snr_db, _root(vt), singular))
 
-    meta = _scenario_meta(config)
-    meta.update(
+    return _table(
+        "planar-map",
+        config,
+        ("x_m", "y_m", "distance_m", "angle_deg", "snr_db", "root_crlb_vt", "degenerate"),
+        rows,
         x_min=x_min, x_max=x_max, x_points=x_points,
         y_min=y_min, y_max=y_max, y_points=y_points,
-    )
-    return CsvTable(
-        name="planar-map",
-        columns=(
-            "x_m",
-            "y_m",
-            "distance_m",
-            "angle_deg",
-            "snr_db",
-            "root_crlb_vt",
-            "degenerate",
-        ),
-        rows=tuple(rows),
-        meta=meta,
     )
 
 
@@ -478,8 +488,6 @@ def run_montecarlo(
     Each row reuses the same base seed; trials inside a row draw independent
     substreams, so the whole table is reproducible from the configuration.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100 for a meaningful MSE, got {trials!r}")
     geometry = config.geometry()
     wf = config.waveform()
     target = config.target()
@@ -516,19 +524,10 @@ def run_montecarlo(
             report.degenerate_trials,
         )
 
-    meta = _scenario_meta(config)
-    meta.update(
-        snr_db_list=list(snr_db_list),
-        trials=trials,
-        seed=seed,
-        vr_window=vr_window,
-        vt_window=vt_window,
-        grid_points=grid_points,
-        refine_tolerance=refine_tolerance,
-    )
-    return CsvTable(
-        name="montecarlo",
-        columns=(
+    return _table(
+        "montecarlo",
+        config,
+        (
             "snr_db",
             "trials",
             "mse_vr",
@@ -540,8 +539,14 @@ def run_montecarlo(
             "seed",
             "degenerate_trials",
         ),
-        rows=tuple(_row(snr_db) for snr_db in snr_db_list),
-        meta=meta,
+        [_row(snr_db) for snr_db in snr_db_list],
+        snr_db_list=list(snr_db_list),
+        trials=trials,
+        seed=seed,
+        vr_window=vr_window,
+        vt_window=vt_window,
+        grid_points=grid_points,
+        refine_tolerance=refine_tolerance,
     )
 
 
@@ -578,23 +583,14 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec) -> CsvTable:
             )
         ]
 
-    meta = _scenario_meta(config)
-    meta.update(
+    return _table(
+        f"sweep-{spec.variable}",
+        config,
+        (spec.variable, "root_crlb_vr", "root_crlb_vt", "root_crlb_vr_far_field", "singular"),
+        rows,
         variable=spec.variable,
         start=spec.start,
         stop=spec.stop,
         points=spec.points,
         log=spec.log,
-    )
-    return CsvTable(
-        name=f"sweep-{spec.variable}",
-        columns=(
-            spec.variable,
-            "root_crlb_vr",
-            "root_crlb_vt",
-            "root_crlb_vr_far_field",
-            "singular",
-        ),
-        rows=tuple(rows),
-        meta=meta,
     )

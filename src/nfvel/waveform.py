@@ -300,10 +300,9 @@ def snr_from_link_budget(
         raise ValueError(f"radar_cross_section must be positive, got {radar_cross_section!r}")
     if not (tx_gain > 0.0 and rx_gain > 0.0):
         raise ValueError("antenna gains must be positive")
-    if not noise_figure >= 1.0:
-        raise ValueError(f"linear noise figure must be >= 1, got {noise_figure!r}")
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature!r}")
+    noise_power = ChannelNoise.from_noise_figure(
+        noise_figure, config.subcarrier_spacing, temperature=temperature
+    ).noise_variance
 
     wavelength = config.wavelength
     received = (
@@ -313,8 +312,5 @@ def snr_from_link_budget(
         * wavelength**2
         * radar_cross_section
         / ((4.0 * math.pi) ** 3 * _float_power(distance, 4))
-    )
-    noise_power = (
-        BOLTZMANN_CONSTANT * temperature * noise_figure * config.subcarrier_spacing
     )
     return received / noise_power

@@ -1,10 +1,22 @@
 """End-to-end tests of the command-line front end via its ``main`` entry."""
 
+import functools
+import inspect
 import math
+from dataclasses import fields
 
 import pytest
 
-from nfvel.cli import ConfigError, main, read_config_file
+from nfvel.cli import (
+    _EXPERIMENT_KEYS,
+    _RUNNER_ARGUMENTS,
+    _SCENARIO_KEYS,
+    ConfigError,
+    _commands,
+    main,
+    read_config_file,
+)
+from nfvel.experiments import CsvTable, ScenarioConfig
 
 SMALL_SCENARIO = [
     "--set", "carrier=6 GHz",
@@ -16,6 +28,38 @@ SMALL_SCENARIO = [
     "--set", "radial_velocity=2",
     "--set", "transverse_velocity=-3",
 ]
+
+# Arguments a subcommand needs besides the configuration.
+COMMAND_ARGS = {"sweep": ["--var", "distance", "--min", "1", "--max", "2", "--points", "2"]}
+
+# One valid value for every experiment key.
+EXPERIMENT_VALUES = {
+    "apertures": "0.25,0.5",
+    "angles": "10",
+    "carriers": "6 GHz",
+    "d_min": "0.1",
+    "d_max": "10",
+    "points": "4",
+    "x_min": "-1",
+    "x_max": "1",
+    "x_points": "3",
+    "y_min": "0",
+    "y_max": "2",
+    "y_points": "2",
+    "snr_list": "10",
+    "trials": "100",
+    "vr_window": "0.1",
+    "vt_window": "1",
+    "grid_points": "5",
+    "refine_tolerance": "1e-4",
+    "seed": "1",
+}
+
+
+def _taken_keys(command):
+    """Experiment keys whose runner argument the subcommand's runner has."""
+    parameters = inspect.signature(_commands()[command][1]).parameters
+    return {key for key in _EXPERIMENT_KEYS if _RUNNER_ARGUMENTS.get(key, key) in parameters}
 
 
 def _crlb_output(capsys, *args):
@@ -149,6 +193,32 @@ class TestExitCodes:
         assert main(["crlb", "--set", "distance=1e-300"]) == 1
         assert "distance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("carrier", ["0", "-6 GHz"])
+    @pytest.mark.parametrize("command", list(_commands()))
+    def test_non_positive_carrier_names_carrier(self, command, carrier, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [command, *COMMAND_ARGS.get(command, []), "--set", f"carrier={carrier}"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "carrier" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "key", "value"),
+        [
+            ("fig1", "points", "0"),
+            ("fig1", "points", "-1"),
+            ("fig2", "points", "0"),
+            ("fig3", "points", "-1"),
+            ("fig4", "x_points", "0"),
+            ("fig4", "y_points", "-2"),
+        ],
+    )
+    def test_empty_grid_names_its_key(self, command, key, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--set", f"{key}={value}", "--out", str(out)]) == 1
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors_exit_one(self, capsys):
         assert main(["bogus"]) == 1
         assert main([]) == 1
@@ -248,3 +318,58 @@ class TestCsvCommands:
         assert row["mse_vt"] == "none" and row["ratio_vt"] == "none"
         assert row["crlb_vt"] == "inf"
         assert float(row["mse_vr"]) > 0.0 and float(row["ratio_vr"]) > 0.0
+
+
+class TestSubcommandKeys:
+    def test_scenario_keys_are_the_scenario_fields(self):
+        assert set(_SCENARIO_KEYS) == {field.name for field in fields(ScenarioConfig)}
+
+    def test_every_experiment_key_belongs_to_a_subcommand(self):
+        assert set(EXPERIMENT_VALUES) == set(_EXPERIMENT_KEYS)
+        assert set().union(*map(_taken_keys, _commands())) == set(_EXPERIMENT_KEYS)
+
+    @pytest.mark.parametrize("command", list(_commands()))
+    def test_runner_parameters_are_the_accepted_keys(self, command, tmp_path, capsys, monkeypatch):
+        _, runner, default_name = _commands()[command]
+        calls = []
+
+        @functools.wraps(runner)
+        def recording(config, **kwargs):
+            calls.append(kwargs)
+            return {} if default_name is None else CsvTable("stub", (), (), {})
+
+        monkeypatch.setattr(f"nfvel.cli.{runner.__name__}", recording)
+        taken = _taken_keys(command)
+        for key, value in EXPERIMENT_VALUES.items():
+            calls.clear()
+            argv = [command, *COMMAND_ARGS.get(command, []), "--set", f"{key}={value}"]
+            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+            err = capsys.readouterr().err
+            if key in taken:
+                assert code == 0, err
+                assert _RUNNER_ARGUMENTS.get(key, key) in calls[0]
+            elif key == "seed":
+                # Every header records the seed, so every subcommand accepts it.
+                assert code == 0, err
+                assert len(calls) == 1
+            else:
+                assert code == 1
+                assert repr(key) in err and command in err
+                assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--var", "distance", "--min", "1", "--max", "100", "--set", "points=50"],
+            ["crlb", "--set", "points=3"],
+            ["fig1", "--set", "vr_window=0.1"],
+            ["fig3", "--set", "apertures=1"],
+            ["montecarlo", "--set", "x_points=3"],
+        ],
+    )
+    def test_key_of_another_subcommand_is_an_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        key = argv[-1].split("=")[0]
+        assert f"{argv[0]} does not take the key {key!r}" in capsys.readouterr().err
+        assert not out.exists()

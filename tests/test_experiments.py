@@ -286,7 +286,7 @@ class TestMonteCarloRunner:
         assert again.render() == table.render()
 
     def test_rejects_thin_trial_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials"):
             run_montecarlo(self._config(), trials=99)
 
 

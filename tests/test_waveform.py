@@ -282,5 +282,7 @@ class TestLinkBudget:
             snr_from_link_budget(np.array([1.0, 0.0]), wf)
         with pytest.raises(ValueError):
             snr_from_link_budget(1.0, wf, radar_cross_section=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="noise figure"):
             snr_from_link_budget(1.0, wf, noise_figure=0.9)
+        with pytest.raises(ValueError, match="temperature"):
+            snr_from_link_budget(1.0, wf, temperature=0.0)
