@@ -260,21 +260,9 @@ def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float)
     _validate_positive("snr", snr)
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
-    m_count = config.num_symbols
-    if m_count == 1:
+    if config.num_symbols == 1:
         return math.inf
-    denom = (
-        8.0
-        * math.pi**2
-        * config.carrier**2
-        * m_count
-        * config.num_subcarriers
-        * num_elements
-        * snr
-        * (m_count**2 - 1)
-        * config.symbol_time**2
-    )
-    return 3.0 * SPEED_OF_LIGHT**2 / denom
+    return 1.0 / (4.0 * num_elements * _boresight_weight(config, snr))
 
 
 def _boresight_weight(config: WaveformConfig, snr: float) -> float:
@@ -354,23 +342,11 @@ def transverse_info_boresight_approx(
     _validate_positive("distance", distance)
     _validate_positive("snr", snr)
     k_count = geometry.num_elements
-    m_count = config.num_symbols
     if aperture_form:
         length_sq = geometry.aperture**2
     else:
         length_sq = (k_count**2 - 1) * geometry.spacing**2
-    return (
-        math.pi**2
-        * config.carrier**2
-        * m_count
-        * config.num_subcarriers
-        * k_count
-        * snr
-        * (m_count**2 - 1)
-        * config.symbol_time**2
-        * length_sq
-        / (18.0 * SPEED_OF_LIGHT**2 * distance**2)
-    )
+    return _boresight_weight(config, snr) * k_count * length_sq / (12.0 * distance**2)
 
 
 def transverse_info_half_wavelength(

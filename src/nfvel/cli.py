@@ -3,9 +3,11 @@
 Each subcommand (``crlb``, ``sweep``, ``fig1``-``fig4``, ``montecarlo``) runs
 one runner of :mod:`nfvel.experiments`; ``_commands`` holds the table.
 Configuration comes from an optional ``key = value`` file (``--config``),
-overridden by repeatable ``--set key=value`` flags and the dedicated
-``--seed``/``--trials``/``--snr-list``/``--out`` flags.  Scenario keys apply
-to every subcommand; any other key must be a parameter of its runner.
+overridden by repeatable ``--set key=value`` flags and the dedicated flags
+(``--seed``, ``montecarlo``'s ``--trials``/``--snr-list``, ``sweep``'s
+``--var``/``--min``/``--max``/``--points``/``--log``), which set keys of their
+own, and ``--out``.  Scenario keys apply to every subcommand; any other key
+must be a parameter of its runner.
 Frequencies accept ``GHz``, ``MHz``, ``kHz`` and ``Hz`` suffixes; powers
 accept ``dBm`` or watts; ratio quantities (snr, gains, noise figure) accept
 ``dB``/``dBi`` or a bare linear value; durations accept ``s``, ``ms``, ``us``.  Angles are always degrees on
@@ -26,7 +28,6 @@ from typing import Callable
 
 from .experiments import (
     ScenarioConfig,
-    SweepSpec,
     format_cell,
     run_carrier_comparison,
     run_montecarlo,
@@ -107,6 +108,12 @@ def _parse_ratio(text: str, key: str) -> float:
     raise ConfigError(f"{key}: unknown ratio unit {unit!r}")
 
 
+def _parse_bool(text: str, key: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"{key}: expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 def _parse_degrees(text: str, key: str) -> float:
     # deg/180*pi so that 90 degrees maps to the exact float pi/2.
     return _parse_float(text, key) / 180.0 * math.pi
@@ -163,7 +170,15 @@ _EXPERIMENT_KEYS: dict[str, Callable[[str, str], object]] = {
     "grid_points": _parse_int,
     "refine_tolerance": _parse_float,
     "seed": _parse_int,
+    "variable": lambda text, key: text,
+    "start": _parse_float,
+    "stop": _parse_float,
+    "log": _parse_bool,
 }
+
+# Dedicated flags, each stored under the key it sets; they win over the file
+# and over --set.
+_FLAG_KEYS = ("seed", "trials", "snr_list", "variable", "start", "stop", "points", "log")
 
 
 def _normalize_key(key: str) -> str:
@@ -207,8 +222,7 @@ def _collect_raw(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[_normalize_key(key)] = value.strip()
-    # The dedicated flags set their configuration keys and win over both.
-    for key in ("seed", "trials", "snr_list"):
+    for key in _FLAG_KEYS:
         if getattr(args, key, None) is not None:
             raw[key] = str(getattr(args, key))
     return raw
@@ -217,11 +231,12 @@ def _collect_raw(args: argparse.Namespace) -> dict[str, str]:
 def _commands() -> dict[str, tuple[str, Callable, str | None]]:
     """Subcommand -> (help text, runner, default output file or None for stdout).
 
-    Built per call, so a wrapper rebound on a runner's name here is honoured.
+    The file name is formatted with the runner's keyword arguments.  Built
+    per call, so a wrapper rebound on a runner's name here is honoured.
     """
     return {
         "crlb": ("bounds for a single scenario", run_single, None),
-        "sweep": ("sweep one variable to CSV", run_sweep, "sweep_{var}.csv"),
+        "sweep": ("sweep one variable to CSV", run_sweep, "sweep_{variable}.csv"),
         "fig1": (
             "radial bound vs distance per aperture",
             run_radial_vs_distance,
@@ -275,14 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands["sweep"]
     sweep.add_argument(
         "--var",
-        required=True,
-        choices=("distance", "angle", "carrier", "aperture"),
-        help="swept variable (angle in degrees)",
+        dest="variable",
+        help="swept variable: distance, angle (degrees), carrier or aperture",
     )
-    sweep.add_argument("--min", type=float, required=True, dest="sweep_min")
-    sweep.add_argument("--max", type=float, required=True, dest="sweep_max")
-    sweep.add_argument("--points", type=int, default=200)
-    sweep.add_argument("--log", action="store_true", help="log-spaced grid")
+    sweep.add_argument("--min", dest="start", help="first grid value")
+    sweep.add_argument("--max", dest="stop", help="last grid value")
+    sweep.add_argument("--points", help="number of grid values")
+    sweep.add_argument("--log", action="store_const", const="true", help="log-spaced grid")
 
     mc = commands["montecarlo"]
     mc.add_argument("--trials", type=int, default=None)
@@ -310,24 +324,20 @@ def _dispatch(args: argparse.Namespace) -> int:
             kwargs[argument] = value
         elif key != "seed":
             raise ConfigError(f"{args.command} does not take the key {key!r}")
+    for name in list(parameters)[1:]:
+        if parameters[name].default is inspect.Parameter.empty and name not in kwargs:
+            raise ConfigError(f"{args.command} needs the key {name!r}")
 
     if default_name is None:
         for key, value in runner(scenario, **kwargs).items():
             print(f"{key} = {format_cell(value)}")
         return 0
-    if args.command == "sweep":
-        kwargs["spec"] = SweepSpec(
-            variable=args.var,
-            start=args.sweep_min,
-            stop=args.sweep_max,
-            points=args.points,
-            log=args.log,
-        )
-        default_name = default_name.format(var=args.var)
     table = runner(scenario, **kwargs)
     # Every emitted file records the seed alongside the resolved scenario so
     # a rerun from the header alone reproduces it byte for byte.
-    path = replace(table, meta={**table.meta, "seed": seed}).write(args.out or default_name)
+    path = replace(table, meta={**table.meta, "seed": seed}).write(
+        args.out or default_name.format(**kwargs)
+    )
     print(f"wrote {path}")
     return 0
 

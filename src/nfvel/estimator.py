@@ -61,22 +61,22 @@ class MlSearchConfig:
 
     The spans must bracket the true velocities; the radial span must be narrower
     than the Doppler ambiguity interval ``c / (2 * f_c * T_sym)`` so the grid
-    sees a single peak.  Refinement stops once a Newton step moves no axis by
-    ``tolerance`` (m/s); an axis whose grid cell is below it stays on the grid.
+    sees a single peak.  The coarse grid has ``grid_points`` values per axis.
+    Refinement stops once a Newton step moves no axis by ``tolerance`` (m/s);
+    an axis whose grid cell is below it stays on the grid.
     """
 
     radial_span: tuple[float, float]
     transverse_span: tuple[float, float]
-    radial_points: int = 41
-    transverse_points: int = 41
+    grid_points: int = 41
     tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
         for name, span in (("radial_span", self.radial_span), ("transverse_span", self.transverse_span)):
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
-        if self.radial_points < 3 or self.transverse_points < 3:
-            raise ValueError("coarse grid needs at least 3 points per axis")
+        if self.grid_points < 3:
+            raise ValueError(f"grid_points must be >= 3, got {self.grid_points!r}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
 
@@ -157,8 +157,8 @@ class _MatchedFilterSearch:
         # Rows: the phase per unit radial and per unit transverse velocity.
         self._phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
 
-        self._radial_grid = np.linspace(*search.radial_span, search.radial_points)
-        self._transverse_grid = np.linspace(*search.transverse_span, search.transverse_points)
+        self._radial_grid = np.linspace(*search.radial_span, search.grid_points)
+        self._transverse_grid = np.linspace(*search.transverse_span, search.grid_points)
         self._cell = np.array([grid[1] - grid[0] for grid in (self._radial_grid, self._transverse_grid)])
         self._lower, self._upper = np.array([search.radial_span, search.transverse_span]).T
         self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._phase[0]))

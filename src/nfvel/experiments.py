@@ -32,7 +32,6 @@ from .waveform import ChannelNoise, WaveformConfig, snr_from_link_budget
 __all__ = [
     "CsvTable",
     "ScenarioConfig",
-    "SweepSpec",
     "format_cell",
     "run_montecarlo",
     "run_planar_map",
@@ -104,39 +103,6 @@ class ScenarioConfig:
             radial_velocity=self.radial_velocity,
             transverse_velocity=self.transverse_velocity,
         )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept variable over a linear or log grid.
-
-    ``variable`` is one of ``distance`` (m), ``angle`` (degrees), ``carrier``
-    (Hz) or ``aperture`` (m).  Planar two-dimensional maps are produced by
-    :func:`run_planar_map` instead.
-    """
-
-    variable: str
-    start: float
-    stop: float
-    points: int
-    log: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable not in _SWEEP_VARIABLES:
-            raise ValueError(
-                f"variable must be one of {_SWEEP_VARIABLES}, got {self.variable!r}"
-            )
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points!r}")
-        if not self.stop > self.start:
-            raise ValueError(f"stop must exceed start, got [{self.start!r}, {self.stop!r}]")
-        if self.log and not self.start > 0.0:
-            raise ValueError("log grids need a positive start")
-
-    def grid(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
 
 
 @dataclass(frozen=True)
@@ -234,6 +200,13 @@ def _check_grid_sizes(**sizes: int) -> None:
             raise ValueError(f"{key} must be >= 1, got {size!r}")
 
 
+def _check_positive(**values) -> None:
+    """Reject a value, or a list entry, that is not positive; ``None`` keeps a default."""
+    for key, value in values.items():
+        if value is not None and not all(v > 0.0 for v in np.atleast_1d(value)):
+            raise ValueError(f"{key} must be positive, got {value!r}")
+
+
 def _aperture_defaults(
     config: ScenarioConfig,
     apertures: Sequence[float] | None,
@@ -293,6 +266,7 @@ def run_radial_vs_distance(
     form, and the far-field floor it approaches.
     """
     _check_grid_sizes(points=points)
+    _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     distances = np.geomspace(d_min, d_max, points)
@@ -336,6 +310,7 @@ def run_transverse_vs_distance(
 ) -> CsvTable:
     """Transverse bound against distance for several angles and apertures."""
     _check_grid_sizes(points=points)
+    _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     distances = np.geomspace(d_min, d_max, points).tolist()
@@ -377,6 +352,7 @@ def run_carrier_comparison(
     construction; the radial bound scales with the carrier.
     """
     _check_grid_sizes(points=points)
+    _check_positive(d_min=d_min, d_max=d_max)
     base_wf = config.waveform()
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
@@ -488,6 +464,7 @@ def run_montecarlo(
     Each row reuses the same base seed; trials inside a row draw independent
     substreams, so the whole table is reproducible from the configuration.
     """
+    _check_positive(vr_window=vr_window, vt_window=vt_window, refine_tolerance=refine_tolerance)
     geometry = config.geometry()
     wf = config.waveform()
     target = config.target()
@@ -499,8 +476,7 @@ def run_montecarlo(
             target.transverse_velocity - half_t,
             target.transverse_velocity + half_t,
         ),
-        radial_points=grid_points,
-        transverse_points=grid_points,
+        grid_points=grid_points,
         tolerance=refine_tolerance,
     )
 
@@ -550,24 +526,46 @@ def run_montecarlo(
     )
 
 
-def run_sweep(config: ScenarioConfig, spec: SweepSpec) -> CsvTable:
-    """Generic one-dimensional sweep of both bounds over a scenario variable."""
+def run_sweep(
+    config: ScenarioConfig,
+    variable: str,
+    start: float,
+    stop: float,
+    points: int = 200,
+    log: bool = False,
+) -> CsvTable:
+    """Generic one-dimensional sweep of both bounds over a scenario variable.
+
+    ``variable`` is one of ``distance`` (m), ``angle`` (degrees), ``carrier``
+    (Hz) or ``aperture`` (m), swept over ``points`` values from ``start`` to
+    ``stop``, log-spaced with ``log``.  Planar two-dimensional maps are
+    produced by :func:`run_planar_map` instead.
+    """
+    if variable not in _SWEEP_VARIABLES:
+        raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points!r}")
+    if not stop > start:
+        raise ValueError(f"stop must exceed start, got [{start!r}, {stop!r}]")
+    if log and not start > 0.0:
+        raise ValueError("log grids need a positive start")
     base_spacing = config.geometry().spacing
 
     def _configure(value: float) -> ScenarioConfig:
-        if spec.variable == "distance":
+        if variable == "distance":
             return replace(config, distance=value)
-        if spec.variable == "angle":
+        if variable == "angle":
             return replace(config, angle=value / 180.0 * math.pi)
-        if spec.variable == "carrier":
+        if variable == "carrier":
             # The physical array stays fixed while the carrier moves.
             return replace(config, carrier=value, spacing=base_spacing, aperture=None)
         return replace(config, aperture=value, spacing=None)
 
-    values = spec.grid().tolist()
+    grid = np.geomspace if log else np.linspace
+    values = grid(start, stop, points).tolist()
     # A distance or angle sweep moves only the target, so its grid is one
     # batch; each carrier or aperture value changes the waveform or the array.
-    groups = [values] if spec.variable in ("distance", "angle") else [[v] for v in values]
+    groups = [values] if variable in ("distance", "angle") else [[v] for v in values]
 
     rows = []
     for group in groups:
@@ -584,13 +582,13 @@ def run_sweep(config: ScenarioConfig, spec: SweepSpec) -> CsvTable:
         ]
 
     return _table(
-        f"sweep-{spec.variable}",
+        f"sweep-{variable}",
         config,
-        (spec.variable, "root_crlb_vr", "root_crlb_vt", "root_crlb_vr_far_field", "singular"),
+        (variable, "root_crlb_vr", "root_crlb_vt", "root_crlb_vr_far_field", "singular"),
         rows,
-        variable=spec.variable,
-        start=spec.start,
-        stop=spec.stop,
-        points=spec.points,
-        log=spec.log,
+        variable=variable,
+        start=start,
+        stop=stop,
+        points=points,
+        log=log,
     )

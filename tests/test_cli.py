@@ -3,7 +3,9 @@
 import functools
 import inspect
 import math
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,10 @@ EXPERIMENT_VALUES = {
     "grid_points": "5",
     "refine_tolerance": "1e-4",
     "seed": "1",
+    "variable": "distance",
+    "start": "1",
+    "stop": "2",
+    "log": "true",
 }
 
 
@@ -219,6 +225,36 @@ class TestExitCodes:
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("command", "key", "value"),
+        [
+            ("fig1", "d_min", "0"),
+            ("fig2", "d_min", "-0.5"),
+            ("fig3", "d_min", "0"),
+            ("fig1", "d_max", "0"),
+            ("fig2", "d_max", "-10"),
+            ("fig3", "d_max", "0"),
+            ("fig1", "apertures", "0.5,-1"),
+            ("fig2", "apertures", "0"),
+            ("montecarlo", "vr_window", "0"),
+            ("montecarlo", "vt_window", "0"),
+            ("montecarlo", "vt_window", "-1"),
+            ("montecarlo", "refine_tolerance", "0"),
+        ],
+    )
+    def test_non_positive_value_names_its_key(self, command, key, value, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--set", f"{key}={value}", "--out", str(out)]) == 1
+        assert f"{key} must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coarse_grid_names_grid_points(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["montecarlo", "--set", "grid_points=1", "--out", str(out)]) == 1
+        assert "grid_points must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_errors_exit_one(self, capsys):
         assert main(["bogus"]) == 1
         assert main([]) == 1
@@ -249,6 +285,44 @@ class TestCsvCommands:
         code = main(["sweep", "--var", "angle", "--min", "-60", "--max", "60", "--points", "3"])
         assert code == 0
         assert (tmp_path / "sweep_angle.csv").exists()
+
+    @pytest.mark.parametrize("log", [[], ["--log"]])
+    def test_sweep_settings_from_flags_set_or_config_agree(self, log, tmp_path, capsys):
+        grid = ["--var", "distance", "--min", "0.5", "--max", "40", *log]
+        flags, keys, config = (tmp_path / name for name in ("flags.csv", "keys.csv", "config.csv"))
+        assert main(["sweep", *grid, "--points", "50", "--out", str(flags)]) == 0
+        assert main(["sweep", *grid, "--set", "points=50", "--out", str(keys)]) == 0
+        # The five sweep settings, read back from the header of the first file.
+        lines = flags.read_text().splitlines()
+        names = ("variable", "start", "stop", "points", "log")
+        settings = [line[2:] for line in lines if line[2:].split(" = ")[0] in names]
+        assert len(settings) == 5
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("\n".join(settings) + "\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(config)]) == 0
+
+        assert flags.read_bytes() == keys.read_bytes() == config.read_bytes()
+        assert len(lines) - lines.index(
+            "distance,root_crlb_vr,root_crlb_vt,root_crlb_vr_far_field,singular"
+        ) - 1 == 50
+
+        capsys.readouterr()
+        no_start = tmp_path / "no_start.csv"
+        assert main(["sweep", "--var", "distance", "--max", "40", "--out", str(no_start)]) == 1
+        assert "sweep needs the key 'start'" in capsys.readouterr().err
+        assert not no_start.exists()
+
+    @pytest.mark.parametrize("text", ["TRUE", "False", "true"])
+    def test_log_reads_true_or_false_in_any_case(self, text, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--var", "distance", "--min", "1", "--max", "100", "--points", "3"]
+        assert main([*argv, "--set", f"log={text}", "--out", str(out)]) == 0
+        assert f"# log = {text.lower() == 'true'}" in out.read_text().splitlines()
+
+    def test_log_rejects_other_words(self, capsys):
+        argv = ["sweep", "--var", "distance", "--min", "1", "--max", "100", "--set", "log=yes"]
+        assert main(argv) == 1
+        assert "log" in capsys.readouterr().err
 
     def test_fig1_with_experiment_keys(self, tmp_path, capsys):
         out = tmp_path / "fig1.csv"
@@ -360,7 +434,7 @@ class TestSubcommandKeys:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["sweep", "--var", "distance", "--min", "1", "--max", "100", "--set", "points=50"],
+            ["sweep", "--var", "distance", "--min", "1", "--max", "100", "--set", "x_points=3"],
             ["crlb", "--set", "points=3"],
             ["fig1", "--set", "vr_window=0.1"],
             ["fig3", "--set", "apertures=1"],
@@ -373,3 +447,42 @@ class TestSubcommandKeys:
         key = argv[-1].split("=")[0]
         assert f"{argv[0]} does not take the key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    """The ``nfvel ...`` lines of README's "Examples" block run, writing into ``tmp_path``."""
+    block = README.read_text(encoding="utf-8").split("Examples:", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nfvel ")]
+    assert {argv[0] for argv in examples} >= {"crlb", "sweep", "montecarlo"}
+    # A real montecarlo example takes seconds; record the call instead.
+    calls = []
+    runner = _commands()["montecarlo"][1]
+
+    @functools.wraps(runner)
+    def recording(config, **kwargs):
+        calls.append(kwargs)
+        return CsvTable("stub", (), (), {})
+
+    monkeypatch.setattr(f"nfvel.cli.{runner.__name__}", recording)
+    for argv in examples:
+        out = None
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = out = str(tmp_path / argv[at])
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert out is None or Path(out).exists()
+    assert len(calls) == sum(argv[0] == "montecarlo" for argv in examples)
+
+
+def test_readme_sweep_config_file_runs(tmp_path, capsys):
+    cfg = tmp_path / "distance.cfg"
+    cfg.write_text(README.read_text(encoding="utf-8").split("```ini", 1)[1].split("```", 1)[0])
+    out = tmp_path / "distance.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    flags = tmp_path / "flags.csv"
+    argv = ["--var", "distance", "--min", "0.05", "--max", "100", "--points", "200", "--log"]
+    assert main(["sweep", *argv, "--out", str(flags)]) == 0
+    assert out.read_bytes() == flags.read_bytes()

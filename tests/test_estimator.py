@@ -35,8 +35,7 @@ def _search(radial=(-10.0, 10.0), transverse=(-10.0, 10.0), **overrides):
     params = dict(
         radial_span=radial,
         transverse_span=transverse,
-        radial_points=41,
-        transverse_points=41,
+        grid_points=41,
         tolerance=1e-3,
     )
     params.update(overrides)
@@ -51,10 +50,10 @@ class TestSearchConfig:
             _search(transverse=(2.0, -2.0))
 
     def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            _search(radial_points=2)
-        with pytest.raises(ValueError):
-            _search(transverse_points=1)
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            _search(grid_points=2)
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            _search(grid_points=1)
 
     def test_rejects_bad_refinement(self):
         with pytest.raises(ValueError):
@@ -140,7 +139,7 @@ class TestNoiseFree:
         search = _search()
         coarse = ml_estimate(cube, target.distance, target.angle, search)
         dense = ml_estimate(
-            cube, target.distance, target.angle, _search(radial_points=81, transverse_points=81)
+            cube, target.distance, target.angle, _search(grid_points=81)
         )
         assert dense.radial == pytest.approx(coarse.radial, abs=1e-3)
         assert dense.transverse == pytest.approx(coarse.transverse, abs=1e-3)

@@ -9,7 +9,6 @@ from nfvel import ArrayGeometry, crossover_distance
 from nfvel.experiments import (
     CsvTable,
     ScenarioConfig,
-    SweepSpec,
     format_cell,
     run_carrier_comparison,
     run_montecarlo,
@@ -292,15 +291,15 @@ class TestMonteCarloRunner:
 
 class TestRunSweep:
     def test_distance_sweep_grows_transverse_bound(self):
-        spec = SweepSpec(variable="distance", start=1.0, stop=100.0, points=5, log=True)
-        table = run_sweep(ScenarioConfig(), spec)
+        table = run_sweep(
+            ScenarioConfig(), variable="distance", start=1.0, stop=100.0, points=5, log=True
+        )
         assert table.columns[0] == "distance"
         roots = _column(table, "root_crlb_vt")
         assert all(b > a for a, b in zip(roots, roots[1:]))
 
     def test_angle_sweep_flags_end_fire(self):
-        spec = SweepSpec(variable="angle", start=-90.0, stop=90.0, points=5)
-        table = run_sweep(ScenarioConfig(), spec)
+        table = run_sweep(ScenarioConfig(), variable="angle", start=-90.0, stop=90.0, points=5)
         angles = _column(table, "angle")
         singular = _column(table, "singular")
         roots = _column(table, "root_crlb_vt")
@@ -311,8 +310,9 @@ class TestRunSweep:
         assert roots[1] == pytest.approx(roots[3], rel=1e-11)
 
     def test_carrier_sweep_keeps_physical_array(self):
-        spec = SweepSpec(variable="carrier", start=14e9, stop=56e9, points=3, log=True)
-        table = run_sweep(ScenarioConfig(), spec)
+        table = run_sweep(
+            ScenarioConfig(), variable="carrier", start=14e9, stop=56e9, points=3, log=True
+        )
         roots_vt = _column(table, "root_crlb_vt")
         roots_vr = _column(table, "root_crlb_vr")
         # fixed geometry: both bounds scale as 1/f_c
@@ -320,23 +320,24 @@ class TestRunSweep:
         assert roots_vr[1] == pytest.approx(2.0 * roots_vr[2], rel=1e-12)
 
     def test_aperture_sweep_shrinks_transverse_bound(self):
-        spec = SweepSpec(variable="aperture", start=0.5, stop=2.0, points=3)
-        table = run_sweep(ScenarioConfig(), spec)
+        table = run_sweep(ScenarioConfig(), variable="aperture", start=0.5, stop=2.0, points=3)
         roots = _column(table, "root_crlb_vt")
         assert all(b < a for a, b in zip(roots, roots[1:]))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(variable="bogus", start=1.0, stop=2.0, points=3)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="distance", start=1.0, stop=2.0, points=1)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="distance", start=2.0, stop=1.0, points=3)
-        with pytest.raises(ValueError):
-            SweepSpec(variable="distance", start=-1.0, stop=2.0, points=3, log=True)
+        config = ScenarioConfig()
+        with pytest.raises(ValueError, match="variable must be one of"):
+            run_sweep(config, variable="bogus", start=1.0, stop=2.0, points=3)
+        with pytest.raises(ValueError, match="points must be >= 2"):
+            run_sweep(config, variable="distance", start=1.0, stop=2.0, points=1)
+        with pytest.raises(ValueError, match="stop must exceed start"):
+            run_sweep(config, variable="distance", start=2.0, stop=1.0, points=3)
+        with pytest.raises(ValueError, match="log grids need a positive start"):
+            run_sweep(config, variable="distance", start=-1.0, stop=2.0, points=3, log=True)
 
     def test_grid_forms(self):
-        lin = SweepSpec(variable="distance", start=1.0, stop=3.0, points=3)
-        assert np.allclose(lin.grid(), [1.0, 2.0, 3.0])
-        log = SweepSpec(variable="distance", start=1.0, stop=100.0, points=3, log=True)
-        assert np.allclose(log.grid(), [1.0, 10.0, 100.0])
+        config = ScenarioConfig()
+        lin = run_sweep(config, variable="distance", start=1.0, stop=3.0, points=3)
+        assert np.allclose(_column(lin, "distance"), [1.0, 2.0, 3.0])
+        log = run_sweep(config, variable="distance", start=1.0, stop=100.0, points=3, log=True)
+        assert np.allclose(_column(log, "distance"), [1.0, 10.0, 100.0])
