@@ -204,12 +204,18 @@ def _parse_settings(raw: dict[str, str]) -> tuple[dict, dict]:
     scenario: dict = {}
     experiment: dict = {}
     for key, text in raw.items():
-        if key in _SCENARIO_KEYS:
-            scenario[key] = _SCENARIO_KEYS[key](text, key)
-        elif key in _EXPERIMENT_KEYS:
-            experiment[key] = _EXPERIMENT_KEYS[key](text, key)
-        else:
+        settings = scenario if key in _SCENARIO_KEYS else experiment
+        parse = _SCENARIO_KEYS.get(key) or _EXPERIMENT_KEYS.get(key)
+        if parse is None:
             raise ConfigError(f"unknown configuration key {key!r}")
+        try:
+            value = parse(text, key)
+        except OverflowError:  # a dB or dBm value beyond the float range
+            value = math.inf
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+        settings[key] = value
     return scenario, experiment
 
 
@@ -315,14 +321,15 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     _, runner, default_name = _commands()[args.command]
     # The runner's parameters are the experiment keys the subcommand takes.
-    # Every file header records the seed, so every subcommand accepts it.
+    # Every file header records the seed, so every subcommand that writes a
+    # file accepts it; crlb prints no header and would drop it.
     parameters = inspect.signature(runner).parameters
     kwargs = {}
     for key, value in experiment.items():
         argument = _RUNNER_ARGUMENTS.get(key, key)
         if argument in parameters:
             kwargs[argument] = value
-        elif key != "seed":
+        elif key != "seed" or default_name is None:
             raise ConfigError(f"{args.command} does not take the key {key!r}")
     for name in list(parameters)[1:]:
         if parameters[name].default is inspect.Parameter.empty and name not in kwargs:

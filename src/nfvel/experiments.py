@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _SWEEP_VARIABLES = ("distance", "angle", "carrier", "aperture")
+# printf format of each cell type that format_cell prints the same way.
+_CELL_FORMATS = {bool: "%d", int: "%d", float: "%.12e"}
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,24 @@ class CsvTable:
         for key in sorted(self.meta):
             lines.append(f"# {key} = {_meta_str(self.meta[key])}")
         lines.append(",".join(self.columns))
+        # One printf format per tuple of cell types.  A row with another type
+        # (None, numpy scalars) or a non-finite float, which %e prints as inf
+        # or nan (the only output holding an "n"), goes through format_cell.
+        formats: dict[tuple, str | None] = {}
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
-            lines.append(",".join(format_cell(value) for value in row))
+            # From a list: tuple() of an iterator resizes its result, which
+            # leaves up to 2000 spare tuples on CPython's free list.
+            kinds = tuple([type(value) for value in row])
+            if kinds not in formats:
+                cells = [_CELL_FORMATS.get(kind) for kind in kinds]
+                formats[kinds] = None if None in cells else ",".join(cells)
+            fmt = formats[kinds]
+            line = None if fmt is None else fmt % tuple(row)
+            if line is None or "n" in line:
+                line = ",".join(map(format_cell, row))
+            lines.append(line)
         return "\n".join(lines) + "\n"
 
     def write(self, path: str | Path) -> Path:
@@ -205,6 +221,13 @@ def _check_positive(**values) -> None:
     for key, value in values.items():
         if value is not None and not all(v > 0.0 for v in np.atleast_1d(value)):
             raise ValueError(f"{key} must be positive, got {value!r}")
+
+
+def _check_angles(**values) -> None:
+    """Reject an angle in degrees, or a list entry, outside ``[-90, 90]``."""
+    for key, value in values.items():
+        if not all(abs(v) <= 90.0 for v in np.atleast_1d(value)):
+            raise ValueError(f"{key} must lie in [-90, 90] degrees, got {value!r}")
 
 
 def _aperture_defaults(
@@ -311,6 +334,7 @@ def run_transverse_vs_distance(
     """Transverse bound against distance for several angles and apertures."""
     _check_grid_sizes(points=points)
     _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
+    _check_angles(angles=angles_deg)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     distances = np.geomspace(d_min, d_max, points).tolist()
@@ -549,6 +573,10 @@ def run_sweep(
         raise ValueError(f"stop must exceed start, got [{start!r}, {stop!r}]")
     if log and not start > 0.0:
         raise ValueError("log grids need a positive start")
+    if variable == "angle":
+        _check_angles(start=start, stop=stop)
+    else:
+        _check_positive(start=start)
     base_spacing = config.geometry().spacing
 
     def _configure(value: float) -> ScenarioConfig:

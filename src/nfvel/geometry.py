@@ -164,29 +164,45 @@ class TargetState:
         )
 
 
-def element_distances(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
+def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = False):
     """Distance from the target to every array element.
 
     Implements ``d_k = d * sqrt(1 + x_k**2/d**2 - 2*x_k*sin(theta)/d)`` for
-    each element position ``x_k``.
+    each element position ``x_k``.  One :class:`TargetState` gives a ``(K,)``
+    array.  A pair ``(distances, angles)`` of P rows gives the ``(P, K)``
+    block, each row bit-identical to a one-target call, and a ``(P,)`` mask
+    of degenerate rows; a row that :class:`TargetState` rejects raises its
+    ``ValueError``.
 
     Raises
     ------
     DegenerateGeometryError
-        If the target coincides with an element, or sits so close to the
-        array centre that ``x_k/d`` would overflow.
+        If a target coincides with an element, or sits so close to the
+        array centre that ``x_k/d`` would overflow.  With ``flag_degenerate``
+        such a row is set in the mask instead and holds ones.
     """
-    d = target.distance
-    if d <= _COINCIDENCE_RTOL * geometry.aperture:
-        raise DegenerateGeometryError()
+    single = isinstance(target, TargetState)
+    distance_list, angle_list = ([target.distance], [target.angle]) if single else target
+    d = np.asarray(distance_list, dtype=float).reshape(-1, 1)
+    valid = (d[:, 0] > 0.0) & (np.abs(np.asarray(angle_list, dtype=float)) <= math.pi / 2.0)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        TargetState(float(d[row, 0]), float(angle_list[row]))  # raises for the first bad row
+    # A placeholder distance keeps x_k/d of a row at the centre from overflowing.
+    near_centre = d[:, 0] <= _COINCIDENCE_RTOL * geometry.aperture
+    d = np.where(near_centre[:, None], 1.0, d)
     ratio = geometry.element_x_positions / d
-    arg = 1.0 + ratio * ratio - 2.0 * ratio * math.sin(target.angle)
+    # Per-row sines from ``math``, whose rounding the published values pin.
+    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
+    arg = 1.0 + ratio * ratio - 2.0 * ratio * sin_angle
     # Guard tiny negatives produced by rounding before the square root.
     distances = d * np.sqrt(np.maximum(arg, 0.0))
-    scale = max(d, geometry.aperture)
-    if np.any(distances <= _COINCIDENCE_RTOL * scale):
+    scale = np.maximum(d, geometry.aperture)
+    degenerate = near_centre | np.any(distances <= _COINCIDENCE_RTOL * scale, axis=1)
+    if degenerate.any() and not flag_degenerate:
         raise DegenerateGeometryError()
-    return distances
+    distances[degenerate] = 1.0
+    return distances[0] if single else (distances, degenerate)
 
 
 def projection_rows(
@@ -196,26 +212,14 @@ def projection_rows(
 
     Returns the ``(P, K)`` arrays ``q_k`` and ``p_k`` of the single-target
     functions below, row by row bit-identical to them, and a ``(P,)`` mask of
-    degenerate rows.  Each row's element distances come from one
+    degenerate rows.  All P rows take their element distances from one block
     :func:`element_distances` call, so a degenerate target raises
     :class:`DegenerateGeometryError`; with ``flag_degenerate`` its row is
     masked instead and holds placeholder values.
     """
-    distance_list = np.asarray(distances, dtype=float).reshape(-1).tolist()
+    d = np.asarray(distances, dtype=float).reshape(-1, 1)
     angle_list = np.asarray(angles, dtype=float).reshape(-1).tolist()
-    element_d = np.ones((len(distance_list), geometry.num_elements))
-    degenerate = np.zeros(len(distance_list), dtype=bool)
-    # One rule, in element_distances, decides and raises for a degenerate target.
-    for row, (distance, angle) in enumerate(zip(distance_list, angle_list)):
-        try:
-            element_d[row] = element_distances(TargetState(distance, angle), geometry)
-        except DegenerateGeometryError:
-            if not flag_degenerate:
-                raise
-            degenerate[row] = True
-
-    d = np.array(distance_list).reshape(-1, 1)
-    # Per-row sines from ``math``, as a one-point call computes them.
+    element_d, degenerate = element_distances((d, angle_list), geometry, flag_degenerate)
     sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
     cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
     x = geometry.element_x_positions

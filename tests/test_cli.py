@@ -62,6 +62,22 @@ EXPERIMENT_VALUES = {
 }
 
 
+def _float_keys():
+    """Keys whose value is a float or a list of floats."""
+    keys = []
+    for key, parse in {**_SCENARIO_KEYS, **_EXPERIMENT_KEYS}.items():
+        try:
+            value = parse("1", key)
+        except ConfigError:
+            continue
+        if isinstance(value, float) or (isinstance(value, list) and isinstance(value[0], float)):
+            keys.append(key)
+    return keys
+
+
+FLOAT_KEYS = _float_keys()
+
+
 def _taken_keys(command):
     """Experiment keys whose runner argument the subcommand's runner has."""
     parameters = inspect.signature(_commands()[command][1]).parameters
@@ -249,6 +265,55 @@ class TestExitCodes:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_crlb_seed_flag_is_an_error(self, capsys):
+        assert main(["crlb", "--seed", "5"]) == 1
+        assert "crlb does not take the key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("variable", "start", "stop", "message"),
+        [
+            ("distance", "0", "1", "start must be positive, got 0.0"),
+            ("distance", "-2", "1", "start must be positive, got -2.0"),
+            ("carrier", "0", "6e9", "start must be positive, got 0.0"),
+            ("aperture", "0", "1", "start must be positive, got 0.0"),
+            ("angle", "-100", "0", "start must lie in [-90, 90] degrees, got -100.0"),
+            ("angle", "0", "90.5", "stop must lie in [-90, 90] degrees, got 90.5"),
+        ],
+    )
+    def test_swept_range_names_start_or_stop(
+        self, variable, start, stop, message, tmp_path, capsys
+    ):
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--var", variable, "--min", start, "--max", stop, "--points", "3"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("angles", ["120", "0,-90.5"])
+    def test_fig2_angles_are_checked_in_degrees(self, angles, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["fig2", "--set", f"angles={angles}", "--out", str(out)]) == 1
+        assert "angles must lie in [-90, 90] degrees" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_names_its_key(self, key, text, capsys):
+        assert main(["crlb", "--set", f"{key}={text}"]) == 1
+        err = capsys.readouterr().err
+        # Unit-bearing keys cannot parse nan or inf at all; 1e400 overflows to inf.
+        assert f"{key}: expected a finite number" in err or f"{key}: cannot parse" in err
+        if text == "1e400":
+            assert f"{key}: expected a finite number, got '1e400'" in err
+
+    @pytest.mark.parametrize(
+        "setting", ["snr=4000 dB", "noise_figure=4000dB", "tx_power=5000 dBm", "snr_list=0,nan"]
+    )
+    def test_overflowing_or_nan_value_names_its_key(self, setting, capsys):
+        assert main(["montecarlo", "--set", setting]) == 1
+        key = setting.split("=")[0]
+        assert f"{key}: expected a finite number" in capsys.readouterr().err
+
     def test_coarse_grid_names_grid_points(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main(["montecarlo", "--set", "grid_points=1", "--out", str(out)]) == 1
@@ -422,8 +487,9 @@ class TestSubcommandKeys:
             if key in taken:
                 assert code == 0, err
                 assert _RUNNER_ARGUMENTS.get(key, key) in calls[0]
-            elif key == "seed":
-                # Every header records the seed, so every subcommand accepts it.
+            elif key == "seed" and default_name is not None:
+                # Every file header records the seed, so every subcommand
+                # that writes a file accepts it.
                 assert code == 0, err
                 assert len(calls) == 1
             else:
@@ -439,6 +505,8 @@ class TestSubcommandKeys:
             ["fig1", "--set", "vr_window=0.1"],
             ["fig3", "--set", "apertures=1"],
             ["montecarlo", "--set", "x_points=3"],
+            # crlb prints no header, so the seed would be dropped.
+            ["crlb", "--set", "seed=5"],
         ],
     )
     def test_key_of_another_subcommand_is_an_error(self, argv, tmp_path, capsys):

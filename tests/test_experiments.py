@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfvel import ArrayGeometry, crossover_distance
 from nfvel.experiments import (
@@ -20,6 +22,18 @@ from nfvel.experiments import (
 )
 
 BASE_APERTURE_28GHZ = 100 * 299792458.0 / (2 * 28e9)  # 101-element half-wave array
+
+
+# Every kind of cell a table can hold: the printf-formatted bool, int and
+# float, and the kinds that format_cell renders one by one.
+_CELLS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.floats(allow_nan=False).map(np.float64),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, np.int64(-7), "text"]),
+)
 
 
 def _column(table: CsvTable, name: str) -> list:
@@ -55,6 +69,23 @@ class TestCsvTable:
     def test_nan_cell_raises(self):
         with pytest.raises(ValueError, match="NaN"):
             format_cell(float("nan"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=30))
+    def test_render_matches_format_cell(self, rows):
+        table = CsvTable(name="mixed", columns=("a", "b", "c"), rows=tuple(rows), meta={})
+        body = table.render().splitlines()[2:]
+        assert body == [",".join(map(format_cell, row)) for row in rows]
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+    @pytest.mark.parametrize("positions", [(1,), (0, 1), (0, 2)])
+    def test_nan_in_any_row_raises(self, nan, positions):
+        # One NaN object, in one cell or twice in the row, after a finite row.
+        finite = (1.0, 2.0, True)
+        row = tuple(nan if i in positions else value for i, value in enumerate(finite))
+        table = CsvTable(name="demo", columns=("a", "b", "c"), rows=(finite, row), meta={})
+        with pytest.raises(ValueError, match="NaN"):
+            table.render()
 
     def test_row_width_mismatch_raises(self):
         bad = CsvTable(name="demo", columns=("a", "b"), rows=((1,),), meta={})

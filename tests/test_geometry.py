@@ -1,14 +1,19 @@
 """Geometry: symmetric grids, element distances and projection coefficients."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfvel import (
     ArrayGeometry,
     DegenerateGeometryError,
     TargetState,
+    closed_form_bounds,
     distance_to_element,
     element_distances,
     radial_projection_coeff,
@@ -17,7 +22,10 @@ from nfvel import (
     transverse_projection_coeff,
     transverse_projection_coeffs,
 )
-from conftest import cartesian_los_speeds
+from nfvel.bounds import _CHUNK_ELEMENTS, _row_chunks
+from nfvel.geometry import _COINCIDENCE_RTOL, projection_rows
+
+from conftest import cartesian_los_speeds, make_waveform
 
 # Independently computed reference values.
 APERTURE_101_HALFWAVE_28GHZ = 0.535343675
@@ -260,3 +268,112 @@ class TestProjectionCoefficients:
             previous_q = q_min
         assert q_min == pytest.approx(1.0, abs=1e-6)
         assert p_max == pytest.approx(0.0, abs=1e-3)
+
+
+def _one_target_distances(distance, angle, geometry):
+    """Reference: one target's element distances, computed as the scalar formula reads."""
+    if distance <= _COINCIDENCE_RTOL * geometry.aperture:
+        raise DegenerateGeometryError()
+    ratio = geometry.element_x_positions / distance
+    arg = 1.0 + ratio * ratio - 2.0 * ratio * math.sin(angle)
+    distances = distance * np.sqrt(np.maximum(arg, 0.0))
+    if np.any(distances <= _COINCIDENCE_RTOL * max(distance, geometry.aperture)):
+        raise DegenerateGeometryError()
+    return distances
+
+
+@st.composite
+def _block_rows(draw):
+    """A geometry and (distance, angle) rows: regular, end-fire, on an element or at the centre."""
+    k = draw(st.sampled_from([1, 2, 101, 2048]), label="K")
+    geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing"))
+    # Up to two bound-kernel chunks and one row, so that batches at K=2048
+    # (eight rows a chunk) cross chunk boundaries.
+    count = draw(st.integers(1, min(2 * (_CHUNK_ELEMENTS // k) + 1, 40)), label="P")
+    x = geometry.element_x_positions
+    row = st.one_of(
+        st.tuples(st.floats(1e-3, 500.0), st.floats(-math.pi / 2, math.pi / 2)),
+        st.tuples(st.floats(1e-3, 500.0), st.sampled_from([-math.pi / 2, math.pi / 2])),
+        # An end-fire target on an element (a single element sits at the centre).
+        st.sampled_from(x[x != 0.0].tolist() or [1.0]).map(
+            lambda x_k: (abs(x_k), math.copysign(math.pi / 2, x_k))
+        ),
+        # Within 1e-12 aperture of the centre.
+        st.sampled_from([1e-300, 1e-14 * geometry.aperture or 1e-300]).map(lambda d: (d, 0.3)),
+    )
+    rows = draw(st.lists(row, min_size=count, max_size=count), label="rows")
+    return geometry, [d for d, _ in rows], [a for _, a in rows]
+
+
+class TestDistanceBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_block_rows())
+    def test_block_rows_equal_one_target_calls(self, case):
+        geometry, distances, angles = case
+        block, degenerate = element_distances((distances, angles), geometry, flag_degenerate=True)
+        q, p, projection_degenerate = projection_rows(distances, angles, geometry, True)
+        assert block.shape == q.shape == p.shape == (len(distances), geometry.num_elements)
+        assert np.array_equal(projection_degenerate, degenerate)
+        for i, (d, angle) in enumerate(zip(distances, angles)):
+            target = TargetState(d, angle)
+            if degenerate[i]:
+                with pytest.raises(DegenerateGeometryError):
+                    element_distances(target, geometry)
+                with pytest.raises(DegenerateGeometryError):
+                    _one_target_distances(d, angle, geometry)
+                assert np.all(block[i] == 1.0)
+                continue
+            assert np.array_equal(block[i], element_distances(target, geometry))
+            assert np.array_equal(block[i], _one_target_distances(d, angle, geometry))
+            assert np.array_equal(q[i], radial_projection_coeffs(target, geometry))
+            assert np.array_equal(p[i], transverse_projection_coeffs(target, geometry))
+        # The bound kernel's chunks see the same rows as one whole block.
+        for rows in _row_chunks(len(distances), geometry.num_elements):
+            chunk_q, chunk_p, _ = projection_rows(distances[rows], angles[rows], geometry, True)
+            assert np.array_equal(chunk_q, q[rows]) and np.array_equal(chunk_p, p[rows])
+        if degenerate.any():
+            with pytest.raises(DegenerateGeometryError):
+                element_distances((distances, angles), geometry)
+        else:
+            assert np.array_equal(element_distances((distances, angles), geometry)[0], block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bad=st.sampled_from(
+            [
+                (-1.0, 0.0),
+                (0.0, 0.2),
+                (math.nan, 0.0),
+                (1e-300, 0.0),
+                (2.0, math.pi / 2 + 1e-9),
+                (2.0, -2.0),
+                (2.0, math.nan),
+                (2.0, math.inf),
+            ]
+        ),
+        good=st.lists(st.floats(0.5, 50.0), max_size=20),
+        position=st.integers(0, 20),
+    )
+    def test_bad_row_raises_the_one_target_error(self, bad, good, position):
+        geometry = ArrayGeometry(11, 0.05)
+        rows = [(d, 0.1) for d in good]
+        rows.insert(position, bad)
+        distances, angles = [d for d, _ in rows], [a for _, a in rows]
+        try:
+            TargetState(*bad)
+        except ValueError as exc:
+            error, message = ValueError, re.escape(str(exc))
+        else:
+            error, message = DegenerateGeometryError, "array element or the array centre"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                element_distances((distances, angles), geometry)
+            with pytest.raises(error, match=message):
+                projection_rows(distances, angles, geometry)
+            if error is ValueError:
+                # Flagging covers degenerate rows only; an invalid row still raises.
+                with pytest.raises(ValueError, match=message):
+                    closed_form_bounds(
+                        distances, angles, geometry, make_waveform(), 1.0, flag_degenerate=True
+                    )
