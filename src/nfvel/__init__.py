@@ -20,6 +20,7 @@ from .bounds import (
 )
 from .constants import BOLTZMANN_CONSTANT, REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import (
+    MatchedFilter,
     MlSearchConfig,
     MonteCarloReport,
     Scenario,
@@ -60,6 +61,7 @@ __all__ = [
     "CrlbResult",
     "DegenerateGeometryError",
     "FisherInfo",
+    "MatchedFilter",
     "MlSearchConfig",
     "MonteCarloReport",
     "ObservationCube",

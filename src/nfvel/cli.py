@@ -115,8 +115,12 @@ def _parse_bool(text: str, key: str) -> bool:
 
 
 def _parse_degrees(text: str, key: str) -> float:
+    degrees = _parse_float(text, key)
+    # A non-finite value is left to the finite check of _parse_settings.
+    if math.isfinite(degrees) and abs(degrees) > 90.0:
+        raise ConfigError(f"{key} must lie in [-90, 90] degrees, got {degrees!r}")
     # deg/180*pi so that 90 degrees maps to the exact float pi/2.
-    return _parse_float(text, key) / 180.0 * math.pi
+    return degrees / 180.0 * math.pi
 
 
 def _parse_list(text: str, key: str, item: Callable[[str, str], float]) -> list[float]:

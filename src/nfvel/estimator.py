@@ -14,6 +14,7 @@ transverse component unobservable) is flagged unidentifiable instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ from .waveform import (
 )
 
 __all__ = [
+    "MatchedFilter",
     "MlSearchConfig",
     "MonteCarloReport",
     "Scenario",
@@ -75,6 +77,7 @@ class MlSearchConfig:
         for name, span in (("radial_span", self.radial_span), ("transverse_span", self.transverse_span)):
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
+            object.__setattr__(self, name, tuple(span))  # hashable, as the filter cache needs
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points!r}")
         if not self.tolerance > 0.0:
@@ -122,8 +125,8 @@ class MonteCarloReport:
     seed: int
 
 
-class _MatchedFilterSearch:
-    """Precomputed tables for repeated ML searches at one known position."""
+class MatchedFilter:
+    """Read-only ML search tables for one array, waveform, known position and search window."""
 
     def __init__(
         self,
@@ -156,13 +159,17 @@ class _MatchedFilterSearch:
         sens = scale * m_grid[:, None, None] * freqs[None, :, None]
         # Rows: the phase per unit radial and per unit transverse velocity.
         self._phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+        self._phase_t = self._phase.T.astype(complex)
 
         self._radial_grid = np.linspace(*search.radial_span, search.grid_points)
         self._transverse_grid = np.linspace(*search.transverse_span, search.grid_points)
-        self._cell = np.array([grid[1] - grid[0] for grid in (self._radial_grid, self._transverse_grid)])
-        self._lower, self._upper = np.array([search.radial_span, search.transverse_span]).T
+        self._cell = [float(grid[1] - grid[0]) for grid in (self._radial_grid, self._transverse_grid)]
+        self._lower, self._upper = np.array([search.radial_span, search.transverse_span], float).T.tolist()
         self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._phase[0]))
         self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, self._phase[1]))
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @staticmethod
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
@@ -171,6 +178,7 @@ class _MatchedFilterSearch:
         return grid_values[pivot - 1] - 2.0 * grid_values[pivot] + grid_values[pivot + 1]
 
     def estimate(self, samples: np.ndarray) -> VelocityEstimate:
+        """ML estimate from the samples of any cube taken at this filter's position."""
         data = (samples * self._delay_comp[None, :, :]).ravel()
         coarse = np.abs((self._radial_table * data[None, :]) @ self._transverse_table.T) ** 2
         i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
@@ -179,50 +187,64 @@ class _MatchedFilterSearch:
 
         curv_r = self._axis_curvature(coarse[:, j0], int(i0))
         curv_t = self._axis_curvature(coarse[i0, :], int(j0))
-        identifiable = np.array([abs(curv_r) > floor, abs(curv_t) > floor])
+        identifiable = [bool(abs(curv_r) > floor), bool(abs(curv_t) > floor)]
 
-        velocity = np.array([self._radial_grid[i0], self._transverse_grid[j0]])
+        velocity = [float(self._radial_grid[i0]), float(self._transverse_grid[j0])]
         # An axis whose coarse cell is already below the tolerance is not refined.
-        free = identifiable & (self._cell >= self.search.tolerance)
-        if free.any():
+        free = [ok and cell >= self.search.tolerance for ok, cell in zip(identifiable, self._cell)]
+        if any(free):
             velocity = self._newton(data, velocity, free)
-        radial, transverse = np.where(identifiable, velocity, math.nan)
+        radial, transverse = (v if ok else math.nan for v, ok in zip(velocity, identifiable))
+        return VelocityEstimate(radial, transverse, *identifiable)
 
-        return VelocityEstimate(
-            radial=float(radial),
-            transverse=float(transverse),
-            radial_identifiable=bool(identifiable[0]),
-            transverse_identifiable=bool(identifiable[1]),
-        )
-
-    def _newton(self, data: np.ndarray, velocity: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """Joint Newton ascent of ``|S|^2``, ``S = sum(data * exp(-i * velocity @ phase))``.
-
-        Each step is clipped to one grid cell per axis and the estimate to the spans.
-        """
+    def _newton(self, data: np.ndarray, velocity: list[float], free: list[bool]) -> list[float]:
+        """Joint Newton ascent of ``|S|^2``, ``S = sum(data * exp(-i * velocity @ phase))``."""
         for _ in range(_MAX_NEWTON_STEPS):
-            e = data * np.exp(-1j * (velocity @ self._phase))
-            s_conj = e.sum().conjugate()
+            e = data * np.exp(-1j * (np.array(velocity) @ self._phase))
+            s_conj = complex(e.sum()).conjugate()
             weighted = self._phase * e
-            first = weighted.sum(axis=1)
-            grad = 2.0 * (s_conj * first).imag
-            hess = 2.0 * (np.outer(first.conjugate(), first) - s_conj * (weighted @ self._phase.T)).real
-            # Hold an axis that is not free, or that its gradient presses
-            # against the span, so that only the other axis moves.
-            moving = free & ~np.where(grad > 0.0, velocity >= self._upper, velocity <= self._lower)
-            grad = np.where(moving, grad, 0.0)
-            hess = np.where(np.outer(moving, moving), hess, -np.eye(2))
-            if hess[0, 0] < 0.0 and hess[0, 0] * hess[1, 1] > hess[0, 1] ** 2:
-                step = np.linalg.solve(hess, -grad)
-            else:
-                # Not concave here: move each axis half a cell up its gradient.
-                step = 0.5 * self._cell * np.sign(grad)
-            step = np.clip(step, -self._cell, self._cell)
-            moved = np.clip(velocity + step, self._lower, self._upper)
-            if np.all(np.abs(moved - velocity) < self.search.tolerance):
+            first = weighted.sum(axis=1).tolist()
+            second = (weighted @ self._phase_t).tolist()
+            grad = [2.0 * (s_conj * f).imag for f in first]
+            hess = [
+                [2.0 * (f_i.conjugate() * f_j - s_conj * w).real for f_j, w in zip(first, row)]
+                for f_i, row in zip(first, second)
+            ]
+            moved = self._step(velocity, grad, hess, free)
+            if all(abs(m - v) < self.search.tolerance for m, v in zip(moved, velocity)):
                 return moved
             velocity = moved
         return velocity
+
+    def _step(self, velocity: list[float], grad: list, hess: list, free: list[bool]) -> list[float]:
+        """One ascent step from ``velocity``, by at most a cell per axis and inside the spans.
+
+        An axis that is not free, or that its gradient presses against the span,
+        is held: no gradient, a -1 diagonal and no coupling.  Where the Hessian is
+        negative definite the step is Newton's, else half a cell up the gradient.
+        """
+        (g_r, g_t), ((h_rr, h_rt), (h_tr, h_tt)) = grad, hess
+        held = [
+            not ok or (v >= high if g > 0.0 else v <= low)
+            for ok, v, g, low, high in zip(free, velocity, grad, self._lower, self._upper)
+        ]
+        if held[0]:
+            g_r, h_rr, h_rt, h_tr = 0.0, -1.0, -0.0, -0.0
+        if held[1]:
+            g_t, h_tt, h_rt, h_tr = 0.0, -1.0, -0.0, -0.0
+        if h_rr < 0.0 and h_rr * h_tt > h_rt**2:
+            det = h_rr * h_tt - h_rt * h_tr
+            step = [(h_rt * g_t - h_tt * g_r) / det, (h_tr * g_r - h_rr * g_t) / det]
+        else:
+            step = [0.5 * c * ((g > 0.0) - (g < 0.0)) for c, g in zip(self._cell, (g_r, g_t))]
+        return [
+            min(max(v + min(max(s, -c), c), low), high)
+            for v, s, c, low, high in zip(velocity, step, self._cell, self._lower, self._upper)
+        ]
+
+
+# The filters of ml_estimate and monte_carlo_mse: one build per array, waveform, position and window.
+_matched_filter = functools.lru_cache(maxsize=4)(MatchedFilter)
 
 
 def ml_estimate(
@@ -232,9 +254,10 @@ def ml_estimate(
 
     Runs the coarse matched-filter grid defined by ``search``, then refines
     the identifiable axes jointly by Newton steps until a step moves no axis
-    by ``search.tolerance``.
+    by ``search.tolerance``.  The :class:`MatchedFilter` is cached, keyed by
+    ``(cube.geometry, cube.config, distance, angle, search)``.
     """
-    finder = _MatchedFilterSearch(cube.geometry, cube.config, distance, angle, search)
+    finder = _matched_filter(cube.geometry, cube.config, distance, angle, search)
     return finder.estimate(cube.samples)
 
 
@@ -243,7 +266,8 @@ def monte_carlo_mse(scenario: Scenario, trials: int, seed: int) -> MonteCarloRep
 
     Trial ``t`` draws its noise from a generator seeded by ``(seed, t)``, so
     any single trial can be reproduced in isolation and the full report is
-    deterministic for a given seed.
+    deterministic for a given seed.  The :class:`MatchedFilter` is cached with
+    :func:`ml_estimate`'s, keyed by (geometry, waveform, distance, angle, search).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
@@ -257,7 +281,7 @@ def monte_carlo_mse(scenario: Scenario, trials: int, seed: int) -> MonteCarloRep
         raise ValueError("transverse search span does not contain the true velocity")
 
     clean = synthesize_noise_free(target, scenario.geometry, scenario.waveform, scenario.noise)
-    finder = _MatchedFilterSearch(
+    finder = _matched_filter(
         scenario.geometry, scenario.waveform, target.distance, target.angle, search
     )
 

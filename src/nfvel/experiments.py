@@ -223,6 +223,16 @@ def _check_positive(**values) -> None:
             raise ValueError(f"{key} must be positive, got {value!r}")
 
 
+def _check_increasing(points: int, **bounds: float) -> None:
+    """Reject a grid whose upper bound (second key) is not above its lower bound (first key).
+
+    Equal bounds are allowed only for a one-point grid, such as a single boresight column.
+    """
+    (low_key, low), (high_key, high) = bounds.items()
+    if not (high > low or (high == low and points == 1)):
+        raise ValueError(f"{high_key} must exceed {low_key}, got {low!r} and {high!r}")
+
+
 def _check_angles(**values) -> None:
     """Reject an angle in degrees, or a list entry, outside ``[-90, 90]``."""
     for key, value in values.items():
@@ -292,6 +302,7 @@ def run_radial_vs_distance(
     _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
+    _check_increasing(points, d_min=d_min, d_max=d_max)
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
     root_far_field = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
@@ -337,6 +348,7 @@ def run_transverse_vs_distance(
     _check_angles(angles=angles_deg)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
+    _check_increasing(points, d_min=d_min, d_max=d_max)
     distances = np.geomspace(d_min, d_max, points).tolist()
 
     rows = []
@@ -377,6 +389,7 @@ def run_carrier_comparison(
     """
     _check_grid_sizes(points=points)
     _check_positive(d_min=d_min, d_max=d_max)
+    _check_increasing(points, d_min=d_min, d_max=d_max)
     base_wf = config.waveform()
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
@@ -431,6 +444,8 @@ def run_planar_map(
     yields a row flagged degenerate with an ``inf`` bound, never NaN.
     """
     _check_grid_sizes(x_points=x_points, y_points=y_points)
+    _check_increasing(x_points, x_min=x_min, x_max=x_max)
+    _check_increasing(y_points, y_min=y_min, y_max=y_max)
     geometry = config.geometry()
     wf = config.waveform()
     xs = np.linspace(x_min, x_max, x_points).tolist()

@@ -296,6 +296,43 @@ class TestExitCodes:
         assert "angles must lie in [-90, 90] degrees" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("angle", ["120", "-90.5", "90.000001"])
+    @pytest.mark.parametrize("command", ["crlb", "montecarlo", "fig4"])
+    def test_scenario_angle_is_checked_in_degrees(self, command, angle, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--set", f"angle={angle}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"angle must lie in [-90, 90] degrees, got {float(angle)!r}" in err
+        assert "pi" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "settings", "message"),
+        [
+            ("fig1", ["d_min=10", "d_max=1"], "d_max must exceed d_min, got 10.0 and 1.0"),
+            ("fig2", ["d_min=5", "d_max=5"], "d_max must exceed d_min, got 5.0 and 5.0"),
+            ("fig3", ["d_min=2", "d_max=0.5"], "d_max must exceed d_min, got 2.0 and 0.5"),
+            # d_max defaults to 100 apertures (about 214 m for fig1's largest).
+            ("fig1", ["d_min=1000"], "d_max must exceed d_min, got 1000.0 and "),
+            ("fig4", ["x_min=1", "x_max=0"], "x_max must exceed x_min, got 1.0 and 0.0"),
+            ("fig4", ["y_min=50", "y_max=10"], "y_max must exceed y_min, got 50.0 and 10.0"),
+            ("fig4", ["x_min=3", "x_max=3"], "x_max must exceed x_min, got 3.0 and 3.0"),
+        ],
+    )
+    def test_reversed_grid_names_its_keys(self, command, settings, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [command, *(arg for setting in settings for arg in ("--set", setting))]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_point_grid_may_have_equal_bounds(self, tmp_path, capsys):
+        out = tmp_path / "cut.csv"
+        settings = ["x_min=0", "x_max=0", "x_points=1", "y_min=5", "y_max=5", "y_points=1"]
+        argv = ["fig4", *(arg for setting in settings for arg in ("--set", setting))]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1].startswith("0.000000000000e+00,5.0")
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_float_names_its_key(self, key, text, capsys):
@@ -543,6 +580,15 @@ def test_readme_examples_run(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0, (argv, capsys.readouterr().err)
         assert out is None or Path(out).exists()
     assert len(calls) == sum(argv[0] == "montecarlo" for argv in examples)
+
+
+def test_readme_library_quickstart_runs(capsys):
+    """README's python blocks run in order as one script, the filter loop included."""
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    exec("".join(block.split("```", 1)[0] for block in blocks), {})
+    out = capsys.readouterr().out
+    assert out.count("root-CRLB") == 2
+    assert out.count("v_r ") == 3
 
 
 def test_readme_sweep_config_file_runs(tmp_path, capsys):

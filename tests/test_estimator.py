@@ -1,6 +1,7 @@
 """Tests for the matched-filter ML estimator and its Monte Carlo harness."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from nfvel import (
     ArrayGeometry,
     ChannelNoise,
+    MatchedFilter,
     MlSearchConfig,
     ObservationCube,
     Scenario,
@@ -22,6 +24,9 @@ from nfvel import (
     monte_carlo_mse,
     synthesize_noise_free,
 )
+
+from nfvel import estimator
+from nfvel.experiments import ScenarioConfig, run_montecarlo
 
 from conftest import make_waveform
 
@@ -275,3 +280,122 @@ class TestMonteCarlo:
         bias_r, bias_t = np.mean(errors, axis=0)
         assert abs(bias_r) < 0.1 * math.sqrt(bound.radial)
         assert abs(bias_t) < 0.1 * math.sqrt(bound.transverse)
+
+
+def _small_scene(angle=0.0, transverse=-3.0):
+    geom = ArrayGeometry(num_elements=9, spacing=0.02)
+    wf = make_waveform(carrier=6e9, num_symbols=8, symbol_time=2e-4)
+    target = TargetState(0.8, angle, radial_velocity=2.0, transverse_velocity=transverse)
+    return geom, wf, target
+
+
+class TestMatchedFilter:
+    @pytest.mark.parametrize(
+        ("angle", "transverse", "transverse_span"),
+        [
+            (0.3, -3.0, (-8.0, 8.0)),  # noisy cubes, both axes refined
+            (math.pi / 2, 0.0, (-8.0, 8.0)),  # end-fire: transverse unidentifiable
+            (0.0, -3.0, (-3.0, 1.0)),  # truth on the window edge
+        ],
+    )
+    def test_cached_filter_matches_a_fresh_one(self, angle, transverse, transverse_span):
+        geom, wf, target = _small_scene(angle, transverse)
+        search = _search(radial=(-1.0, 5.0), transverse=transverse_span, tolerance=1e-6)
+        clean = _clean_cube(target, geom, wf, snr=3.0)
+        estimator._matched_filter.cache_clear()
+        for seed in range(6):
+            cube = add_noise(clean, seed)
+            cached = ml_estimate(cube, target.distance, target.angle, search)
+            fresh = MatchedFilter(geom, wf, target.distance, target.angle, search)
+            # assert_equal treats NaN (an unidentifiable axis) as equal to NaN.
+            np.testing.assert_equal(astuple(cached), astuple(fresh.estimate(cube.samples)))
+        assert estimator._matched_filter.cache_info()[:2] == (5, 1)  # hits, misses
+        if angle == math.pi / 2:
+            assert not cached.transverse_identifiable
+
+    def test_monte_carlo_table_builds_one_filter(self):
+        config = ScenarioConfig(
+            carrier=6e9, num_elements=9, spacing=0.02, num_symbols=8, symbol_time=2e-4,
+            distance=0.8, radial_velocity=2.0, transverse_velocity=-3.0,
+        )
+        estimator._matched_filter.cache_clear()
+        run_montecarlo(
+            config, snr_db_list=(0.0, 10.0, 20.0), trials=100, vr_window=2.0, vt_window=4.0
+        )
+        assert estimator._matched_filter.cache_info().misses == 1
+
+    def test_cached_tables_are_read_only(self):
+        geom, wf, target = _small_scene()
+        finder = estimator._matched_filter(geom, wf, target.distance, target.angle, _search())
+        tables = [value for value in vars(finder).values() if isinstance(value, np.ndarray)]
+        assert len(tables) >= 5
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0.0
+
+    def test_list_spans_are_stored_as_tuples(self):
+        # Lists would make the search unhashable, so no filter could be cached.
+        search = MlSearchConfig(radial_span=[-1.0, 1.0], transverse_span=[-2, 2])
+        same = MlSearchConfig(radial_span=(-1.0, 1.0), transverse_span=(-2, 2))
+        assert search == same and hash(search) == hash(same)
+        geom, wf, _ = _small_scene()
+        finder = estimator._matched_filter(geom, wf, 0.8, 0.0, search)
+        assert estimator._matched_filter(geom, wf, 0.8, 0.0, same) is finder
+
+
+class TestNewtonStep:
+    """``MatchedFilter._step`` on given derivatives, from the centre of spans
+    (-1, 1) and (-8, 8), whose grid cells are about 0.05 and 0.4 m/s."""
+
+    geom, wf, _ = _small_scene()
+    finder = MatchedFilter(geom, wf, 0.8, 0.0, _search(radial=(-1.0, 1.0), transverse=(-8.0, 8.0)))
+    cell = finder._cell
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scale=st.floats(-8.0, 8.0),
+        diagonal=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        rho=st.floats(-0.9, 0.9),
+        skew=st.floats(-1e-3, 1e-3),
+        target=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    )
+    def test_explicit_solve_matches_linalg(self, scale, diagonal, rho, skew, target):
+        # A negative-definite Hessian, not exactly symmetric (as the computed
+        # one is not), and a gradient whose Newton step stays inside one cell.
+        h_rr, h_tt = (-(10.0**scale) * d for d in diagonal)
+        h_rt = rho * math.sqrt(h_rr * h_tt)
+        hess = np.array([[h_rr, h_rt], [h_rt * (1.0 + skew), h_tt]])
+        grad = -hess @ (np.array(target) * self.cell)
+        step = np.array(self.finder._step([0.0, 0.0], grad.tolist(), hess.tolist(), [True, True]))
+        expected = np.linalg.solve(hess, -grad)
+        assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        case=st.sampled_from(["transverse not free", "transverse at its upper edge",
+                              "radial not free", "radial at its lower edge"]),
+        g=st.floats(-1e3, 1e3),
+        h=st.floats(-1e3, -1e-3),
+        other=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    )
+    def test_held_axis_stays_and_the_other_moves_by_minus_g_over_h(self, case, g, h, other):
+        # The held axis gets arbitrary derivatives, coupling included, which
+        # may make the full Hessian indefinite; none of it may leak into the step.
+        g_held, h_held, coupling = other
+        free, velocity = [True, True], [0.0, 0.0]
+        if case.startswith("transverse"):
+            moving, held = 0, 1
+            grad, hess = [g, g_held], [[h, coupling], [coupling, h_held]]
+            if case.endswith("edge"):
+                velocity[1], grad[1] = 8.0, abs(g_held) + 1.0  # pressed against +8
+        else:
+            moving, held = 1, 0
+            grad, hess = [g_held, g], [[h_held, coupling], [coupling, h]]
+            if case.endswith("edge"):
+                velocity[0], grad[0] = -1.0, -abs(g_held) - 1.0  # pressed against -1
+        if case.endswith("not free"):
+            free[held] = False
+        moved = self.finder._step(velocity, grad, hess, free)
+        assert moved[held] == velocity[held]
+        cell = self.cell[moving]
+        assert moved[moving] == min(max(-g / h, -cell), cell)
