@@ -61,6 +61,19 @@ CASES = {
         "sweep", "--var", "aperture", "--min", "0.1", "--max", "5", "--points", "10",
     ],
     "montecarlo.csv": ["montecarlo", "--trials", "100", "--snr-list", "0,10", "--seed", "3"],
+    # Odd M and K, two subcarriers, off boresight, three SNRs from the
+    # threshold region to the asymptotic one.
+    "montecarlo_offboresight.csv": [
+        "montecarlo", "--trials", "100", "--snr-list=-30,0,20", "--seed", "5",
+        "--set", "num_symbols=15",
+        "--set", "num_subcarriers=2",
+        "--set", "num_elements=31",
+        "--set", "angle=40",
+    ],
+    # End-fire: the transverse axis is never identified, so its cells read none.
+    "montecarlo_endfire.csv": [
+        "montecarlo", "--trials", "100", "--snr-list=-10,20", "--seed", "2", "--set", "angle=90",
+    ],
     "crlb_boresight.txt": ["crlb"],
     "crlb_endfire.txt": ["crlb", "--set", "angle=90"],
 }
