@@ -27,6 +27,7 @@ from .estimator import (
     VelocityEstimate,
     ml_estimate,
     monte_carlo_mse,
+    monte_carlo_reports,
 )
 from .geometry import (
     ArrayGeometry,
@@ -82,6 +83,7 @@ __all__ = [
     "fisher_info_numeric",
     "ml_estimate",
     "monte_carlo_mse",
+    "monte_carlo_reports",
     "radial_crlb_far_field",
     "radial_info_boresight",
     "radial_projection_coeff",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ from .waveform import (
     ChannelNoise,
     ObservationCube,
     WaveformConfig,
-    add_noise,
+    _unit_noise,
+    add_noise,  # noqa: F401 - perfbench's tracer test patches it through this module
     round_trip_delays,
     subcarrier_frequencies,
     synthesize_noise_free,
@@ -47,6 +49,7 @@ __all__ = [
     "VelocityEstimate",
     "ml_estimate",
     "monte_carlo_mse",
+    "monte_carlo_reports",
 ]
 
 # Peak curvature below this fraction of the peak value means the statistic is
@@ -179,8 +182,41 @@ class MatchedFilter:
 
     def estimate(self, samples: np.ndarray) -> VelocityEstimate:
         """ML estimate from the samples of any cube taken at this filter's position."""
-        data = (samples * self._delay_comp[None, :, :]).ravel()
-        coarse = np.abs((self._radial_table * data[None, :]) @ self._transverse_table.T) ** 2
+        data = self._compensate(samples)
+        return self._search(data, np.abs(self._statistic(data)) ** 2)
+
+    def _compensate(self, samples: np.ndarray) -> np.ndarray:
+        """The samples with the model's delay phase removed, flattened."""
+        return (samples * self._delay_comp[None, :, :]).ravel()
+
+    def _statistic(self, data: np.ndarray) -> np.ndarray:
+        """Matched-filter output on the coarse grid: linear in ``data``, searched as ``|.|**2``."""
+        return (self._radial_table * data[None, :]) @ self._transverse_table.T
+
+    def _estimates_sharing_noise(
+        self,
+        clean: np.ndarray,
+        clean_statistic: np.ndarray,
+        unit: np.ndarray,
+        sigmas: Sequence[float],
+    ) -> list[VelocityEstimate]:
+        """``estimate(clean + sigma * unit)`` for each sigma, with one coarse product for ``unit``.
+
+        ``clean_statistic`` is ``_statistic(_compensate(clean))``.  By linearity
+        each sigma's coarse grid is ``|clean_statistic + sigma * F(unit)|**2``;
+        the peak pick and refinement then run on that sigma's own samples.
+        """
+        unit_statistic = self._statistic(self._compensate(unit))
+        return [
+            self._search(
+                self._compensate(clean + sigma * unit),
+                np.abs(clean_statistic + sigma * unit_statistic) ** 2,
+            )
+            for sigma in sigmas
+        ]
+
+    def _search(self, data: np.ndarray, coarse: np.ndarray) -> VelocityEstimate:
+        """Peak pick, identifiability test and Newton refinement of ``data`` from its grid."""
         i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
         peak = coarse[i0, j0]
         floor = _CURVATURE_FLOOR * max(peak, np.finfo(float).tiny)
@@ -243,7 +279,8 @@ class MatchedFilter:
         ]
 
 
-# The filters of ml_estimate and monte_carlo_mse: one build per array, waveform, position and window.
+# The filters of ml_estimate and monte_carlo_reports: one build per array, waveform,
+# position and window.
 _matched_filter = functools.lru_cache(maxsize=4)(MatchedFilter)
 
 
@@ -266,60 +303,104 @@ def monte_carlo_mse(scenario: Scenario, trials: int, seed: int) -> MonteCarloRep
 
     Trial ``t`` draws its noise from a generator seeded by ``(seed, t)``, so
     any single trial can be reproduced in isolation and the full report is
-    deterministic for a given seed.  The :class:`MatchedFilter` is cached with
-    :func:`ml_estimate`'s, keyed by (geometry, waveform, distance, angle, search).
+    deterministic for a given seed.  This is the one report of
+    :func:`monte_carlo_reports` for ``[scenario]``.
+    """
+    return monte_carlo_reports([scenario], trials, seed)[0]
+
+
+def monte_carlo_reports(
+    scenarios: Sequence[Scenario], trials: int, seed: int
+) -> list[MonteCarloReport]:
+    """One :func:`monte_carlo_mse` report per scenario, all from the same noise draws.
+
+    The scenarios may differ only in ``noise.noise_variance``; any other
+    difference raises ``ValueError`` naming the field.  Trial ``t`` draws one
+    unit noise cube ``u`` from a generator seeded by ``(seed, t)``, and each
+    scenario estimates from ``clean + sigma * u``: the cube :func:`add_noise`
+    returns for that generator.  Each report therefore equals the
+    one-scenario call, and the reports are correlated with one another.  The
+    coarse matched-filter statistic is linear in the samples, so it is
+    formed once for the clean cube and once per trial for ``u``.  The
+    :class:`MatchedFilter` is cached with :func:`ml_estimate`'s, keyed by
+    (geometry, waveform, distance, angle, search).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    target = scenario.target
-    search = scenario.search
+    if not scenarios:
+        return []
+
+    def _shared(scenario: Scenario) -> dict:
+        return {
+            "target": scenario.target,
+            "geometry": scenario.geometry,
+            "waveform": scenario.waveform,
+            "search": scenario.search,
+            "noise.gain": scenario.noise.gain,
+        }
+
+    first = scenarios[0]
+    expected = _shared(first)
+    for scenario in scenarios[1:]:
+        for name, value in _shared(scenario).items():
+            if value != expected[name]:
+                raise ValueError(
+                    f"scenarios must differ only in noise_variance; {name} differs: "
+                    f"{value!r} != {expected[name]!r}"
+                )
+    target, geometry, config, search = first.target, first.geometry, first.waveform, first.search
     if not (search.radial_span[0] <= target.radial_velocity <= search.radial_span[1]):
         raise ValueError("radial search span does not contain the true velocity")
     if not (search.transverse_span[0] <= target.transverse_velocity <= search.transverse_span[1]):
         raise ValueError("transverse search span does not contain the true velocity")
 
-    clean = synthesize_noise_free(target, scenario.geometry, scenario.waveform, scenario.noise)
-    finder = _matched_filter(
-        scenario.geometry, scenario.waveform, target.distance, target.angle, search
-    )
+    clean = synthesize_noise_free(target, geometry, config, first.noise).samples
+    finder = _matched_filter(geometry, config, target.distance, target.angle, search)
+    clean_statistic = finder._statistic(finder._compensate(clean))
+    sigmas = [math.sqrt(scenario.noise.noise_variance / 2.0) for scenario in scenarios]
+    crlbs = [
+        crlb_from_fisher(
+            fisher_info_closed_form(target, geometry, config, scenario.noise.snr(config))
+        )
+        for scenario in scenarios
+    ]
 
-    snr = scenario.noise.snr(scenario.waveform)
-    crlb = crlb_from_fisher(
-        fisher_info_closed_form(target, scenario.geometry, scenario.waveform, snr)
-    )
-
-    sq_err_radial: list[float] = []
-    sq_err_transverse: list[float] = []
-    degenerate = 0
+    # Squared error per scenario, axis (radial, transverse) and trial; NaN
+    # where the axis was not identified.
+    sq_err = np.empty((len(scenarios), 2, trials))
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        noisy = add_noise(clean, rng)
-        est = finder.estimate(noisy.samples)
-        if not (est.radial_identifiable and est.transverse_identifiable):
-            degenerate += 1
-        if est.radial_identifiable:
-            sq_err_radial.append((est.radial - target.radial_velocity) ** 2)
-        if est.transverse_identifiable:
-            sq_err_transverse.append((est.transverse - target.transverse_velocity) ** 2)
+        unit = _unit_noise(clean.shape, rng)
+        estimates = finder._estimates_sharing_noise(clean, clean_statistic, unit, sigmas)
+        for row, est in enumerate(estimates):
+            sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
+            sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
 
-    mse_radial = float(np.mean(sq_err_radial)) if sq_err_radial else math.nan
-    mse_transverse = float(np.mean(sq_err_transverse)) if sq_err_transverse else math.nan
+    def _mse(errors: np.ndarray) -> float:
+        found = errors[~np.isnan(errors)]
+        return float(np.mean(found)) if found.size else math.nan
 
     def _ratio(mse: float, bound: float) -> float:
         if math.isnan(mse) or not math.isfinite(bound) or bound <= 0.0:
             return math.nan
         return mse / bound
 
-    return MonteCarloReport(
-        trials=trials,
-        degenerate_trials=degenerate,
-        mse_radial=mse_radial,
-        mse_transverse=mse_transverse,
-        crlb_radial=crlb.radial,
-        crlb_transverse=crlb.transverse,
-        ratio_radial=_ratio(mse_radial, crlb.radial),
-        ratio_transverse=_ratio(mse_transverse, crlb.transverse),
-        seed=seed,
-    )
+    reports = []
+    for errors, crlb in zip(sq_err, crlbs):
+        mse_radial, mse_transverse = _mse(errors[0]), _mse(errors[1])
+        reports.append(
+            MonteCarloReport(
+                trials=trials,
+                degenerate_trials=int(np.isnan(errors).any(axis=0).sum()),
+                mse_radial=mse_radial,
+                mse_transverse=mse_transverse,
+                crlb_radial=crlb.radial,
+                crlb_transverse=crlb.transverse,
+                ratio_radial=_ratio(mse_radial, crlb.radial),
+                ratio_transverse=_ratio(mse_transverse, crlb.transverse),
+                seed=seed,
+            )
+        )
+    return reports

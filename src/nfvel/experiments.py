@@ -25,7 +25,7 @@ from .bounds import (
     transverse_info_half_wavelength,
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
-from .estimator import MlSearchConfig, Scenario, monte_carlo_mse
+from .estimator import MlSearchConfig, MonteCarloReport, Scenario, monte_carlo_reports
 from .geometry import ArrayGeometry, TargetState
 from .waveform import ChannelNoise, WaveformConfig, snr_from_link_budget
 
@@ -500,8 +500,10 @@ def run_montecarlo(
 ) -> CsvTable:
     """Estimator MSE against the bounds for a list of SNR operating points.
 
-    Each row reuses the same base seed; trials inside a row draw independent
-    substreams, so the whole table is reproducible from the configuration.
+    Trials draw independent substreams of the base seed, so the whole table
+    is reproducible from the configuration.  Every row shares each trial's
+    noise draw, scaled to its SNR, so the rows are correlated: they are not
+    independent samples of the estimator.
     """
     _check_positive(vr_window=vr_window, vt_window=vt_window, refine_tolerance=refine_tolerance)
     geometry = config.geometry()
@@ -519,12 +521,19 @@ def run_montecarlo(
         tolerance=refine_tolerance,
     )
 
-    def _row(snr_db: float) -> tuple:
-        noise = ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0))
-        scenario = Scenario(
-            target=target, geometry=geometry, waveform=wf, noise=noise, search=search
+    scenarios = [
+        Scenario(
+            target=target,
+            geometry=geometry,
+            waveform=wf,
+            noise=ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0)),
+            search=search,
         )
-        report = monte_carlo_mse(scenario, trials, seed)
+        for snr_db in snr_db_list
+    ]
+    reports = monte_carlo_reports(scenarios, trials, seed)
+
+    def _row(snr_db: float, report: MonteCarloReport) -> tuple:
         # An axis that no trial identified (end-fire transverse) has no MSE and no ratio.
         return (
             snr_db,
@@ -554,7 +563,7 @@ def run_montecarlo(
             "seed",
             "degenerate_trials",
         ),
-        [_row(snr_db) for snr_db in snr_db_list],
+        [_row(snr_db, report) for snr_db, report in zip(snr_db_list, reports)],
         snr_db_list=list(snr_db_list),
         trials=trials,
         seed=seed,

@@ -244,16 +244,19 @@ def add_noise(
         rng: Seed or generator; a fresh generator is derived per call, so the
             same seed always yields the same noise draw.
     """
-    gen = np.random.default_rng(rng)
     sigma = math.sqrt(cube.noise.noise_variance / 2.0)
-    shape = cube.samples.shape
-    noise = sigma * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
     return ObservationCube(
-        samples=cube.samples + noise,
+        samples=cube.samples + sigma * _unit_noise(cube.samples.shape, rng),
         config=cube.config,
         geometry=cube.geometry,
         noise=cube.noise,
     )
+
+
+def _unit_noise(shape: tuple[int, ...], rng: int | np.random.Generator) -> np.ndarray:
+    """The draw :func:`add_noise` scales: unit-variance real and imaginary parts."""
+    gen = np.random.default_rng(rng)
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
 
 def _float_power(value, exponent: int):

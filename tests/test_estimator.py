@@ -1,5 +1,6 @@
 """Tests for the matched-filter ML estimator and its Monte Carlo harness."""
 
+import dataclasses
 import math
 from dataclasses import astuple
 
@@ -22,10 +23,11 @@ from nfvel import (
     fisher_info_closed_form,
     ml_estimate,
     monte_carlo_mse,
+    monte_carlo_reports,
     synthesize_noise_free,
 )
 
-from nfvel import estimator
+from nfvel import estimator, waveform
 from nfvel.experiments import ScenarioConfig, run_montecarlo
 
 from conftest import make_waveform
@@ -341,6 +343,92 @@ class TestMatchedFilter:
         geom, wf, _ = _small_scene()
         finder = estimator._matched_filter(geom, wf, 0.8, 0.0, search)
         assert estimator._matched_filter(geom, wf, 0.8, 0.0, same) is finder
+
+
+def _shared_scenarios(
+    snrs_db,
+    angle=0.4,
+    transverse=-3.0,
+    num_elements=9,
+    num_symbols=8,
+    num_subcarriers=1,
+    transverse_span=(-8.0, 8.0),
+):
+    """One scenario per SNR, identical in everything but the noise variance."""
+    geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
+    wf = make_waveform(
+        carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
+    )
+    target = TargetState(0.8, angle, radial_velocity=2.0, transverse_velocity=transverse)
+    search = _search(radial=(-1.0, 5.0), transverse=transverse_span, tolerance=1e-6)
+    return [
+        Scenario(target, geom, wf, ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0)), search)
+        for snr_db in snrs_db
+    ]
+
+
+_SHARED_SCENES = {
+    "end-fire": dict(angle=math.pi / 2, transverse=0.0),
+    "odd M and K": dict(num_symbols=7, num_elements=9),
+    "even M and K": dict(num_symbols=8, num_elements=10, angle=-0.3),
+    "three subcarriers": dict(num_subcarriers=3, angle=0.0),
+    "truth on the window edge": dict(transverse_span=(-3.0, 1.0)),
+}
+
+
+class TestSharedNoise:
+    @pytest.mark.parametrize("scene", sorted(_SHARED_SCENES))
+    def test_shared_grid_estimates_equal_estimate_on_the_noisy_cube(self, scene):
+        scenarios = _shared_scenarios(range(-30, 21, 10), **_SHARED_SCENES[scene])
+        first = scenarios[0]
+        target = first.target
+        finder = MatchedFilter(
+            first.geometry, first.waveform, target.distance, target.angle, first.search
+        )
+        clean = synthesize_noise_free(target, first.geometry, first.waveform, first.noise)
+        clean_statistic = finder._statistic(finder._compensate(clean.samples))
+        sigmas = [math.sqrt(s.noise.noise_variance / 2.0) for s in scenarios]
+        flags = set()
+        for trial in range(30):
+            seeds = np.random.SeedSequence([11, trial])
+            unit = waveform._unit_noise(clean.samples.shape, np.random.default_rng(seeds))
+            shared = finder._estimates_sharing_noise(clean.samples, clean_statistic, unit, sigmas)
+            for scenario, est in zip(scenarios, shared):
+                cube = synthesize_noise_free(target, first.geometry, first.waveform, scenario.noise)
+                noisy = add_noise(cube, np.random.SeedSequence([11, trial]))
+                direct = finder.estimate(noisy.samples)
+                # assert_equal treats NaN (an unidentifiable axis) as equal to NaN.
+                np.testing.assert_equal(astuple(est), astuple(direct))
+                flags.add((est.radial_identifiable, est.transverse_identifiable))
+        assert flags == ({(True, False)} if scene == "end-fire" else {(True, True)})
+
+    @pytest.mark.parametrize("scene", ["end-fire", "odd M and K"])
+    def test_reports_equal_one_scenario_calls(self, scene):
+        scenarios = _shared_scenarios((-20.0, 0.0, 20.0), **_SHARED_SCENES[scene])
+        reports = monte_carlo_reports(scenarios, trials=100, seed=4)
+        assert len(reports) == len(scenarios)
+        for scenario, report in zip(scenarios, reports):
+            alone = monte_carlo_mse(scenario, trials=100, seed=4)
+            np.testing.assert_equal(astuple(report), astuple(alone))
+
+    @pytest.mark.parametrize(
+        ("field", "change"),
+        [
+            ("target", dict(target=TargetState(0.8, 0.4, radial_velocity=2.5))),
+            ("geometry", dict(geometry=ArrayGeometry(num_elements=11, spacing=0.02))),
+            ("waveform", dict(waveform=make_waveform(carrier=6e9, symbol_time=3e-4))),
+            ("search", dict(search=_search(radial=(-1.0, 5.0), transverse=(-8.0, 8.0)))),
+            ("noise.gain", dict(noise=ChannelNoise(gain=2.0, noise_variance=1.0))),
+        ],
+    )
+    def test_scenarios_differing_beyond_noise_variance_name_the_field(self, field, change):
+        first, second = _shared_scenarios((0.0, 10.0))
+        mixed = dataclasses.replace(second, **change)
+        with pytest.raises(ValueError, match=rf"{field} differs"):
+            monte_carlo_reports([first, mixed], trials=100, seed=0)
+
+    def test_no_scenarios_give_no_reports(self):
+        assert monte_carlo_reports([], trials=100, seed=0) == []
 
 
 class TestNewtonStep:
