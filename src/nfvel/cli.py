@@ -267,10 +267,6 @@ def _commands() -> dict[str, tuple[str, Callable, str | None]]:
     }
 
 
-# Experiment keys whose runner argument has another name.
-_RUNNER_ARGUMENTS = {"angles": "angles_deg", "snr_list": "snr_db_list"}
-
-
 class _Parser(argparse.ArgumentParser):
     # The contract reserves exit code 2 for I/O failures, so usage errors
     # (invalid configuration) exit 1 instead of argparse's default 2.
@@ -287,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one configuration key (repeatable)",
     )
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    common.add_argument("--seed", help="base RNG seed")
     common.add_argument("--out", default=None, help="output CSV path")
 
     parser = _Parser(prog="nfvel", description="velocity estimation bounds toolkit")
@@ -309,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log", action="store_const", const="true", help="log-spaced grid")
 
     mc = commands["montecarlo"]
-    mc.add_argument("--trials", type=int, default=None)
-    mc.add_argument("--snr-list", default=None, help="comma-separated SNRs in dB")
+    mc.add_argument("--trials", help="Monte Carlo trials per SNR")
+    mc.add_argument("--snr-list", help="comma-separated SNRs in dB")
 
     return parser
 
@@ -330,9 +326,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     parameters = inspect.signature(runner).parameters
     kwargs = {}
     for key, value in experiment.items():
-        argument = _RUNNER_ARGUMENTS.get(key, key)
-        if argument in parameters:
-            kwargs[argument] = value
+        if key in parameters:
+            kwargs[key] = value
         elif key != "seed" or default_name is None:
             raise ConfigError(f"{args.command} does not take the key {key!r}")
     for name in list(parameters)[1:]:
@@ -363,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(args)
     except ValueError as exc:  # ConfigError included
         print(f"nfvel: invalid configuration: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError:  # Python float arithmetic past the float range
+        print("nfvel: invalid configuration: a value overflows the float range", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"nfvel: i/o error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ transverse component unobservable) is flagged unidentifiable instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -80,7 +79,7 @@ class MlSearchConfig:
         for name, span in (("radial_span", self.radial_span), ("transverse_span", self.transverse_span)):
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
-            object.__setattr__(self, name, tuple(span))  # hashable, as the filter cache needs
+            object.__setattr__(self, name, tuple(span))  # a frozen config hashes
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points!r}")
         if not self.tolerance > 0.0:
@@ -129,7 +128,7 @@ class MonteCarloReport:
 
 
 class MatchedFilter:
-    """Read-only ML search tables for one array, waveform, known position and search window."""
+    """ML search tables for one array, waveform, known position and search window."""
 
     def __init__(
         self,
@@ -170,9 +169,6 @@ class MatchedFilter:
         self._lower, self._upper = np.array([search.radial_span, search.transverse_span], float).T.tolist()
         self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._phase[0]))
         self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, self._phase[1]))
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
 
     @staticmethod
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
@@ -279,11 +275,6 @@ class MatchedFilter:
         ]
 
 
-# The filters of ml_estimate and monte_carlo_reports: one build per array, waveform,
-# position and window.
-_matched_filter = functools.lru_cache(maxsize=4)(MatchedFilter)
-
-
 def ml_estimate(
     cube: ObservationCube, distance: float, angle: float, search: MlSearchConfig
 ) -> VelocityEstimate:
@@ -291,11 +282,11 @@ def ml_estimate(
 
     Runs the coarse matched-filter grid defined by ``search``, then refines
     the identifiable axes jointly by Newton steps until a step moves no axis
-    by ``search.tolerance``.  The :class:`MatchedFilter` is cached, keyed by
-    ``(cube.geometry, cube.config, distance, angle, search)``.
+    by ``search.tolerance``.  Each call builds the :class:`MatchedFilter`
+    tables; a caller that estimates many cubes at one position holds one
+    filter and calls its ``estimate``.
     """
-    finder = _matched_filter(cube.geometry, cube.config, distance, angle, search)
-    return finder.estimate(cube.samples)
+    return MatchedFilter(cube.geometry, cube.config, distance, angle, search).estimate(cube.samples)
 
 
 def monte_carlo_mse(scenario: Scenario, trials: int, seed: int) -> MonteCarloReport:
@@ -321,9 +312,8 @@ def monte_carlo_reports(
     returns for that generator.  Each report therefore equals the
     one-scenario call, and the reports are correlated with one another.  The
     coarse matched-filter statistic is linear in the samples, so it is
-    formed once for the clean cube and once per trial for ``u``.  The
-    :class:`MatchedFilter` is cached with :func:`ml_estimate`'s, keyed by
-    (geometry, waveform, distance, angle, search).
+    formed once for the clean cube and once per trial for ``u``.  One
+    :class:`MatchedFilter` serves every scenario and trial.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
@@ -357,7 +347,7 @@ def monte_carlo_reports(
         raise ValueError("transverse search span does not contain the true velocity")
 
     clean = synthesize_noise_free(target, geometry, config, first.noise).samples
-    finder = _matched_filter(geometry, config, target.distance, target.angle, search)
+    finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
     sigmas = [math.sqrt(scenario.noise.noise_variance / 2.0) for scenario in scenarios]
     crlbs = [

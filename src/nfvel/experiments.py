@@ -337,15 +337,15 @@ def run_radial_vs_distance(
 def run_transverse_vs_distance(
     config: ScenarioConfig,
     apertures: Sequence[float] | None = None,
-    angles_deg: Sequence[float] = (0.0, 45.0),
+    angles: Sequence[float] = (0.0, 45.0),
     d_min: float | None = None,
     d_max: float | None = None,
     points: int = 200,
 ) -> CsvTable:
-    """Transverse bound against distance for several angles and apertures."""
+    """Transverse bound against distance for several angles (degrees) and apertures."""
     _check_grid_sizes(points=points)
     _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
-    _check_angles(angles=angles_deg)
+    _check_angles(angles=angles)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
@@ -353,7 +353,7 @@ def run_transverse_vs_distance(
 
     rows = []
     for aperture, geometry in zip(apertures, geometries):
-        for angle_deg in angles_deg:
+        for angle_deg in angles:
             angle = angle_deg / 180.0 * math.pi
             bounds = closed_form_bounds(distances, [angle] * points, geometry, wf, config.snr)
             rows += [
@@ -367,7 +367,7 @@ def run_transverse_vs_distance(
         ("distance_m", "angle_deg", "aperture_m", "root_crlb_vt_exact", "root_jtt_inv"),
         rows,
         apertures=list(apertures),
-        angles_deg=list(angles_deg),
+        angles_deg=list(angles),
         d_min=d_min,
         d_max=d_max,
         points=points,
@@ -490,7 +490,7 @@ def run_planar_map(
 
 def run_montecarlo(
     config: ScenarioConfig,
-    snr_db_list: Sequence[float] = (0.0, 5.0, 10.0, 15.0, 20.0),
+    snr_list: Sequence[float] = (0.0, 5.0, 10.0, 15.0, 20.0),
     trials: int = 1000,
     seed: int = 0,
     vr_window: float = 0.2,
@@ -529,7 +529,7 @@ def run_montecarlo(
             noise=ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0)),
             search=search,
         )
-        for snr_db in snr_db_list
+        for snr_db in snr_list
     ]
     reports = monte_carlo_reports(scenarios, trials, seed)
 
@@ -563,8 +563,8 @@ def run_montecarlo(
             "seed",
             "degenerate_trials",
         ),
-        [_row(snr_db, report) for snr_db, report in zip(snr_db_list, reports)],
-        snr_db_list=list(snr_db_list),
+        [_row(snr_db, report) for snr_db, report in zip(snr_list, reports)],
+        snr_db_list=list(snr_list),
         trials=trials,
         seed=seed,
         vr_window=vr_window,

@@ -308,12 +308,14 @@ def snr_from_link_budget(
     ).noise_variance
 
     wavelength = config.wavelength
-    received = (
-        config.subcarrier_power
-        * tx_gain
-        * rx_gain
-        * wavelength**2
-        * radar_cross_section
-        / ((4.0 * math.pi) ** 3 * _float_power(distance, 4))
-    )
+    # Within ~1e-77 m of the centre distance**4 underflows to 0 and the SNR is inf.
+    with np.errstate(divide="ignore"):
+        received = (
+            config.subcarrier_power
+            * tx_gain
+            * rx_gain
+            * wavelength**2
+            * radar_cross_section
+            / ((4.0 * math.pi) ** 3 * _float_power(distance, 4))
+        )
     return received / noise_power

@@ -27,8 +27,7 @@ from nfvel import (
     synthesize_noise_free,
 )
 
-from nfvel import estimator, waveform
-from nfvel.experiments import ScenarioConfig, run_montecarlo
+from nfvel import waveform
 
 from conftest import make_waveform
 
@@ -267,12 +266,12 @@ class TestMonteCarlo:
             tolerance=1e-6,
         )
         clean = synthesize_noise_free(target, geom, wf, noise)
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, search)
         trials = 400
         errors = np.empty((trials, 2))
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence([314, trial]))
-            noisy = add_noise(clean, rng)
-            est = ml_estimate(noisy, target.distance, target.angle, search)
+            est = finder.estimate(add_noise(clean, rng).samples)
             assert est.radial_identifiable and est.transverse_identifiable
             errors[trial] = (
                 est.radial - target.radial_velocity,
@@ -300,49 +299,24 @@ class TestMatchedFilter:
             (0.0, -3.0, (-3.0, 1.0)),  # truth on the window edge
         ],
     )
-    def test_cached_filter_matches_a_fresh_one(self, angle, transverse, transverse_span):
+    def test_reused_filter_matches_ml_estimate(self, angle, transverse, transverse_span):
         geom, wf, target = _small_scene(angle, transverse)
         search = _search(radial=(-1.0, 5.0), transverse=transverse_span, tolerance=1e-6)
         clean = _clean_cube(target, geom, wf, snr=3.0)
-        estimator._matched_filter.cache_clear()
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, search)
         for seed in range(6):
             cube = add_noise(clean, seed)
-            cached = ml_estimate(cube, target.distance, target.angle, search)
-            fresh = MatchedFilter(geom, wf, target.distance, target.angle, search)
+            single = ml_estimate(cube, target.distance, target.angle, search)
             # assert_equal treats NaN (an unidentifiable axis) as equal to NaN.
-            np.testing.assert_equal(astuple(cached), astuple(fresh.estimate(cube.samples)))
-        assert estimator._matched_filter.cache_info()[:2] == (5, 1)  # hits, misses
+            np.testing.assert_equal(astuple(finder.estimate(cube.samples)), astuple(single))
         if angle == math.pi / 2:
-            assert not cached.transverse_identifiable
-
-    def test_monte_carlo_table_builds_one_filter(self):
-        config = ScenarioConfig(
-            carrier=6e9, num_elements=9, spacing=0.02, num_symbols=8, symbol_time=2e-4,
-            distance=0.8, radial_velocity=2.0, transverse_velocity=-3.0,
-        )
-        estimator._matched_filter.cache_clear()
-        run_montecarlo(
-            config, snr_db_list=(0.0, 10.0, 20.0), trials=100, vr_window=2.0, vt_window=4.0
-        )
-        assert estimator._matched_filter.cache_info().misses == 1
-
-    def test_cached_tables_are_read_only(self):
-        geom, wf, target = _small_scene()
-        finder = estimator._matched_filter(geom, wf, target.distance, target.angle, _search())
-        tables = [value for value in vars(finder).values() if isinstance(value, np.ndarray)]
-        assert len(tables) >= 5
-        for table in tables:
-            with pytest.raises(ValueError, match="read-only"):
-                table.flat[0] = 0.0
+            assert not single.transverse_identifiable
 
     def test_list_spans_are_stored_as_tuples(self):
-        # Lists would make the search unhashable, so no filter could be cached.
+        # A frozen config hashes, so lists are coerced to tuples.
         search = MlSearchConfig(radial_span=[-1.0, 1.0], transverse_span=[-2, 2])
         same = MlSearchConfig(radial_span=(-1.0, 1.0), transverse_span=(-2, 2))
         assert search == same and hash(search) == hash(same)
-        geom, wf, _ = _small_scene()
-        finder = estimator._matched_filter(geom, wf, 0.8, 0.0, search)
-        assert estimator._matched_filter(geom, wf, 0.8, 0.0, same) is finder
 
 
 def _shared_scenarios(

@@ -177,7 +177,7 @@ class TestTransverseVsDistance:
         self.table = run_transverse_vs_distance(
             ScenarioConfig(),
             apertures=[self.aperture, 2.0 * self.aperture],
-            angles_deg=(0.0, 45.0),
+            angles=(0.0, 45.0),
             d_min=self.aperture,
             d_max=100.0 * self.aperture,
             points=6,
@@ -302,7 +302,7 @@ class TestMonteCarloRunner:
     def test_row_shape_and_determinism(self):
         config = self._config()
         table = run_montecarlo(
-            config, snr_db_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0
+            config, snr_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0
         )
         assert table.columns[:4] == ("snr_db", "trials", "mse_vr", "mse_vt")
         (row,) = table.rows
@@ -311,7 +311,7 @@ class TestMonteCarloRunner:
         assert row[2] > 0.0 and row[3] > 0.0
         assert row[6] > 0.0 and row[7] > 0.0
         again = run_montecarlo(
-            config, snr_db_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0
+            config, snr_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0
         )
         assert again.render() == table.render()
 
