@@ -27,7 +27,9 @@ from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
     TargetState,
-    projection_rows,
+    _check_rows,
+    _cos_angle,
+    element_distances,
     radial_projection_coeffs,
     symmetric_index_grid,
     transverse_projection_coeffs,
@@ -159,19 +161,31 @@ def fisher_info_numeric(
     return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
-def _crlb(j_rr: float, j_tt: float, j_rt: float) -> tuple[float, float, bool]:
-    """Variance bounds and the singular flag of one information matrix."""
-    if j_rr < 0.0 or j_tt < 0.0:
-        raise ValueError(f"information diagonal must be nonnegative, got {(j_rr, j_tt, j_rt)}")
-    det = j_rr * j_tt - j_rt**2
-    diag_product = j_rr * j_tt
-    if det < -_NEGATIVE_DET_RTOL * max(diag_product, 1.0):
-        raise ValueError(f"information matrix is negative definite: {(j_rr, j_tt, j_rt)}")
-    if det < _SINGULAR_RTOL * max(diag_product, _SINGULAR_ABS_FLOOR):
-        radial = 1.0 / j_rr if j_rr > 0.0 else math.inf
-        transverse = 1.0 / j_tt if (j_tt > 0.0 and j_rr == 0.0) else math.inf
-        return radial, transverse, True
-    return j_tt / det, j_rr / det, False
+def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Variance bounds and singular flags of P information matrices, as ``(P,)`` arrays.
+
+    Rows round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An
+    error names the first bad row, including one whose determinant is not finite.
+    """
+    with np.errstate(all="ignore"):
+        diag_product = j_rr * j_tt
+        det = diag_product - j_rt * j_rt
+        negative_diag = (j_rr < 0.0) | (j_tt < 0.0)
+        overflow = ~np.isfinite(det)
+        bad = negative_diag | overflow | (det < -_NEGATIVE_DET_RTOL * np.maximum(diag_product, 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            row = (float(j_rr[i]), float(j_tt[i]), float(j_rt[i]))
+            if negative_diag[i]:
+                raise ValueError(f"information diagonal must be nonnegative, got {row}")
+            if overflow[i]:
+                raise ValueError(f"information matrix {row} overflows; reduce carrier or snr")
+            raise ValueError(f"information matrix is negative definite: {row}")
+        singular = det < _SINGULAR_RTOL * np.maximum(diag_product, _SINGULAR_ABS_FLOOR)
+        radial = np.where(singular, np.where(j_rr > 0.0, 1.0 / j_rr, math.inf), j_tt / det)
+        only_transverse = (j_tt > 0.0) & (j_rr == 0.0)
+        transverse = np.where(singular, np.where(only_transverse, 1.0 / j_tt, math.inf), j_rr / det)
+    return radial, transverse, singular
 
 
 def closed_form_bounds(
@@ -192,40 +206,50 @@ def closed_form_bounds(
         w_n = 2 * pi^2 * f_n^2 * M * snr * (M^2 - 1) * T_sym^2 / (3 * c^2)
 
     and the entries are the summed weight times the element sums of
-    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  Rows match the
-    one-point functions bit for bit.  A target on an element or the array
-    centre raises :class:`DegenerateGeometryError`, as a one-point call does;
-    with ``flag_degenerate`` its row is marked ``degenerate`` instead, with
-    zero information and infinite bounds.
+    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  All P matrices are
+    inverted as one array, by the inverse :func:`crlb_from_fisher` applies to
+    one matrix, so rows match the one-point functions bit for bit.  A target
+    on an element or the array centre raises :class:`DegenerateGeometryError`,
+    as a one-point call does; with ``flag_degenerate`` its row is marked
+    ``degenerate`` instead, with zero information and infinite bounds.
+    Information past the float range raises a ``ValueError`` naming the carrier.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
     angles = np.asarray(angles, dtype=float).reshape(-1)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
     _validate_positive("snr", snr)
-
-    m_count = config.num_symbols
-    freqs = subcarrier_frequencies(config)
-    # The SNR factor stays fourth in the weight product; moving it would
-    # change the rounding of published values.
-    head = 2.0 * math.pi**2 * freqs**2 * m_count
+    # Validation comes first: math.sin raises its own error for an infinite angle.
+    _check_rows(distances, angles)
+    # Per-row sines once per call, from ``math``, whose rounding the published values pin.
+    angle_list = angles.tolist()
+    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
+    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
+    x = geometry.element_x_positions
+    weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
-    width = max(geometry.num_elements, config.num_subcarriers)
-    for rows in _row_chunks(distances.size, width):
-        weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
-        weight_total = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
-        q, p, degenerate[rows] = projection_rows(
-            distances[rows], angles[rows], geometry, flag_degenerate
-        )
-        one_plus_q = 1.0 + q
-        entries[0, rows] = weight_total * np.sum(one_plus_q**2, axis=1)
-        entries[1, rows] = weight_total * np.sum(p**2, axis=1)
-        entries[2, rows] = weight_total * np.sum(p * one_plus_q, axis=1)
+    # An overflow leaves its row with no finite determinant, which _crlb rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m_count = config.num_symbols
+        # The SNR factor stays fourth in the weight product; moving it would
+        # change the rounding of published values.
+        head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * m_count
+        for rows in _row_chunks(distances.size, config.num_subcarriers):
+            weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
+            weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
+        for rows in _row_chunks(distances.size, geometry.num_elements):
+            d = distances[rows, None]
+            element_d, degenerate[rows] = element_distances(
+                (d, angle_list[rows]), geometry, flag_degenerate
+            )
+            one_plus_q = 1.0 + (d - x * sin_angle[rows]) / element_d
+            p = x * cos_angle[rows] / element_d
+            entries[0, rows] = weight_total[rows] * np.sum(one_plus_q**2, axis=1)
+            entries[1, rows] = weight_total[rows] * np.sum(p**2, axis=1)
+            entries[2, rows] = weight_total[rows] * np.sum(p * one_plus_q, axis=1)
     entries[:, degenerate] = 0.0
-    j_rr, j_tt, j_rt = entries.tolist()
-    bounds = [_crlb(*row) for row in zip(j_rr, j_tt, j_rt)]
-    radial, transverse, singular = map(list, zip(*bounds)) if bounds else ([], [], [])
-    return BoundRows(j_rr, j_tt, j_rt, radial, transverse, singular, degenerate.tolist())
+    bounds = (column.tolist() for column in _crlb(*entries))
+    return BoundRows(*entries.tolist(), *bounds, degenerate.tolist())
 
 
 def fisher_info_closed_form(
@@ -245,10 +269,12 @@ def crlb_from_fisher(info: FisherInfo) -> CrlbResult:
     A determinant below ``1e-12`` of the diagonal product marks the matrix
     singular: the transverse axis is reported infinite and the radial bound
     falls back to the single-parameter value ``1/j_rr``.  A meaningfully
-    negative determinant or diagonal signals an upstream bug and raises.
+    negative determinant or diagonal signals an upstream bug and raises, as
+    does a determinant past the float range.  This is the one-row case of
+    the array inverse :func:`closed_form_bounds` applies to a whole batch.
     """
-    radial, transverse, singular = _crlb(info.j_rr, info.j_tt, info.j_rt)
-    return CrlbResult(radial=radial, transverse=transverse, singular=singular)
+    entries = np.array([[info.j_rr], [info.j_tt], [info.j_rt]], dtype=float)
+    return CrlbResult(*(column.item() for column in _crlb(*entries)))
 
 
 def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float) -> float:

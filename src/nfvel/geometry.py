@@ -24,7 +24,6 @@ __all__ = [
     "TargetState",
     "distance_to_element",
     "element_distances",
-    "projection_rows",
     "radial_projection_coeff",
     "radial_projection_coeffs",
     "symmetric_index_grid",
@@ -164,6 +163,14 @@ class TargetState:
         )
 
 
+def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
+    """Raise the error :class:`TargetState` gives the first (distance, angle) row it rejects."""
+    valid = (distances > 0.0) & (np.abs(angles) <= math.pi / 2.0)
+    if not valid.all():
+        row = int(np.argmin(valid))
+        TargetState(float(distances[row]), float(angles[row]))
+
+
 def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = False):
     """Distance from the target to every array element.
 
@@ -184,10 +191,7 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target
     d = np.asarray(distance_list, dtype=float).reshape(-1, 1)
-    valid = (d[:, 0] > 0.0) & (np.abs(np.asarray(angle_list, dtype=float)) <= math.pi / 2.0)
-    if not valid.all():
-        row = int(np.argmin(valid))
-        TargetState(float(d[row, 0]), float(angle_list[row]))  # raises for the first bad row
+    _check_rows(d[:, 0], np.asarray(angle_list, dtype=float))
     # A placeholder distance keeps x_k/d of a row at the centre from overflowing.
     near_centre = d[:, 0] <= _COINCIDENCE_RTOL * geometry.aperture
     d = np.where(near_centre[:, None], 1.0, d)
@@ -203,29 +207,6 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
         raise DegenerateGeometryError()
     distances[degenerate] = 1.0
     return distances[0] if single else (distances, degenerate)
-
-
-def projection_rows(
-    distances, angles, geometry: ArrayGeometry, flag_degenerate: bool = False
-) -> tuple[np.ndarray, ...]:
-    """Both projection coefficients for P targets at once.
-
-    Returns the ``(P, K)`` arrays ``q_k`` and ``p_k`` of the single-target
-    functions below, row by row bit-identical to them, and a ``(P,)`` mask of
-    degenerate rows.  All P rows take their element distances from one block
-    :func:`element_distances` call, so a degenerate target raises
-    :class:`DegenerateGeometryError`; with ``flag_degenerate`` its row is
-    masked instead and holds placeholder values.
-    """
-    d = np.asarray(distances, dtype=float).reshape(-1, 1)
-    angle_list = np.asarray(angles, dtype=float).reshape(-1).tolist()
-    element_d, degenerate = element_distances((d, angle_list), geometry, flag_degenerate)
-    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
-    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
-    x = geometry.element_x_positions
-    q = (d - x * sin_angle) / element_d
-    p = x * cos_angle / element_d
-    return q, p, degenerate
 
 
 def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -245,7 +226,8 @@ def radial_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -> np
     ``q_k = (d - x_k*sin(theta)) / d_k``; always in ``[-1, 1]``, equal to 1
     for the centre element.
     """
-    return projection_rows([target.distance], [target.angle], geometry)[0][0]
+    x = geometry.element_x_positions
+    return (target.distance - x * math.sin(target.angle)) / element_distances(target, geometry)
 
 
 def radial_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
@@ -261,7 +243,8 @@ def transverse_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -
     ``p_k = x_k*cos(theta) / d_k``; zero at the centre element and exactly
     zero everywhere for end-fire targets (``theta = +/-pi/2``).
     """
-    return projection_rows([target.distance], [target.angle], geometry)[1][0]
+    x = geometry.element_x_positions
+    return x * _cos_angle(target.angle) / element_distances(target, geometry)
 
 
 def transverse_projection_coeff(target: TargetState, geometry: ArrayGeometry, k: float) -> float:

@@ -316,6 +316,7 @@ def snr_from_link_budget(
             * rx_gain
             * wavelength**2
             * radar_cross_section
-            / ((4.0 * math.pi) ** 3 * _float_power(distance, 4))
+            / ((4.0 * math.pi) ** 3 * np.asarray(_float_power(distance, 4)))
         )
-    return received / noise_power
+    snr = received / noise_power
+    return float(snr) if np.ndim(distance) == 0 else snr

@@ -1,10 +1,11 @@
 """Tests for the Fisher information routes and the velocity variance bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nfvel import (
@@ -24,7 +25,7 @@ from nfvel import (
     transverse_info_boresight_approx,
     transverse_info_half_wavelength,
 )
-from nfvel.bounds import _CHUNK_ELEMENTS
+from nfvel.bounds import _CHUNK_ELEMENTS, _crlb
 
 from conftest import make_waveform
 
@@ -161,6 +162,101 @@ class TestRouteAgreement:
                 fisher_info_numeric(target, geom, wf, bad)
             with pytest.raises(ValueError):
                 fisher_info_closed_form(target, geom, wf, bad)
+
+
+def _scalar_crlb(j_rr, j_tt, j_rt):
+    """Oracle: the one-matrix inverse that the array form ``_crlb`` replaced.
+
+    It squares ``j_rt`` by multiplication, as the array form does: ``j_rt**2``
+    on a Python float calls C ``pow``, which rounds differently from
+    ``j_rt * j_rt`` for about one double in 1200.
+    """
+    if j_rr < 0.0 or j_tt < 0.0:
+        raise ValueError(f"information diagonal must be nonnegative, got {(j_rr, j_tt, j_rt)}")
+    det = j_rr * j_tt - j_rt * j_rt
+    diag_product = j_rr * j_tt
+    if det < -1e-9 * max(diag_product, 1.0):
+        raise ValueError(f"information matrix is negative definite: {(j_rr, j_tt, j_rt)}")
+    if det < 1e-12 * max(diag_product, 1e-300):
+        radial = 1.0 / j_rr if j_rr > 0.0 else math.inf
+        transverse = 1.0 / j_tt if (j_tt > 0.0 and j_rr == 0.0) else math.inf
+        return radial, transverse, True
+    return j_tt / det, j_rr / det, False
+
+
+# Entries small enough that no product of two overflows.
+_ENTRY = st.floats(1e-150, 1e150)
+
+
+@st.composite
+def _information_rows(draw, bad=False):
+    """(j_rr, j_tt, j_rt) rows: generic, a zero diagonal entry, or a determinant near -1e-9*diag.
+
+    With ``bad`` the rows are ones the inverse rejects: a negative diagonal
+    entry, or a determinant further below -1e-9 times the diagonal product.
+    """
+    j_rr, j_tt = draw(_ENTRY), draw(_ENTRY)
+    if bad:
+        if draw(st.booleans()):
+            negative = -draw(_ENTRY)
+            return draw(st.sampled_from([(negative, j_tt, 0.0), (j_rr, negative, 1.0)]))
+        j_rr, j_tt = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 1e6))
+        return j_rr, j_tt, math.sqrt(j_rr * j_tt * (1.0 + draw(st.floats(1.1e-9, 1e-3))))
+    kind = draw(st.sampled_from(["generic", "zero_rr", "zero_tt", "inside"]))
+    if kind == "generic":
+        return j_rr, j_tt, draw(st.floats(-1.0, 1.0)) * math.sqrt(j_rr) * math.sqrt(j_tt)
+    if kind == "zero_rr":
+        return 0.0, draw(st.sampled_from([0.0, j_tt])), 0.0
+    if kind == "zero_tt":
+        return j_rr, 0.0, 0.0
+    # A determinant just inside the -1e-9*diag rounding allowance: singular.
+    j_rr, j_tt = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 1e6))
+    return j_rr, j_tt, math.sqrt(j_rr * j_tt * (1.0 + draw(st.floats(0.0, 0.9e-9))))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestArrayInverse:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(_information_rows(), max_size=30))
+    @example(rows=[(0.0, 4.0, 0.0), (5.0, 0.0, 0.0), (2.0, 3.0, math.sqrt(6.0 * (1.0 + 0.5e-9)))])
+    def test_rows_equal_the_scalar_inverse(self, rows):
+        radial, transverse, singular = _crlb(*np.array(rows, dtype=float).reshape(-1, 3).T)
+        expected = [_scalar_crlb(*row) for row in rows]
+        assert _bits(radial) == _bits([r for r, _, _ in expected])
+        assert _bits(transverse) == _bits([t for _, t, _ in expected])
+        assert singular.tolist() == [s for _, _, s in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(_information_rows(), max_size=10),
+        bad_rows=st.lists(_information_rows(bad=True), min_size=1, max_size=3),
+        position=st.integers(0, 10),
+    )
+    @example(rows=[(1.0, 1.0, 0.0)], bad_rows=[(2.0, 3.0, math.sqrt(6.0 * (1.0 + 2e-9)))], position=1)
+    def test_first_bad_row_raises_the_scalar_error(self, rows, bad_rows, position):
+        rows = rows[:position] + bad_rows + rows[position:]
+        with pytest.raises(ValueError) as expected:
+            for row in rows:
+                _scalar_crlb(*row)
+        with pytest.raises(ValueError) as raised:
+            _crlb(*np.array(rows, dtype=float).T)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "info",
+        [
+            FisherInfo(1e200, 1e200, 0.0),
+            FisherInfo(1.0, 1.0, 1e200),
+            FisherInfo(math.inf, 1.0, 0.0),
+            FisherInfo(math.nan, 1.0, 0.0),
+        ],
+    )
+    def test_matrix_without_a_finite_determinant_raises(self, info):
+        with pytest.raises(ValueError, match=r"overflows; reduce carrier"):
+            crlb_from_fisher(info)
 
 
 class TestCrlbFromFisher:
@@ -460,6 +556,55 @@ class TestBatchKernel:
             assert abs(numeric.j_rr - one.j_rr) <= 1e-10 * scale
             assert abs(numeric.j_tt - one.j_tt) <= 1e-10 * scale
             assert abs(numeric.j_rt - one.j_rt) <= 1e-10 * scale
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_batches_spanning_chunks_match_one_point_calls(self, data):
+        k = data.draw(st.sampled_from([101, 4099, 16384]), label="K")
+        geom = ArrayGeometry(k, data.draw(st.floats(0.002, 0.02), label="spacing"))
+        wf = make_waveform(num_subcarriers=data.draw(st.integers(1, 3), label="N"))
+        chunk_rows = _CHUNK_ELEMENTS // k
+        count = data.draw(st.integers(chunk_rows + 1, 3 * chunk_rows + 1), label="P")
+        x = geom.element_x_positions
+        row = st.one_of(
+            st.tuples(st.floats(0.05, 200.0), _ANGLES),
+            # At the array centre, and on an element at end-fire.
+            st.tuples(st.sampled_from([1e-300, 1e-14 * geom.aperture]), _ANGLES),
+            st.sampled_from(x[x != 0.0].tolist()).map(
+                lambda x_k: (abs(x_k), math.copysign(math.pi / 2, x_k))
+            ),
+        )
+        rows = data.draw(st.lists(row, min_size=count, max_size=count), label="rows")
+        snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
+        distances, angles = [d for d, _ in rows], [a for _, a in rows]
+
+        batch = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
+        for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
+            got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i], batch.radial[i], batch.transverse[i]]
+            if batch.degenerate[i]:
+                with pytest.raises(DegenerateGeometryError):
+                    fisher_info_closed_form(TargetState(d, angle), geom, wf, snr)
+                assert got == [0.0, 0.0, 0.0, math.inf, math.inf] and batch.singular[i]
+                continue
+            one = fisher_info_closed_form(TargetState(d, angle), geom, wf, snr)
+            crlb = crlb_from_fisher(one)
+            assert _bits(got) == _bits([one.j_rr, one.j_tt, one.j_rt, crlb.radial, crlb.transverse])
+            assert batch.singular[i] == crlb.singular
+
+    def test_peak_memory_stays_a_few_chunks(self):
+        # 64 rows at K=16384 are 64 one-row chunks, so the peak is a few (1, K)
+        # temporaries, about 0.9 MiB, however many rows a batch has.
+        geom = ArrayGeometry(16384, 0.005)
+        wf = make_waveform()
+        distances, angles = np.geomspace(0.5, 50.0, 64).tolist(), [0.3] * 64
+        closed_form_bounds(distances, angles, geom, wf, 1.0)  # caches the element positions
+        tracemalloc.start()
+        try:
+            closed_form_bounds(distances, angles, geom, wf, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     def test_degenerate_rows_raise_or_are_flagged(self):
         geom = ArrayGeometry(num_elements=5, spacing=0.25)

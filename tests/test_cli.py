@@ -256,6 +256,21 @@ class TestExitCodes:
         assert [row.split(",")[snr_db] for row in rows] == ["inf"] * 6
         assert all(row.endswith(",1") for row in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crlb", "--set", "carrier=1e300"],
+            ["sweep", "--var", "carrier", "--min", "1e9", "--max", "1e300", "--points", "3"],
+        ],
+    )
+    def test_overflowing_carrier_names_carrier(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nfvel: invalid configuration: ") and "carrier" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("carrier", ["0", "-6 GHz"])
     @pytest.mark.parametrize("command", list(_commands()))
     def test_non_positive_carrier_names_carrier(self, command, carrier, tmp_path, capsys):

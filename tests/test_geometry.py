@@ -23,7 +23,7 @@ from nfvel import (
     transverse_projection_coeffs,
 )
 from nfvel.bounds import _CHUNK_ELEMENTS, _row_chunks
-from nfvel.geometry import _COINCIDENCE_RTOL, projection_rows
+from nfvel.geometry import _COINCIDENCE_RTOL
 
 from conftest import cartesian_los_speeds, make_waveform
 
@@ -311,9 +311,7 @@ class TestDistanceBlock:
     def test_block_rows_equal_one_target_calls(self, case):
         geometry, distances, angles = case
         block, degenerate = element_distances((distances, angles), geometry, flag_degenerate=True)
-        q, p, projection_degenerate = projection_rows(distances, angles, geometry, True)
-        assert block.shape == q.shape == p.shape == (len(distances), geometry.num_elements)
-        assert np.array_equal(projection_degenerate, degenerate)
+        assert block.shape == (len(distances), geometry.num_elements)
         for i, (d, angle) in enumerate(zip(distances, angles)):
             target = TargetState(d, angle)
             if degenerate[i]:
@@ -325,12 +323,12 @@ class TestDistanceBlock:
                 continue
             assert np.array_equal(block[i], element_distances(target, geometry))
             assert np.array_equal(block[i], _one_target_distances(d, angle, geometry))
-            assert np.array_equal(q[i], radial_projection_coeffs(target, geometry))
-            assert np.array_equal(p[i], transverse_projection_coeffs(target, geometry))
         # The bound kernel's chunks see the same rows as one whole block.
         for rows in _row_chunks(len(distances), geometry.num_elements):
-            chunk_q, chunk_p, _ = projection_rows(distances[rows], angles[rows], geometry, True)
-            assert np.array_equal(chunk_q, q[rows]) and np.array_equal(chunk_p, p[rows])
+            chunk = (distances[rows], angles[rows])
+            chunk_block, chunk_degenerate = element_distances(chunk, geometry, True)
+            assert np.array_equal(chunk_block, block[rows])
+            assert np.array_equal(chunk_degenerate, degenerate[rows])
         if degenerate.any():
             with pytest.raises(DegenerateGeometryError):
                 element_distances((distances, angles), geometry)
@@ -370,7 +368,7 @@ class TestDistanceBlock:
             with pytest.raises(error, match=message):
                 element_distances((distances, angles), geometry)
             with pytest.raises(error, match=message):
-                projection_rows(distances, angles, geometry)
+                closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
             if error is ValueError:
                 # Flagging covers degenerate rows only; an invalid row still raises.
                 with pytest.raises(ValueError, match=message):

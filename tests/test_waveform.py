@@ -274,6 +274,15 @@ class TestLinkBudget:
         for d, snr in zip(distances.ravel().tolist(), batch.ravel().tolist()):
             assert snr == snr_from_link_budget(d, wf, noise_figure=3.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_distance_gives_inf_for_scalar_and_array(self):
+        # Within ~1e-77 m of the centre distance**4 underflows to 0.
+        wf = make_waveform()
+        scalar = snr_from_link_budget(1e-100, wf)
+        assert type(scalar) is float and scalar == math.inf
+        assert snr_from_link_budget(np.array([1e-100]), wf).tolist() == [math.inf]
+        assert type(snr_from_link_budget(5.0, wf)) is float
+
     def test_validation(self):
         wf = make_waveform()
         with pytest.raises(ValueError):
