@@ -32,6 +32,13 @@ CASES = {
         "--set", "angles=-90,-30,0,90",
         "--set", "points=11",
     ],
+    # K > 2**14: every kernel chunk holds a single row.
+    "fig2_large_k.csv": [
+        "fig2",
+        "--set", "num_elements=16385",
+        "--set", "angles=12.5,63",
+        "--set", "points=6",
+    ],
     "fig3.csv": ["fig3", "--set", "points=12"],
     # 41 x 26 = 1066 points at K=101: several kernel chunks.
     "fig4.csv": ["fig4", "--set", "x_points=41", "--set", "y_points=26"],
