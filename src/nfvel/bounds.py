@@ -78,13 +78,6 @@ class FisherInfo:
     j_tt: float
     j_rt: float
 
-    @property
-    def determinant(self) -> float:
-        return self.j_rr * self.j_tt - self.j_rt**2
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.j_rr, self.j_rt], [self.j_rt, self.j_tt]])
-
 
 @dataclass(frozen=True)
 class CrlbResult:
@@ -220,33 +213,34 @@ def closed_form_bounds(
     _validate_positive("snr", snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
-    # Per-row sines once per call, from ``math``, whose rounding the published values pin.
+    # Sines and cosines once per call, from ``math``, whose rounding the published values pin.
     angle_list = angles.tolist()
-    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
-    cos_angle = np.array([_cos_angle(a) for a in angle_list]).reshape(-1, 1)
-    x = geometry.element_x_positions
+    trig = np.array([[math.sin(a) for a in angle_list], [_cos_angle(a) for a in angle_list]])
     weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
     # An overflow leaves its row with no finite determinant, which _crlb rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        m_count = config.num_symbols
         # The SNR factor stays fourth in the weight product; moving it would
         # change the rounding of published values.
-        head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * m_count
+        head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * config.num_symbols
         for rows in _row_chunks(distances.size, config.num_subcarriers):
-            weights = head * snr[rows, None] * (m_count**2 - 1) * config.symbol_time**2
+            weights = head * snr[rows, None] * (config.num_symbols**2 - 1) * config.symbol_time**2
             weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
         for rows in _row_chunks(distances.size, geometry.num_elements):
             d = distances[rows, None]
             element_d, degenerate[rows] = element_distances(
                 (d, angle_list[rows]), geometry, flag_degenerate
             )
-            one_plus_q = 1.0 + (d - x * sin_angle[rows]) / element_d
-            p = x * cos_angle[rows] / element_d
-            entries[0, rows] = weight_total[rows] * np.sum(one_plus_q**2, axis=1)
-            entries[1, rows] = weight_total[rows] * np.sum(p**2, axis=1)
-            entries[2, rows] = weight_total[rows] * np.sum(p * one_plus_q, axis=1)
+            # 1 + q = 1 + (d - x sin)/d_k, p = x cos/d_k and p(1 + q), in place.
+            terms = np.empty((3, *element_d.shape))
+            np.multiply(geometry.element_x_positions, trig[:, rows, None], out=terms[:2])
+            np.subtract(d, terms[0], out=terms[0])
+            terms[:2] /= element_d
+            terms[0] += 1.0
+            np.multiply(terms[1], terms[0], out=terms[2])
+            terms[:2] *= terms[:2]
+            entries[:, rows] = weight_total[rows] * terms.sum(axis=2)
     entries[:, degenerate] = 0.0
     bounds = (column.tolist() for column in _crlb(*entries))
     return BoundRows(*entries.tolist(), *bounds, degenerate.tolist())

@@ -31,8 +31,7 @@ __all__ = [
     "transverse_projection_coeffs",
 ]
 
-# Relative threshold below which an element-to-target distance is treated as a
-# coincidence (target sitting on the array element).
+# Relative distance below which a target is taken to sit on an element.
 _COINCIDENCE_RTOL = 1e-12
 
 
@@ -181,31 +180,33 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     of degenerate rows; a row that :class:`TargetState` rejects raises its
     ``ValueError``.
 
-    Raises
-    ------
-    DegenerateGeometryError
-        If a target coincides with an element, or sits so close to the
-        array centre that ``x_k/d`` would overflow.  With ``flag_degenerate``
-        such a row is set in the mask instead and holds ones.
+    A row is degenerate when its smallest distance is not above
+    ``1e-12 * max(d, aperture)``: on an element, with a radicand that rounds
+    below zero (a NaN root), or with ``d <= 1e-12 * aperture``, where ``x_k/d``
+    could overflow (evaluated at NaN).  It raises :class:`DegenerateGeometryError`
+    unless ``flag_degenerate`` sets it in the mask and fills its row with ones.
     """
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target
-    d = np.asarray(distance_list, dtype=float).reshape(-1, 1)
-    _check_rows(d[:, 0], np.asarray(angle_list, dtype=float))
-    # A placeholder distance keeps x_k/d of a row at the centre from overflowing.
-    near_centre = d[:, 0] <= _COINCIDENCE_RTOL * geometry.aperture
-    d = np.where(near_centre[:, None], 1.0, d)
+    given = np.asarray(distance_list, dtype=float).reshape(-1, 1)
+    # Rows at the centre and rows TargetState rejects are NaN, which flags them;
+    # sines come from ``math``, whose rounding the published values pin.
+    d = np.where(given > _COINCIDENCE_RTOL * geometry.aperture, given, math.nan)
+    two_sin = np.array([[2.0 * math.sin(a) if abs(a) <= math.pi / 2 else math.nan] for a in angle_list])
     ratio = geometry.element_x_positions / d
-    # Per-row sines from ``math``, whose rounding the published values pin.
-    sin_angle = np.array([math.sin(a) for a in angle_list]).reshape(-1, 1)
-    arg = 1.0 + ratio * ratio - 2.0 * ratio * sin_angle
-    # Guard tiny negatives produced by rounding before the square root.
-    distances = d * np.sqrt(np.maximum(arg, 0.0))
-    scale = np.maximum(d, geometry.aperture)
-    degenerate = near_centre | np.any(distances <= _COINCIDENCE_RTOL * scale, axis=1)
-    if degenerate.any() and not flag_degenerate:
-        raise DegenerateGeometryError()
-    distances[degenerate] = 1.0
+    distances = ratio * ratio
+    distances += 1.0
+    # ``ratio * (2 sin)`` rounds the same exact product as ``(2 ratio) * sin``.
+    distances -= np.multiply(ratio, two_sin, out=ratio)
+    with np.errstate(invalid="ignore"):
+        np.sqrt(distances, out=distances)
+        distances *= d
+        degenerate = ~(distances.min(axis=1) > _COINCIDENCE_RTOL * np.maximum(d[:, 0], geometry.aperture))
+    if degenerate.any():
+        _check_rows(given[:, 0], np.asarray(angle_list, dtype=float))
+        if not flag_degenerate:
+            raise DegenerateGeometryError()
+        distances[degenerate] = 1.0
     return distances[0] if single else (distances, degenerate)
 
 

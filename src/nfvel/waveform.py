@@ -83,6 +83,11 @@ class WaveformConfig:
             raise ValueError(f"symbol_time must be positive, got {self.symbol_time!r}")
         if not self.total_power > 0.0:
             raise ValueError(f"total_power must be positive, got {self.total_power!r}")
+        # The bounds and the link budget square these: name a square past the float range.
+        squared = {"carrier": (self.carrier, self.wavelength), "symbol_time": (self.symbol_time,)}
+        for name, values in squared.items():
+            if not all(0.0 < v * v < math.inf for v in values):
+                raise ValueError(f"{name} {getattr(self, name)!r} squares past the float range")
         # Allow a hair of rounding slack when T_sym is specified as exactly
         # the reciprocal spacing.
         if self.symbol_time * self.subcarrier_spacing < 1.0 - 1e-12:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
 from nfvel import ArrayGeometry, TargetState, WaveformConfig
 
@@ -58,3 +59,20 @@ def cartesian_los_speeds(target: TargetState, geometry: ArrayGeometry) -> list[f
         ex, ey = x_k - tx, -ty
         speeds.append((vx * ex + vy * ey) / math.hypot(ex, ey))
     return speeds
+
+
+def array_line_rows(geometry: ArrayGeometry):
+    """(distance, angle) rows on the array line within a few ulps of an element.
+
+    The radicand of the element distance there is zero or a few ulps; this is
+    where rounding would take it below zero.  The angle is end-fire or the
+    nearest angles whose sines round below 1.
+    """
+    x = geometry.element_x_positions
+    return st.tuples(
+        st.sampled_from(x[x != 0.0].tolist() or [1.0]),
+        st.integers(-4, 4),
+        st.sampled_from([0.0, 1.5e-8, 2e-8]),
+    ).map(
+        lambda t: (abs(t[0]) * (1.0 + t[1] * 2.0**-52), math.copysign(math.pi / 2 - t[2], t[0]))
+    )

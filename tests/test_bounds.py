@@ -26,8 +26,11 @@ from nfvel import (
     transverse_info_half_wavelength,
 )
 from nfvel.bounds import _CHUNK_ELEMENTS, _crlb
+from nfvel.constants import SPEED_OF_LIGHT
+from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle
+from nfvel.waveform import subcarrier_frequencies
 
-from conftest import make_waveform
+from conftest import array_line_rows, make_waveform
 
 # Frozen reference values, recomputed independently from the defining formulas
 # before being pinned here.
@@ -116,8 +119,9 @@ class TestRouteAgreement:
     def test_information_is_positive_semidefinite(self, scene, angle):
         geom, wf, snr, distance = scene
         info = fisher_info_closed_form(TargetState(distance, angle), geom, wf, snr)
-        matrix = info.as_matrix()
-        assert np.array_equal(matrix, matrix.T)
+        matrix = np.array([[info.j_rr, info.j_rt], [info.j_rt, info.j_tt]])
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        assert eigenvalues[0] >= -1e-12 * eigenvalues[1]
         assert info.j_rr >= 0.0
         assert info.j_tt >= 0.0
         cauchy = math.sqrt(info.j_rr * info.j_tt)
@@ -320,10 +324,14 @@ class TestCrlbFromFisher:
         assert result.radial == pytest.approx(1.0 / (a * a))
         assert math.isinf(result.transverse)
 
-    def test_determinant_and_matrix_helpers(self):
-        info = FisherInfo(3.0, 2.0, 1.0)
-        assert info.determinant == pytest.approx(5.0)
-        assert np.array_equal(info.as_matrix(), np.array([[3.0, 1.0], [1.0, 2.0]]))
+    def test_bounds_are_the_diagonal_of_the_matrix_inverse(self):
+        matrix = np.array([[3.0, 1.0], [1.0, 2.0]])
+        assert np.linalg.det(matrix) == pytest.approx(5.0)
+        result = crlb_from_fisher(FisherInfo(j_rr=3.0, j_tt=2.0, j_rt=1.0))
+        assert not result.singular
+        inverse = np.linalg.inv(matrix)
+        assert result.radial == pytest.approx(inverse[0, 0])
+        assert result.transverse == pytest.approx(inverse[1, 1])
 
 
 class TestFarField:
@@ -517,7 +525,65 @@ class TestCrossover:
         )
 
 
+def _reference_entries(distance, angle, geometry, config, snr):
+    """``(j_rr, j_tt, j_rt)`` of one point, one operation at a time; None if degenerate.
+
+    The element distances clamp their radicand at zero, and the entries sum
+    ``(1 + q)**2``, ``p**2`` and ``p * (1 + q)`` with
+    ``1 + q = 1.0 + (d - x*sin)/d_k``, each term its own temporary.
+    """
+    if distance <= _COINCIDENCE_RTOL * geometry.aperture:
+        return None
+    x = geometry.element_x_positions
+    sin_angle = math.sin(angle)
+    ratio = x / distance
+    d_k = distance * np.sqrt(np.maximum(1.0 + ratio * ratio - 2.0 * ratio * sin_angle, 0.0))
+    if np.any(d_k <= _COINCIDENCE_RTOL * max(distance, geometry.aperture)):
+        return None
+    m_count = config.num_symbols
+    head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * m_count
+    weights = head * snr * (m_count**2 - 1) * config.symbol_time**2
+    weight = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2))
+    one_plus_q = 1.0 + (distance - x * sin_angle) / d_k
+    p = x * _cos_angle(angle) / d_k
+    return [
+        weight * np.sum(one_plus_q**2),
+        weight * np.sum(p**2),
+        weight * np.sum(p * one_plus_q),
+    ]
+
+
 class TestBatchKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_entries_equal_a_one_operation_at_a_time_reference(self, data):
+        k = data.draw(st.sampled_from([1, 2, 5, 101, 2048, 16385]), label="K")
+        geom = ArrayGeometry(k, data.draw(st.floats(0.002, 0.08), label="spacing"))
+        wf = make_waveform(
+            carrier=data.draw(st.floats(2e9, 40e9), label="carrier"),
+            num_subcarriers=data.draw(st.integers(1, 3), label="N"),
+            num_symbols=data.draw(st.integers(2, 6), label="M"),
+        )
+        chunk_rows = max(_CHUNK_ELEMENTS // k, 1)
+        count = data.draw(st.integers(1, min(2 * chunk_rows + 1, 24)), label="P")
+        x = geom.element_x_positions
+        row = st.one_of(
+            st.tuples(st.floats(0.05, 200.0), _ANGLES),
+            array_line_rows(geom),
+            # On an element at end-fire, and at the array centre.
+            st.sampled_from(x.tolist()).map(lambda x_k: (abs(x_k) or 1e-300, math.pi / 2)),
+        )
+        rows = data.draw(st.lists(row, min_size=count, max_size=count), label="rows")
+        snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
+        distances, angles = [d for d, _ in rows], [a for _, a in rows]
+
+        batch = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
+        for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
+            expected = _reference_entries(d, angle, geom, wf, snr)
+            got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i]]
+            assert batch.degenerate[i] == (expected is None)
+            assert np.array_equal(got, [0.0, 0.0, 0.0] if expected is None else expected)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_rows_match_one_point_calls_and_numeric_route(self, data):

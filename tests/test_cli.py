@@ -230,7 +230,6 @@ class TestExitCodes:
         [
             (["fig3", "--set", "d_max=1e200"], 1),
             (["fig4", "--set", "x_max=1e80", "--set", "x_points=3", "--set", "y_points=2"], 1),
-            (["crlb", "--set", "symbol_time=1e200"], 1),
             # distance**4 underflows to 0 on every row: degenerate rows, SNR inf.
             (
                 [
@@ -262,13 +261,23 @@ class TestExitCodes:
         [
             ["crlb", "--set", "carrier=1e300"],
             ["sweep", "--var", "carrier", "--min", "1e9", "--max", "1e300", "--points", "3"],
+            ["fig1", "--set", "carrier=1e300"],
+            # The wavelength squared underflows in the link budget.
+            ["fig4", "--set", "carrier=1e300", "--set", "x_points=3", "--set", "y_points=2"],
         ],
     )
     def test_overflowing_carrier_names_carrier(self, argv, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("nfvel: invalid configuration: ") and "carrier" in err
+        assert err.startswith("nfvel: invalid configuration: carrier ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_symbol_time_names_symbol_time(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["crlb", "--set", "symbol_time=1e200", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("nfvel: invalid configuration: symbol_time ")
         assert not out.exists()
 
     @pytest.mark.parametrize("carrier", ["0", "-6 GHz"])

@@ -25,7 +25,7 @@ from nfvel import (
 from nfvel.bounds import _CHUNK_ELEMENTS, _row_chunks
 from nfvel.geometry import _COINCIDENCE_RTOL
 
-from conftest import cartesian_los_speeds, make_waveform
+from conftest import array_line_rows, cartesian_los_speeds, make_waveform
 
 # Independently computed reference values.
 APERTURE_101_HALFWAVE_28GHZ = 0.535343675
@@ -285,11 +285,11 @@ def _one_target_distances(distance, angle, geometry):
 @st.composite
 def _block_rows(draw):
     """A geometry and (distance, angle) rows: regular, end-fire, on an element or at the centre."""
-    k = draw(st.sampled_from([1, 2, 101, 2048]), label="K")
+    k = draw(st.sampled_from([1, 2, 101, 2048, 16385]), label="K")
     geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing"))
     # Up to two bound-kernel chunks and one row, so that batches at K=2048
-    # (eight rows a chunk) cross chunk boundaries.
-    count = draw(st.integers(1, min(2 * (_CHUNK_ELEMENTS // k) + 1, 40)), label="P")
+    # (eight rows a chunk) and K=16385 (one row a chunk) cross chunk boundaries.
+    count = draw(st.integers(1, min(2 * max(_CHUNK_ELEMENTS // k, 1) + 1, 40)), label="P")
     x = geometry.element_x_positions
     row = st.one_of(
         st.tuples(st.floats(1e-3, 500.0), st.floats(-math.pi / 2, math.pi / 2)),
@@ -300,6 +300,7 @@ def _block_rows(draw):
         ),
         # Within 1e-12 aperture of the centre.
         st.sampled_from([1e-300, 1e-14 * geometry.aperture or 1e-300]).map(lambda d: (d, 0.3)),
+        array_line_rows(geometry),
     )
     rows = draw(st.lists(row, min_size=count, max_size=count), label="rows")
     return geometry, [d for d, _ in rows], [a for _, a in rows]
