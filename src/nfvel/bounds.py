@@ -241,6 +241,7 @@ def closed_form_bounds(
             np.multiply(terms[1], terms[0], out=terms[2])
             terms[:2] *= terms[:2]
             entries[:, rows] = weight_total[rows] * terms.sum(axis=2)
+            del terms  # before the next chunk's distances: one chunk's terms at a time
     entries[:, degenerate] = 0.0
     bounds = (column.tolist() for column in _crlb(*entries))
     return BoundRows(*entries.tolist(), *bounds, degenerate.tolist())

@@ -189,14 +189,13 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target
     given = np.asarray(distance_list, dtype=float).reshape(-1, 1)
-    # Rows at the centre and rows TargetState rejects are NaN, which flags them;
-    # sines come from ``math``, whose rounding the published values pin.
+    # Rows at the centre and rows TargetState rejects are NaN, which flags them.  Sines
+    # come from ``math``, as published values pin; ratio * (2 sin) rounds as (2 ratio) * sin.
     d = np.where(given > _COINCIDENCE_RTOL * geometry.aperture, given, math.nan)
     two_sin = np.array([[2.0 * math.sin(a) if abs(a) <= math.pi / 2 else math.nan] for a in angle_list])
     ratio = geometry.element_x_positions / d
     distances = ratio * ratio
     distances += 1.0
-    # ``ratio * (2 sin)`` rounds the same exact product as ``(2 ratio) * sin``.
     distances -= np.multiply(ratio, two_sin, out=ratio)
     with np.errstate(invalid="ignore"):
         np.sqrt(distances, out=distances)
