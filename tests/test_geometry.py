@@ -284,7 +284,7 @@ def _one_target_distances(distance, angle, geometry):
 
 @st.composite
 def _block_rows(draw):
-    """A geometry and (distance, angle) rows: regular, end-fire, on an element or at the centre."""
+    """A geometry and (distance, angle) rows: regular, end-fire, on or next to an element, at the centre."""
     k = draw(st.sampled_from([1, 2, 101, 2048, 16385]), label="K")
     geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing"))
     # Up to two bound-kernel chunks and one row, so that batches at K=2048
