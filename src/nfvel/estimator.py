@@ -160,15 +160,19 @@ class MatchedFilter:
         scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
         sens = scale * m_grid[:, None, None] * freqs[None, :, None]
         # Rows: the phase per unit radial and per unit transverse velocity.
-        self._phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
-        self._phase_t = self._phase.T.astype(complex)
+        phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+        self._psi = psi = (scale * freqs[:, None] * np.stack([1.0 + q, p])[:, None, :]).reshape(2, -1)
+        self._starts = (-1j * np.array([m_grid[0], 1.0]))[: config.num_symbols, None]
+        self._factor_rows = np.minimum(np.arange(config.num_symbols), 1)
+        self._powers = np.array([m_grid, m_grid**2])
+        self._weights = np.stack([*psi, *psi[[0, 0, 1]] * psi[[0, 1, 1]]], 1).astype(complex)
 
         self._radial_grid = np.linspace(*search.radial_span, search.grid_points)
         self._transverse_grid = np.linspace(*search.transverse_span, search.grid_points)
         self._cell = [float(grid[1] - grid[0]) for grid in (self._radial_grid, self._transverse_grid)]
         self._lower, self._upper = np.array([search.radial_span, search.transverse_span], float).T.tolist()
-        self._radial_table = np.exp(-1j * np.outer(self._radial_grid, self._phase[0]))
-        self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, self._phase[1]))
+        self._radial_table = np.exp(-1j * np.outer(self._radial_grid, phase[0]))
+        self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, phase[1]))
 
     @staticmethod
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
@@ -225,28 +229,37 @@ class MatchedFilter:
         # An axis whose coarse cell is already below the tolerance is not refined.
         free = [ok and cell >= self.search.tolerance for ok, cell in zip(identifiable, self._cell)]
         if any(free):
-            velocity = self._newton(data, velocity, free)
+            velocity = self._newton(data.reshape(len(self._powers[0]), -1), velocity, free)
         radial, transverse = (v if ok else math.nan for v, ok in zip(velocity, identifiable))
         return VelocityEstimate(radial, transverse, *identifiable)
 
-    def _newton(self, data: np.ndarray, velocity: list[float], free: list[bool]) -> list[float]:
-        """Joint Newton ascent of ``|S|^2``, ``S = sum(data * exp(-i * velocity @ phase))``."""
+    def _newton(self, rows: np.ndarray, velocity: list[float], free: list[bool]) -> list[float]:
+        """Joint Newton ascent of ``|S|^2`` from ``velocity``, on :meth:`_derivatives` of ``rows``."""
         for _ in range(_MAX_NEWTON_STEPS):
-            e = data * np.exp(-1j * (np.array(velocity) @ self._phase))
-            s_conj = complex(e.sum()).conjugate()
-            weighted = self._phase * e
-            first = weighted.sum(axis=1).tolist()
-            second = (weighted @ self._phase_t).tolist()
-            grad = [2.0 * (s_conj * f).imag for f in first]
-            hess = [
-                [2.0 * (f_i.conjugate() * f_j - s_conj * w).real for f_j, w in zip(first, row)]
-                for f_i, row in zip(first, second)
-            ]
-            moved = self._step(velocity, grad, hess, free)
+            moved = self._step(velocity, *self._derivatives(rows, velocity)[1:], free)
             if all(abs(m - v) < self.search.tolerance for m, v in zip(moved, velocity)):
                 return moved
             velocity = moved
         return velocity
+
+    def _derivatives(self, rows: np.ndarray, velocity: list[float]) -> tuple[complex, list, list]:
+        """``S = sum(rows * exp(-i * m * theta))``, ``theta = velocity @ psi``, and ``|S|^2``'s derivatives.
+
+        ``psi`` is the phase per unit velocity at ``m = 1``.  In ``E = rows * factor``, (M, N*K), the factor
+        is ``exp(-i * m_0 * theta)`` times powers of ``exp(-i * theta)``: two ``exp`` over N*K values and a
+        cumulative product, rounding differently from a direct ``exp``.  Phase sums: ``(m**p @ E) @ w``.
+        """
+        e = np.exp(self._starts * (np.array(velocity) @ self._psi))[self._factor_rows]
+        np.cumprod(e, axis=0, out=e)
+        e *= rows
+        s = complex(e.sum())
+        sums = (self._powers @ e.view(float)).view(complex) @ self._weights
+        (*first, _, _, _), (_, _, w_rr, w_rt, w_tt) = sums.tolist()
+        s_conj = s.conjugate()
+        grad = [2.0 * (s_conj * f).imag for f in first]
+        hess = [[2.0 * (f_i.conjugate() * f_j - s_conj * w).real for f_j, w in zip(first, row)]
+                for f_i, row in zip(first, ((w_rr, w_rt), (w_rt, w_tt)))]
+        return s, grad, hess
 
     def _step(self, velocity: list[float], grad: list, hess: list, free: list[bool]) -> list[float]:
         """One ascent step from ``velocity``, by at most a cell per axis and inside the spans.

@@ -261,7 +261,9 @@ def add_noise(
 def _unit_noise(shape: tuple[int, ...], rng: int | np.random.Generator) -> np.ndarray:
     """The draw :func:`add_noise` scales: unit-variance real and imaginary parts."""
     gen = np.random.default_rng(rng)
-    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    noise = np.empty(shape, complex)
+    noise.real, noise.imag = gen.standard_normal(shape), gen.standard_normal(shape)
+    return noise
 
 
 def _float_power(value, exponent: int):

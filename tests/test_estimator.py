@@ -15,6 +15,7 @@ from nfvel import (
     MatchedFilter,
     MlSearchConfig,
     ObservationCube,
+    SPEED_OF_LIGHT,
     Scenario,
     TargetState,
     WaveformConfig,
@@ -24,10 +25,15 @@ from nfvel import (
     ml_estimate,
     monte_carlo_mse,
     monte_carlo_reports,
+    radial_projection_coeffs,
+    subcarrier_frequencies,
+    symmetric_index_grid,
     synthesize_noise_free,
+    transverse_projection_coeffs,
 )
 
 from nfvel import waveform
+from nfvel.experiments import ScenarioConfig
 
 from conftest import make_waveform
 
@@ -461,3 +467,111 @@ class TestNewtonStep:
         assert moved[held] == velocity[held]
         cell = self.cell[moving]
         assert moved[moving] == min(max(-g / h, -cell), cell)
+
+
+def _full_phase_derivatives(geometry, config, position, rows, velocity):
+    """``S``, gradient and Hessian from the full phase: one ``exp`` per cube sample.
+
+    This is the refinement's derivative pass before the separable form, kept
+    as the oracle for :meth:`MatchedFilter._derivatives`.  The last item
+    bounds each result's terms in size: ``S`` by ``a_0 = sum(|E|)``, the first
+    and second phase sums by ``a_1 = max_a sum(|phase_a * E|)`` and
+    ``a_2 = max_a sum(phase_a**2 * |E|)``, so the gradient by ``2 a_0 a_1``
+    and the Hessian by ``2 max(a_1**2, a_0 a_2)``.
+    """
+    freqs = subcarrier_frequencies(config)
+    q = radial_projection_coeffs(position, geometry)
+    p = transverse_projection_coeffs(position, geometry)
+    m_grid = symmetric_index_grid(config.num_symbols)
+    scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
+    sens = scale * m_grid[:, None, None] * freqs[None, :, None]
+    phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+    e = rows.ravel() * np.exp(-1j * (np.array(velocity) @ phase))
+    s = complex(e.sum())
+    weighted = phase * e
+    first = weighted.sum(axis=1)
+    second = weighted @ phase.T.astype(complex)
+    grad = 2.0 * (s.conjugate() * first).imag
+    hess = 2.0 * (np.outer(first.conj(), first) - s.conjugate() * second).real
+    size = np.abs(e)
+    a_0, a_1, a_2 = size.sum(), (np.abs(phase) @ size).max(), (phase**2 @ size).max()
+    return s, grad, hess, (a_0, 2.0 * a_0 * a_1, 2.0 * max(a_1**2, a_0 * a_2))
+
+
+def _scene_filter(config: ScenarioConfig):
+    """The default Monte Carlo search (0.2 and 2 m/s windows) on ``config``'s scene."""
+    geom, wf, target = config.geometry(), config.waveform(), config.target()
+    search = _search(
+        radial=(target.radial_velocity - 0.1, target.radial_velocity + 0.1),
+        transverse=(target.transverse_velocity - 1.0, target.transverse_velocity + 1.0),
+        tolerance=1e-5,
+    )
+    return geom, wf, target, MatchedFilter(geom, wf, target.distance, target.angle, search)
+
+
+class TestDerivatives:
+    """``MatchedFilter._derivatives``: the separable phase against the full one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_symbols=st.sampled_from([1, 2, 3, 14, 15, 64]),
+        num_subcarriers=st.integers(1, 3),
+        angle=st.one_of(
+            st.just(math.pi / 2),  # end-fire
+            st.floats(-1.4, -0.1),
+            st.floats(0.1, 1.4),
+        ),
+        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_separable_form_matches_the_full_phase(
+        self, num_symbols, num_subcarriers, angle, where, seed
+    ):
+        config = ScenarioConfig(
+            num_symbols=num_symbols, num_subcarriers=num_subcarriers, angle=angle
+        )
+        geom, wf, target, finder = _scene_filter(config)
+        cube = add_noise(_clean_cube(target, geom, wf, snr=1.0), seed)
+        rows = finder._compensate(cube.samples).reshape(num_symbols, -1)
+        spans = (finder.search.radial_span, finder.search.transverse_span)
+        velocity = [low + u * (high - low) for u, (low, high) in zip(where, spans)]
+        got = finder._derivatives(rows, velocity)
+        *expected, terms = _full_phase_derivatives(geom, wf, target, rows, velocity)
+        # Each result is held to the size of its terms, not to its largest
+        # entry: both routes round a phase of up to |m| * theta ~ 2e3 rad to
+        # ~2e-13 rad, and the sums cancel to 1 % of their terms or less away
+        # from the peak, as the two Hessian terms do near it.
+        for name, new, old, term in zip(("S", "gradient", "Hessian"), got, expected, terms):
+            new, old = np.asarray(new), np.asarray(old)
+            assert new.shape == old.shape
+            assert np.abs(new - old).max() <= 1e-12 * term, name
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            dict(distance=10.0, angle=0.0),
+            dict(distance=0.05, angle=0.0),
+            dict(distance=0.3, angle=math.radians(60.0)),
+            dict(num_elements=64, distance=2.0),
+            dict(distance=10.0, angle=math.radians(80.0)),
+            # The off-boresight golden case.
+            dict(num_symbols=15, num_subcarriers=2, num_elements=31, angle=math.radians(40.0)),
+        ],
+        ids=["10m-0deg", "5cm-0deg", "30cm-60deg", "K64-2m", "10m-80deg", "golden-offboresight"],
+    )
+    def test_hessian_at_the_truth_is_minus_x_sigma2_times_the_fisher(self, scene):
+        # On the clean compensated cube every E sample is the amplitude A at the
+        # truth, and sum(phase) = 0 over the symmetric symbol grid, so the Hessian
+        # of |S|^2 is -2 A^2 X sum(phase_a * phase_b) = -X * sigma^2 * J.
+        geom, wf, target, finder = _scene_filter(ScenarioConfig(**scene))
+        noise = ChannelNoise.from_snr(wf, 1.0)
+        clean = synthesize_noise_free(target, geom, wf, noise).samples
+        rows = finder._compensate(clean).reshape(wf.num_symbols, -1)
+        truth = [target.radial_velocity, target.transverse_velocity]
+        _, _, hess = finder._derivatives(rows, truth)
+        info = fisher_info_closed_form(target, geom, wf, noise.snr(wf))
+        expected = -rows.size * noise.noise_variance * np.array(
+            [[info.j_rr, info.j_rt], [info.j_rt, info.j_tt]]
+        )
+        error = np.abs(np.array(hess) - expected).max()
+        assert error <= 1e-14 * np.abs(np.diag(expected)).max()

@@ -20,6 +20,7 @@ from nfvel import (
     subcarrier_frequencies,
     symmetric_index_grid,
     synthesize_noise_free,
+    waveform,
 )
 from conftest import cartesian_los_speeds, make_waveform
 
@@ -214,6 +215,17 @@ class TestNoise:
             measured = float(np.mean(np.abs(drawn) ** 2))
             assert measured == pytest.approx(variance, rel=0.05)
             assert abs(np.mean(drawn)) < 5 * math.sqrt(variance / drawn.size)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (14, 1, 101), (3, 2, 5)])
+    def test_unit_noise_is_the_bits_of_the_two_draws_summed(self, shape):
+        # The draws go into one complex array through .real and .imag; the
+        # bytes are those of the real draw plus 1j times the second draw.
+        for seed in range(4):
+            old = np.random.default_rng(seed)
+            expected = old.standard_normal(shape) + 1j * old.standard_normal(shape)
+            drawn = waveform._unit_noise(shape, seed)
+            assert drawn.dtype == expected.dtype and drawn.shape == shape
+            assert drawn.tobytes() == expected.tobytes()
 
     def test_from_snr_round_trip(self):
         wf = make_waveform(total_power=0.5, num_subcarriers=5)
