@@ -98,12 +98,11 @@ class VelocityEstimate:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything a Monte Carlo run needs: truth, hardware, noise and search."""
+    """Everything a Monte Carlo run needs but the noise level: truth, hardware and search."""
 
     target: TargetState
     geometry: ArrayGeometry
     waveform: WaveformConfig
-    noise: ChannelNoise
     search: MlSearchConfig
 
 
@@ -302,77 +301,57 @@ def ml_estimate(
     return MatchedFilter(cube.geometry, cube.config, distance, angle, search).estimate(cube.samples)
 
 
-def monte_carlo_mse(scenario: Scenario, trials: int, seed: int) -> MonteCarloReport:
-    """Empirical estimation MSE over independent noise draws, next to the bounds.
+def monte_carlo_mse(scenario: Scenario, snr: float, trials: int, seed: int) -> MonteCarloReport:
+    """Empirical estimation MSE at one linear SNR over independent noise draws, next to the bounds.
 
     Trial ``t`` draws its noise from a generator seeded by ``(seed, t)``, so
     any single trial can be reproduced in isolation and the full report is
     deterministic for a given seed.  This is the one report of
-    :func:`monte_carlo_reports` for ``[scenario]``.
+    :func:`monte_carlo_reports` for ``[snr]``.
     """
-    return monte_carlo_reports([scenario], trials, seed)[0]
+    return monte_carlo_reports(scenario, [snr], trials, seed)[0]
 
 
 def monte_carlo_reports(
-    scenarios: Sequence[Scenario], trials: int, seed: int
+    scenario: Scenario, snrs: Sequence[float], trials: int, seed: int
 ) -> list[MonteCarloReport]:
-    """One :func:`monte_carlo_mse` report per scenario, all from the same noise draws.
+    """One :func:`monte_carlo_mse` report per linear SNR, all from the same noise draws.
 
-    The scenarios may differ only in ``noise.noise_variance``; any other
-    difference raises ``ValueError`` naming the field.  Trial ``t`` draws one
-    unit noise cube ``u`` from a generator seeded by ``(seed, t)``, and each
-    scenario estimates from ``clean + sigma * u``: the cube :func:`add_noise`
-    returns for that generator.  Each report therefore equals the
-    one-scenario call, and the reports are correlated with one another.  The
-    coarse matched-filter statistic is linear in the samples, so it is
+    Each SNR's channel is ``ChannelNoise.from_snr(scenario.waveform, snr)``.
+    Trial ``t`` draws one unit noise cube ``u`` from a generator seeded by
+    ``(seed, t)``, and each SNR estimates from ``clean + sigma * u``: the cube
+    :func:`add_noise` returns for that generator.  Each report therefore
+    equals the one-SNR call, and the reports are correlated with one another.
+    The coarse matched-filter statistic is linear in the samples, so it is
     formed once for the clean cube and once per trial for ``u``.  One
-    :class:`MatchedFilter` serves every scenario and trial.
+    :class:`MatchedFilter` serves every SNR and trial.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    if not scenarios:
+    if not snrs:
         return []
-
-    def _shared(scenario: Scenario) -> dict:
-        return {
-            "target": scenario.target,
-            "geometry": scenario.geometry,
-            "waveform": scenario.waveform,
-            "search": scenario.search,
-            "noise.gain": scenario.noise.gain,
-        }
-
-    first = scenarios[0]
-    expected = _shared(first)
-    for scenario in scenarios[1:]:
-        for name, value in _shared(scenario).items():
-            if value != expected[name]:
-                raise ValueError(
-                    f"scenarios must differ only in noise_variance; {name} differs: "
-                    f"{value!r} != {expected[name]!r}"
-                )
-    target, geometry, config, search = first.target, first.geometry, first.waveform, first.search
+    target, search = scenario.target, scenario.search
+    geometry, config = scenario.geometry, scenario.waveform
     if not (search.radial_span[0] <= target.radial_velocity <= search.radial_span[1]):
         raise ValueError("radial search span does not contain the true velocity")
     if not (search.transverse_span[0] <= target.transverse_velocity <= search.transverse_span[1]):
         raise ValueError("transverse search span does not contain the true velocity")
 
-    clean = synthesize_noise_free(target, geometry, config, first.noise).samples
+    noises = [ChannelNoise.from_snr(config, snr) for snr in snrs]
+    clean = synthesize_noise_free(target, geometry, config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
-    sigmas = [math.sqrt(scenario.noise.noise_variance / 2.0) for scenario in scenarios]
+    sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
     crlbs = [
-        crlb_from_fisher(
-            fisher_info_closed_form(target, geometry, config, scenario.noise.snr(config))
-        )
-        for scenario in scenarios
+        crlb_from_fisher(fisher_info_closed_form(target, geometry, config, noise.snr(config)))
+        for noise in noises
     ]
 
-    # Squared error per scenario, axis (radial, transverse) and trial; NaN
-    # where the axis was not identified.
-    sq_err = np.empty((len(scenarios), 2, trials))
+    # Squared error per SNR, axis (radial, transverse) and trial; NaN where
+    # the axis was not identified.
+    sq_err = np.empty((len(noises), 2, trials))
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         unit = _unit_noise(clean.shape, rng)

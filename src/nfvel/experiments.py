@@ -27,7 +27,7 @@ from .bounds import (
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, MonteCarloReport, Scenario, monte_carlo_reports
 from .geometry import ArrayGeometry, TargetState
-from .waveform import ChannelNoise, WaveformConfig, snr_from_link_budget
+from .waveform import WaveformConfig, snr_from_link_budget
 
 __all__ = [
     "CsvTable",
@@ -509,29 +509,29 @@ def run_montecarlo(
     geometry = config.geometry()
     wf = config.waveform()
     target = config.target()
-    half_r = vr_window / 2.0
-    half_t = vt_window / 2.0
-    search = MlSearchConfig(
-        radial_span=(target.radial_velocity - half_r, target.radial_velocity + half_r),
-        transverse_span=(
-            target.transverse_velocity - half_t,
-            target.transverse_velocity + half_t,
-        ),
-        grid_points=grid_points,
-        tolerance=refine_tolerance,
-    )
+    spans = []
+    for key, window, truth in (
+        ("vr_window", vr_window, target.radial_velocity),
+        ("vt_window", vt_window, target.transverse_velocity),
+    ):
+        # The trials square their errors, and a span that rounds to one point has no grid.
+        span = (truth - window / 2.0, truth + window / 2.0)
+        if not window * window < math.inf:
+            raise ValueError(f"{key} {window!r} squares past the float range")
+        if not span[1] > span[0]:
+            raise ValueError(f"{key} {window!r} rounds to an empty span around {truth!r} m/s")
+        spans.append(span)
+    search = MlSearchConfig(*spans, grid_points=grid_points, tolerance=refine_tolerance)
 
-    scenarios = [
-        Scenario(
-            target=target,
-            geometry=geometry,
-            waveform=wf,
-            noise=ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0)),
-            search=search,
-        )
-        for snr_db in snr_list
-    ]
-    reports = monte_carlo_reports(scenarios, trials, seed)
+    snrs = []
+    for snr_db in snr_list:
+        try:
+            snrs.append(10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            snrs.append(math.inf)
+        if not 0.0 < snrs[-1] < math.inf:
+            raise ValueError(f"snr_list entry {snr_db!r} dB is outside the float range as a linear SNR")
+    reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 
     def _row(snr_db: float, report: MonteCarloReport) -> tuple:
         # An axis that no trial identified (end-fire transverse) has no MSE and no ratio.

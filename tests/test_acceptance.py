@@ -14,7 +14,6 @@ import pytest
 
 from nfvel import (
     ArrayGeometry,
-    ChannelNoise,
     MlSearchConfig,
     Scenario,
     TargetState,
@@ -200,7 +199,6 @@ def test_criterion_8_monte_carlo_tightness(capsys):
         target=target,
         geometry=geom,
         waveform=wf,
-        noise=ChannelNoise.from_snr(wf, snr),
         search=MlSearchConfig(
             radial_span=(target.radial_velocity - 0.1, target.radial_velocity + 0.1),
             transverse_span=(
@@ -211,7 +209,7 @@ def test_criterion_8_monte_carlo_tightness(capsys):
         ),
     )
     started = time.perf_counter()
-    report = monte_carlo_mse(scenario, trials=1000, seed=0)
+    report = monte_carlo_mse(scenario, snr, trials=1000, seed=0)
     elapsed = time.perf_counter() - started
     ok = (
         0.8 <= report.ratio_radial <= 1.5

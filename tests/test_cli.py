@@ -330,6 +330,25 @@ class TestExitCodes:
         assert f"{key} must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            # Half of 1e-16 vanishes next to the default radial velocity of 3 m/s.
+            ("vr_window", "1e-16", "rounds to an empty span around 3.0 m/s"),
+            ("vt_window", "1e-300", "rounds to an empty span around"),
+            # The trials square each transverse error.
+            ("vt_window", "1e300", "squares past the float range"),
+        ],
+    )
+    def test_unusable_search_window_names_its_key(self, key, value, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["montecarlo", "--trials", "100", "--set", f"{key}={value}", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"nfvel: invalid configuration: {key} {float(value)!r} {message}")
+        assert not out.exists()
+
     def test_crlb_seed_flag_is_an_error(self, capsys):
         assert main(["crlb", "--seed", "5"]) == 1
         assert "crlb does not take the key 'seed'" in capsys.readouterr().err
@@ -409,12 +428,22 @@ class TestExitCodes:
             assert f"{key}: expected a finite number, got '1e400'" in err
 
     @pytest.mark.parametrize(
-        "setting", ["snr=4000 dB", "noise_figure=4000dB", "tx_power=5000 dBm", "snr_list=0,nan"]
+        ("setting", "message"),
+        [
+            ("snr=4000 dB", "snr: expected a finite number"),
+            ("noise_figure=4000dB", "noise_figure: expected a finite number"),
+            ("tx_power=5000 dBm", "tx_power: expected a finite number"),
+            ("snr_list=0,nan", "snr_list: expected a finite number"),
+            # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
+            ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
+            ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
+        ],
     )
-    def test_overflowing_or_nan_value_names_its_key(self, setting, capsys):
-        assert main(["montecarlo", "--set", setting]) == 1
-        key = setting.split("=")[0]
-        assert f"{key}: expected a finite number" in capsys.readouterr().err
+    def test_overflowing_or_nan_value_names_its_key(self, setting, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["montecarlo", "--trials", "100", "--set", setting, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"nfvel: invalid configuration: {message}")
+        assert not out.exists()
 
     def test_coarse_grid_names_grid_points(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -180,7 +180,10 @@ class TestNoiseFree:
         assert est.radial == pytest.approx(3.0, abs=1e-3)
 
 
-def _mc_scenario(angle=0.0, snr=50.0, transverse_truth=-3.0):
+_MC_SNR = 50.0
+
+
+def _mc_scenario(angle=0.0, transverse_truth=-3.0):
     geom = ArrayGeometry(num_elements=9, spacing=0.02)
     wf = make_waveform(carrier=6e9, num_symbols=8, symbol_time=2e-4)
     target = TargetState(
@@ -193,7 +196,6 @@ def _mc_scenario(angle=0.0, snr=50.0, transverse_truth=-3.0):
         target=target,
         geometry=geom,
         waveform=wf,
-        noise=ChannelNoise.from_snr(wf, snr),
         search=_search(radial=(-5.0, 5.0), transverse=(-8.0, 8.0)),
     )
 
@@ -201,22 +203,21 @@ def _mc_scenario(angle=0.0, snr=50.0, transverse_truth=-3.0):
 class TestMonteCarlo:
     def test_same_seed_reproduces_report(self):
         scenario = _mc_scenario()
-        a = monte_carlo_mse(scenario, trials=100, seed=42)
-        b = monte_carlo_mse(scenario, trials=100, seed=42)
+        a = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=42)
+        b = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=42)
         assert a == b
 
     def test_different_seeds_differ(self):
         scenario = _mc_scenario()
-        a = monte_carlo_mse(scenario, trials=100, seed=1)
-        b = monte_carlo_mse(scenario, trials=100, seed=2)
+        a = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=1)
+        b = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=2)
         assert a.mse_radial != b.mse_radial
 
     def test_report_carries_matching_bound(self):
         scenario = _mc_scenario()
-        report = monte_carlo_mse(scenario, trials=100, seed=5)
-        snr = scenario.noise.snr(scenario.waveform)
+        report = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=5)
         expected = crlb_from_fisher(
-            fisher_info_closed_form(scenario.target, scenario.geometry, scenario.waveform, snr)
+            fisher_info_closed_form(scenario.target, scenario.geometry, scenario.waveform, _MC_SNR)
         )
         assert report.crlb_radial == pytest.approx(expected.radial, rel=1e-12)
         assert report.crlb_transverse == pytest.approx(expected.transverse, rel=1e-12)
@@ -225,27 +226,22 @@ class TestMonteCarlo:
         assert report.seed == 5
 
     def test_rejects_truth_outside_span(self):
-        scenario = _mc_scenario()
-        bad = Scenario(
-            target=scenario.target,
-            geometry=scenario.geometry,
-            waveform=scenario.waveform,
-            noise=scenario.noise,
-            search=_search(radial=(3.0, 5.0), transverse=(-8.0, 8.0)),
+        bad = dataclasses.replace(
+            _mc_scenario(), search=_search(radial=(3.0, 5.0), transverse=(-8.0, 8.0))
         )
         with pytest.raises(ValueError):
-            monte_carlo_mse(bad, trials=100, seed=0)
+            monte_carlo_mse(bad, _MC_SNR, trials=100, seed=0)
 
     def test_rejects_thin_trial_count_and_bad_seed(self):
         scenario = _mc_scenario()
         with pytest.raises(ValueError):
-            monte_carlo_mse(scenario, trials=99, seed=0)
+            monte_carlo_mse(scenario, _MC_SNR, trials=99, seed=0)
         with pytest.raises(ValueError):
-            monte_carlo_mse(scenario, trials=100, seed=-1)
+            monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=-1)
 
     def test_end_fire_marks_every_trial_degenerate(self):
-        scenario = _mc_scenario(angle=math.pi / 2, snr=1e4, transverse_truth=0.0)
-        report = monte_carlo_mse(scenario, trials=100, seed=9)
+        scenario = _mc_scenario(angle=math.pi / 2, transverse_truth=0.0)
+        report = monte_carlo_mse(scenario, 1e4, trials=100, seed=9)
         assert report.degenerate_trials == 100
         assert math.isnan(report.mse_transverse)
         assert math.isnan(report.ratio_transverse)
@@ -325,8 +321,7 @@ class TestMatchedFilter:
         assert search == same and hash(search) == hash(same)
 
 
-def _shared_scenarios(
-    snrs_db,
+def _shared_scenario(
     angle=0.4,
     transverse=-3.0,
     num_elements=9,
@@ -334,17 +329,18 @@ def _shared_scenarios(
     num_subcarriers=1,
     transverse_span=(-8.0, 8.0),
 ):
-    """One scenario per SNR, identical in everything but the noise variance."""
+    """The scenario the shared-noise tests run at several SNRs."""
     geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
     wf = make_waveform(
         carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
     )
     target = TargetState(0.8, angle, radial_velocity=2.0, transverse_velocity=transverse)
     search = _search(radial=(-1.0, 5.0), transverse=transverse_span, tolerance=1e-6)
-    return [
-        Scenario(target, geom, wf, ChannelNoise.from_snr(wf, 10.0 ** (snr_db / 10.0)), search)
-        for snr_db in snrs_db
-    ]
+    return Scenario(target, geom, wf, search)
+
+
+def _linear(snrs_db):
+    return [10.0 ** (snr_db / 10.0) for snr_db in snrs_db]
 
 
 _SHARED_SCENES = {
@@ -359,22 +355,20 @@ _SHARED_SCENES = {
 class TestSharedNoise:
     @pytest.mark.parametrize("scene", sorted(_SHARED_SCENES))
     def test_shared_grid_estimates_equal_estimate_on_the_noisy_cube(self, scene):
-        scenarios = _shared_scenarios(range(-30, 21, 10), **_SHARED_SCENES[scene])
-        first = scenarios[0]
-        target = first.target
-        finder = MatchedFilter(
-            first.geometry, first.waveform, target.distance, target.angle, first.search
-        )
-        clean = synthesize_noise_free(target, first.geometry, first.waveform, first.noise)
+        scenario = _shared_scenario(**_SHARED_SCENES[scene])
+        target, geom, wf = scenario.target, scenario.geometry, scenario.waveform
+        noises = [ChannelNoise.from_snr(wf, snr) for snr in _linear(range(-30, 21, 10))]
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
+        clean = synthesize_noise_free(target, geom, wf, noises[0])
         clean_statistic = finder._statistic(finder._compensate(clean.samples))
-        sigmas = [math.sqrt(s.noise.noise_variance / 2.0) for s in scenarios]
+        sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
         flags = set()
         for trial in range(30):
             seeds = np.random.SeedSequence([11, trial])
             unit = waveform._unit_noise(clean.samples.shape, np.random.default_rng(seeds))
             shared = finder._estimates_sharing_noise(clean.samples, clean_statistic, unit, sigmas)
-            for scenario, est in zip(scenarios, shared):
-                cube = synthesize_noise_free(target, first.geometry, first.waveform, scenario.noise)
+            for noise, est in zip(noises, shared):
+                cube = synthesize_noise_free(target, geom, wf, noise)
                 noisy = add_noise(cube, np.random.SeedSequence([11, trial]))
                 direct = finder.estimate(noisy.samples)
                 # assert_equal treats NaN (an unidentifiable axis) as equal to NaN.
@@ -384,31 +378,22 @@ class TestSharedNoise:
 
     @pytest.mark.parametrize("scene", ["end-fire", "odd M and K"])
     def test_reports_equal_one_scenario_calls(self, scene):
-        scenarios = _shared_scenarios((-20.0, 0.0, 20.0), **_SHARED_SCENES[scene])
-        reports = monte_carlo_reports(scenarios, trials=100, seed=4)
-        assert len(reports) == len(scenarios)
-        for scenario, report in zip(scenarios, reports):
-            alone = monte_carlo_mse(scenario, trials=100, seed=4)
+        scenario = _shared_scenario(**_SHARED_SCENES[scene])
+        snrs = _linear((-20.0, 0.0, 20.0))
+        reports = monte_carlo_reports(scenario, snrs, trials=100, seed=4)
+        assert len(reports) == len(snrs)
+        for snr, report in zip(snrs, reports):
+            alone = monte_carlo_mse(scenario, snr, trials=100, seed=4)
             np.testing.assert_equal(astuple(report), astuple(alone))
 
-    @pytest.mark.parametrize(
-        ("field", "change"),
-        [
-            ("target", dict(target=TargetState(0.8, 0.4, radial_velocity=2.5))),
-            ("geometry", dict(geometry=ArrayGeometry(num_elements=11, spacing=0.02))),
-            ("waveform", dict(waveform=make_waveform(carrier=6e9, symbol_time=3e-4))),
-            ("search", dict(search=_search(radial=(-1.0, 5.0), transverse=(-8.0, 8.0)))),
-            ("noise.gain", dict(noise=ChannelNoise(gain=2.0, noise_variance=1.0))),
-        ],
-    )
-    def test_scenarios_differing_beyond_noise_variance_name_the_field(self, field, change):
-        first, second = _shared_scenarios((0.0, 10.0))
-        mixed = dataclasses.replace(second, **change)
-        with pytest.raises(ValueError, match=rf"{field} differs"):
-            monte_carlo_reports([first, mixed], trials=100, seed=0)
-
     def test_no_scenarios_give_no_reports(self):
-        assert monte_carlo_reports([], trials=100, seed=0) == []
+        # An empty SNR list still has its trials and seed checked.
+        scenario = _shared_scenario()
+        assert monte_carlo_reports(scenario, [], trials=100, seed=0) == []
+        with pytest.raises(ValueError, match="trials must be >= 100"):
+            monte_carlo_reports(scenario, [], trials=99, seed=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            monte_carlo_reports(scenario, [], trials=100, seed=-1)
 
 
 class TestNewtonStep:
