@@ -76,6 +76,18 @@ def _float_keys():
 
 FLOAT_KEYS = _float_keys()
 
+# A montecarlo setting whose value is non-finite or leaves the float range once converted
+# from dB, and the start of the error that names it. Each case is named by its setting.
+OUT_OF_RANGE_SETTINGS = [
+    ("snr=4000 dB", "snr: expected a finite number"),
+    ("noise_figure=4000dB", "noise_figure: expected a finite number"),
+    ("tx_power=5000 dBm", "tx_power: expected a finite number"),
+    ("snr_list=0,nan", "snr_list: expected a finite number"),
+    # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
+    ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
+    ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
+]
+
 
 def _taken_keys(command):
     """Experiment keys that are parameters of the subcommand's runner."""
@@ -428,16 +440,7 @@ class TestExitCodes:
             assert f"{key}: expected a finite number, got '1e400'" in err
 
     @pytest.mark.parametrize(
-        ("setting", "message"),
-        [
-            ("snr=4000 dB", "snr: expected a finite number"),
-            ("noise_figure=4000dB", "noise_figure: expected a finite number"),
-            ("tx_power=5000 dBm", "tx_power: expected a finite number"),
-            ("snr_list=0,nan", "snr_list: expected a finite number"),
-            # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
-            ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
-            ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
-        ],
+        ("setting", "message"), OUT_OF_RANGE_SETTINGS, ids=[s for s, _ in OUT_OF_RANGE_SETTINGS]
     )
     def test_overflowing_or_nan_value_names_its_key(self, setting, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
