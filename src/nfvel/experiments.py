@@ -1,21 +1,23 @@
-"""Reference sweeps over the bounds plus deterministic CSV emission.
+"""Reference sweeps over the bounds.
 
-Every runner returns a :class:`CsvTable` whose rows are plain Python tuples;
-writing the table twice with the same configuration produces byte-identical
-files.  Values carry 12 significant digits; non-finite bounds are written as
-``inf``, an MSE that no trial could estimate as ``none``, and never NaN.
+Every runner returns a :class:`~nfvel.table.CsvTable` whose rows are plain
+Python tuples; writing the table twice with the same configuration produces
+byte-identical files.  Floats are written as ``'%.12e' % v``; non-finite
+bounds are written as ``inf``, an MSE that no trial could estimate as
+``none``, and never NaN.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
+    _boresight_weight,
     closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
@@ -27,6 +29,7 @@ from .bounds import (
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, MonteCarloReport, Scenario, monte_carlo_reports
 from .geometry import ArrayGeometry, TargetState
+from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, snr_from_link_budget
 
 __all__ = [
@@ -43,8 +46,9 @@ __all__ = [
 ]
 
 _SWEEP_VARIABLES = ("distance", "angle", "carrier", "aperture")
-# printf format of each cell type that format_cell prints the same way.
-_CELL_FORMATS = {bool: "%d", int: "%d", float: "%.12e"}
+# A Monte Carlo quantity that is squared stays below this: the root of the
+# float range, with 2**20 to spare for the spread of the noise.
+_SQUARE_LIMIT = math.sqrt(sys.float_info.max) / 2**20
 
 
 @dataclass(frozen=True)
@@ -105,74 +109,6 @@ class ScenarioConfig:
             radial_velocity=self.radial_velocity,
             transverse_velocity=self.transverse_velocity,
         )
-
-
-@dataclass(frozen=True)
-class CsvTable:
-    """Column names, row tuples and the metadata echoed into the file header."""
-
-    name: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    meta: dict
-
-    def render(self) -> str:
-        lines = [f"# nfvel {self.name}"]
-        for key in sorted(self.meta):
-            lines.append(f"# {key} = {_meta_str(self.meta[key])}")
-        lines.append(",".join(self.columns))
-        # One printf format per tuple of cell types.  A row with another type
-        # (None, numpy scalars) or a non-finite float, which %e prints as inf
-        # or nan (the only output holding an "n"), goes through format_cell.
-        formats: dict[tuple, str | None] = {}
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(f"row width {len(row)} != {len(self.columns)} columns")
-            # From a list: tuple() of an iterator resizes its result, which
-            # leaves up to 2000 spare tuples on CPython's free list.
-            kinds = tuple([type(value) for value in row])
-            if kinds not in formats:
-                cells = [_CELL_FORMATS.get(kind) for kind in kinds]
-                formats[kinds] = None if None in cells else ",".join(cells)
-            fmt = formats[kinds]
-            line = None if fmt is None else fmt % tuple(row)
-            if line is None or "n" in line:
-                line = ",".join(map(format_cell, row))
-            lines.append(line)
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.render(), encoding="utf-8", newline="\n")
-        return path
-
-
-def format_cell(value) -> str:
-    """One CSV cell or ``crlb`` value: 12 significant digits, ``inf``, ``1``/``0``, ``none``; NaN raises."""
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isfinite(v):
-            return f"{v:.12e}"
-        # The file contract never carries NaN; anything non-finite means an
-        # unbounded or unidentifiable quantity.
-        if math.isnan(v):
-            raise ValueError("NaN reached an output cell")
-        return "inf"
-    return str(value)
-
-
-def _meta_str(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(_meta_str(v) for v in value)
-    return str(value)
 
 
 def _root_inverse(info: float) -> float:
@@ -523,14 +459,30 @@ def run_montecarlo(
         spans.append(span)
     search = MlSearchConfig(*spans, grid_points=grid_points, tolerance=refine_tolerance)
 
+    # Each sample of a trial carries power P*(1 + 1/snr): the signal and the
+    # noise floor.  Newton squares Hessian entries of about X*P*(1 + 1/snr)*J1
+    # and the coarse grid sums X*X*P*(1 + 1/snr), with X samples and J1 at most
+    # 4*K times the boresight weight at unit SNR; the bounds square snr*J1.
+    # J1 counts as at least 1: with one symbol it is 0, but the bounds still
+    # multiply snr into their weights.  An entry is named when it, not the
+    # scene alone, takes one of these past _SQUARE_LIMIT.
+    samples = wf.num_symbols * wf.num_subcarriers * geometry.num_elements
+    bounds_scale = max(4.0 * geometry.num_elements * _boresight_weight(wf, 1.0), 1.0)
+    estimator_scale = samples * wf.subcarrier_power * max(bounds_scale, samples)
     snrs = []
     for snr_db in snr_list:
         try:
-            snrs.append(10.0 ** (snr_db / 10.0))
+            snr = 10.0 ** (snr_db / 10.0)
         except OverflowError:
-            snrs.append(math.inf)
-        if not 0.0 < snrs[-1] < math.inf:
+            snr = math.inf
+        if not 0.0 < snr < math.inf:
             raise ValueError(f"snr_list entry {snr_db!r} dB is outside the float range as a linear SNR")
+        reach = max(snr * bounds_scale, (1.0 + 1.0 / snr) * estimator_scale)
+        if max(bounds_scale, estimator_scale) < _SQUARE_LIMIT <= reach:
+            raise ValueError(
+                f"snr_list entry {snr_db!r} dB takes the estimator or the bounds past the float range"
+            )
+        snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 
     def _row(snr_db: float, report: MonteCarloReport) -> tuple:

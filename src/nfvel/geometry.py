@@ -192,7 +192,7 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     # Rows at the centre and rows TargetState rejects are NaN, which flags them.  Sines
     # come from ``math``, as published values pin; ratio * (2 sin) rounds as (2 ratio) * sin.
     d = np.where(given > _COINCIDENCE_RTOL * geometry.aperture, given, math.nan)
-    two_sin = np.array([[2.0 * math.sin(a) if abs(a) <= math.pi / 2 else math.nan] for a in angle_list])
+    two_sin = np.array([2.0 * math.sin(a) if abs(a) <= math.pi / 2 else math.nan for a in angle_list])[:, None]
     ratio = geometry.element_x_positions / d
     distances = ratio * ratio
     distances += 1.0

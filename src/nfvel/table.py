@@ -1,0 +1,187 @@
+"""Deterministic CSV emission: :class:`CsvTable` and the cell format :func:`format_cell`.
+
+``CsvTable.render`` formats its rows in blocks, column by column.  Columns of
+Python floats go through one numpy kernel that writes ``'%.12e'`` where it can
+prove the digits, columns of bools and ints through ``'%d'``, and every other
+cell, including each float the kernel cannot prove, through
+:func:`format_cell`, which stays the specification of a cell.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["CsvTable", "format_cell"]
+
+# Cells that CsvTable.render formats at once: one block's byte slots, not the
+# whole table's, set the peak memory.
+_RENDER_CELLS = 2**15
+# 10**k for 0 <= k <= 22, all exact doubles; 10**23 is not.
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
+# The float kernel fills a cell's 20 bytes as five 4-byte words: "\0-" and
+# the leading digit and point, three groups of four digits, and "e-10" ...
+# "e+35".  Byte 0 is padding and byte 1 the sign, kept for negative values.
+_LEADS = np.array([list(b"\0-%d." % d) for d in range(10)], np.uint8).view(np.uint32).ravel()
+_FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32).ravel()
+_EXPONENTS = np.array([list(b"e%+03d" % e) for e in range(-10, 36)], np.uint8).view(np.uint32).ravel()
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """Column names, row tuples and the metadata echoed into the file header."""
+
+    name: str
+    columns: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    meta: dict
+
+    def render(self) -> str:
+        lines = [f"# nfvel {self.name}"]
+        for key in sorted(self.meta):
+            lines.append(f"# {key} = {_meta_str(self.meta[key])}")
+        lines.append(",".join(self.columns))
+        width = len(self.columns)
+        if set(map(len, self.rows)) - {width}:
+            bad = next(row for row in self.rows if len(row) != width)
+            raise ValueError(f"row width {len(bad)} != {width} columns")
+        step = max(1, _RENDER_CELLS // max(width, 1))
+        blocks = (_block_text(self.rows[start : start + step]) for start in range(0, len(self.rows), step))
+        return "\n".join(lines) + "\n" + "".join(blocks)
+
+    def write(self, path: str | Path) -> Path:
+        path = Path(path)
+        path.write_text(self.render(), encoding="utf-8", newline="\n")
+        return path
+
+
+def format_cell(value) -> str:
+    """One CSV cell or ``crlb`` value: ``%.12e``, ``inf``, ``1``/``0``, ``none``; NaN raises."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isfinite(v):
+            return f"{v:.12e}"
+        # The file contract never carries NaN; anything non-finite means an
+        # unbounded or unidentifiable quantity.
+        if math.isnan(v):
+            raise ValueError("NaN reached an output cell")
+        return "inf"
+    return str(value)
+
+
+def _meta_str(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(_meta_str(v) for v in value)
+    return str(value)
+
+
+def _block_text(rows: tuple[tuple, ...]) -> str:
+    """The CSV lines of ``rows``, each ending in a newline, decoded from one byte array.
+
+    The columns of one kind are formatted together: Python floats by the
+    ``%.12e`` kernel, bools and ints by ``%d``, any other by :func:`format_cell`.
+    """
+    columns = list(zip(*rows))
+    groups: dict[str, list[int]] = {"float": [], "int": [], "cell": []}
+    for index, column in enumerate(columns):
+        kinds = set(map(type, column))
+        groups["float" if kinds == {float} else "int" if kinds <= {bool, int} else "cell"].append(index)
+    slots = [None] * len(columns)
+    for kind, indices in groups.items():
+        if not indices:
+            continue
+        group = [columns[i] for i in indices]
+        if kind == "float":
+            parts = _float_slots(group)
+        else:
+            cell = "%d".__mod__ if kind == "int" else format_cell
+            texts = list(map(cell, chain.from_iterable(group)))
+            parts = [part.reshape(len(group), len(rows), part.shape[1]) for part in _text_slots(texts)]
+        for index, cells, keep in zip(indices, *parts):
+            slots[index] = cells, keep
+
+    separator, always = np.full((len(rows), 1), ord(","), np.uint8), np.ones((len(rows), 1), bool)
+    data, kept = [], []
+    for cells, keep in slots:
+        data += [cells, separator]
+        kept += [keep, always]
+    data[-1:], kept[-1:] = [np.full((len(rows), 1), ord("\n"), np.uint8)], [always]
+    return np.concatenate(data, axis=1)[np.concatenate(kept, axis=1)].tobytes().decode()
+
+
+def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of each text, left-aligned in (texts, width) slots, and their mask."""
+    joined = "".join(texts)
+    # A character is one byte only in ASCII text.
+    sized = texts if joined.isascii() else [text.encode() for text in texts]
+    lengths = np.fromiter(map(len, sized), np.int64, len(texts))
+    width = int(lengths.max())
+    data = np.frombuffer(joined.encode() + bytes(width), np.uint8)
+    columns = np.arange(width)
+    return data[(np.cumsum(lengths) - lengths)[:, None] + columns], columns < lengths[:, None]
+
+
+def _float_slots(columns: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.12e' % v`` of columns of floats in (columns, rows, width) slots, and the mask of the bytes kept.
+
+    The kernel writes a cell only where it can prove the digits.  With
+    ``p = floor(log10|v|) - 12`` and ``|p| <= 22``, the power ``10**|p|`` is
+    exact, so ``|v| * 10**-p``, a division or a multiplication by it, is one
+    correctly rounded operation and lies within 2**-10 of the exact value.
+    Where it lies in ``[1e12, 1e13)`` and more than 0.004 from every
+    half-integer, its nearest integer holds the 13 digits printf rounds to.
+    Every other cell, such as a zero, a subnormal, a non-finite value or a
+    near-tie, goes through :func:`format_cell`.
+    """
+    count = len(columns[0])
+    signed = np.fromiter(chain.from_iterable(columns), np.float64, len(columns) * count)
+    magnitude = np.abs(signed)
+    with np.errstate(divide="ignore"):
+        p = np.floor(np.log10(magnitude)) - 12.0
+    proven = np.abs(p) <= 22.0
+    p = np.where(proven, p, 0.0).astype(np.int64)
+    magnitude[~proven] = 1e12
+    power = _POWERS_OF_TEN[np.abs(p)]
+    scaled = np.where(p > 0, magnitude / power, magnitude * power)
+    whole = np.rint(scaled)
+    proven &= (scaled >= 1e12) & (scaled < 1e13) & (np.abs(scaled - whole) < 0.496)
+    digits = np.where(proven, whole, 1e12).astype(np.int64)
+    # A rounding carry to 10**13 prints as 1.000000000000 with the exponent raised.
+    carry = digits == 10**13
+    digits[carry] = 10**12
+    fallback = np.flatnonzero(~proven).tolist()
+    width = 20
+    if fallback:
+        texts = [format_cell(columns[i // count][i % count]) for i in fallback]
+        cells, kept = _text_slots(texts)
+        width = max(width, cells.shape[1])
+
+    words = np.zeros((signed.size, -(-width // 4)), np.uint32)
+    words[:, 0] = _LEADS[digits // 10**12]
+    digits %= 10**12
+    words[:, 1] = _FOUR_DIGITS[digits // 10**8]
+    words[:, 2] = _FOUR_DIGITS[digits // 10**4 % 10**4]
+    words[:, 3] = _FOUR_DIGITS[digits % 10**4]
+    words[:, 4] = _EXPONENTS[p + carry + 22]
+    slots = words.view(np.uint8)
+    keep = np.zeros(slots.shape, bool)
+    keep[:, 1] = signed < 0.0
+    keep[:, 2:20] = True
+    if fallback:
+        slots[fallback, : cells.shape[1]] = cells
+        keep[fallback] = False
+        keep[fallback, : cells.shape[1]] = kept
+    return slots.reshape(len(columns), count, -1), keep.reshape(len(columns), count, -1)

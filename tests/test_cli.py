@@ -86,6 +86,10 @@ OUT_OF_RANGE_SETTINGS = [
     # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
     ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
     ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
+    # Linear SNRs in range whose noise floor, estimator sums or bounds are not.
+    ("snr_list=-3070", "snr_list entry -3070.0 dB takes the estimator or the bounds past"),
+    ("snr_list=-3100", "snr_list entry -3100.0 dB takes the estimator or the bounds past"),
+    ("snr_list=3080", "snr_list entry 3080.0 dB takes the estimator or the bounds past"),
 ]
 
 

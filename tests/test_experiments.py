@@ -1,6 +1,8 @@
 """Tests for the sweep runners and the deterministic CSV emission."""
 
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from nfvel.experiments import (
     run_sweep,
     run_transverse_vs_distance,
 )
+from nfvel.table import _RENDER_CELLS
 
 BASE_APERTURE_28GHZ = 100 * 299792458.0 / (2 * 28e9)  # 101-element half-wave array
 
@@ -32,7 +35,7 @@ _CELLS = st.one_of(
     st.floats(allow_nan=False),
     st.none(),
     st.floats(allow_nan=False).map(np.float64),
-    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, np.int64(-7), "text"]),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, np.int64(-7), "text", "", "é"]),
 )
 
 
@@ -76,6 +79,65 @@ class TestCsvTable:
         table = CsvTable(name="mixed", columns=("a", "b", "c"), rows=tuple(rows), meta={})
         body = table.render().splitlines()[2:]
         assert body == [",".join(map(format_cell, row)) for row in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.integers(0, 2**64 - 1)
+                .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+                .filter(math.isfinite),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_float_column_renders_as_printf(self, values):
+        table = CsvTable(name="floats", columns=("v",), rows=tuple((v,) for v in values), meta={})
+        assert table.render().splitlines()[2:] == ["%.12e" % v for v in values]
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0,
+            5e-324,
+            sys.float_info.min,
+            sys.float_info.max,
+            1e22,
+            1e23,
+            1e-10,
+            1e-11,
+            math.nextafter(1e6, 0.0),
+            math.nextafter(1e6, math.inf),
+            math.nextafter(1e-6, 0.0),
+            math.nextafter(1e-6, math.inf),
+            999999.99999996,  # rounds up to 1.000000000000e+06
+            0.5,
+            1234567890123.5,  # a tie at the thirteenth digit
+            136876171.54255,  # scaled to a tie, but below it exactly
+            1148748.7197565,  # scaled to a tie, but above it exactly
+        ],
+    )
+    def test_float_edge_values_render_as_printf(self, value):
+        rows = ((value,), (-value,), (1.0,))
+        table = CsvTable(name="floats", columns=("v",), rows=rows, meta={})
+        assert table.render().splitlines()[2:] == ["%.12e" % v for (v,) in rows]
+
+    def test_mixed_table_across_blocks_matches_format_cell(self):
+        # Two full blocks of rows and one more; the last column mixes kinds.
+        count = 2 * (_RENDER_CELLS // 4) + 1
+        rng = np.random.default_rng(3)
+        floats = (rng.standard_normal(count) * 10.0 ** rng.integers(-30, 30, count)).tolist()
+        floats[::97] = [math.inf] * len(floats[::97])
+        floats[1::89] = [0.0] * len(floats[1::89])
+        others = [None, np.float64(2.5), np.int64(-7), "text", "", "é", -math.inf, 1.5, True]
+        rows = tuple(
+            (x, i % 3 == 0, (-1) ** i * i**3, others[i % len(others)])
+            for i, x in enumerate(floats)
+        )
+        table = CsvTable(name="mixed", columns=("a", "b", "c", "d"), rows=rows, meta={})
+        assert table.render().splitlines()[2:] == [",".join(map(format_cell, row)) for row in rows]
 
     @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
     @pytest.mark.parametrize("positions", [(1,), (0, 1), (0, 2)])
