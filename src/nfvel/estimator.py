@@ -7,9 +7,11 @@ pair maximises the magnitude of the matched-filter output
 
 which is invariant to any common complex gain on the data.  The search runs a
 coarse grid, then joint Newton steps on the analytic gradient and Hessian of
-L, which carry the radial/transverse coupling.  An axis along which the
-statistic shows no curvature at the peak (end-fire targets leave the
-transverse component unobservable) is flagged unidentifiable instead.
+L, which carry the radial/transverse coupling.  It runs at a power-of-two
+scale near unit sample magnitude, so the data's absolute power does not move
+its result either.  An axis along which the statistic shows no curvature at
+the peak (end-fire targets leave the transverse component unobservable) is
+flagged unidentifiable instead.
 """
 
 from __future__ import annotations
@@ -157,10 +159,9 @@ class MatchedFilter:
         self._delay_comp = np.exp(2j * math.pi * freqs[:, None] * delays[None, :])
 
         scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
-        sens = scale * m_grid[:, None, None] * freqs[None, :, None]
-        # Rows: the phase per unit radial and per unit transverse velocity.
-        phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+        # Rows: the phase per unit radial and per unit transverse velocity, at m = 1 and on the grid.
         self._psi = psi = (scale * freqs[:, None] * np.stack([1.0 + q, p])[:, None, :]).reshape(2, -1)
+        phase = (m_grid[None, :, None] * psi[:, None, :]).reshape(2, -1)
         self._starts = (-1j * np.array([m_grid[0], 1.0]))[: config.num_symbols, None]
         self._factor_rows = np.minimum(np.arange(config.num_symbols), 1)
         self._powers = np.array([m_grid, m_grid**2])
@@ -182,6 +183,7 @@ class MatchedFilter:
     def estimate(self, samples: np.ndarray) -> VelocityEstimate:
         """ML estimate from the samples of any cube taken at this filter's position."""
         data = self._compensate(samples)
+        data *= _unit_scale(np.abs(data).max())
         return self._search(data, np.abs(self._statistic(data)) ** 2)
 
     def _compensate(self, samples: np.ndarray) -> np.ndarray:
@@ -193,17 +195,15 @@ class MatchedFilter:
         return (self._radial_table * data[None, :]) @ self._transverse_table.T
 
     def _estimates_sharing_noise(
-        self,
-        clean: np.ndarray,
-        clean_statistic: np.ndarray,
-        unit: np.ndarray,
-        sigmas: Sequence[float],
+        self, unit: np.ndarray, levels: Sequence[tuple[np.ndarray, np.ndarray, float]]
     ) -> list[VelocityEstimate]:
-        """``estimate(clean + sigma * unit)`` for each sigma, with one coarse product for ``unit``.
+        """``estimate(clean + sigma * unit)`` for each ``(clean, clean_statistic, sigma)`` of ``levels``.
 
         ``clean_statistic`` is ``_statistic(_compensate(clean))``.  By linearity
-        each sigma's coarse grid is ``|clean_statistic + sigma * F(unit)|**2``;
-        the peak pick and refinement then run on that sigma's own samples.
+        each level's coarse grid is ``|clean_statistic + sigma * F(unit)|**2``,
+        with one coarse product for ``unit``; the peak pick and refinement then
+        run on that level's own samples.  A level scaled by a power of two gives
+        the same estimate, so each may be scaled near unit sample power.
         """
         unit_statistic = self._statistic(self._compensate(unit))
         return [
@@ -211,7 +211,7 @@ class MatchedFilter:
                 self._compensate(clean + sigma * unit),
                 np.abs(clean_statistic + sigma * unit_statistic) ** 2,
             )
-            for sigma in sigmas
+            for clean, clean_statistic, sigma in levels
         ]
 
     def _search(self, data: np.ndarray, coarse: np.ndarray) -> VelocityEstimate:
@@ -287,6 +287,15 @@ class MatchedFilter:
         ]
 
 
+def _unit_scale(magnitude: float) -> float:
+    """The power of two that takes ``magnitude`` into ``[0.5, 1)``.
+
+    The search is exact under a power-of-two gain, and near unit magnitude its
+    Python-float products neither underflow nor overflow.
+    """
+    return math.ldexp(1.0, -math.frexp(magnitude)[1])
+
+
 def ml_estimate(
     cube: ObservationCube, distance: float, angle: float, search: MlSearchConfig
 ) -> VelocityEstimate:
@@ -324,7 +333,8 @@ def monte_carlo_reports(
     equals the one-SNR call, and the reports are correlated with one another.
     The coarse matched-filter statistic is linear in the samples, so it is
     formed once for the clean cube and once per trial for ``u``.  One
-    :class:`MatchedFilter` serves every SNR and trial.
+    :class:`MatchedFilter` serves every SNR and trial; each SNR's search runs
+    at the power-of-two scale of its sample amplitude.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
@@ -343,7 +353,11 @@ def monte_carlo_reports(
     clean = synthesize_noise_free(target, geometry, config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
-    sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
+    levels = []
+    for noise in noises:
+        sigma = math.sqrt(noise.noise_variance / 2.0)
+        scale = _unit_scale(math.hypot(math.sqrt(config.subcarrier_power), sigma))
+        levels.append((clean * scale, clean_statistic * scale, sigma * scale))
     crlbs = [
         crlb_from_fisher(fisher_info_closed_form(target, geometry, config, noise.snr(config)))
         for noise in noises
@@ -355,7 +369,7 @@ def monte_carlo_reports(
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         unit = _unit_noise(clean.shape, rng)
-        estimates = finder._estimates_sharing_noise(clean, clean_statistic, unit, sigmas)
+        estimates = finder._estimates_sharing_noise(unit, levels)
         for row, est in enumerate(estimates):
             sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
             sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2

@@ -116,10 +116,6 @@ def _root_inverse(info: float) -> float:
     return math.sqrt(1.0 / info) if info > 0.0 else math.inf
 
 
-def _root(value: float) -> float:
-    return math.sqrt(value) if math.isfinite(value) else math.inf
-
-
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
     if num_elements < 2:
         raise ValueError(f"num_elements must be >= 2 to size by aperture, got {num_elements}")
@@ -215,8 +211,8 @@ def run_single(config: ScenarioConfig) -> dict:
     out["singular"] = crlb.singular
     out["crlb_vr"] = crlb.radial
     out["crlb_vt"] = crlb.transverse
-    out["root_crlb_vr"] = _root(crlb.radial)
-    out["root_crlb_vt"] = _root(crlb.transverse)
+    out["root_crlb_vr"] = math.sqrt(crlb.radial)
+    out["root_crlb_vt"] = math.sqrt(crlb.transverse)
     out["crlb_vr_far_field"] = radial_crlb_far_field(wf, config.num_elements, config.snr)
     out["crossover_distance"] = crossover_distance(geometry)
     return out
@@ -241,14 +237,14 @@ def run_radial_vs_distance(
     _check_increasing(points, d_min=d_min, d_max=d_max)
     distances = np.geomspace(d_min, d_max, points)
     distance_list = distances.tolist()
-    root_far_field = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
+    root_far_field = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
 
     rows = []
     for aperture, geometry in zip(apertures, geometries):
         bounds = closed_form_bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
         approx = radial_info_boresight(distances, geometry, wf, config.snr).tolist()
         rows += [
-            (d, aperture, _root(radial), _root_inverse(info), root_far_field)
+            (d, aperture, math.sqrt(radial), _root_inverse(info), root_far_field)
             for d, radial, info in zip(distance_list, bounds.radial, approx)
         ]
 
@@ -293,7 +289,7 @@ def run_transverse_vs_distance(
             angle = angle_deg / 180.0 * math.pi
             bounds = closed_form_bounds(distances, [angle] * points, geometry, wf, config.snr)
             rows += [
-                (d, angle_deg, aperture, _root(transverse), _root_inverse(j_tt))
+                (d, angle_deg, aperture, math.sqrt(transverse), _root_inverse(j_tt))
                 for d, transverse, j_tt in zip(distances, bounds.transverse, bounds.j_tt)
             ]
 
@@ -338,9 +334,9 @@ def run_carrier_comparison(
         halfwave = transverse_info_half_wavelength(
             distances, config.num_elements, wf, config.snr
         ).tolist()
-        far = _root(radial_crlb_far_field(wf, config.num_elements, config.snr))
+        far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
         rows += [
-            (d, carrier, geometry.aperture, _root(vr), _root(vt), _root_inverse(info), far)
+            (d, carrier, geometry.aperture, math.sqrt(vr), math.sqrt(vt), _root_inverse(info), far)
             for d, vr, vt, info in zip(distance_list, bounds.radial, bounds.transverse, halfwave)
         ]
 
@@ -412,7 +408,7 @@ def run_planar_map(
             continue
         angle, snr, vt, singular = next(evaluated)
         snr_db = 10.0 * math.log10(snr)
-        rows.append((x, y, distance, math.degrees(angle), snr_db, _root(vt), singular))
+        rows.append((x, y, distance, math.degrees(angle), snr_db, math.sqrt(vt), singular))
 
     return _table(
         "planar-map",
@@ -459,16 +455,19 @@ def run_montecarlo(
         spans.append(span)
     search = MlSearchConfig(*spans, grid_points=grid_points, tolerance=refine_tolerance)
 
-    # Each sample of a trial carries power P*(1 + 1/snr): the signal and the
-    # noise floor.  Newton squares Hessian entries of about X*P*(1 + 1/snr)*J1
-    # and the coarse grid sums X*X*P*(1 + 1/snr), with X samples and J1 at most
-    # 4*K times the boresight weight at unit SNR; the bounds square snr*J1.
-    # J1 counts as at least 1: with one symbol it is 0, but the bounds still
-    # multiply snr into their weights.  An entry is named when it, not the
-    # scene alone, takes one of these past _SQUARE_LIMIT.
+    # The search runs at a power-of-two scale near unit sample power, so the
+    # transmit power P drops out.  The check counts the signal at unit power
+    # and the noise floor at 1/snr of it, which errs on the safe side.  Newton
+    # squares Hessian entries of about X*(1 + 1/snr)*J1 and the coarse grid
+    # sums X*X*(1 + 1/snr), with X samples and J1 at most 4*K times the
+    # boresight weight at unit SNR; the bounds square snr*J1.  J1 counts as at
+    # least 1: with one symbol it is 0, but the bounds still multiply snr into
+    # their weights.  An entry is named when it, not the scene alone, takes
+    # one of these past _SQUARE_LIMIT, or the noise floor P/snr out of the
+    # float range.
     samples = wf.num_symbols * wf.num_subcarriers * geometry.num_elements
     bounds_scale = max(4.0 * geometry.num_elements * _boresight_weight(wf, 1.0), 1.0)
-    estimator_scale = samples * wf.subcarrier_power * max(bounds_scale, samples)
+    estimator_scale = samples * max(bounds_scale, samples)
     snrs = []
     for snr_db in snr_list:
         try:
@@ -481,6 +480,10 @@ def run_montecarlo(
         if max(bounds_scale, estimator_scale) < _SQUARE_LIMIT <= reach:
             raise ValueError(
                 f"snr_list entry {snr_db!r} dB takes the estimator or the bounds past the float range"
+            )
+        if not 0.0 < wf.subcarrier_power / snr < math.inf:
+            raise ValueError(
+                f"snr_list entry {snr_db!r} dB puts the noise floor P/snr outside the float range"
             )
         snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
@@ -545,8 +548,7 @@ def run_sweep(
         raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points!r}")
-    if not stop > start:
-        raise ValueError(f"stop must exceed start, got [{start!r}, {stop!r}]")
+    _check_increasing(points, start=start, stop=stop)
     if log and not start > 0.0:
         raise ValueError("log grids need a positive start")
     if variable == "angle":
@@ -577,9 +579,9 @@ def run_sweep(
         wf, geometry, snr = subs[0].waveform(), subs[0].geometry(), subs[0].snr
         distances, angles = [s.distance for s in subs], [s.angle for s in subs]
         bounds = closed_form_bounds(distances, angles, geometry, wf, snr)
-        root_far_field = _root(radial_crlb_far_field(wf, geometry.num_elements, snr))
+        root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, snr))
         rows += [
-            (value, _root(vr), _root(vt), root_far_field, singular)
+            (value, math.sqrt(vr), math.sqrt(vt), root_far_field, singular)
             for value, vr, vt, singular in zip(
                 group, bounds.radial, bounds.transverse, bounds.singular
             )

@@ -2,9 +2,8 @@
 
 ``CsvTable.render`` formats its rows in blocks, column by column.  Columns of
 Python floats go through one numpy kernel that writes ``'%.12e'`` where it can
-prove the digits, columns of bools and ints through ``'%d'``, and every other
-cell, including each float the kernel cannot prove, through
-:func:`format_cell`, which stays the specification of a cell.
+prove the digits, and every other cell, including each float the kernel cannot
+prove, through :func:`format_cell`, which stays the specification of a cell.
 """
 
 from __future__ import annotations
@@ -92,13 +91,12 @@ def _block_text(rows: tuple[tuple, ...]) -> str:
     """The CSV lines of ``rows``, each ending in a newline, decoded from one byte array.
 
     The columns of one kind are formatted together: Python floats by the
-    ``%.12e`` kernel, bools and ints by ``%d``, any other by :func:`format_cell`.
+    ``%.12e`` kernel, any other by :func:`format_cell`.
     """
     columns = list(zip(*rows))
-    groups: dict[str, list[int]] = {"float": [], "int": [], "cell": []}
+    groups: dict[str, list[int]] = {"float": [], "cell": []}
     for index, column in enumerate(columns):
-        kinds = set(map(type, column))
-        groups["float" if kinds == {float} else "int" if kinds <= {bool, int} else "cell"].append(index)
+        groups["float" if set(map(type, column)) == {float} else "cell"].append(index)
     slots = [None] * len(columns)
     for kind, indices in groups.items():
         if not indices:
@@ -107,8 +105,7 @@ def _block_text(rows: tuple[tuple, ...]) -> str:
         if kind == "float":
             parts = _float_slots(group)
         else:
-            cell = "%d".__mod__ if kind == "int" else format_cell
-            texts = list(map(cell, chain.from_iterable(group)))
+            texts = list(map(format_cell, chain.from_iterable(group)))
             parts = [part.reshape(len(group), len(rows), part.shape[1]) for part in _text_slots(texts)]
         for index, cells, keep in zip(indices, *parts):
             slots[index] = cells, keep

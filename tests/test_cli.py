@@ -3,6 +3,7 @@
 import functools
 import inspect
 import math
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -77,7 +78,8 @@ def _float_keys():
 FLOAT_KEYS = _float_keys()
 
 # A montecarlo setting whose value is non-finite or leaves the float range once converted
-# from dB, and the start of the error that names it. Each case is named by its setting.
+# from dB, and the start of the error that names it. Each case is named by its setting; a
+# case of several settings separates them by a space before each key.
 OUT_OF_RANGE_SETTINGS = [
     ("snr=4000 dB", "snr: expected a finite number"),
     ("noise_figure=4000dB", "noise_figure: expected a finite number"),
@@ -90,6 +92,8 @@ OUT_OF_RANGE_SETTINGS = [
     ("snr_list=-3070", "snr_list entry -3070.0 dB takes the estimator or the bounds past"),
     ("snr_list=-3100", "snr_list entry -3100.0 dB takes the estimator or the bounds past"),
     ("snr_list=3080", "snr_list entry 3080.0 dB takes the estimator or the bounds past"),
+    # An SNR in range whose noise floor P/snr is not.
+    ("snr_list=-100 tx_power=1e300", "snr_list entry -100.0 dB puts the noise floor P/snr outside"),
 ]
 
 
@@ -448,7 +452,8 @@ class TestExitCodes:
     )
     def test_overflowing_or_nan_value_names_its_key(self, setting, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        assert main(["montecarlo", "--trials", "100", "--set", setting, "--out", str(out)]) == 1
+        settings = [arg for key in re.split(r" (?=\w+=)", setting) for arg in ("--set", key)]
+        assert main(["montecarlo", "--trials", "100", *settings, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"nfvel: invalid configuration: {message}")
         assert not out.exists()
 
@@ -575,6 +580,19 @@ class TestCsvCommands:
         lines = first.read_text().splitlines()
         assert "# seed = 11" in lines
         assert any(line.startswith("snr_db,") for line in lines)
+
+    def test_montecarlo_rows_do_not_depend_on_tx_power(self, tmp_path, capsys):
+        # The SNRs are given, so the transmit power only sets the samples' absolute scale.
+        def data_rows(*settings):
+            out = tmp_path / "mc.csv"
+            args = ["montecarlo", "--trials", "100", "--snr-list=-20,10", "--out", str(out)]
+            assert main([*args, *settings]) == 0, capsys.readouterr().err
+            # The header echoes tx_power.
+            return [line for line in out.read_text().splitlines() if not line.startswith("#")]
+
+        default = data_rows()
+        for tx_power in ("1e-200", "1e146", "1e300"):
+            assert data_rows("--set", f"tx_power={tx_power}") == default, tx_power
 
     def test_montecarlo_end_fire_writes_none_for_the_unidentified_axis(self, tmp_path, capsys):
         out = tmp_path / "endfire.csv"

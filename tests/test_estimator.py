@@ -134,6 +134,18 @@ class TestNoiseFree:
             a.transverse_identifiable,
         )
 
+    @pytest.mark.parametrize("tx_power", [1e-200, 1e150])
+    def test_absolute_power_leaves_estimate_unchanged(self, tx_power):
+        # At such powers Newton's Python-float products would underflow or overflow unscaled.
+        def estimate(config):
+            wf, geom, target = config.waveform(), config.geometry(), config.target()
+            cube = add_noise(_clean_cube(target, geom, wf, snr=10.0), 3)
+            search = MlSearchConfig((2.9, 3.1), (0.0, 2.0))
+            return ml_estimate(cube, target.distance, target.angle, search)
+
+        default = estimate(ScenarioConfig())
+        assert estimate(ScenarioConfig(tx_power=tx_power)) == default
+
     @settings(max_examples=25, deadline=None)
     @given(
         angle=st.sampled_from([-0.4, math.pi / 4]),
@@ -361,12 +373,16 @@ class TestSharedNoise:
         finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
         clean = synthesize_noise_free(target, geom, wf, noises[0])
         clean_statistic = finder._statistic(finder._compensate(clean.samples))
-        sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
+        # Each level at its own power of two: the estimates do not move with it.
+        levels = [
+            (clean.samples * scale, clean_statistic * scale, math.sqrt(noise.noise_variance / 2.0) * scale)
+            for noise, scale in zip(noises, (2.0 ** (60 * row - 150) for row in range(len(noises))))
+        ]
         flags = set()
         for trial in range(30):
             seeds = np.random.SeedSequence([11, trial])
             unit = waveform._unit_noise(clean.samples.shape, np.random.default_rng(seeds))
-            shared = finder._estimates_sharing_noise(clean.samples, clean_statistic, unit, sigmas)
+            shared = finder._estimates_sharing_noise(unit, levels)
             for noise, est in zip(noises, shared):
                 cube = synthesize_noise_free(target, geom, wf, noise)
                 noisy = add_noise(cube, np.random.SeedSequence([11, trial]))

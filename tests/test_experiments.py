@@ -1,5 +1,6 @@
 """Tests for the sweep runners and the deterministic CSV emission."""
 
+import dataclasses
 import math
 import struct
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfvel import ArrayGeometry, crossover_distance
+from nfvel import ArrayGeometry, crossover_distance, experiments
 from nfvel.experiments import (
     CsvTable,
     ScenarioConfig,
@@ -27,8 +28,8 @@ from nfvel.table import _RENDER_CELLS
 BASE_APERTURE_28GHZ = 100 * 299792458.0 / (2 * 28e9)  # 101-element half-wave array
 
 
-# Every kind of cell a table can hold: the printf-formatted bool, int and
-# float, and the kinds that format_cell renders one by one.
+# Every kind of cell a table can hold: the printf-formatted float, and the
+# kinds that format_cell renders one by one, bools and ints among them.
 _CELLS = st.one_of(
     st.booleans(),
     st.integers(),
@@ -346,6 +347,19 @@ class TestPlanarMap:
         text = table.render()
         assert "nan" not in text.lower()
         assert ",inf," in text or text.rstrip().endswith("inf,1")
+
+    def test_nan_bound_reaches_format_cell(self, monkeypatch):
+        # The CSV contract never carries NaN: a NaN bound must not print as inf.
+        bounds = experiments.closed_form_bounds
+
+        def nan_transverse(*args, **kwargs):
+            rows = bounds(*args, **kwargs)
+            return dataclasses.replace(rows, transverse=[math.nan] * len(rows.transverse))
+
+        monkeypatch.setattr(experiments, "closed_form_bounds", nan_transverse)
+        table = run_planar_map(ScenarioConfig(), x_points=3, y_points=2)
+        with pytest.raises(ValueError, match="NaN reached an output cell"):
+            table.render()
 
 
 class TestMonteCarloRunner:
