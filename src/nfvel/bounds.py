@@ -28,7 +28,6 @@ from .geometry import (
     ArrayGeometry,
     TargetState,
     _check_rows,
-    _cos_angle,
     element_distances,
     radial_projection_coeffs,
     symmetric_index_grid,
@@ -90,15 +89,15 @@ class CrlbResult:
 
 @dataclass(frozen=True)
 class BoundRows:
-    """Closed-form information and bounds of a batch, one Python float or bool per row."""
+    """Closed-form information and bounds of a batch of P points, as ``(P,)`` float or bool arrays."""
 
-    j_rr: list[float]
-    j_tt: list[float]
-    j_rt: list[float]
-    radial: list[float]
-    transverse: list[float]
-    singular: list[bool]
-    degenerate: list[bool]
+    j_rr: np.ndarray
+    j_tt: np.ndarray
+    j_rt: np.ndarray
+    radial: np.ndarray
+    transverse: np.ndarray
+    singular: np.ndarray
+    degenerate: np.ndarray
 
 
 def _validate_positive(name: str, value) -> None:
@@ -213,9 +212,10 @@ def closed_form_bounds(
     _validate_positive("snr", snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
-    # Sines and cosines once per call, from ``math``, whose rounding the published values pin.
-    angle_list = angles.tolist()
-    trig = np.array([[math.sin(a) for a in angle_list], [_cos_angle(a) for a in angle_list]])
+    # One sine and one cosine per point, from ``math``, whose rounding the published values
+    # pin; the cosine is sin(pi/2 - |angle|), as ``_cos_angle`` takes it.
+    arguments = np.concatenate([angles, math.pi / 2.0 - np.abs(angles)]).tolist()
+    trig = np.fromiter(map(math.sin, arguments), float, len(arguments)).reshape(2, -1)
     weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
@@ -230,7 +230,7 @@ def closed_form_bounds(
         for rows in _row_chunks(distances.size, geometry.num_elements):
             d = distances[rows, None]
             element_d, degenerate[rows] = element_distances(
-                (d, angle_list[rows]), geometry, flag_degenerate
+                (d, angles[rows]), geometry, flag_degenerate, trig[0, rows]
             )
             # 1 + q = 1 + (d - x sin)/d_k, p = x cos/d_k and p(1 + q), in place.
             terms = np.empty((3, *element_d.shape))
@@ -243,8 +243,7 @@ def closed_form_bounds(
             entries[:, rows] = weight_total[rows] * terms.sum(axis=2)
             del terms  # before the next chunk's distances: one chunk's terms at a time
     entries[:, degenerate] = 0.0
-    bounds = (column.tolist() for column in _crlb(*entries))
-    return BoundRows(*entries.tolist(), *bounds, degenerate.tolist())
+    return BoundRows(*entries, *_crlb(*entries), degenerate)
 
 
 def fisher_info_closed_form(
@@ -255,7 +254,7 @@ def fisher_info_closed_form(
 ) -> FisherInfo:
     """Information matrix via the analytic slow-time reduction of :func:`closed_form_bounds`."""
     rows = closed_form_bounds([target.distance], [target.angle], geometry, config, snr)
-    return FisherInfo(j_rr=rows.j_rr[0], j_tt=rows.j_tt[0], j_rt=rows.j_rt[0])
+    return FisherInfo(j_rr=rows.j_rr.item(), j_tt=rows.j_tt.item(), j_rt=rows.j_rt.item())
 
 
 def crlb_from_fisher(info: FisherInfo) -> CrlbResult:

@@ -1,8 +1,8 @@
 """Reference sweeps over the bounds.
 
-Every runner returns a :class:`~nfvel.table.CsvTable` whose rows are plain
-Python tuples; writing the table twice with the same configuration produces
-byte-identical files.  Floats are written as ``'%.12e' % v``; non-finite
+Every runner returns a :class:`~nfvel.table.CsvTable` that holds one sequence
+per column, a numpy array in the bound sweeps; writing the table twice with the
+same configuration produces byte-identical files.  Floats are written as ``'%.12e' % v``; non-finite
 bounds are written as ``inf``, an MSE that no trial could estimate as
 ``none``, and never NaN.
 """
@@ -27,7 +27,7 @@ from .bounds import (
     transverse_info_half_wavelength,
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
-from .estimator import MlSearchConfig, MonteCarloReport, Scenario, monte_carlo_reports
+from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
 from .geometry import ArrayGeometry, TargetState
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, snr_from_link_budget
@@ -111,9 +111,10 @@ class ScenarioConfig:
         )
 
 
-def _root_inverse(info: float) -> float:
-    """sqrt(1/info) with an infinite result for a null information value."""
-    return math.sqrt(1.0 / info) if info > 0.0 else math.inf
+def _root_inverse(info: np.ndarray) -> np.ndarray:
+    """sqrt(1/info) per entry, with an infinite result for a null information value."""
+    with np.errstate(divide="ignore"):
+        return np.sqrt(1.0 / info)
 
 
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
@@ -131,15 +132,23 @@ def _scenario_meta(config: ScenarioConfig) -> dict:
 
 
 def _table(
-    name: str, config: ScenarioConfig, columns: tuple[str, ...], rows, **parameters
+    name: str, config: ScenarioConfig, columns: tuple[str, ...], data, **parameters
 ) -> CsvTable:
-    """A table whose header echoes the resolved scenario and the runner's parameters."""
+    """A table of one sequence per column, or of no rows when ``data`` is empty.
+
+    Its header echoes the resolved scenario and the runner's parameters.
+    """
     return CsvTable(
         name=name,
         columns=columns,
-        rows=tuple(rows),
+        data=tuple(data) or ((),) * len(columns),
         meta={**_scenario_meta(config), **parameters},
     )
+
+
+def _stacked(groups: list[tuple]) -> list[np.ndarray]:
+    """One array per column from groups of rows, each with a sequence or a repeated scalar per column."""
+    return [np.concatenate(parts) for parts in zip(*(np.broadcast_arrays(*group) for group in groups))]
 
 
 def _check_grid_sizes(**sizes: int) -> None:
@@ -236,17 +245,13 @@ def run_radial_vs_distance(
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
     distances = np.geomspace(d_min, d_max, points)
-    distance_list = distances.tolist()
     root_far_field = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
 
-    rows = []
+    groups = []
     for aperture, geometry in zip(apertures, geometries):
-        bounds = closed_form_bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
-        approx = radial_info_boresight(distances, geometry, wf, config.snr).tolist()
-        rows += [
-            (d, aperture, math.sqrt(radial), _root_inverse(info), root_far_field)
-            for d, radial, info in zip(distance_list, bounds.radial, approx)
-        ]
+        bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
+        approx = radial_info_boresight(distances, geometry, wf, config.snr)
+        groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
 
     return _table(
         "radial-vs-distance",
@@ -258,7 +263,7 @@ def run_radial_vs_distance(
             "root_jrr_inv_approx",
             "root_crlb_vr_far_field",
         ),
-        rows,
+        _stacked(groups),
         apertures=list(apertures),
         d_min=d_min,
         d_max=d_max,
@@ -281,23 +286,21 @@ def run_transverse_vs_distance(
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
-    distances = np.geomspace(d_min, d_max, points).tolist()
+    distances = np.geomspace(d_min, d_max, points)
 
-    rows = []
+    groups = []
     for aperture, geometry in zip(apertures, geometries):
         for angle_deg in angles:
             angle = angle_deg / 180.0 * math.pi
-            bounds = closed_form_bounds(distances, [angle] * points, geometry, wf, config.snr)
-            rows += [
-                (d, angle_deg, aperture, math.sqrt(transverse), _root_inverse(j_tt))
-                for d, transverse, j_tt in zip(distances, bounds.transverse, bounds.j_tt)
-            ]
+            bounds = closed_form_bounds(distances, np.full(points, angle), geometry, wf, config.snr)
+            root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
+            groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
 
     return _table(
         "transverse-vs-distance",
         config,
         ("distance_m", "angle_deg", "aperture_m", "root_crlb_vt_exact", "root_jtt_inv"),
-        rows,
+        _stacked(groups),
         apertures=list(apertures),
         angles_deg=list(angles),
         d_min=d_min,
@@ -323,22 +326,20 @@ def run_carrier_comparison(
     _check_positive(d_min=d_min, d_max=d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
     base_wf = config.waveform()
+    try:
+        waveforms = [replace(base_wf, carrier=carrier) for carrier in carriers]
+    except ValueError as error:
+        raise ValueError(f"carriers: {error}") from None
     distances = np.geomspace(d_min, d_max, points)
-    distance_list = distances.tolist()
 
-    rows = []
-    for carrier in carriers:
-        wf = replace(base_wf, carrier=carrier)
+    groups = []
+    for carrier, wf in zip(carriers, waveforms):
         geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
-        bounds = closed_form_bounds(distance_list, [0.0] * points, geometry, wf, config.snr)
-        halfwave = transverse_info_half_wavelength(
-            distances, config.num_elements, wf, config.snr
-        ).tolist()
+        bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
+        halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
         far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
-        rows += [
-            (d, carrier, geometry.aperture, math.sqrt(vr), math.sqrt(vt), _root_inverse(info), far)
-            for d, vr, vt, info in zip(distance_list, bounds.radial, bounds.transverse, halfwave)
-        ]
+        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
+        groups.append((distances, carrier, geometry.aperture, *roots, far))
 
     return _table(
         "carrier-comparison",
@@ -352,7 +353,7 @@ def run_carrier_comparison(
             "root_crlb_vt_halfwave",
             "root_crlb_vr_far_field",
         ),
-        rows,
+        _stacked(groups),
         carriers=list(carriers),
         d_min=d_min,
         d_max=d_max,
@@ -380,41 +381,38 @@ def run_planar_map(
     _check_increasing(y_points, y_min=y_min, y_max=y_max)
     geometry = config.geometry()
     wf = config.waveform()
-    xs = np.linspace(x_min, x_max, x_points).tolist()
-    ys = (y_min + (y_max - y_min) * np.arange(1, y_points + 1) / y_points).tolist()
+    x = np.tile(np.linspace(x_min, x_max, x_points), y_points)
+    y = np.repeat(y_min + (y_max - y_min) * np.arange(1, y_points + 1) / y_points, x_points)
 
-    # Per-point scalars use ``math``, whose rounding the published maps pin.
-    cells = [(x, y, math.hypot(x, y)) for y in ys for x in xs]
-    off_centre = [(x, y, distance) for x, y, distance in cells if distance > 0.0]
-    distances = [distance for _, _, distance in off_centre]
-    angles = [math.atan2(x, y) for x, y, _ in off_centre]
-    snrs = snr_from_link_budget(
-        np.array(distances),
+    # Per-point hypot, atan2 and log10 use ``math``, whose rounding the published maps pin.
+    x_list, y_list = x.tolist(), y.tolist()
+    distance = np.fromiter(map(math.hypot, x_list, y_list), float, x.size)
+    angle = np.fromiter(map(math.atan2, x_list, y_list), float, x.size)
+    # The array centre has no bound: its row reads angle 0 and infinite SNR and bound.
+    off = distance > 0.0
+    angle_deg = np.where(off, np.degrees(angle), 0.0)
+    snr = snr_from_link_budget(
+        distance[off],
         wf,
         radar_cross_section=config.radar_cross_section,
         tx_gain=config.tx_gain,
         rx_gain=config.rx_gain,
         noise_figure=config.noise_figure,
         temperature=config.temperature,
-    ).tolist()
+    )
     # Degenerate rows come back singular with infinite bounds.
-    bounds = closed_form_bounds(distances, angles, geometry, wf, snrs, flag_degenerate=True)
-    evaluated = iter(zip(angles, snrs, bounds.transverse, bounds.singular))
-
-    rows = []
-    for x, y, distance in cells:
-        if distance == 0.0:
-            rows.append((x, y, 0.0, 0.0, math.inf, math.inf, True))
-            continue
-        angle, snr, vt, singular = next(evaluated)
-        snr_db = 10.0 * math.log10(snr)
-        rows.append((x, y, distance, math.degrees(angle), snr_db, math.sqrt(vt), singular))
+    bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr, flag_degenerate=True)
+    snr_db, root_vt = np.full((2, x.size), math.inf)
+    snr_db[off] = 10.0 * np.fromiter(map(math.log10, snr.tolist()), float, snr.size)
+    root_vt[off] = np.sqrt(bounds.transverse)
+    degenerate = ~off
+    degenerate[off] = bounds.singular
 
     return _table(
         "planar-map",
         config,
         ("x_m", "y_m", "distance_m", "angle_deg", "snr_db", "root_crlb_vt", "degenerate"),
-        rows,
+        (x, y, distance, angle_deg, snr_db, root_vt, degenerate),
         x_min=x_min, x_max=x_max, x_points=x_points,
         y_min=y_min, y_max=y_max, y_points=y_points,
     )
@@ -488,20 +486,22 @@ def run_montecarlo(
         snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 
-    def _row(snr_db: float, report: MonteCarloReport) -> tuple:
+    def _identified(mse: float, value: float) -> float | None:
         # An axis that no trial identified (end-fire transverse) has no MSE and no ratio.
-        return (
-            snr_db,
-            report.trials,
-            None if math.isnan(report.mse_radial) else report.mse_radial,
-            None if math.isnan(report.mse_transverse) else report.mse_transverse,
-            report.crlb_radial,
-            report.crlb_transverse,
-            None if math.isnan(report.mse_radial) else report.ratio_radial,
-            None if math.isnan(report.mse_transverse) else report.ratio_transverse,
-            report.seed,
-            report.degenerate_trials,
-        )
+        return None if math.isnan(mse) else value
+
+    columns = (
+        list(snr_list),
+        [r.trials for r in reports],
+        [_identified(r.mse_radial, r.mse_radial) for r in reports],
+        [_identified(r.mse_transverse, r.mse_transverse) for r in reports],
+        [r.crlb_radial for r in reports],
+        [r.crlb_transverse for r in reports],
+        [_identified(r.mse_radial, r.ratio_radial) for r in reports],
+        [_identified(r.mse_transverse, r.ratio_transverse) for r in reports],
+        [r.seed for r in reports],
+        [r.degenerate_trials for r in reports],
+    )
 
     return _table(
         "montecarlo",
@@ -518,7 +518,7 @@ def run_montecarlo(
             "seed",
             "degenerate_trials",
         ),
-        [_row(snr_db, report) for snr_db, report in zip(snr_list, reports)],
+        columns,
         snr_db_list=list(snr_list),
         trials=trials,
         seed=seed,
@@ -571,27 +571,23 @@ def run_sweep(
     values = grid(start, stop, points).tolist()
     # A distance or angle sweep moves only the target, so its grid is one
     # batch; each carrier or aperture value changes the waveform or the array.
-    groups = [values] if variable in ("distance", "angle") else [[v] for v in values]
+    batches = [values] if variable in ("distance", "angle") else [[v] for v in values]
 
-    rows = []
-    for group in groups:
-        subs = [_configure(value) for value in group]
+    groups = []
+    for batch in batches:
+        subs = [_configure(value) for value in batch]
         wf, geometry, snr = subs[0].waveform(), subs[0].geometry(), subs[0].snr
         distances, angles = [s.distance for s in subs], [s.angle for s in subs]
         bounds = closed_form_bounds(distances, angles, geometry, wf, snr)
         root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, snr))
-        rows += [
-            (value, math.sqrt(vr), math.sqrt(vt), root_far_field, singular)
-            for value, vr, vt, singular in zip(
-                group, bounds.radial, bounds.transverse, bounds.singular
-            )
-        ]
+        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
+        groups.append((batch, *roots, bounds.singular))
 
     return _table(
         f"sweep-{variable}",
         config,
         (variable, "root_crlb_vr", "root_crlb_vt", "root_crlb_vr_far_field", "singular"),
-        rows,
+        _stacked(groups),
         variable=variable,
         start=start,
         stop=stop,

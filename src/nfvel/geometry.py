@@ -170,7 +170,7 @@ def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
         TargetState(float(distances[row]), float(angles[row]))
 
 
-def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = False):
+def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = False, sines=None):
     """Distance from the target to every array element.
 
     Implements ``d_k = d * sqrt(1 + x_k**2/d**2 - 2*x_k*sin(theta)/d)`` for
@@ -178,7 +178,8 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     array.  A pair ``(distances, angles)`` of P rows gives the ``(P, K)``
     block, each row bit-identical to a one-target call, and a ``(P,)`` mask
     of degenerate rows; a row that :class:`TargetState` rejects raises its
-    ``ValueError``.
+    ``ValueError``.  A caller that has checked the angles and holds their
+    ``(P,)`` sines already may pass them as ``sines``.
 
     A row is degenerate when its smallest distance is not above
     ``1e-12 * max(d, aperture)``: on an element, with a radicand that rounds
@@ -192,7 +193,9 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     # Rows at the centre and rows TargetState rejects are NaN, which flags them.  Sines
     # come from ``math``, as published values pin; ratio * (2 sin) rounds as (2 ratio) * sin.
     d = np.where(given > _COINCIDENCE_RTOL * geometry.aperture, given, math.nan)
-    two_sin = np.array([2.0 * math.sin(a) if abs(a) <= math.pi / 2 else math.nan for a in angle_list])[:, None]
+    if sines is None:
+        sines = [math.sin(a) if abs(a) <= math.pi / 2 else math.nan for a in angle_list]
+    two_sin = 2.0 * np.asarray(sines)[:, None]
     ratio = geometry.element_x_positions / d
     distances = ratio * ratio
     distances += 1.0

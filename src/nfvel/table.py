@@ -1,9 +1,9 @@
 """Deterministic CSV emission: :class:`CsvTable` and the cell format :func:`format_cell`.
 
-``CsvTable.render`` formats its rows in blocks, column by column.  Columns of
-Python floats go through one numpy kernel that writes ``'%.12e'`` where it can
-prove the digits, and every other cell, including each float the kernel cannot
-prove, through :func:`format_cell`, which stays the specification of a cell.
+A table holds one sequence per column.  ``CsvTable.render`` sends float arrays
+and columns of Python floats through one numpy kernel that writes ``'%.12e'``
+where it can prove the digits, bool arrays to ``1``/``0``, and every other cell,
+including each float the kernel cannot prove, through :func:`format_cell`.
 """
 
 from __future__ import annotations
@@ -33,24 +33,28 @@ _EXPONENTS = np.array([list(b"e%+03d" % e) for e in range(-10, 36)], np.uint8).v
 
 @dataclass(frozen=True)
 class CsvTable:
-    """Column names, row tuples and the metadata echoed into the file header."""
+    """Column names, one numpy array or sequence of cells per column, and the header metadata."""
 
     name: str
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    data: tuple
     meta: dict
 
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The cells row by row, with the cells of numpy arrays as Python floats, bools and ints."""
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
+
     def render(self) -> str:
-        lines = [f"# nfvel {self.name}"]
-        for key in sorted(self.meta):
-            lines.append(f"# {key} = {_meta_str(self.meta[key])}")
-        lines.append(",".join(self.columns))
-        width = len(self.columns)
-        if set(map(len, self.rows)) - {width}:
-            bad = next(row for row in self.rows if len(row) != width)
-            raise ValueError(f"row width {len(bad)} != {width} columns")
-        step = max(1, _RENDER_CELLS // max(width, 1))
-        blocks = (_block_text(self.rows[start : start + step]) for start in range(0, len(self.rows), step))
+        meta = [f"# {key} = {_meta_str(self.meta[key])}" for key in sorted(self.meta)]
+        lines = [f"# nfvel {self.name}", *meta, ",".join(self.columns)]
+        lengths = sorted(set(map(len, self.data))) or [0]
+        if len(self.data) != len(self.columns) or len(lengths) > 1:
+            raise ValueError(f"{len(self.data)} columns of lengths {lengths} for {len(self.columns)} names")
+        # A column that holds only Python floats is formatted as a float array.
+        data = [c if isinstance(c, np.ndarray) or set(map(type, c)) != {float} else np.array(c) for c in self.data]
+        step = max(1, _RENDER_CELLS // max(len(data), 1))
+        blocks = (_block_text([c[i : i + step] for c in data]) for i in range(0, lengths[0], step))
         return "\n".join(lines) + "\n" + "".join(blocks)
 
     def write(self, path: str | Path) -> Path:
@@ -63,7 +67,7 @@ def format_cell(value) -> str:
     """One CSV cell or ``crlb`` value: ``%.12e``, ``inf``, ``1``/``0``, ``none``; NaN raises."""
     if value is None:
         return "none"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -87,36 +91,34 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _block_text(rows: tuple[tuple, ...]) -> str:
-    """The CSV lines of ``rows``, each ending in a newline, decoded from one byte array.
+def _block_text(columns: list) -> str:
+    """The CSV lines of one block of columns, each ending in a newline, decoded from one byte array.
 
-    The columns of one kind are formatted together: Python floats by the
-    ``%.12e`` kernel, any other by :func:`format_cell`.
+    The columns of one kind are formatted together: float arrays by the ``%.12e``
+    kernel, bool arrays as ``1``/``0``, any other by :func:`format_cell`.
     """
-    columns = list(zip(*rows))
-    groups: dict[str, list[int]] = {"float": [], "cell": []}
-    for index, column in enumerate(columns):
-        groups["float" if set(map(type, column)) == {float} else "cell"].append(index)
+    count = len(columns[0])
+    kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "O" for c in columns]
     slots = [None] * len(columns)
-    for kind, indices in groups.items():
-        if not indices:
-            continue
+    for kind in dict.fromkeys(kinds):
+        indices = [i for i, k in enumerate(kinds) if k == kind]
         group = [columns[i] for i in indices]
-        if kind == "float":
-            parts = _float_slots(group)
+        if kind == "f":
+            parts = _float_slots(np.array(group, np.float64))
+        elif kind == "b":
+            digits = np.array(group, np.uint8)[..., None] + ord("0")
+            parts = digits, np.ones(digits.shape, bool)
         else:
             texts = list(map(format_cell, chain.from_iterable(group)))
-            parts = [part.reshape(len(group), len(rows), part.shape[1]) for part in _text_slots(texts)]
+            parts = [part.reshape(len(group), count, part.shape[1]) for part in _text_slots(texts)]
         for index, cells, keep in zip(indices, *parts):
             slots[index] = cells, keep
 
-    separator, always = np.full((len(rows), 1), ord(","), np.uint8), np.ones((len(rows), 1), bool)
-    data, kept = [], []
-    for cells, keep in slots:
-        data += [cells, separator]
-        kept += [keep, always]
-    data[-1:], kept[-1:] = [np.full((len(rows), 1), ord("\n"), np.uint8)], [always]
-    return np.concatenate(data, axis=1)[np.concatenate(kept, axis=1)].tobytes().decode()
+    ends = [np.full((count, 1), ord(end), np.uint8) for end in "," * (len(columns) - 1) + "\n"]
+    always = np.ones((count, 1), bool)
+    data = np.concatenate([part for (cells, _), end in zip(slots, ends) for part in (cells, end)], axis=1)
+    kept = np.concatenate([part for _, keep in slots for part in (keep, always)], axis=1)
+    return data[kept].tobytes().decode()
 
 
 def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +133,8 @@ def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return data[(np.cumsum(lengths) - lengths)[:, None] + columns], columns < lengths[:, None]
 
 
-def _float_slots(columns: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.12e' % v`` of columns of floats in (columns, rows, width) slots, and the mask of the bytes kept.
+def _float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.12e' % v`` of (columns, rows) floats in (columns, rows, width) slots, and the mask of the bytes kept.
 
     The kernel writes a cell only where it can prove the digits.  With
     ``p = floor(log10|v|) - 12`` and ``|p| <= 22``, the power ``10**|p|`` is
@@ -143,8 +145,7 @@ def _float_slots(columns: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     Every other cell, such as a zero, a subnormal, a non-finite value or a
     near-tie, goes through :func:`format_cell`.
     """
-    count = len(columns[0])
-    signed = np.fromiter(chain.from_iterable(columns), np.float64, len(columns) * count)
+    signed = values.ravel()
     magnitude = np.abs(signed)
     with np.errstate(divide="ignore"):
         p = np.floor(np.log10(magnitude)) - 12.0
@@ -162,8 +163,7 @@ def _float_slots(columns: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     fallback = np.flatnonzero(~proven).tolist()
     width = 20
     if fallback:
-        texts = [format_cell(columns[i // count][i % count]) for i in fallback]
-        cells, kept = _text_slots(texts)
+        cells, kept = _text_slots(list(map(format_cell, signed[fallback].tolist())))
         width = max(width, cells.shape[1])
 
     words = np.zeros((signed.size, -(-width // 4)), np.uint32)
@@ -181,4 +181,4 @@ def _float_slots(columns: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
         slots[fallback, : cells.shape[1]] = cells
         keep[fallback] = False
         keep[fallback, : cells.shape[1]] = kept
-    return slots.reshape(len(columns), count, -1), keep.reshape(len(columns), count, -1)
+    return slots.reshape(*values.shape, -1), keep.reshape(*values.shape, -1)

@@ -681,14 +681,15 @@ class TestBatchKernel:
             with pytest.raises(DegenerateGeometryError, match="distance"):
                 closed_form_bounds(distances[i:], angles[i:], geom, wf, 1.0)
         rows = closed_form_bounds(distances, angles, geom, wf, 1.0, flag_degenerate=True)
-        assert rows.degenerate == [True, True, False]
-        assert rows.singular[:2] == [True, True]
-        assert rows.radial[:2] == rows.transverse[:2] == [math.inf, math.inf]
+        assert rows.degenerate.tolist() == [True, True, False]
+        assert rows.singular[:2].tolist() == [True, True]
+        assert rows.radial[:2].tolist() == rows.transverse[:2].tolist() == [math.inf, math.inf]
         assert math.isfinite(rows.transverse[2])
 
     def test_empty_batch(self):
         rows = closed_form_bounds([], [], ArrayGeometry(3, 0.1), make_waveform(), 1.0)
-        assert rows.j_rr == rows.radial == rows.degenerate == []
+        assert rows.j_rr.shape == rows.radial.shape == rows.degenerate.shape == (0,)
+        assert rows.degenerate.dtype == bool
 
     def test_rejects_invalid_points(self):
         geom = ArrayGeometry(3, 0.1)

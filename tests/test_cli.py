@@ -77,9 +77,10 @@ def _float_keys():
 
 FLOAT_KEYS = _float_keys()
 
-# A montecarlo setting whose value is non-finite or leaves the float range once converted
-# from dB, and the start of the error that names it. Each case is named by its setting; a
-# case of several settings separates them by a space before each key.
+# A setting whose value is non-finite or leaves the float range once converted from dB or
+# squared, and the start of the error that names it. Each case is named by its setting; a
+# case of several settings separates them by a space before each key. A case runs
+# montecarlo unless it starts with another subcommand.
 OUT_OF_RANGE_SETTINGS = [
     ("snr=4000 dB", "snr: expected a finite number"),
     ("noise_figure=4000dB", "noise_figure: expected a finite number"),
@@ -94,6 +95,12 @@ OUT_OF_RANGE_SETTINGS = [
     ("snr_list=3080", "snr_list entry 3080.0 dB takes the estimator or the bounds past"),
     # An SNR in range whose noise floor P/snr is not.
     ("snr_list=-100 tx_power=1e300", "snr_list entry -100.0 dB puts the noise floor P/snr outside"),
+    # Each carrier of fig3 builds its own waveform.
+    ("fig3 carriers=0", "carriers: carrier must be positive, got 0.0"),
+    ("fig3 carriers=-1", "carriers: carrier must be positive, got -1.0"),
+    ("fig3 carriers=nan", "carriers: cannot parse 'nan'"),
+    ("fig3 carriers=1e300", "carriers: carrier 1e+300 squares past the float range"),
+    ("fig3 carriers=6e9,1e300", "carriers: carrier 1e+300 squares past the float range"),
 ]
 
 
@@ -452,8 +459,11 @@ class TestExitCodes:
     )
     def test_overflowing_or_nan_value_names_its_key(self, setting, message, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        settings = [arg for key in re.split(r" (?=\w+=)", setting) for arg in ("--set", key)]
-        assert main(["montecarlo", "--trials", "100", *settings, "--out", str(out)]) == 1
+        words = re.split(r" (?=\w+=)", setting)
+        command = words.pop(0) if words[0] in _commands() else "montecarlo"
+        settings = [arg for key in words for arg in ("--set", key)]
+        trials = ["--trials", "100"] if command == "montecarlo" else []
+        assert main([command, *trials, *settings, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"nfvel: invalid configuration: {message}")
         assert not out.exists()
 

@@ -36,8 +36,51 @@ _CELLS = st.one_of(
     st.floats(allow_nan=False),
     st.none(),
     st.floats(allow_nan=False).map(np.float64),
-    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, np.int64(-7), "text", "", "é"]),
+    st.sampled_from([math.inf, -math.inf, 0.0, -0.0, np.int64(-7), np.True_, "text", "", "é"]),
 )
+
+
+def _nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+# Float64 cells the render kernel must either prove or hand to format_cell: any bit
+# pattern, subnormals, signed zeros and infinities, values near 1e+-22 (the largest
+# exact power of ten), and near-ties at the thirteenth digit.
+_FLOAT64 = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(lambda v: not math.isnan(v)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -sys.float_info.min / 3]),
+    st.builds(_nudged, st.sampled_from([1e22, 1e23, 1e-22, 1e-23, -1e22]), st.integers(-3, 3)),
+    st.builds(
+        lambda digits, exponent, ulps: _nudged(float(f"{digits}.5e{exponent}"), ulps),
+        st.integers(10**12, 10**13 - 1),
+        st.integers(-40, 30),
+        st.integers(-2, 2),
+    ),
+)
+
+# One column of each kind a table holds, as (kind, drawn values): float64 and bool
+# arrays, lists of Python floats, and object lists of None, ints and other cells.
+_COLUMN = st.one_of(
+    st.tuples(st.just("float64"), st.lists(_FLOAT64, min_size=1, max_size=12)),
+    st.tuples(st.just("bool"), st.lists(st.booleans(), min_size=1, max_size=12)),
+    st.tuples(st.just("floats"), st.lists(st.floats(allow_nan=False), min_size=1, max_size=12)),
+    st.tuples(st.just("cells"), st.lists(_CELLS, min_size=1, max_size=12)),
+)
+
+
+def _tiled(kind: str, values: list, count: int):
+    """``values`` repeated to ``count`` cells, as the column kind ``kind``."""
+    cells = (values * (count // len(values) + 1))[:count]
+    if kind in ("float64", "bool"):
+        return np.array(cells, dtype=np.float64 if kind == "float64" else bool)
+    return cells
 
 
 def _column(table: CsvTable, name: str) -> list:
@@ -45,13 +88,19 @@ def _column(table: CsvTable, name: str) -> list:
     return [row[index] for row in table.rows]
 
 
+def _from_rows(name: str, columns: tuple, rows, meta=None) -> CsvTable:
+    """A table given row by row, held as one list per column."""
+    data = tuple(map(list, zip(*rows))) or ((),) * len(columns)
+    return CsvTable(name=name, columns=columns, data=data, meta=meta or {})
+
+
 class TestCsvTable:
     def _demo(self):
-        return CsvTable(
-            name="demo",
-            columns=("count", "value", "flag"),
-            rows=((3, 2.5, True), (4, math.inf, False)),
-            meta={"zeta": 1, "alpha": 2.0, "mid": "text"},
+        return _from_rows(
+            "demo",
+            ("count", "value", "flag"),
+            ((3, 2.5, True), (4, math.inf, False)),
+            {"zeta": 1, "alpha": 2.0, "mid": "text"},
         )
 
     def test_render_layout(self):
@@ -77,7 +126,7 @@ class TestCsvTable:
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=30))
     def test_render_matches_format_cell(self, rows):
-        table = CsvTable(name="mixed", columns=("a", "b", "c"), rows=tuple(rows), meta={})
+        table = _from_rows("mixed", ("a", "b", "c"), rows)
         body = table.render().splitlines()[2:]
         assert body == [",".join(map(format_cell, row)) for row in rows]
 
@@ -95,7 +144,7 @@ class TestCsvTable:
         )
     )
     def test_float_column_renders_as_printf(self, values):
-        table = CsvTable(name="floats", columns=("v",), rows=tuple((v,) for v in values), meta={})
+        table = _from_rows("floats", ("v",), [(v,) for v in values])
         assert table.render().splitlines()[2:] == ["%.12e" % v for v in values]
 
     @pytest.mark.parametrize(
@@ -122,7 +171,7 @@ class TestCsvTable:
     )
     def test_float_edge_values_render_as_printf(self, value):
         rows = ((value,), (-value,), (1.0,))
-        table = CsvTable(name="floats", columns=("v",), rows=rows, meta={})
+        table = _from_rows("floats", ("v",), rows)
         assert table.render().splitlines()[2:] == ["%.12e" % v for (v,) in rows]
 
     def test_mixed_table_across_blocks_matches_format_cell(self):
@@ -137,7 +186,7 @@ class TestCsvTable:
             (x, i % 3 == 0, (-1) ** i * i**3, others[i % len(others)])
             for i, x in enumerate(floats)
         )
-        table = CsvTable(name="mixed", columns=("a", "b", "c", "d"), rows=rows, meta={})
+        table = _from_rows("mixed", ("a", "b", "c", "d"), rows)
         assert table.render().splitlines()[2:] == [",".join(map(format_cell, row)) for row in rows]
 
     @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
@@ -146,14 +195,47 @@ class TestCsvTable:
         # One NaN object, in one cell or twice in the row, after a finite row.
         finite = (1.0, 2.0, True)
         row = tuple(nan if i in positions else value for i, value in enumerate(finite))
-        table = CsvTable(name="demo", columns=("a", "b", "c"), rows=(finite, row), meta={})
+        table = _from_rows("demo", ("a", "b", "c"), (finite, row))
         with pytest.raises(ValueError, match="NaN"):
             table.render()
 
     def test_row_width_mismatch_raises(self):
-        bad = CsvTable(name="demo", columns=("a", "b"), rows=((1,),), meta={})
-        with pytest.raises(ValueError):
-            bad.render()
+        # One column of cells for two names, three for two, and two of unequal lengths.
+        for data in [((1,),), ((1,), (2,), (3,)), ((1,), (2, 3)), (np.ones(2), [1.0])]:
+            bad = CsvTable(name="demo", columns=("a", "b"), data=data, meta={})
+            with pytest.raises(ValueError, match="columns of lengths"):
+                bad.render()
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns=st.lists(_COLUMN, min_size=1, max_size=6), data=st.data())
+    def test_columnwise_render_matches_format_cell_per_row(self, columns, data):
+        # Row counts include tables that end on, and just past, a block boundary.
+        step = _RENDER_CELLS // len(columns)
+        count = data.draw(st.one_of(st.integers(0, 20), st.sampled_from([step, step + 1])), label="rows")
+        table = CsvTable("columns", tuple("abcdef"[: len(columns)]), tuple(_tiled(*c, count) for c in columns), {})
+        expected = [",".join(map(format_cell, row)) for row in table.rows]
+        assert len(expected) == count
+        assert table.render().splitlines()[2:] == expected
+
+    @settings(max_examples=20, deadline=None)
+    @given(values=st.lists(_FLOAT64, min_size=1, max_size=12), data=st.data())
+    def test_nan_in_a_float64_array_raises(self, values, data):
+        count = data.draw(st.sampled_from([1, 5, _RENDER_CELLS // 2 + 1]), label="rows")
+        column = _tiled("float64", values, count)
+        column[data.draw(st.integers(0, count - 1), label="nan at")] = math.nan
+        table = CsvTable("nan", ("a", "b"), (column, np.ones(count, bool)), {})
+        with pytest.raises(ValueError, match="NaN reached an output cell"):
+            table.render()
+
+    def test_numpy_bool_cell_is_one_or_zero(self):
+        assert (format_cell(np.True_), format_cell(np.False_)) == ("1", "0")
+        table = CsvTable("t", ("a", "b"), ((1.5,), (np.True_,)), {})
+        assert table.render().splitlines()[-1] == "1.500000000000e+00,1"
+
+    def test_rows_hold_python_floats_and_bools(self):
+        table = CsvTable("t", ("a", "b", "c"), (np.array([1.5]), np.array([True]), [None]), {})
+        assert table.rows == ((1.5, True, None),)
+        assert [type(cell) for cell in table.rows[0]] == [float, bool, type(None)]
 
     def test_write_is_byte_identical_across_runs(self, tmp_path):
         table = self._demo()
@@ -354,7 +436,7 @@ class TestPlanarMap:
 
         def nan_transverse(*args, **kwargs):
             rows = bounds(*args, **kwargs)
-            return dataclasses.replace(rows, transverse=[math.nan] * len(rows.transverse))
+            return dataclasses.replace(rows, transverse=np.full_like(rows.transverse, math.nan))
 
         monkeypatch.setattr(experiments, "closed_form_bounds", nan_transverse)
         table = run_planar_map(ScenarioConfig(), x_points=3, y_points=2)
