@@ -57,10 +57,8 @@ __all__ = [
     "transverse_info_half_wavelength",
 ]
 
-# Relative determinant floor below which the matrix is declared singular, and
-# an absolute floor guarding the all-zero matrix.
+# Relative determinant floor below which the matrix is declared singular.
 _SINGULAR_RTOL = 1e-12
-_SINGULAR_ABS_FLOOR = 1e-300
 # A mildly negative determinant is rounding residue; anything worse is an
 # upstream bug.
 _NEGATIVE_DET_RTOL = 1e-9
@@ -156,15 +154,24 @@ def fisher_info_numeric(
 def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
     """Variance bounds and singular flags of P information matrices, as ``(P,)`` arrays.
 
-    Rows round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An
-    error names the first bad row, including one whose determinant is not finite.
+    Each axis is scaled by an exact power of two that brings its diagonal entry into
+    [0.5, 2), so the tests are relative at any scale, and rows whose products stay normal
+    round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An error
+    names the first bad row as given, including one whose determinant is not finite.
     """
+    # In the order (j_tt, j_rr): divided by the determinant, they give (radial, transverse).
+    scaled = np.stack((j_tt, j_rr))
+    # frexp gives exponent 0 for a zero, infinite or NaN entry, whose scale stays 1;
+    # a negative entry raises below.
+    shift = -(np.frexp(scaled)[1] >> 1)
     with np.errstate(all="ignore"):
-        diag_product = j_rr * j_tt
-        det = diag_product - j_rt * j_rt
+        t, r = np.ldexp(scaled, 2 * shift, out=scaled)
+        c = np.ldexp(j_rt, shift.sum(axis=0))
+        diag_product = r * t
+        det = diag_product - c * c
         negative_diag = (j_rr < 0.0) | (j_tt < 0.0)
         overflow = ~np.isfinite(det)
-        bad = negative_diag | overflow | (det < -_NEGATIVE_DET_RTOL * np.maximum(diag_product, 1.0))
+        bad = negative_diag | overflow | (det < -_NEGATIVE_DET_RTOL * diag_product)
         if bad.any():
             i = int(np.argmax(bad))
             row = (float(j_rr[i]), float(j_tt[i]), float(j_rt[i]))
@@ -173,10 +180,13 @@ def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndar
             if overflow[i]:
                 raise ValueError(f"information matrix {row} overflows; reduce carrier or snr")
             raise ValueError(f"information matrix is negative definite: {row}")
-        singular = det < _SINGULAR_RTOL * np.maximum(diag_product, _SINGULAR_ABS_FLOOR)
-        radial = np.where(singular, np.where(j_rr > 0.0, 1.0 / j_rr, math.inf), j_tt / det)
+        singular = det <= _SINGULAR_RTOL * diag_product
+        del c, diag_product  # before the bounds' temporaries: this is a batch's peak
+        scaled /= det
+        radial, transverse = np.ldexp(scaled, 2 * shift[::-1], out=scaled)
+        radial = np.where(singular, np.where(j_rr > 0.0, 1.0 / j_rr, math.inf), radial)
         only_transverse = (j_tt > 0.0) & (j_rr == 0.0)
-        transverse = np.where(singular, np.where(only_transverse, 1.0 / j_tt, math.inf), j_rr / det)
+        transverse = np.where(singular, np.where(only_transverse, 1.0 / j_tt, math.inf), transverse)
     return radial, transverse, singular
 
 
@@ -260,12 +270,13 @@ def fisher_info_closed_form(
 def crlb_from_fisher(info: FisherInfo) -> CrlbResult:
     """Invert a 2x2 information matrix into per-component variance bounds.
 
-    A determinant below ``1e-12`` of the diagonal product marks the matrix
+    A determinant at most ``1e-12`` of the diagonal product marks the matrix
     singular: the transverse axis is reported infinite and the radial bound
-    falls back to the single-parameter value ``1/j_rr``.  A meaningfully
-    negative determinant or diagonal signals an upstream bug and raises, as
-    does a determinant past the float range.  This is the one-row case of
-    the array inverse :func:`closed_form_bounds` applies to a whole batch.
+    falls back to the single-parameter value ``1/j_rr``.  A determinant below
+    ``-1e-9`` of it, or a negative diagonal, signals an upstream bug and raises,
+    as does an entry past the float range.  Both tests are relative at any scale.
+    This is the one-row case of the array inverse :func:`closed_form_bounds`
+    applies to a whole batch.
     """
     entries = np.array([[info.j_rr], [info.j_tt], [info.j_rt]], dtype=float)
     return CrlbResult(*(column.item() for column in _crlb(*entries)))

@@ -10,14 +10,12 @@ bounds are written as ``inf``, an MSE that no trial could estimate as
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import (
-    _boresight_weight,
     closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
@@ -28,7 +26,7 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
-from .geometry import ArrayGeometry, TargetState
+from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, snr_from_link_budget
 
@@ -46,9 +44,6 @@ __all__ = [
 ]
 
 _SWEEP_VARIABLES = ("distance", "angle", "carrier", "aperture")
-# A Monte Carlo quantity that is squared stays below this: the root of the
-# float range, with 2**20 to spare for the spread of the noise.
-_SQUARE_LIMIT = math.sqrt(sys.float_info.max) / 2**20
 
 
 @dataclass(frozen=True)
@@ -453,19 +448,6 @@ def run_montecarlo(
         spans.append(span)
     search = MlSearchConfig(*spans, grid_points=grid_points, tolerance=refine_tolerance)
 
-    # The search runs at a power-of-two scale near unit sample power, so the
-    # transmit power P drops out.  The check counts the signal at unit power
-    # and the noise floor at 1/snr of it, which errs on the safe side.  Newton
-    # squares Hessian entries of about X*(1 + 1/snr)*J1 and the coarse grid
-    # sums X*X*(1 + 1/snr), with X samples and J1 at most 4*K times the
-    # boresight weight at unit SNR; the bounds square snr*J1.  J1 counts as at
-    # least 1: with one symbol it is 0, but the bounds still multiply snr into
-    # their weights.  An entry is named when it, not the scene alone, takes
-    # one of these past _SQUARE_LIMIT, or the noise floor P/snr out of the
-    # float range.
-    samples = wf.num_symbols * wf.num_subcarriers * geometry.num_elements
-    bounds_scale = max(4.0 * geometry.num_elements * _boresight_weight(wf, 1.0), 1.0)
-    estimator_scale = samples * max(bounds_scale, samples)
     snrs = []
     for snr_db in snr_list:
         try:
@@ -474,15 +456,16 @@ def run_montecarlo(
             snr = math.inf
         if not 0.0 < snr < math.inf:
             raise ValueError(f"snr_list entry {snr_db!r} dB is outside the float range as a linear SNR")
-        reach = max(snr * bounds_scale, (1.0 + 1.0 / snr) * estimator_scale)
-        if max(bounds_scale, estimator_scale) < _SQUARE_LIMIT <= reach:
-            raise ValueError(
-                f"snr_list entry {snr_db!r} dB takes the estimator or the bounds past the float range"
-            )
         if not 0.0 < wf.subcarrier_power / snr < math.inf:
             raise ValueError(
                 f"snr_list entry {snr_db!r} dB puts the noise floor P/snr outside the float range"
             )
+        try:
+            crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, snr))
+        except DegenerateGeometryError:
+            raise
+        except ValueError as error:
+            raise ValueError(f"snr_list entry {snr_db!r} dB: {error}") from None
         snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 

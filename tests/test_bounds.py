@@ -1,6 +1,7 @@
 """Tests for the Fisher information routes and the velocity variance bounds."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -168,28 +169,49 @@ class TestRouteAgreement:
                 fisher_info_closed_form(target, geom, wf, bad)
 
 
-def _scalar_crlb(j_rr, j_tt, j_rt):
-    """Oracle: the one-matrix inverse that the array form ``_crlb`` replaced.
+def _normal_or_zero(product, *factors):
+    """Whether ``product`` of ``factors`` rounds as a normal float: nonzero, or zero exactly."""
+    return sys.float_info.min <= abs(product) < math.inf or 0.0 in factors
 
-    It squares ``j_rt`` by multiplication, as the array form does: ``j_rt**2``
-    on a Python float calls C ``pow``, which rounds differently from
-    ``j_rt * j_rt`` for about one double in 1200.
+
+def _scalar_crlb(j_rr, j_tt, j_rt):
+    """Oracle: ``(radial, transverse, singular, rel)`` of one matrix, from the textbook inverse.
+
+    The matrix is singular when its determinant is at most 1e-12 of the diagonal
+    product, and negative definite below -1e-9 of it.  Where ``j_rr * j_tt`` and
+    ``j_rt * j_rt`` round as normal floats, the bounds are ``j_tt / det`` and
+    ``j_rr / det``, which the kernel must equal bit for bit (``rel`` 0); ``j_rt`` is
+    squared by multiplication, since ``j_rt**2`` on a Python float calls C ``pow``,
+    which rounds differently for about one double in 1200.  Elsewhere the tests
+    read ``1 - rho**2`` with ``rho**2 = j_rt**2 / (j_rr * j_tt)``, the bounds are
+    ``1 / (j_rr * (1 - rho**2))`` and ``1 / (j_tt * (1 - rho**2))``, and ``rel``
+    allows 1e-12 of the diagonal product on the determinant.
     """
+    row = (j_rr, j_tt, j_rt)
     if j_rr < 0.0 or j_tt < 0.0:
-        raise ValueError(f"information diagonal must be nonnegative, got {(j_rr, j_tt, j_rt)}")
-    det = j_rr * j_tt - j_rt * j_rt
-    diag_product = j_rr * j_tt
-    if det < -1e-9 * max(diag_product, 1.0):
-        raise ValueError(f"information matrix is negative definite: {(j_rr, j_tt, j_rt)}")
-    if det < 1e-12 * max(diag_product, 1e-300):
+        raise ValueError(f"information diagonal must be nonnegative, got {row}")
+    exact = _normal_or_zero(j_rr * j_tt, j_rr, j_tt) and _normal_or_zero(j_rt * j_rt, j_rt)
+    if exact:
+        diag_product = j_rr * j_tt
+        det = diag_product - j_rt * j_rt
+        negative, singular = det < -1e-9 * diag_product, det <= 1e-12 * diag_product
+    else:
+        # The determinant over the diagonal product.
+        det = 1.0 - (j_rt / math.sqrt(j_rr) / math.sqrt(j_tt)) ** 2
+        negative, singular = det < -1e-9, det <= 1e-12
+    if negative:
+        raise ValueError(f"information matrix is negative definite: {row}")
+    if singular:
         radial = 1.0 / j_rr if j_rr > 0.0 else math.inf
         transverse = 1.0 / j_tt if (j_tt > 0.0 and j_rr == 0.0) else math.inf
-        return radial, transverse, True
-    return j_tt / det, j_rr / det, False
+        return radial, transverse, True, 0.0
+    if exact:
+        return j_tt / det, j_rr / det, False, 0.0
+    return 1.0 / (j_rr * det), 1.0 / (j_tt * det), False, 1e-12 / det
 
 
-# Entries small enough that no product of two overflows.
-_ENTRY = st.floats(1e-150, 1e150)
+# Positive entries across the float range: a product of two can under- or overflow.
+_ENTRY = st.floats(1e-300, 1e300)
 
 
 @st.composite
@@ -198,24 +220,40 @@ def _information_rows(draw, bad=False):
 
     With ``bad`` the rows are ones the inverse rejects: a negative diagonal
     entry, or a determinant further below -1e-9 times the diagonal product.
+    Every kind is drawn at any scale.
     """
     j_rr, j_tt = draw(_ENTRY), draw(_ENTRY)
+    # sqrt(j_rr * j_tt) without the product, which can leave the float range.
+    root = math.sqrt(j_rr) * math.sqrt(j_tt)
     if bad:
         if draw(st.booleans()):
             negative = -draw(_ENTRY)
             return draw(st.sampled_from([(negative, j_tt, 0.0), (j_rr, negative, 1.0)]))
-        j_rr, j_tt = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 1e6))
-        return j_rr, j_tt, math.sqrt(j_rr * j_tt * (1.0 + draw(st.floats(1.1e-9, 1e-3))))
+        return j_rr, j_tt, root * math.sqrt(1.0 + draw(st.floats(1.1e-9, 1e-3)))
     kind = draw(st.sampled_from(["generic", "zero_rr", "zero_tt", "inside"]))
     if kind == "generic":
-        return j_rr, j_tt, draw(st.floats(-1.0, 1.0)) * math.sqrt(j_rr) * math.sqrt(j_tt)
+        return j_rr, j_tt, draw(st.floats(-1.0, 1.0)) * root
     if kind == "zero_rr":
         return 0.0, draw(st.sampled_from([0.0, j_tt])), 0.0
     if kind == "zero_tt":
         return j_rr, 0.0, 0.0
     # A determinant just inside the -1e-9*diag rounding allowance: singular.
-    j_rr, j_tt = draw(st.floats(1.0, 1e6)), draw(st.floats(1.0, 1e6))
-    return j_rr, j_tt, math.sqrt(j_rr * j_tt * (1.0 + draw(st.floats(0.0, 0.9e-9))))
+    return j_rr, j_tt, root * math.sqrt(1.0 + draw(st.floats(0.0, 0.9e-9)))
+
+
+def _quarter_shifts(entry, bound):
+    """The i in [-400, 400] for which ``entry * 4**i`` and ``bound / 4**i`` stay normal.
+
+    Zero and infinite values hold at any i.
+    """
+    low, high = -400, 400
+    for value, sign in ((entry, 1), (bound, -1)):
+        if 0.0 < value < math.inf:
+            # value * 2**k is normal for k in [-1021 - e, 1024 - e].
+            e = math.frexp(value)[1]
+            k_low, k_high = (-1021 - e, 1024 - e) if sign > 0 else (e - 1024, e + 1021)
+            low, high = max(low, -(-k_low // 2)), min(high, k_high // 2)
+    return low, high
 
 
 def _bits(values):
@@ -226,12 +264,23 @@ class TestArrayInverse:
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(_information_rows(), max_size=30))
     @example(rows=[(0.0, 4.0, 0.0), (5.0, 0.0, 0.0), (2.0, 3.0, math.sqrt(6.0 * (1.0 + 0.5e-9)))])
+    # The default scene at -1700 dB, whose diagonal product underflows, and at +2000 dB,
+    # whose diagonal product overflows.
+    @example(
+        rows=[
+            (1.7441765793971365e-163, 1.0618844658247012e-167, -1.4980358880668507e-182),
+            (1.744176579397137e207, 1.0618844658247013e203, -1.4980358880668508e188),
+        ]
+    )
     def test_rows_equal_the_scalar_inverse(self, rows):
         radial, transverse, singular = _crlb(*np.array(rows, dtype=float).reshape(-1, 3).T)
         expected = [_scalar_crlb(*row) for row in rows]
-        assert _bits(radial) == _bits([r for r, _, _ in expected])
-        assert _bits(transverse) == _bits([t for _, t, _ in expected])
-        assert singular.tolist() == [s for _, _, s in expected]
+        assert singular.tolist() == [s for _, _, s, _ in expected]
+        for got, (*want, _, rel) in zip(zip(radial.tolist(), transverse.tolist()), expected):
+            if rel:
+                assert list(got) == pytest.approx(want, rel=rel, abs=0.0)
+            else:
+                assert _bits(got) == _bits(want)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -249,10 +298,36 @@ class TestArrayInverse:
             _crlb(*np.array(rows, dtype=float).T)
         assert str(raised.value) == str(expected.value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_power_of_two_scaling_scales_the_bounds_exactly(self, data):
+        row = data.draw(_information_rows())
+        radial, transverse, singular = (v.item() for v in _crlb(*np.array(row).reshape(3, 1)))
+        # A bound that overflowed has no exact scaled value to compare with.
+        assume(singular or (math.isfinite(radial) and math.isfinite(transverse)))
+        i = data.draw(st.integers(*_quarter_shifts(row[0], radial)))
+        j_low, j_high = _quarter_shifts(row[1], transverse)
+        if row[2]:
+            # j_rt * 2**(i + j) is normal for i + j in [-1021 - e, 1024 - e].
+            e = math.frexp(row[2])[1]
+            j_low, j_high = max(j_low, -1021 - e - i), min(j_high, 1024 - e - i)
+        assume(j_low <= j_high)
+        j = data.draw(st.integers(j_low, j_high))
+        scaled = (math.ldexp(row[0], 2 * i), math.ldexp(row[1], 2 * j), math.ldexp(row[2], i + j))
+        got = [v.item() for v in _crlb(*np.array(scaled).reshape(3, 1))]
+        assert got[2] == singular
+        assert _bits(got[:2]) == _bits([math.ldexp(radial, -2 * i), math.ldexp(transverse, -2 * j)])
+
+    def test_large_diagonal_inverts(self):
+        result = crlb_from_fisher(FisherInfo(1e200, 1e200, 0.0))
+        assert not result.singular
+        assert result.radial == result.transverse == pytest.approx(1e-200, rel=1e-15)
+
     @pytest.mark.parametrize(
         "info",
         [
-            FisherInfo(1e200, 1e200, 0.0),
+            # A coupling 1e400 times the root of the diagonal product.
+            FisherInfo(1e-200, 1e-200, 1e200),
             FisherInfo(1.0, 1.0, 1e200),
             FisherInfo(math.inf, 1.0, 0.0),
             FisherInfo(math.nan, 1.0, 0.0),

@@ -78,9 +78,9 @@ def _float_keys():
 FLOAT_KEYS = _float_keys()
 
 # A setting whose value is non-finite or leaves the float range once converted from dB or
-# squared, and the start of the error that names it. Each case is named by its setting; a
-# case of several settings separates them by a space before each key. A case runs
-# montecarlo unless it starts with another subcommand.
+# squared, or that puts the target on an element, and the start of the error that names it.
+# Each case is named by its setting; a case of several settings separates them by a space
+# before each key. A case runs montecarlo unless it starts with another subcommand.
 OUT_OF_RANGE_SETTINGS = [
     ("snr=4000 dB", "snr: expected a finite number"),
     ("noise_figure=4000dB", "noise_figure: expected a finite number"),
@@ -89,12 +89,15 @@ OUT_OF_RANGE_SETTINGS = [
     # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
     ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
     ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
-    # Linear SNRs in range whose noise floor, estimator sums or bounds are not.
-    ("snr_list=-3070", "snr_list entry -3070.0 dB takes the estimator or the bounds past"),
-    ("snr_list=-3100", "snr_list entry -3100.0 dB takes the estimator or the bounds past"),
-    ("snr_list=3080", "snr_list entry 3080.0 dB takes the estimator or the bounds past"),
-    # An SNR in range whose noise floor P/snr is not.
+    # Linear SNRs in range whose noise floor P/snr or information matrix is not.
+    ("snr_list=-3100", "snr_list entry -3100.0 dB puts the noise floor P/snr outside"),
     ("snr_list=-100 tx_power=1e300", "snr_list entry -100.0 dB puts the noise floor P/snr outside"),
+    ("snr_list=3080", "snr_list entry 3080.0 dB: information matrix"),
+    # A target on an element is the scene's fault, not the entry's: the error names no entry.
+    (
+        "num_elements=5 spacing=0.25 distance=0.5 angle=90",
+        "target sits on an array element or the array centre",
+    ),
     # Each carrier of fig3 builds its own waveform.
     ("fig3 carriers=0", "carriers: carrier must be positive, got 0.0"),
     ("fig3 carriers=-1", "carriers: carrier must be positive, got -1.0"),
@@ -466,6 +469,32 @@ class TestExitCodes:
         assert main([command, *trials, *settings, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"nfvel: invalid configuration: {message}")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_snr_list_entry_just_above_the_noise_floor_runs(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["montecarlo", "--trials", "100", "--snr-list=-3070", "--out", str(out)]) == 0
+        header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        cells = dict(zip(header.split(","), row.split(",")))
+        for key in ("crlb_vr", "crlb_vt", "ratio_vr", "ratio_vt"):
+            assert math.isfinite(float(cells[key])), key
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_snr_bounds_are_finite(self, capsys):
+        low = _crlb_output(capsys, "--set", "snr=-1700 dB")
+        assert low["singular"] == "0"
+        assert math.isfinite(float(low["root_crlb_vt"]))
+        high = _crlb_output(capsys, "--set", "snr=2000 dB")
+        assert high["singular"] == "0"
+        assert float(high["root_crlb_vt"]) > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fig2_at_minus_1700_db_has_no_inf_cell(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--set", "snr=-1700 dB", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+        assert len(rows) > 1000
+        assert not [row for row in rows if "inf" in row.split(",")]
 
     def test_coarse_grid_names_grid_points(self, tmp_path, capsys):
         out = tmp_path / "out.csv"

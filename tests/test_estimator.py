@@ -251,6 +251,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=-1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_snr_gives_finite_bounds_and_ratios(self):
+        reports = monte_carlo_reports(_mc_scenario(), [1e-200, 1e-300], trials=100, seed=3)
+        for report in reports:
+            assert math.isfinite(report.crlb_transverse)
+            assert not [value for value in astuple(report) if math.isnan(value)]
+
     def test_end_fire_marks_every_trial_degenerate(self):
         scenario = _mc_scenario(angle=math.pi / 2, transverse_truth=0.0)
         report = monte_carlo_mse(scenario, 1e4, trials=100, seed=9)
