@@ -28,6 +28,7 @@ from .geometry import (
     ArrayGeometry,
     TargetState,
     _check_rows,
+    _require_positive,
     element_distances,
     radial_projection_coeffs,
     symmetric_index_grid,
@@ -98,11 +99,6 @@ class BoundRows:
     degenerate: np.ndarray
 
 
-def _validate_positive(name: str, value) -> None:
-    if not np.all(np.asarray(value) > 0.0):
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def _row_chunks(count: int, width: int):
     """Slices of at most ``_CHUNK_ELEMENTS // width`` rows covering ``range(count)``."""
     step = max(1, _CHUNK_ELEMENTS // max(width, 1))
@@ -127,7 +123,7 @@ def fisher_info_numeric(
     are used throughout.  The result does not depend on the target's
     velocity, only on its position.
     """
-    _validate_positive("snr", snr)
+    _require_positive(snr=snr)
     noise = ChannelNoise.from_snr(config, snr)
     cube = synthesize_noise_free(target, geometry, config, noise)
 
@@ -157,7 +153,8 @@ def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndar
     Each axis is scaled by an exact power of two that brings its diagonal entry into
     [0.5, 2), so the tests are relative at any scale, and rows whose products stay normal
     round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An error
-    names the first bad row as given, including one whose determinant is not finite.
+    names the first bad row as given: an entry that is not finite overflows, and finite
+    entries whose determinant is ``-inf`` are negative definite.
     """
     # In the order (j_tt, j_rr): divided by the determinant, they give (radial, transverse).
     scaled = np.stack((j_tt, j_rr))
@@ -170,7 +167,7 @@ def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndar
         diag_product = r * t
         det = diag_product - c * c
         negative_diag = (j_rr < 0.0) | (j_tt < 0.0)
-        overflow = ~np.isfinite(det)
+        overflow = ~(np.isfinite(j_rr) & np.isfinite(j_tt) & np.isfinite(j_rt))
         bad = negative_diag | overflow | (det < -_NEGATIVE_DET_RTOL * diag_product)
         if bad.any():
             i = int(np.argmax(bad))
@@ -219,7 +216,7 @@ def closed_form_bounds(
     distances = np.asarray(distances, dtype=float).reshape(-1)
     angles = np.asarray(angles, dtype=float).reshape(-1)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
-    _validate_positive("snr", snr)
+    _require_positive(snr=snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
     # One sine and one cosine per point, from ``math``, whose rounding the published values
@@ -288,7 +285,7 @@ def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float)
     ``3*c^2 / (8*pi^2*f_c^2*M*N*K*snr*(M^2-1)*T_sym^2)``; infinite for a
     single symbol, since one pulse carries no Doppler information.
     """
-    _validate_positive("snr", snr)
+    _require_positive(snr=snr)
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
     if config.num_symbols == 1:
@@ -320,8 +317,7 @@ def radial_info_boresight(distance, geometry: ArrayGeometry, config: WaveformCon
     bounded by ``4*K`` times the weight, with equality in the far field.
     ``distance`` may be an array, which gives an array of the same shape.
     """
-    _validate_positive("distance", distance)
-    _validate_positive("snr", snr)
+    _require_positive(distance=distance, snr=snr)
     flat = np.asarray(distance, dtype=float).reshape(-1)
     k_grid = symmetric_index_grid(geometry.num_elements)
     sums = np.empty(flat.size)
@@ -340,8 +336,7 @@ def transverse_info_boresight(
     Boresight weight times ``(delta^2/d^2) * sum_k k^2/(1 + k^2*delta^2/d^2)``.
     Zero for a single element: one element carries no transverse information.
     """
-    _validate_positive("distance", distance)
-    _validate_positive("snr", snr)
+    _require_positive(distance=distance, snr=snr)
     k_grid = symmetric_index_grid(geometry.num_elements)
     ratio_sq = (k_grid * geometry.spacing / distance) ** 2
     series = float(np.sum(k_grid**2 / (1.0 + ratio_sq)))
@@ -370,8 +365,7 @@ def transverse_info_boresight_approx(
     ``T_obs^2 ~ (M^2-1)*T_sym^2``, replacing ``(K^2-1)*delta^2`` by ``D^2``.
     The two differ by the factor ``(K+1)/(K-1)``, i.e. about ``2/K``.
     """
-    _validate_positive("distance", distance)
-    _validate_positive("snr", snr)
+    _require_positive(distance=distance, snr=snr)
     k_count = geometry.num_elements
     if aperture_form:
         length_sq = geometry.aperture**2
@@ -393,10 +387,10 @@ def transverse_info_half_wavelength(
     by construction the result is carrier-independent.  ``distance`` may be
     an array, which gives an array of the same shape.
     """
-    _validate_positive("distance", distance)
+    _require_positive(distance=distance)
     if num_elements < 1:
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
-    _validate_positive("snr", snr)
+    _require_positive(snr=snr)
     m_count = config.num_symbols
     return (
         math.pi**2

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import crlb_from_fisher, fisher_info_closed_form
+from .bounds import closed_form_bounds
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
     TargetState,
+    _require_positive,
     radial_projection_coeffs,
     symmetric_index_grid,
     transverse_projection_coeffs,
@@ -84,8 +85,7 @@ class MlSearchConfig:
             object.__setattr__(self, name, tuple(span))  # a frozen config hashes
         if self.grid_points < 3:
             raise ValueError(f"grid_points must be >= 3, got {self.grid_points!r}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        _require_positive(tolerance=self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,8 @@ def monte_carlo_reports(
     The coarse matched-filter statistic is linear in the samples, so it is
     formed once for the clean cube and once per trial for ``u``.  One
     :class:`MatchedFilter` serves every SNR and trial; each SNR's search runs
-    at the power-of-two scale of its sample amplitude.
+    at the power-of-two scale of its sample amplitude.  The bounds are those of
+    :func:`~nfvel.bounds.closed_form_bounds` at each SNR as given.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
@@ -358,10 +359,8 @@ def monte_carlo_reports(
         sigma = math.sqrt(noise.noise_variance / 2.0)
         scale = _unit_scale(math.hypot(math.sqrt(config.subcarrier_power), sigma))
         levels.append((clean * scale, clean_statistic * scale, sigma * scale))
-    crlbs = [
-        crlb_from_fisher(fisher_info_closed_form(target, geometry, config, noise.snr(config)))
-        for noise in noises
-    ]
+    count = len(snrs)
+    bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
 
     # Squared error per SNR, axis (radial, transverse) and trial; NaN where
     # the axis was not identified.
@@ -384,7 +383,9 @@ def monte_carlo_reports(
         return mse / bound
 
     reports = []
-    for errors, crlb in zip(sq_err, crlbs):
+    for errors, crlb_radial, crlb_transverse in zip(
+        sq_err, bounds.radial.tolist(), bounds.transverse.tolist()
+    ):
         mse_radial, mse_transverse = _mse(errors[0]), _mse(errors[1])
         reports.append(
             MonteCarloReport(
@@ -392,10 +393,10 @@ def monte_carlo_reports(
                 degenerate_trials=int(np.isnan(errors).any(axis=0).sum()),
                 mse_radial=mse_radial,
                 mse_transverse=mse_transverse,
-                crlb_radial=crlb.radial,
-                crlb_transverse=crlb.transverse,
-                ratio_radial=_ratio(mse_radial, crlb.radial),
-                ratio_transverse=_ratio(mse_transverse, crlb.transverse),
+                crlb_radial=crlb_radial,
+                crlb_transverse=crlb_transverse,
+                ratio_radial=_ratio(mse_radial, crlb_radial),
+                ratio_transverse=_ratio(mse_transverse, crlb_transverse),
                 seed=seed,
             )
         )

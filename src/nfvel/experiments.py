@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
-from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState
+from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState, _require_positive
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, snr_from_link_budget
 
@@ -107,9 +107,12 @@ class ScenarioConfig:
 
 
 def _root_inverse(info: np.ndarray) -> np.ndarray:
-    """sqrt(1/info) per entry, with an infinite result for a null information value."""
+    """1/sqrt(info) per entry, with an infinite result for a null information value.
+
+    The root comes first: ``1/info`` overflows below about 5.6e-309, where the bound is finite.
+    """
     with np.errstate(divide="ignore"):
-        return np.sqrt(1.0 / info)
+        return 1.0 / np.sqrt(info)
 
 
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
@@ -150,13 +153,6 @@ def _check_grid_sizes(**sizes: int) -> None:
     for key, size in sizes.items():
         if size < 1:
             raise ValueError(f"{key} must be >= 1, got {size!r}")
-
-
-def _check_positive(**values) -> None:
-    """Reject a value, or a list entry, that is not positive; ``None`` keeps a default."""
-    for key, value in values.items():
-        if value is not None and not all(v > 0.0 for v in np.atleast_1d(value)):
-            raise ValueError(f"{key} must be positive, got {value!r}")
 
 
 def _check_increasing(points: int, **bounds: float) -> None:
@@ -235,7 +231,8 @@ def run_radial_vs_distance(
     form, and the far-field floor it approaches.
     """
     _check_grid_sizes(points=points)
-    _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
+    given = {"apertures": apertures, "d_min": d_min, "d_max": d_max}
+    _require_positive(**{key: value for key, value in given.items() if value is not None})
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
@@ -276,7 +273,8 @@ def run_transverse_vs_distance(
 ) -> CsvTable:
     """Transverse bound against distance for several angles (degrees) and apertures."""
     _check_grid_sizes(points=points)
-    _check_positive(apertures=apertures, d_min=d_min, d_max=d_max)
+    given = {"apertures": apertures, "d_min": d_min, "d_max": d_max}
+    _require_positive(**{key: value for key, value in given.items() if value is not None})
     _check_angles(angles=angles)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
@@ -318,8 +316,11 @@ def run_carrier_comparison(
     construction; the radial bound scales with the carrier.
     """
     _check_grid_sizes(points=points)
-    _check_positive(d_min=d_min, d_max=d_max)
+    _require_positive(d_min=d_min, d_max=d_max)
     _check_increasing(points, d_min=d_min, d_max=d_max)
+    # The half-wavelength form divides by 72 * distance**2.
+    if not 72.0 * d_max * d_max < math.inf:
+        raise ValueError(f"d_max {d_max!r} squares past the float range")
     base_wf = config.waveform()
     try:
         waveforms = [replace(base_wf, carrier=carrier) for carrier in carriers]
@@ -386,15 +387,25 @@ def run_planar_map(
     # The array centre has no bound: its row reads angle 0 and infinite SNR and bound.
     off = distance > 0.0
     angle_deg = np.where(off, np.degrees(angle), 0.0)
-    snr = snr_from_link_budget(
-        distance[off],
-        wf,
-        radar_cross_section=config.radar_cross_section,
-        tx_gain=config.tx_gain,
-        rx_gain=config.rx_gain,
-        noise_figure=config.noise_figure,
-        temperature=config.temperature,
-    )
+    try:
+        snr = snr_from_link_budget(
+            distance[off],
+            wf,
+            radar_cross_section=config.radar_cross_section,
+            tx_gain=config.tx_gain,
+            rx_gain=config.rx_gain,
+            noise_figure=config.noise_figure,
+            temperature=config.temperature,
+        )
+        reached = snr.all()
+    except OverflowError:  # distance**4 past the float range
+        reached = False
+    if not reached:
+        raise ValueError(
+            f"the link-budget snr underflows to 0 on a map reaching {float(distance.max())!r} m: narrow it "
+            "(x_min, x_max, y_min, y_max) or check tx_power, radar_cross_section, tx_gain, rx_gain, "
+            "noise_figure and temperature"
+        )
     # Degenerate rows come back singular with infinite bounds.
     bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr, flag_degenerate=True)
     snr_db, root_vt = np.full((2, x.size), math.inf)
@@ -430,7 +441,7 @@ def run_montecarlo(
     noise draw, scaled to its SNR, so the rows are correlated: they are not
     independent samples of the estimator.
     """
-    _check_positive(vr_window=vr_window, vt_window=vt_window, refine_tolerance=refine_tolerance)
+    _require_positive(vr_window=vr_window, vt_window=vt_window, refine_tolerance=refine_tolerance)
     geometry = config.geometry()
     wf = config.waveform()
     target = config.target()
@@ -537,7 +548,7 @@ def run_sweep(
     if variable == "angle":
         _check_angles(start=start, stop=stop)
     else:
-        _check_positive(start=start)
+        _require_positive(start=start)
     base_spacing = config.geometry().spacing
 
     def _configure(value: float) -> ScenarioConfig:

@@ -44,6 +44,13 @@ class DegenerateGeometryError(ValueError):
         super().__init__(message)
 
 
+def _require_positive(**values) -> None:
+    """Raise a ``ValueError`` naming the first key whose value, or any entry of it, is not above 0."""
+    for key, value in values.items():
+        if not np.all(np.asarray(value) > 0.0):
+            raise ValueError(f"{key} must be positive, got {value!r}")
+
+
 def symmetric_index_grid(count: int) -> np.ndarray:
     """Return ``count`` indices centred on zero with unit step.
 
@@ -80,14 +87,12 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if not isinstance(self.num_elements, (int, np.integer)) or self.num_elements < 1:
             raise ValueError(f"num_elements must be a positive integer, got {self.num_elements!r}")
-        if not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        _require_positive(spacing=self.spacing)
 
     @classmethod
     def half_wavelength(cls, num_elements: int, carrier: float) -> "ArrayGeometry":
         """Array with spacing set to half the carrier wavelength."""
-        if not carrier > 0.0:
-            raise ValueError(f"carrier must be positive, got {carrier!r}")
+        _require_positive(carrier=carrier)
         return cls(num_elements=num_elements, spacing=SPEED_OF_LIGHT / (2.0 * carrier))
 
     @cached_property
@@ -121,8 +126,7 @@ class TargetState:
     transverse_velocity: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.distance > 0.0:
-            raise ValueError(f"distance must be positive, got {self.distance!r}")
+        _require_positive(distance=self.distance)
         if not abs(self.angle) <= math.pi / 2.0:
             raise ValueError(f"angle must lie in [-pi/2, pi/2], got {self.angle!r}")
 

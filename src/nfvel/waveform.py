@@ -23,6 +23,7 @@ from .constants import BOLTZMANN_CONSTANT, REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
     TargetState,
+    _require_positive,
     element_distances,
     radial_projection_coeffs,
     symmetric_index_grid,
@@ -67,22 +68,15 @@ class WaveformConfig:
     total_power: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.carrier > 0.0:
-            raise ValueError(f"carrier must be positive, got {self.carrier!r}")
+        _require_positive(carrier=self.carrier)
         if not isinstance(self.num_subcarriers, (int, np.integer)) or self.num_subcarriers < 1:
             raise ValueError(
                 f"num_subcarriers must be a positive integer, got {self.num_subcarriers!r}"
             )
-        if not self.subcarrier_spacing > 0.0:
-            raise ValueError(
-                f"subcarrier_spacing must be positive, got {self.subcarrier_spacing!r}"
-            )
+        _require_positive(subcarrier_spacing=self.subcarrier_spacing)
         if not isinstance(self.num_symbols, (int, np.integer)) or self.num_symbols < 1:
             raise ValueError(f"num_symbols must be a positive integer, got {self.num_symbols!r}")
-        if not self.symbol_time > 0.0:
-            raise ValueError(f"symbol_time must be positive, got {self.symbol_time!r}")
-        if not self.total_power > 0.0:
-            raise ValueError(f"total_power must be positive, got {self.total_power!r}")
+        _require_positive(symbol_time=self.symbol_time, total_power=self.total_power)
         # The bounds and the link budget square these: name a square past the float range.
         squared = {"carrier": (self.carrier, self.wavelength), "symbol_time": (self.symbol_time,)}
         for name, values in squared.items():
@@ -136,10 +130,7 @@ class ChannelNoise:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        if not self.gain > 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain!r}")
-        if not self.noise_variance > 0.0:
-            raise ValueError(f"noise_variance must be positive, got {self.noise_variance!r}")
+        _require_positive(gain=self.gain, noise_variance=self.noise_variance)
 
     def snr(self, config: WaveformConfig) -> float:
         """Per-sample SNR ``P * gain**2 / noise_variance`` (linear)."""
@@ -148,8 +139,7 @@ class ChannelNoise:
     @classmethod
     def from_snr(cls, config: WaveformConfig, snr: float) -> "ChannelNoise":
         """Unit-gain channel whose noise floor realises the requested linear SNR."""
-        if not snr > 0.0:
-            raise ValueError(f"snr must be positive, got {snr!r}")
+        _require_positive(snr=snr)
         return cls(gain=1.0, noise_variance=config.subcarrier_power / snr)
 
     @classmethod
@@ -163,10 +153,7 @@ class ChannelNoise:
         """Thermal noise floor ``k_B * T * F * subcarrier_spacing`` (all linear units)."""
         if not noise_figure >= 1.0:
             raise ValueError(f"linear noise figure must be >= 1, got {noise_figure!r}")
-        if not subcarrier_spacing > 0.0:
-            raise ValueError(f"subcarrier_spacing must be positive, got {subcarrier_spacing!r}")
-        if not temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {temperature!r}")
+        _require_positive(subcarrier_spacing=subcarrier_spacing, temperature=temperature)
         variance = BOLTZMANN_CONSTANT * temperature * noise_figure * subcarrier_spacing
         return cls(gain=gain, noise_variance=variance)
 
@@ -304,12 +291,9 @@ def snr_from_link_budget(
     Returns:
         Linear SNR; scales as ``distance**-4``.
     """
-    if not np.all(np.asarray(distance) > 0.0):
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    if not radar_cross_section > 0.0:
-        raise ValueError(f"radar_cross_section must be positive, got {radar_cross_section!r}")
-    if not (tx_gain > 0.0 and rx_gain > 0.0):
-        raise ValueError("antenna gains must be positive")
+    _require_positive(
+        distance=distance, radar_cross_section=radar_cross_section, tx_gain=tx_gain, rx_gain=rx_gain
+    )
     noise_power = ChannelNoise.from_noise_figure(
         noise_figure, config.subcarrier_spacing, temperature=temperature
     ).noise_variance

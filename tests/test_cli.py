@@ -104,6 +104,12 @@ OUT_OF_RANGE_SETTINGS = [
     ("fig3 carriers=nan", "carriers: cannot parse 'nan'"),
     ("fig3 carriers=1e300", "carriers: carrier 1e+300 squares past the float range"),
     ("fig3 carriers=6e9,1e300", "carriers: carrier 1e+300 squares past the float range"),
+    # The half-wavelength form divides by 72 * distance**2.
+    ("fig3 d_max=1.3e154", "d_max 1.3e+154 squares past the float range"),
+    (
+        "fig4 tx_power=1e-310 x_points=3 y_points=2",
+        "the link-budget snr underflows to 0 on a map reaching 55.90169943749474 m",
+    ),
 ]
 
 
@@ -269,6 +275,8 @@ class TestExitCodes:
                 ],
                 0,
             ),
+            # The link-budget SNR underflows to 0.
+            (["fig4", "--set", "tx_power=1e-310", "--set", "x_points=3", "--set", "y_points=2"], 1),
         ],
     )
     def test_extreme_distances_end_without_a_traceback(self, argv, code, tmp_path, capsys):
@@ -276,7 +284,9 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == code
         err = capsys.readouterr().err
         if code:
-            assert err == "nfvel: invalid configuration: a value overflows the float range\n"
+            # The error names the key set first.
+            assert err.startswith("nfvel: invalid configuration: ")
+            assert argv[2].partition("=")[0] in err
             assert not out.exists()
             return
         assert err == ""

@@ -237,6 +237,18 @@ class TestMonteCarlo:
         assert report.trials == 100
         assert report.seed == 5
 
+    def test_report_bound_is_the_bound_at_the_snr_given(self):
+        # On the default scene the noise floor's round trip P/(P/snr) misses -28.3 dB in the
+        # last bit, and the bound at the round-tripped SNR differs from the bound at -28.3 dB.
+        config, snr = ScenarioConfig(), 10.0 ** (-28.3 / 10.0)
+        target, geom, wf = config.target(), config.geometry(), config.waveform()
+        assert ChannelNoise.from_snr(wf, snr).snr(wf) != snr
+        scenario = Scenario(target, geom, wf, _search(radial=(2.9, 3.1), transverse=(0.0, 2.0)))
+        (report,) = monte_carlo_reports(scenario, [snr], trials=100, seed=0)
+        expected = crlb_from_fisher(fisher_info_closed_form(target, geom, wf, snr))
+        assert (report.crlb_radial, report.crlb_transverse) == (expected.radial, expected.transverse)
+        assert type(report.crlb_radial) is type(report.crlb_transverse) is float
+
     def test_rejects_truth_outside_span(self):
         bad = dataclasses.replace(
             _mc_scenario(), search=_search(radial=(3.0, 5.0), transverse=(-8.0, 8.0))

@@ -11,14 +11,22 @@ from hypothesis import strategies as st
 
 from nfvel import (
     ArrayGeometry,
+    ChannelNoise,
     DegenerateGeometryError,
+    MlSearchConfig,
     TargetState,
     closed_form_bounds,
     distance_to_element,
     element_distances,
+    radial_crlb_far_field,
+    radial_info_boresight,
     radial_projection_coeff,
     radial_projection_coeffs,
+    snr_from_link_budget,
     symmetric_index_grid,
+    transverse_info_boresight,
+    transverse_info_boresight_approx,
+    transverse_info_half_wavelength,
     transverse_projection_coeff,
     transverse_projection_coeffs,
 )
@@ -376,3 +384,59 @@ class TestDistanceBlock:
                     closed_form_bounds(
                         distances, angles, geometry, make_waveform(), 1.0, flag_degenerate=True
                     )
+
+
+_ARRAY = ArrayGeometry(4, 0.1)
+
+# Public entry points that take a positive quantity: id -> (key named, call with a value for it).
+POSITIVE_INPUTS = {
+    "ArrayGeometry": ("spacing", lambda v: ArrayGeometry(4, v)),
+    "ArrayGeometry.half_wavelength": ("carrier", lambda v: ArrayGeometry.half_wavelength(4, v)),
+    "TargetState": ("distance", lambda v: TargetState(v, 0.0)),
+    "ChannelNoise-gain": ("gain", lambda v: ChannelNoise(v, 1.0)),
+    "ChannelNoise-noise_variance": ("noise_variance", lambda v: ChannelNoise(1.0, v)),
+    "ChannelNoise.from_snr": ("snr", lambda v: ChannelNoise.from_snr(make_waveform(), v)),
+    "ChannelNoise.from_noise_figure-subcarrier_spacing": (
+        "subcarrier_spacing",
+        lambda v: ChannelNoise.from_noise_figure(2.0, v),
+    ),
+    "ChannelNoise.from_noise_figure-temperature": (
+        "temperature",
+        lambda v: ChannelNoise.from_noise_figure(2.0, 1e5, temperature=v),
+    ),
+    "MlSearchConfig": ("tolerance", lambda v: MlSearchConfig((0.0, 1.0), (0.0, 1.0), tolerance=v)),
+    "closed_form_bounds": ("snr", lambda v: closed_form_bounds([1.0], [0.0], _ARRAY, make_waveform(), v)),
+    "radial_crlb_far_field": ("snr", lambda v: radial_crlb_far_field(make_waveform(), 4, v)),
+    "transverse_info_half_wavelength-distance": (
+        "distance",
+        lambda v: transverse_info_half_wavelength(v, 4, make_waveform(), 1.0),
+    ),
+    "transverse_info_half_wavelength-snr": (
+        "snr",
+        lambda v: transverse_info_half_wavelength(1.0, 4, make_waveform(), v),
+    ),
+}
+for _key in ("carrier", "subcarrier_spacing", "symbol_time", "total_power"):
+    POSITIVE_INPUTS[f"WaveformConfig-{_key}"] = (_key, lambda v, key=_key: make_waveform(**{key: v}))
+for _key in ("distance", "radar_cross_section", "tx_gain", "rx_gain"):
+    POSITIVE_INPUTS[f"snr_from_link_budget-{_key}"] = (
+        _key,
+        lambda v, key=_key: snr_from_link_budget(**{"distance": 1.0, "config": make_waveform(), key: v}),
+    )
+for _form in (radial_info_boresight, transverse_info_boresight, transverse_info_boresight_approx):
+    POSITIVE_INPUTS[f"{_form.__name__}-distance"] = (
+        "distance",
+        lambda v, form=_form: form(v, _ARRAY, make_waveform(), 1.0),
+    )
+    POSITIVE_INPUTS[f"{_form.__name__}-snr"] = (
+        "snr",
+        lambda v, form=_form: form(1.0, _ARRAY, make_waveform(), v),
+    )
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", sorted(POSITIVE_INPUTS))
+def test_non_positive_input_names_its_key(entry, value):
+    key, call = POSITIVE_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"^{key} must be positive, got "):
+        call(value)
