@@ -47,15 +47,36 @@ class ConfigError(ValueError):
 
 _NUMBER_WITH_UNIT = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
-_FREQUENCY_UNITS = {"": 1.0, "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_TIME_UNITS = {"": 1.0, "s": 1.0, "ms": 1e-3, "us": 1e-6}
+# Unit suffixes per kind, in lower case: unit -> (scale, decibel).  A value x
+# with a decibel unit reads 10**(x/10) * scale, any other x * scale.
+_UNITS = {
+    "frequency": {
+        "": (1.0, False), "hz": (1.0, False), "khz": (1e3, False), "mhz": (1e6, False), "ghz": (1e9, False)
+    },
+    "time": {"": (1.0, False), "s": (1.0, False), "ms": (1e-3, False), "us": (1e-6, False)},
+    "power": {"": (1.0, False), "w": (1.0, False), "mw": (1e-3, False), "dbm": (1e-3, True)},
+    "ratio": {"": (1.0, False), "db": (1.0, True), "dbi": (1.0, True)},
+}
 
 
-def _split_unit(text: str, key: str) -> tuple[float, str]:
-    match = _NUMBER_WITH_UNIT.match(text)
-    if not match:
-        raise ConfigError(f"{key}: cannot parse {text!r} as a number")
-    return float(match.group(1)), match.group(2).lower()
+def _unit_parser(kind: str) -> Callable[[str, str], float]:
+    """Parser of a number with an optional ``kind`` unit suffix, in base SI units or linear."""
+    units = _UNITS[kind]
+
+    def parse(text: str, key: str) -> float:
+        match = _NUMBER_WITH_UNIT.match(text)
+        if not match:
+            raise ConfigError(f"{key}: cannot parse {text!r} as a number")
+        value, unit = float(match.group(1)), match.group(2).lower()
+        if unit not in units:
+            raise ConfigError(f"{key}: unknown {kind} unit {unit!r}")
+        scale, decibel = units[unit]
+        return (10.0 ** (value / 10.0) if decibel else value) * scale
+
+    return parse
+
+
+_parse_frequency, _parse_time, _parse_power, _parse_ratio = map(_unit_parser, ("frequency", "time", "power", "ratio"))
 
 
 def _parse_float(text: str, key: str) -> float:
@@ -70,42 +91,6 @@ def _parse_int(text: str, key: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {text!r} as an integer") from exc
-
-
-def _parse_frequency(text: str, key: str) -> float:
-    value, unit = _split_unit(text, key)
-    if unit not in _FREQUENCY_UNITS:
-        raise ConfigError(f"{key}: unknown frequency unit {unit!r}")
-    return value * _FREQUENCY_UNITS[unit]
-
-
-def _parse_time(text: str, key: str) -> float:
-    value, unit = _split_unit(text, key)
-    if unit not in _TIME_UNITS:
-        raise ConfigError(f"{key}: unknown time unit {unit!r}")
-    return value * _TIME_UNITS[unit]
-
-
-def _parse_power(text: str, key: str) -> float:
-    """Transmit power: ``23 dBm``, ``0.2 W``, ``200 mW`` or bare watts."""
-    value, unit = _split_unit(text, key)
-    if unit == "dbm":
-        return 10.0 ** (value / 10.0) * 1e-3
-    if unit in ("", "w"):
-        return value
-    if unit == "mw":
-        return value * 1e-3
-    raise ConfigError(f"{key}: unknown power unit {unit!r}")
-
-
-def _parse_ratio(text: str, key: str) -> float:
-    """Dimensionless ratio: ``9 dB``, ``0 dBi`` or a bare linear value."""
-    value, unit = _split_unit(text, key)
-    if unit in ("db", "dbi"):
-        return 10.0 ** (value / 10.0)
-    if unit == "":
-        return value
-    raise ConfigError(f"{key}: unknown ratio unit {unit!r}")
 
 
 def _parse_bool(text: str, key: str) -> bool:

@@ -373,31 +373,20 @@ def monte_carlo_reports(
             sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
             sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
 
-    def _mse(errors: np.ndarray) -> float:
-        found = errors[~np.isnan(errors)]
-        return float(np.mean(found)) if found.size else math.nan
-
-    def _ratio(mse: float, bound: float) -> float:
-        if math.isnan(mse) or not math.isfinite(bound) or bound <= 0.0:
-            return math.nan
-        return mse / bound
-
-    reports = []
-    for errors, crlb_radial, crlb_transverse in zip(
-        sq_err, bounds.radial.tolist(), bounds.transverse.tolist()
-    ):
-        mse_radial, mse_transverse = _mse(errors[0]), _mse(errors[1])
-        reports.append(
-            MonteCarloReport(
-                trials=trials,
-                degenerate_trials=int(np.isnan(errors).any(axis=0).sum()),
-                mse_radial=mse_radial,
-                mse_transverse=mse_transverse,
-                crlb_radial=crlb_radial,
-                crlb_transverse=crlb_transverse,
-                ratio_radial=_ratio(mse_radial, crlb_radial),
-                ratio_transverse=_ratio(mse_transverse, crlb_transverse),
-                seed=seed,
-            )
+    identified = ~np.isnan(sq_err)
+    found = identified.sum(axis=2)
+    # NaN where a trial missed the axis.  A partly identified axis averages the
+    # trials that found it: summed with zeros in their place, it would round otherwise.
+    mse = sq_err.sum(axis=2) / trials
+    for row, axis in np.argwhere((found > 0) & (found < trials)):
+        mse[row, axis] = np.mean(sq_err[row, axis][identified[row, axis]])
+    crlb = np.stack([bounds.radial, bounds.transverse], axis=1)
+    # A ratio is NaN where the MSE is or where the bound is infinite.
+    ratio = np.divide(mse, crlb, out=np.full_like(mse, math.nan), where=np.isfinite(crlb) & (crlb > 0.0))
+    degenerate = (~identified).any(axis=1).sum(axis=1)
+    return [
+        MonteCarloReport(trials, degenerate_trials, *mse_row, *crlb_row, *ratio_row, seed)
+        for degenerate_trials, mse_row, crlb_row, ratio_row in zip(
+            degenerate.tolist(), mse.tolist(), crlb.tolist(), ratio.tolist()
         )
-    return reports
+    ]

@@ -10,6 +10,7 @@ bounds are written as ``inf``, an MSE that no trial could estimate as
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -172,18 +173,39 @@ def _check_angles(**values) -> None:
             raise ValueError(f"{key} must lie in [-90, 90] degrees, got {value!r}")
 
 
+def _distance_grid(points: int, d_min: float, d_max: float) -> np.ndarray:
+    """The ``points`` log-spaced distances from ``d_min`` to ``d_max`` of fig1, fig2 and fig3."""
+    _check_grid_sizes(points=points)
+    _require_positive(d_min=d_min, d_max=d_max)
+    _check_increasing(points, d_min=d_min, d_max=d_max)
+    return np.geomspace(d_min, d_max, points)
+
+
+@contextmanager
+def _blamed_on(key: str, value: float):
+    """Re-raise a target on an element or the array centre as the fault of ``key``, a grid's first value."""
+    try:
+        yield
+    except DegenerateGeometryError:
+        raise DegenerateGeometryError(
+            f"target sits on an array element or the array centre; check {key} ({value!r})"
+        ) from None
+
+
 def _aperture_defaults(
     config: ScenarioConfig,
     apertures: Sequence[float] | None,
     d_min: float | None,
     d_max: float | None,
 ) -> tuple[Sequence[float], list[ArrayGeometry], float, float]:
-    """Apertures, their arrays and the distance span of fig1 and fig2.
+    """Apertures, their arrays and the distance span of fig1 and fig2, from the positive values given.
 
     By default the apertures are those of one, two and four half-wavelength
     arrays, and distances run from a twentieth of the smallest aperture to
     100 times the largest.  The caller has checked the carrier already.
     """
+    given = {"apertures": apertures, "d_min": d_min, "d_max": d_max}
+    _require_positive(**{key: value for key, value in given.items() if value is not None})
     if apertures is None:
         base = (config.num_elements - 1) * SPEED_OF_LIGHT / (2.0 * config.carrier)
         apertures = [base, 2.0 * base, 4.0 * base]
@@ -230,20 +252,17 @@ def run_radial_vs_distance(
     Columns hold the exact bound, the reciprocal of the boresight closed
     form, and the far-field floor it approaches.
     """
-    _check_grid_sizes(points=points)
-    given = {"apertures": apertures, "d_min": d_min, "d_max": d_max}
-    _require_positive(**{key: value for key, value in given.items() if value is not None})
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
-    _check_increasing(points, d_min=d_min, d_max=d_max)
-    distances = np.geomspace(d_min, d_max, points)
+    distances = _distance_grid(points, d_min, d_max)
     root_far_field = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
 
     groups = []
-    for aperture, geometry in zip(apertures, geometries):
-        bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
-        approx = radial_info_boresight(distances, geometry, wf, config.snr)
-        groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
+    with _blamed_on("d_min", d_min):
+        for aperture, geometry in zip(apertures, geometries):
+            bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
+            approx = radial_info_boresight(distances, geometry, wf, config.snr)
+            groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
 
     return _table(
         "radial-vs-distance",
@@ -272,22 +291,19 @@ def run_transverse_vs_distance(
     points: int = 200,
 ) -> CsvTable:
     """Transverse bound against distance for several angles (degrees) and apertures."""
-    _check_grid_sizes(points=points)
-    given = {"apertures": apertures, "d_min": d_min, "d_max": d_max}
-    _require_positive(**{key: value for key, value in given.items() if value is not None})
     _check_angles(angles=angles)
     wf = config.waveform()
     apertures, geometries, d_min, d_max = _aperture_defaults(config, apertures, d_min, d_max)
-    _check_increasing(points, d_min=d_min, d_max=d_max)
-    distances = np.geomspace(d_min, d_max, points)
+    distances = _distance_grid(points, d_min, d_max)
 
     groups = []
-    for aperture, geometry in zip(apertures, geometries):
-        for angle_deg in angles:
-            angle = angle_deg / 180.0 * math.pi
-            bounds = closed_form_bounds(distances, np.full(points, angle), geometry, wf, config.snr)
-            root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
-            groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
+    with _blamed_on("d_min", d_min):
+        for aperture, geometry in zip(apertures, geometries):
+            for angle_deg in angles:
+                angle = angle_deg / 180.0 * math.pi
+                bounds = closed_form_bounds(distances, np.full(points, angle), geometry, wf, config.snr)
+                root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
+                groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
 
     return _table(
         "transverse-vs-distance",
@@ -315,27 +331,25 @@ def run_carrier_comparison(
     half-wavelength closed form, which is identical across carriers by
     construction; the radial bound scales with the carrier.
     """
-    _check_grid_sizes(points=points)
-    _require_positive(d_min=d_min, d_max=d_max)
-    _check_increasing(points, d_min=d_min, d_max=d_max)
-    # The half-wavelength form divides by 72 * distance**2.
-    if not 72.0 * d_max * d_max < math.inf:
+    # The half-wavelength form divides by 72 * distance**2; the grid names a d_max that is not positive.
+    if d_max > 0.0 and not 72.0 * d_max * d_max < math.inf:
         raise ValueError(f"d_max {d_max!r} squares past the float range")
+    distances = _distance_grid(points, d_min, d_max)
     base_wf = config.waveform()
     try:
         waveforms = [replace(base_wf, carrier=carrier) for carrier in carriers]
     except ValueError as error:
         raise ValueError(f"carriers: {error}") from None
-    distances = np.geomspace(d_min, d_max, points)
 
     groups = []
-    for carrier, wf in zip(carriers, waveforms):
-        geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
-        bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
-        halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
-        far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
-        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
-        groups.append((distances, carrier, geometry.aperture, *roots, far))
+    with _blamed_on("d_min", d_min):
+        for carrier, wf in zip(carriers, waveforms):
+            geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
+            bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
+            halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
+            far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
+            roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
+            groups.append((distances, carrier, geometry.aperture, *roots, far))
 
     return _table(
         "carrier-comparison",
@@ -379,6 +393,8 @@ def run_planar_map(
     wf = config.waveform()
     x = np.tile(np.linspace(x_min, x_max, x_points), y_points)
     y = np.repeat(y_min + (y_max - y_min) * np.arange(1, y_points + 1) / y_points, x_points)
+    if y[0] < 0.0:
+        raise ValueError(f"y_min {y_min!r} puts map rows behind the array, at y {float(y[0])!r} < 0")
 
     # Per-point hypot, atan2 and log10 use ``math``, whose rounding the published maps pin.
     x_list, y_list = x.tolist(), y.tolist()
@@ -400,14 +416,20 @@ def run_planar_map(
         reached = snr.all()
     except OverflowError:  # distance**4 past the float range
         reached = False
+    budget = "tx_power, radar_cross_section, tx_gain, rx_gain, noise_figure and temperature"
     if not reached:
         raise ValueError(
             f"the link-budget snr underflows to 0 on a map reaching {float(distance.max())!r} m: narrow it "
-            "(x_min, x_max, y_min, y_max) or check tx_power, radar_cross_section, tx_gain, rx_gain, "
-            "noise_figure and temperature"
+            f"(x_min, x_max, y_min, y_max) or check {budget}"
         )
-    # Degenerate rows come back singular with infinite bounds.
-    bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr, flag_degenerate=True)
+    try:
+        # Degenerate rows come back singular with infinite bounds.
+        bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr, flag_degenerate=True)
+    except ValueError:  # the rows lie in front of the array: only the information can fail
+        raise ValueError(
+            f"the link-budget snr, up to {float(snr.max())!r} on this map, takes the information matrix "
+            f"past the float range: check {budget}"
+        ) from None
     snr_db, root_vt = np.full((2, x.size), math.inf)
     snr_db[off] = 10.0 * np.fromiter(map(math.log10, snr.tolist()), float, snr.size)
     root_vt[off] = np.sqrt(bounds.transverse)
@@ -458,6 +480,9 @@ def run_montecarlo(
             raise ValueError(f"{key} {window!r} rounds to an empty span around {truth!r} m/s")
         spans.append(span)
     search = MlSearchConfig(*spans, grid_points=grid_points, tolerance=refine_tolerance)
+    # The trials round the model phase m*v*psi in floats, so no estimate resolves a radial velocity
+    # finer than one ulp of the span's largest |v|; below that an MSE measures the rounding.
+    resolution = math.ulp(max(map(abs, spans[0])))
 
     snrs = []
     for snr_db in snr_list:
@@ -472,11 +497,16 @@ def run_montecarlo(
                 f"snr_list entry {snr_db!r} dB puts the noise floor P/snr outside the float range"
             )
         try:
-            crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, snr))
+            root_vr = math.sqrt(crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, snr)).radial)
         except DegenerateGeometryError:
             raise
         except ValueError as error:
             raise ValueError(f"snr_list entry {snr_db!r} dB: {error}") from None
+        if root_vr < resolution:
+            raise ValueError(
+                f"snr_list entry {snr_db!r} dB puts the radial root-CRLB {root_vr!r} m/s below the "
+                f"float resolution {resolution!r} m/s of the radial span"
+            )
         snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 
@@ -549,33 +579,25 @@ def run_sweep(
         _check_angles(start=start, stop=stop)
     else:
         _require_positive(start=start)
-    base_spacing = config.geometry().spacing
-
-    def _configure(value: float) -> ScenarioConfig:
-        if variable == "distance":
-            return replace(config, distance=value)
-        if variable == "angle":
-            return replace(config, angle=value / 180.0 * math.pi)
-        if variable == "carrier":
-            # The physical array stays fixed while the carrier moves.
-            return replace(config, carrier=value, spacing=base_spacing, aperture=None)
-        return replace(config, aperture=value, spacing=None)
-
-    grid = np.geomspace if log else np.linspace
-    values = grid(start, stop, points).tolist()
-    # A distance or angle sweep moves only the target, so its grid is one
-    # batch; each carrier or aperture value changes the waveform or the array.
-    batches = [values] if variable in ("distance", "angle") else [[v] for v in values]
+    values = (np.geomspace if log else np.linspace)(start, stop, points)
+    distances = values if variable == "distance" else np.full(points, config.distance)
+    angles = values / 180.0 * math.pi if variable == "angle" else np.full(points, config.angle)
+    # A distance or angle sweep moves only the target, so its grid is one batch; each carrier
+    # or aperture value changes the waveform or the array.  A carrier sweep keeps the array.
+    batches = [(values, config, distances, angles)]
+    if variable in ("carrier", "aperture"):
+        spacing = {"carrier": config.geometry().spacing, "aperture": None}[variable]
+        subs = [replace(config, **{"spacing": spacing, "aperture": None, variable: v}) for v in values.tolist()]
+        batches = [([v], sub, distances[:1], angles[:1]) for v, sub in zip(values.tolist(), subs)]
 
     groups = []
-    for batch in batches:
-        subs = [_configure(value) for value in batch]
-        wf, geometry, snr = subs[0].waveform(), subs[0].geometry(), subs[0].snr
-        distances, angles = [s.distance for s in subs], [s.angle for s in subs]
-        bounds = closed_form_bounds(distances, angles, geometry, wf, snr)
-        root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, snr))
-        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
-        groups.append((batch, *roots, bounds.singular))
+    with _blamed_on("start", start) if variable == "distance" else nullcontext():
+        for batch, sub, *target in batches:
+            wf, geometry = sub.waveform(), sub.geometry()
+            bounds = closed_form_bounds(*target, geometry, wf, sub.snr)
+            root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, sub.snr))
+            roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
+            groups.append((batch, *roots, bounds.singular))
 
     return _table(
         f"sweep-{variable}",

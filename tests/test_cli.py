@@ -13,6 +13,7 @@ import pytest
 from nfvel.cli import (
     _EXPERIMENT_KEYS,
     _SCENARIO_KEYS,
+    _UNITS,
     ConfigError,
     _commands,
     main,
@@ -110,7 +111,48 @@ OUT_OF_RANGE_SETTINGS = [
         "fig4 tx_power=1e-310 x_points=3 y_points=2",
         "the link-budget snr underflows to 0 on a map reaching 55.90169943749474 m",
     ),
+    (
+        "fig4 tx_power=1e300 x_points=3 y_points=2",
+        "the link-budget snr, up to 3.8750132316680444e+301 on this map, takes the information matrix "
+        "past the float range: check tx_power, radar_cross_section, tx_gain, rx_gain, noise_figure "
+        "and temperature",
+    ),
+    # A map behind the array is no angle the model takes; the y grid is at fault.
+    ("fig4 y_min=-50 y_max=-10 y_points=2", "y_min -50.0 puts map rows behind the array, at y -30.0 < 0"),
+    # A grid whose first distance puts the target on the array names that first value.
+    ("fig1 d_min=1e-200", "target sits on an array element or the array centre; check d_min (1e-200)"),
+    (
+        "sweep variable=distance start=1e-200 stop=1",
+        "target sits on an array element or the array centre; check start (1e-200)",
+    ),
+    # Past one ulp of the radial span the Monte Carlo MSE measures float rounding.
+    (
+        "snr_list=250",
+        "snr_list entry 250.0 dB puts the radial root-CRLB 7.571898343849762e-17 m/s below the float "
+        "resolution 4.440892098500626e-16 m/s of the radial span",
+    ),
 ]
+
+# Every unit of cli._UNITS as (key of its kind, text, the conversion written out).
+UNIT_CASES = [
+    ("carrier", "2.5", 2.5),
+    ("carrier", "2.5 Hz", 2.5),
+    ("carrier", "2.5 kHz", 2.5 * 1e3),
+    ("carrier", "2.5MHz", 2.5 * 1e6),
+    ("carrier", "2.5 GHz", 2.5 * 1e9),
+    ("symbol_time", "16.6", 16.6),
+    ("symbol_time", "16.6 s", 16.6),
+    ("symbol_time", "16.6 ms", 16.6 * 1e-3),
+    ("symbol_time", "16.6 us", 16.6 * 1e-6),
+    ("tx_power", "0.2", 0.2),
+    ("tx_power", "0.2 W", 0.2),
+    ("tx_power", "200 mW", 200.0 * 1e-3),
+    ("tx_power", "23 dBm", 10.0 ** (23.0 / 10.0) * 1e-3),
+    ("snr", "9", 9.0),
+    ("snr", "9 dB", 10.0 ** (9.0 / 10.0)),
+    ("snr", "-3 dBi", 10.0 ** (-3.0 / 10.0)),
+]
+UNIT_KINDS = {"carrier": "frequency", "symbol_time": "time", "tx_power": "power", "snr": "ratio"}
 
 
 def _taken_keys(command):
@@ -155,6 +197,19 @@ class TestUnitParsing:
         us = _crlb_output(capsys, "--set", "symbol_time=16600 us")
         assert float(ms["symbol_time"]) == pytest.approx(16.6e-3)
         assert ms["symbol_time"] == us["symbol_time"]
+
+    @pytest.mark.parametrize(("key", "text", "expected"), UNIT_CASES, ids=[t for _, t, _ in UNIT_CASES])
+    def test_every_unit_converts_bit_for_bit(self, key, text, expected):
+        assert _SCENARIO_KEYS[key](text, key).hex() == expected.hex()
+
+    def test_unit_cases_cover_every_unit(self):
+        covered = {(UNIT_KINDS[key], re.sub(r"[-0-9. ]", "", text).lower()) for key, text, _ in UNIT_CASES}
+        assert covered == {(kind, unit) for kind, units in _UNITS.items() for unit in units}
+
+    @pytest.mark.parametrize(("key", "kind"), UNIT_KINDS.items())
+    def test_unknown_unit_names_its_kind(self, key, kind, capsys):
+        assert main(["crlb", "--set", f"{key}=3 parsec"]) == 1
+        assert capsys.readouterr().err == f"nfvel: invalid configuration: {key}: unknown {kind} unit 'parsec'\n"
 
     def test_angle_in_degrees(self, capsys):
         out = _crlb_output(capsys, "--set", "angle=45")
@@ -488,6 +543,16 @@ class TestExitCodes:
         cells = dict(zip(header.split(","), row.split(",")))
         for key in ("crlb_vr", "crlb_vt", "ratio_vr", "ratio_vt"):
             assert math.isfinite(float(cells[key])), key
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_snr_list_entry_above_the_resolution_floor_runs(self, tmp_path, capsys):
+        # Root-CRLB_vr is 5.4 ulp of the radial span's 3.1 m/s at 220 dB on the default scene.
+        out = tmp_path / "out.csv"
+        assert main(["montecarlo", "--trials", "100", "--snr-list", "220", "--out", str(out)]) == 0
+        header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        cells = dict(zip(header.split(","), row.split(",")))
+        for key in ("ratio_vr", "ratio_vt"):
+            assert 0.5 < float(cells[key]) < 1.5, key
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_snr_bounds_are_finite(self, capsys):

@@ -279,6 +279,26 @@ class TestMonteCarlo:
         assert math.isinf(report.crlb_transverse)
         assert math.isfinite(report.mse_radial)
 
+    def test_partly_identified_axis_averages_the_trials_that_found_it(self, monkeypatch):
+        # Every third trial misses the transverse axis.  Its MSE is the mean over the other
+        # trials, which rounds otherwise than a sum with zeros in place of the misses.
+        scenario, errors = _mc_scenario(), []
+        search = MatchedFilter._estimates_sharing_noise
+
+        def miss_every_third(finder, unit, levels):
+            (estimate,) = search(finder, unit, levels)
+            if len(errors) % 3 == 0:
+                estimate = dataclasses.replace(estimate, transverse=math.nan, transverse_identifiable=False)
+            errors.append((estimate.transverse - scenario.target.transverse_velocity) ** 2)
+            return [estimate]
+
+        monkeypatch.setattr(MatchedFilter, "_estimates_sharing_noise", miss_every_third)
+        report = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=4)
+        found = np.array([error for error in errors if not math.isnan(error)])
+        assert (report.degenerate_trials, found.size) == (34, 66)
+        assert report.mse_transverse == float(np.mean(found))
+        assert report.ratio_transverse == report.mse_transverse / report.crlb_transverse
+
     def test_estimator_is_unbiased_at_high_snr(self):
         # the empirical mean error must be statistically indistinguishable
         # from zero: within 10% of the root bound at a few hundred trials
