@@ -26,6 +26,7 @@ import numpy as np
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
+    DegenerateGeometryError,
     TargetState,
     _check_rows,
     _require_positive,
@@ -188,13 +189,7 @@ def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndar
 
 
 def closed_form_bounds(
-    distances,
-    angles,
-    geometry: ArrayGeometry,
-    config: WaveformConfig,
-    snr,
-    *,
-    flag_degenerate: bool = False,
+    distances, angles, geometry: ArrayGeometry, config: WaveformConfig, snr
 ) -> BoundRows:
     """Closed-form information and CRLB for P points sharing one array and waveform.
 
@@ -208,10 +203,10 @@ def closed_form_bounds(
     ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  All P matrices are
     inverted as one array, by the inverse :func:`crlb_from_fisher` applies to
     one matrix, so rows match the one-point functions bit for bit.  A target
-    on an element or the array centre raises :class:`DegenerateGeometryError`,
-    as a one-point call does; with ``flag_degenerate`` its row is marked
-    ``degenerate`` instead, with zero information and infinite bounds.
-    Information past the float range raises a ``ValueError`` naming the carrier.
+    on an element or the array centre has no bound: its row is marked
+    ``degenerate``, with zero information and infinite bounds, and the caller
+    decides what that means.  Information past the float range raises a
+    ``ValueError`` naming the carrier.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
     angles = np.asarray(angles, dtype=float).reshape(-1)
@@ -236,9 +231,7 @@ def closed_form_bounds(
             weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
         for rows in _row_chunks(distances.size, geometry.num_elements):
             d = distances[rows, None]
-            element_d, degenerate[rows] = element_distances(
-                (d, angles[rows]), geometry, flag_degenerate, trig[0, rows]
-            )
+            element_d, degenerate[rows] = element_distances((d, angles[rows]), geometry, sines=trig[0, rows])
             # 1 + q = 1 + (d - x sin)/d_k, p = x cos/d_k and p(1 + q), in place.
             terms = np.empty((3, *element_d.shape))
             np.multiply(geometry.element_x_positions, trig[:, rows, None], out=terms[:2])
@@ -261,6 +254,8 @@ def fisher_info_closed_form(
 ) -> FisherInfo:
     """Information matrix via the analytic slow-time reduction of :func:`closed_form_bounds`."""
     rows = closed_form_bounds([target.distance], [target.angle], geometry, config, snr)
+    if rows.degenerate[0]:
+        raise DegenerateGeometryError()
     return FisherInfo(j_rr=rows.j_rr.item(), j_tt=rows.j_tt.item(), j_rt=rows.j_rt.item())
 
 

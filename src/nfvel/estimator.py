@@ -26,6 +26,7 @@ from .bounds import closed_form_bounds
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
+    DegenerateGeometryError,
     TargetState,
     _require_positive,
     radial_projection_coeffs,
@@ -351,6 +352,10 @@ def monte_carlo_reports(
         raise ValueError("transverse search span does not contain the true velocity")
 
     noises = [ChannelNoise.from_snr(config, snr) for snr in snrs]
+    count = len(snrs)
+    bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
+    if bounds.degenerate[0]:
+        raise DegenerateGeometryError()
     clean = synthesize_noise_free(target, geometry, config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
@@ -359,8 +364,6 @@ def monte_carlo_reports(
         sigma = math.sqrt(noise.noise_variance / 2.0)
         scale = _unit_scale(math.hypot(math.sqrt(config.subcarrier_power), sigma))
         levels.append((clean * scale, clean_statistic * scale, sigma * scale))
-    count = len(snrs)
-    bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
 
     # Squared error per SNR, axis (radial, transverse) and trial; NaN where
     # the axis was not identified.

@@ -10,7 +10,6 @@ bounds are written as ``inf``, an MSE that no trial could estimate as
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -177,19 +176,21 @@ def _distance_grid(points: int, d_min: float, d_max: float) -> np.ndarray:
     """The ``points`` log-spaced distances from ``d_min`` to ``d_max`` of fig1, fig2 and fig3."""
     _check_grid_sizes(points=points)
     _require_positive(d_min=d_min, d_max=d_max)
+    if d_max == math.inf:
+        raise ValueError(f"d_max must be finite, got {d_max!r}")
     _check_increasing(points, d_min=d_min, d_max=d_max)
     return np.geomspace(d_min, d_max, points)
 
 
-@contextmanager
-def _blamed_on(key: str, value: float):
-    """Re-raise a target on an element or the array centre as the fault of ``key``, a grid's first value."""
-    try:
-        yield
-    except DegenerateGeometryError:
+def _grid_bounds(keys: str, distances: np.ndarray, *args):
+    """:func:`closed_form_bounds` of a grid placed by ``keys``; a degenerate row raises, naming its distance."""
+    bounds = closed_form_bounds(distances, *args)
+    if bounds.degenerate.any():
+        distance = float(distances[np.argmax(bounds.degenerate)])
         raise DegenerateGeometryError(
-            f"target sits on an array element or the array centre; check {key} ({value!r})"
-        ) from None
+            f"target sits on an array element or the array centre at distance {distance!r}; check {keys}"
+        )
+    return bounds
 
 
 def _aperture_defaults(
@@ -214,6 +215,8 @@ def _aperture_defaults(
         d_min = min(apertures) / 20.0
     if d_max is None:
         d_max = 100.0 * max(apertures)
+        if d_max == math.inf:
+            raise ValueError(f"apertures: the default d_max, 100 times {max(apertures)!r} m, overflows")
     return apertures, geometries, d_min, d_max
 
 
@@ -258,11 +261,10 @@ def run_radial_vs_distance(
     root_far_field = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
 
     groups = []
-    with _blamed_on("d_min", d_min):
-        for aperture, geometry in zip(apertures, geometries):
-            bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
-            approx = radial_info_boresight(distances, geometry, wf, config.snr)
-            groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
+    for aperture, geometry in zip(apertures, geometries):
+        bounds = _grid_bounds("d_min and d_max", distances, np.zeros(points), geometry, wf, config.snr)
+        approx = radial_info_boresight(distances, geometry, wf, config.snr)
+        groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
 
     return _table(
         "radial-vs-distance",
@@ -297,13 +299,12 @@ def run_transverse_vs_distance(
     distances = _distance_grid(points, d_min, d_max)
 
     groups = []
-    with _blamed_on("d_min", d_min):
-        for aperture, geometry in zip(apertures, geometries):
-            for angle_deg in angles:
-                angle = angle_deg / 180.0 * math.pi
-                bounds = closed_form_bounds(distances, np.full(points, angle), geometry, wf, config.snr)
-                root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
-                groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
+    for aperture, geometry in zip(apertures, geometries):
+        for angle_deg in angles:
+            angle = np.full(points, angle_deg / 180.0 * math.pi)
+            bounds = _grid_bounds("d_min and d_max", distances, angle, geometry, wf, config.snr)
+            root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
+            groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
 
     return _table(
         "transverse-vs-distance",
@@ -342,14 +343,13 @@ def run_carrier_comparison(
         raise ValueError(f"carriers: {error}") from None
 
     groups = []
-    with _blamed_on("d_min", d_min):
-        for carrier, wf in zip(carriers, waveforms):
-            geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
-            bounds = closed_form_bounds(distances, np.zeros(points), geometry, wf, config.snr)
-            halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
-            far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
-            roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
-            groups.append((distances, carrier, geometry.aperture, *roots, far))
+    for carrier, wf in zip(carriers, waveforms):
+        geometry = ArrayGeometry.half_wavelength(config.num_elements, carrier)
+        bounds = _grid_bounds("d_min and d_max", distances, np.zeros(points), geometry, wf, config.snr)
+        halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
+        far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
+        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
+        groups.append((distances, carrier, geometry.aperture, *roots, far))
 
     return _table(
         "carrier-comparison",
@@ -424,7 +424,7 @@ def run_planar_map(
         )
     try:
         # Degenerate rows come back singular with infinite bounds.
-        bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr, flag_degenerate=True)
+        bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr)
     except ValueError:  # the rows lie in front of the array: only the information can fail
         raise ValueError(
             f"the link-budget snr, up to {float(snr.max())!r} on this map, takes the information matrix "
@@ -590,14 +590,14 @@ def run_sweep(
         subs = [replace(config, **{"spacing": spacing, "aperture": None, variable: v}) for v in values.tolist()]
         batches = [([v], sub, distances[:1], angles[:1]) for v, sub in zip(values.tolist(), subs)]
 
+    keys = "start and stop" if variable == "distance" else "distance"
     groups = []
-    with _blamed_on("start", start) if variable == "distance" else nullcontext():
-        for batch, sub, *target in batches:
-            wf, geometry = sub.waveform(), sub.geometry()
-            bounds = closed_form_bounds(*target, geometry, wf, sub.snr)
-            root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, sub.snr))
-            roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
-            groups.append((batch, *roots, bounds.singular))
+    for batch, sub, *target in batches:
+        wf, geometry = sub.waveform(), sub.geometry()
+        bounds = _grid_bounds(keys, *target, geometry, wf, sub.snr)
+        root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, sub.snr))
+        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
+        groups.append((batch, *roots, bounds.singular))
 
     return _table(
         f"sweep-{variable}",

@@ -174,7 +174,7 @@ def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
         TargetState(float(distances[row]), float(angles[row]))
 
 
-def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = False, sines=None):
+def element_distances(target, geometry: ArrayGeometry, *, sines=None):
     """Distance from the target to every array element.
 
     Implements ``d_k = d * sqrt(1 + x_k**2/d**2 - 2*x_k*sin(theta)/d)`` for
@@ -188,8 +188,8 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
     A row is degenerate when its smallest distance is not above
     ``1e-12 * max(d, aperture)``: on an element, with a radicand that rounds
     below zero (a NaN root), or with ``d <= 1e-12 * aperture``, where ``x_k/d``
-    could overflow (evaluated at NaN).  It raises :class:`DegenerateGeometryError`
-    unless ``flag_degenerate`` sets it in the mask and fills its row with ones.
+    could overflow (evaluated at NaN).  A degenerate :class:`TargetState` raises
+    :class:`DegenerateGeometryError`; a pair flags the row and fills it with ones.
     """
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target
@@ -210,7 +210,7 @@ def element_distances(target, geometry: ArrayGeometry, flag_degenerate: bool = F
         degenerate = ~(distances.min(axis=1) > _COINCIDENCE_RTOL * np.maximum(d[:, 0], geometry.aperture))
     if degenerate.any():
         _check_rows(given[:, 0], np.asarray(angle_list, dtype=float))
-        if not flag_degenerate:
+        if single:
             raise DegenerateGeometryError()
         distances[degenerate] = 1.0
     return distances[0] if single else (distances, degenerate)

@@ -655,7 +655,7 @@ class TestBatchKernel:
         snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
         distances, angles = [d for d, _ in rows], [a for _, a in rows]
 
-        batch = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
+        batch = closed_form_bounds(distances, angles, geom, wf, snrs)
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             expected = _reference_entries(d, angle, geom, wf, snr)
             got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i]]
@@ -680,7 +680,7 @@ class TestBatchKernel:
         angles = data.draw(st.lists(_ANGLES, min_size=count, max_size=count))
         snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
 
-        rows = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
+        rows = closed_form_bounds(distances, angles, geom, wf, snrs)
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             target = TargetState(d, angle)
             if rows.degenerate[i]:
@@ -722,7 +722,7 @@ class TestBatchKernel:
         snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
         distances, angles = [d for d, _ in rows], [a for _, a in rows]
 
-        batch = closed_form_bounds(distances, angles, geom, wf, snrs, flag_degenerate=True)
+        batch = closed_form_bounds(distances, angles, geom, wf, snrs)
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i], batch.radial[i], batch.transverse[i]]
             if batch.degenerate[i]:
@@ -750,19 +750,36 @@ class TestBatchKernel:
             tracemalloc.stop()
         assert peak <= 1 << 20
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_raise_or_are_flagged(self):
+        # A batch flags a degenerate row; the one-point call on it raises.
         geom = ArrayGeometry(num_elements=5, spacing=0.25)
         wf = make_waveform()
         # On the element at x = 0.5, on the array centre, and a regular point.
         distances, angles = [0.5, 1e-300, 3.0], [math.pi / 2, 0.0, 0.2]
-        for i in range(2):
-            with pytest.raises(DegenerateGeometryError, match="distance"):
-                closed_form_bounds(distances[i:], angles[i:], geom, wf, 1.0)
-        rows = closed_form_bounds(distances, angles, geom, wf, 1.0, flag_degenerate=True)
+        rows = closed_form_bounds(distances, angles, geom, wf, 1.0)
         assert rows.degenerate.tolist() == [True, True, False]
         assert rows.singular[:2].tolist() == [True, True]
         assert rows.radial[:2].tolist() == rows.transverse[:2].tolist() == [math.inf, math.inf]
         assert math.isfinite(rows.transverse[2])
+        for d, angle in zip(distances[:2], angles[:2]):
+            with pytest.raises(DegenerateGeometryError, match="check distance"):
+                fisher_info_closed_form(TargetState(d, angle), geom, wf, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("num_elements", [2, 5])
+    def test_on_element_row_is_flagged_and_its_one_point_call_raises(self, num_elements):
+        geom = ArrayGeometry(num_elements, spacing=0.25)
+        wf = make_waveform()
+        x = geom.element_x_positions
+        for x_k in x[x != 0.0].tolist():
+            target = TargetState(abs(x_k), math.copysign(math.pi / 2, x_k))
+            rows = closed_form_bounds([target.distance], [target.angle], geom, wf, 1.0)
+            assert rows.degenerate.tolist() == rows.singular.tolist() == [True]
+            assert (rows.radial.item(), rows.transverse.item()) == (math.inf, math.inf)
+            assert (rows.j_rr.item(), rows.j_tt.item(), rows.j_rt.item()) == (0.0, 0.0, 0.0)
+            with pytest.raises(DegenerateGeometryError, match="check distance"):
+                fisher_info_closed_form(target, geom, wf, 1.0)
 
     def test_empty_batch(self):
         rows = closed_form_bounds([], [], ArrayGeometry(3, 0.1), make_waveform(), 1.0)

@@ -97,7 +97,11 @@ OUT_OF_RANGE_SETTINGS = [
     # A target on an element is the scene's fault, not the entry's: the error names no entry.
     (
         "num_elements=5 spacing=0.25 distance=0.5 angle=90",
-        "target sits on an array element or the array centre",
+        "target sits on an array element or the array centre; check distance",
+    ),
+    (
+        "crlb num_elements=5 spacing=0.25 distance=0.5 angle=90",
+        "target sits on an array element or the array centre; check distance",
     ),
     # Each carrier of fig3 builds its own waveform.
     ("fig3 carriers=0", "carriers: carrier must be positive, got 0.0"),
@@ -119,12 +123,40 @@ OUT_OF_RANGE_SETTINGS = [
     ),
     # A map behind the array is no angle the model takes; the y grid is at fault.
     ("fig4 y_min=-50 y_max=-10 y_points=2", "y_min -50.0 puts map rows behind the array, at y -30.0 < 0"),
-    # A grid whose first distance puts the target on the array names that first value.
-    ("fig1 d_min=1e-200", "target sits on an array element or the array centre; check d_min (1e-200)"),
+    # A grid point that puts the target on the array is named, with the keys that place the grid.
+    (
+        "fig1 d_min=1e-200",
+        "target sits on an array element or the array centre at distance 1e-200; check d_min and d_max",
+    ),
     (
         "sweep variable=distance start=1e-200 stop=1",
-        "target sits on an array element or the array centre; check start (1e-200)",
+        "target sits on an array element or the array centre at distance 1e-200; check start and stop",
     ),
+    (
+        "fig1 apertures=1 d_min=1e-13 d_max=1 points=3",
+        "target sits on an array element or the array centre at distance 1e-13; check d_min and d_max",
+    ),
+    # End-fire on the end element: the last grid point is at fault, not the first.
+    (
+        "fig2 num_elements=5 apertures=1 angles=90 d_min=0.1 d_max=0.5 points=5",
+        "target sits on an array element or the array centre at distance 0.5; check d_min and d_max",
+    ),
+    (
+        "fig3 d_min=1e-12",
+        "target sits on an array element or the array centre at distance 1e-12; check d_min and d_max",
+    ),
+    (
+        "sweep variable=distance num_elements=5 spacing=0.25 angle=90 start=0.1 stop=0.5 points=5",
+        "target sits on an array element or the array centre at distance 0.5; check start and stop",
+    ),
+    # In the other sweeps the scene's distance places every row.
+    (
+        "sweep variable=angle num_elements=5 spacing=0.25 distance=0.5 start=0 stop=90 points=3",
+        "target sits on an array element or the array centre at distance 0.5; check distance",
+    ),
+    # 100 times the largest aperture, the default d_max, overflows.
+    ("fig1 apertures=1e307", "apertures: the default d_max, 100 times 1e+307 m, overflows"),
+    ("fig2 apertures=1e307", "apertures: the default d_max, 100 times 1e+307 m, overflows"),
     # Past one ulp of the radial span the Monte Carlo MSE measures float rounding.
     (
         "snr_list=250",

@@ -311,6 +311,12 @@ class TestRadialVsDistance:
         far = _column(self.table, "root_crlb_vr_far_field")
         assert exact[0] / far[0] > 1.001
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("runner", [run_radial_vs_distance, run_transverse_vs_distance])
+    def test_infinite_d_max_is_rejected_before_the_grid(self, runner):
+        with pytest.raises(ValueError, match="d_max must be finite, got inf"):
+            runner(ScenarioConfig(), d_max=math.inf)
+
     def test_bound_decreases_with_distance(self):
         exact = _column(self.table, "root_crlb_vr_exact")
         assert all(a >= b * (1 - 1e-12) for a, b in zip(exact, exact[1:]))

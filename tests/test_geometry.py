@@ -319,7 +319,9 @@ class TestDistanceBlock:
     @given(case=_block_rows())
     def test_block_rows_equal_one_target_calls(self, case):
         geometry, distances, angles = case
-        block, degenerate = element_distances((distances, angles), geometry, flag_degenerate=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block, degenerate = element_distances((distances, angles), geometry)
         assert block.shape == (len(distances), geometry.num_elements)
         for i, (d, angle) in enumerate(zip(distances, angles)):
             target = TargetState(d, angle)
@@ -335,14 +337,9 @@ class TestDistanceBlock:
         # The bound kernel's chunks see the same rows as one whole block.
         for rows in _row_chunks(len(distances), geometry.num_elements):
             chunk = (distances[rows], angles[rows])
-            chunk_block, chunk_degenerate = element_distances(chunk, geometry, True)
+            chunk_block, chunk_degenerate = element_distances(chunk, geometry)
             assert np.array_equal(chunk_block, block[rows])
             assert np.array_equal(chunk_degenerate, degenerate[rows])
-        if degenerate.any():
-            with pytest.raises(DegenerateGeometryError):
-                element_distances((distances, angles), geometry)
-        else:
-            assert np.array_equal(element_distances((distances, angles), geometry)[0], block)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -369,21 +366,25 @@ class TestDistanceBlock:
         try:
             TargetState(*bad)
         except ValueError as exc:
-            error, message = ValueError, re.escape(str(exc))
+            message = re.escape(str(exc))
         else:
-            error, message = DegenerateGeometryError, "array element or the array centre"
+            message = None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=message):
-                element_distances((distances, angles), geometry)
-            with pytest.raises(error, match=message):
-                closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
-            if error is ValueError:
-                # Flagging covers degenerate rows only; an invalid row still raises.
+            if message is None:
+                # A degenerate row: the batch flags it, and only the one-target call raises.
+                with pytest.raises(DegenerateGeometryError, match="array element or the array centre"):
+                    element_distances(TargetState(*bad), geometry)
+                flagged = [i == min(position, len(good)) for i in range(len(rows))]
+                assert element_distances((distances, angles), geometry)[1].tolist() == flagged
+                bounds = closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
+                assert bounds.degenerate.tolist() == flagged
+            else:
+                # A row TargetState rejects raises its error from a batch too.
                 with pytest.raises(ValueError, match=message):
-                    closed_form_bounds(
-                        distances, angles, geometry, make_waveform(), 1.0, flag_degenerate=True
-                    )
+                    element_distances((distances, angles), geometry)
+                with pytest.raises(ValueError, match=message):
+                    closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
 
 
 _ARRAY = ArrayGeometry(4, 0.1)
