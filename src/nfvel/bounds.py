@@ -29,7 +29,9 @@ from .geometry import (
     DegenerateGeometryError,
     TargetState,
     _check_rows,
+    _per_point,
     _require_positive,
+    _row_blocks,
     element_distances,
     radial_projection_coeffs,
     symmetric_index_grid,
@@ -89,22 +91,27 @@ class CrlbResult:
 
 @dataclass(frozen=True)
 class BoundRows:
-    """Closed-form information and bounds of a batch of P points, as ``(P,)`` float or bool arrays."""
+    """Closed-form information and bounds of a batch of P points, as ``(P,)`` float or bool arrays.
+
+    ``root_radial`` and ``root_transverse`` are the square roots of the variance
+    bounds, bit for bit where a variance is a normal float, and finite past the
+    float range of the variance wherever the root itself is finite.
+    """
 
     j_rr: np.ndarray
     j_tt: np.ndarray
     j_rt: np.ndarray
     radial: np.ndarray
     transverse: np.ndarray
+    root_radial: np.ndarray
+    root_transverse: np.ndarray
     singular: np.ndarray
     degenerate: np.ndarray
 
 
 def _row_chunks(count: int, width: int):
     """Slices of at most ``_CHUNK_ELEMENTS // width`` rows covering ``range(count)``."""
-    step = max(1, _CHUNK_ELEMENTS // max(width, 1))
-    for start in range(0, count, step):
-        yield slice(start, start + step)
+    return _row_blocks(count, max(1, _CHUNK_ELEMENTS // max(width, 1)))
 
 
 def fisher_info_numeric(
@@ -148,9 +155,12 @@ def fisher_info_numeric(
     return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
-def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Variance bounds and singular flags of P information matrices, as ``(P,)`` arrays.
+def _scaled_crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled bounds ``b``, shifts ``s`` and singular flags of P information matrices.
 
+    ``b`` and ``s`` are ``(2, P)``, radial then transverse: a variance bound is
+    ``ldexp(b, 2 s)`` and its root ``ldexp(sqrt(b), s)``, which equals the root of
+    the variance bit for bit where that is normal and stays finite where it overflows.
     Each axis is scaled by an exact power of two that brings its diagonal entry into
     [0.5, 2), so the tests are relative at any scale, and rows whose products stay normal
     round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An error
@@ -179,12 +189,21 @@ def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndar
                 raise ValueError(f"information matrix {row} overflows; reduce carrier or snr")
             raise ValueError(f"information matrix is negative definite: {row}")
         singular = det <= _SINGULAR_RTOL * diag_product
-        del c, diag_product  # before the bounds' temporaries: this is a batch's peak
+        # A singular row falls back to the one-parameter bounds 1/j_rr, and 1/j_tt where j_rr is 0.
+        fallback = np.where(r > 0.0, 1.0 / r, math.inf), np.where((t > 0.0) & (r == 0.0), 1.0 / t, math.inf)
         scaled /= det
-        radial, transverse = np.ldexp(scaled, 2 * shift[::-1], out=scaled)
-        radial = np.where(singular, np.where(j_rr > 0.0, 1.0 / j_rr, math.inf), radial)
-        only_transverse = (j_tt > 0.0) & (j_rr == 0.0)
-        transverse = np.where(singular, np.where(only_transverse, 1.0 / j_tt, math.inf), transverse)
+        np.copyto(scaled, fallback, where=singular)
+    return scaled, shift[::-1], singular
+
+
+def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Variance bounds and singular flags of P information matrices, as ``(P,)`` arrays.
+
+    See :func:`_scaled_crlb`, which this scales back.
+    """
+    scaled, shift, singular = _scaled_crlb(j_rr, j_tt, j_rt)
+    with np.errstate(over="ignore"):
+        radial, transverse = np.ldexp(scaled, 2 * shift, out=scaled)
     return radial, transverse, singular
 
 
@@ -201,12 +220,13 @@ def closed_form_bounds(
 
     and the entries are the summed weight times the element sums of
     ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  All P matrices are
-    inverted as one array, by the inverse :func:`crlb_from_fisher` applies to
-    one matrix, so rows match the one-point functions bit for bit.  A target
-    on an element or the array centre has no bound: its row is marked
-    ``degenerate``, with zero information and infinite bounds, and the caller
-    decides what that means.  Information past the float range raises a
-    ``ValueError`` naming the carrier.
+    inverted in blocks of rows, by the inverse :func:`crlb_from_fisher` applies
+    to one matrix, so rows match the one-point functions bit for bit.  The root
+    bounds are taken before the inverse's power-of-two scale is undone, so they
+    stay finite where a variance overflows.  A target on an element or the
+    array centre has no bound: its row is marked ``degenerate``, with zero
+    information and infinite bounds, and the caller decides what that means.
+    Information past the float range raises a ``ValueError`` naming the carrier.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
     angles = np.asarray(angles, dtype=float).reshape(-1)
@@ -214,10 +234,9 @@ def closed_form_bounds(
     _require_positive(snr=snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
-    # One sine and one cosine per point, from ``math``, whose rounding the published values
-    # pin; the cosine is sin(pi/2 - |angle|), as ``_cos_angle`` takes it.
-    arguments = np.concatenate([angles, math.pi / 2.0 - np.abs(angles)]).tolist()
-    trig = np.fromiter(map(math.sin, arguments), float, len(arguments)).reshape(2, -1)
+    # One sine and one cosine per point, from ``math``; the cosine is sin(pi/2 - |angle|),
+    # as ``_cos_angle`` takes it.
+    trig = _per_point(math.sin, np.stack((angles, math.pi / 2.0 - np.abs(angles))))
     weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
@@ -243,7 +262,16 @@ def closed_form_bounds(
             entries[:, rows] = weight_total[rows] * terms.sum(axis=2)
             del terms  # before the next chunk's distances: one chunk's terms at a time
     entries[:, degenerate] = 0.0
-    return BoundRows(*entries, *_crlb(*entries), degenerate)
+    del trig, weight_total  # before the inverse's blocks: the two loops' peaks stay apart
+    # Variance bounds, then root bounds, radial before transverse.
+    bounds = np.empty((4, distances.size))
+    singular = np.empty(distances.size, dtype=bool)
+    for rows in _row_blocks(distances.size):
+        scaled, shift, singular[rows] = _scaled_crlb(*entries[:, rows])
+        with np.errstate(over="ignore"):
+            bounds[:2, rows] = np.ldexp(scaled, 2 * shift)
+            bounds[2:, rows] = np.ldexp(np.sqrt(scaled), shift)
+    return BoundRows(*entries, *bounds, singular, degenerate)
 
 
 def fisher_info_closed_form(

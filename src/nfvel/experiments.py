@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
-from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState, _require_positive
+from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_positive
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, snr_from_link_budget
 
@@ -225,19 +225,20 @@ def run_single(config: ScenarioConfig) -> dict:
     geometry = config.geometry()
     wf = config.waveform()
     target = config.target()
-    info = fisher_info_closed_form(target, geometry, wf, config.snr)
-    crlb = crlb_from_fisher(info)
+    bounds = closed_form_bounds([target.distance], [target.angle], geometry, wf, config.snr)
+    if bounds.degenerate[0]:
+        raise DegenerateGeometryError()
 
     out = _scenario_meta(config)
     out["angle_deg"] = math.degrees(config.angle)
-    out["j_rr"] = info.j_rr
-    out["j_tt"] = info.j_tt
-    out["j_rt"] = info.j_rt
-    out["singular"] = crlb.singular
-    out["crlb_vr"] = crlb.radial
-    out["crlb_vt"] = crlb.transverse
-    out["root_crlb_vr"] = math.sqrt(crlb.radial)
-    out["root_crlb_vt"] = math.sqrt(crlb.transverse)
+    out["j_rr"] = bounds.j_rr.item()
+    out["j_tt"] = bounds.j_tt.item()
+    out["j_rt"] = bounds.j_rt.item()
+    out["singular"] = bounds.singular.item()
+    out["crlb_vr"] = bounds.radial.item()
+    out["crlb_vt"] = bounds.transverse.item()
+    out["root_crlb_vr"] = bounds.root_radial.item()
+    out["root_crlb_vt"] = bounds.root_transverse.item()
     out["crlb_vr_far_field"] = radial_crlb_far_field(wf, config.num_elements, config.snr)
     out["crossover_distance"] = crossover_distance(geometry)
     return out
@@ -264,7 +265,7 @@ def run_radial_vs_distance(
     for aperture, geometry in zip(apertures, geometries):
         bounds = _grid_bounds("d_min and d_max", distances, np.zeros(points), geometry, wf, config.snr)
         approx = radial_info_boresight(distances, geometry, wf, config.snr)
-        groups.append((distances, aperture, np.sqrt(bounds.radial), _root_inverse(approx), root_far_field))
+        groups.append((distances, aperture, bounds.root_radial, _root_inverse(approx), root_far_field))
 
     return _table(
         "radial-vs-distance",
@@ -303,8 +304,8 @@ def run_transverse_vs_distance(
         for angle_deg in angles:
             angle = np.full(points, angle_deg / 180.0 * math.pi)
             bounds = _grid_bounds("d_min and d_max", distances, angle, geometry, wf, config.snr)
-            root_vt, root_jtt = np.sqrt(bounds.transverse), _root_inverse(bounds.j_tt)
-            groups.append((distances, angle_deg, aperture, root_vt, root_jtt))
+            root_jtt = _root_inverse(bounds.j_tt)
+            groups.append((distances, angle_deg, aperture, bounds.root_transverse, root_jtt))
 
     return _table(
         "transverse-vs-distance",
@@ -348,7 +349,7 @@ def run_carrier_comparison(
         bounds = _grid_bounds("d_min and d_max", distances, np.zeros(points), geometry, wf, config.snr)
         halfwave = transverse_info_half_wavelength(distances, config.num_elements, wf, config.snr)
         far = math.sqrt(radial_crlb_far_field(wf, config.num_elements, config.snr))
-        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), _root_inverse(halfwave)
+        roots = bounds.root_radial, bounds.root_transverse, _root_inverse(halfwave)
         groups.append((distances, carrier, geometry.aperture, *roots, far))
 
     return _table(
@@ -397,15 +398,15 @@ def run_planar_map(
         raise ValueError(f"y_min {y_min!r} puts map rows behind the array, at y {float(y[0])!r} < 0")
 
     # Per-point hypot, atan2 and log10 use ``math``, whose rounding the published maps pin.
-    x_list, y_list = x.tolist(), y.tolist()
-    distance = np.fromiter(map(math.hypot, x_list, y_list), float, x.size)
-    angle = np.fromiter(map(math.atan2, x_list, y_list), float, x.size)
-    # The array centre has no bound: its row reads angle 0 and infinite SNR and bound.
+    distance = _per_point(math.hypot, x, y)
+    angle = _per_point(math.atan2, x, y)
+    # The array centre has no bound: its row reads angle 0 and infinite SNR and bound.  With no
+    # row there, as on the default map, the rows off it are the whole columns, not copies.
     off = distance > 0.0
-    angle_deg = np.where(off, np.degrees(angle), 0.0)
+    rows = slice(None) if off.all() else off
     try:
         snr = snr_from_link_budget(
-            distance[off],
+            distance[rows],
             wf,
             radar_cross_section=config.radar_cross_section,
             tx_gain=config.tx_gain,
@@ -424,17 +425,21 @@ def run_planar_map(
         )
     try:
         # Degenerate rows come back singular with infinite bounds.
-        bounds = closed_form_bounds(distance[off], angle[off], geometry, wf, snr)
+        bounds = closed_form_bounds(distance[rows], angle[rows], geometry, wf, snr)
     except ValueError:  # the rows lie in front of the array: only the information can fail
         raise ValueError(
             f"the link-budget snr, up to {float(snr.max())!r} on this map, takes the information matrix "
             f"past the float range: check {budget}"
         ) from None
-    snr_db, root_vt = np.full((2, x.size), math.inf)
-    snr_db[off] = 10.0 * np.fromiter(map(math.log10, snr.tolist()), float, snr.size)
-    root_vt[off] = np.sqrt(bounds.transverse)
+    root_vt = np.full(x.size, math.inf)
+    root_vt[rows] = bounds.root_transverse
     degenerate = ~off
-    degenerate[off] = bounds.singular
+    degenerate[rows] = bounds.singular
+    del bounds  # the kernel's other columns, before the SNR's
+    snr_db = np.full(x.size, math.inf)
+    snr_db[rows] = 10.0 * _per_point(math.log10, snr)
+    angle_deg = np.degrees(angle, out=angle)
+    angle_deg[~off] = 0.0
 
     return _table(
         "planar-map",
@@ -596,8 +601,7 @@ def run_sweep(
         wf, geometry = sub.waveform(), sub.geometry()
         bounds = _grid_bounds(keys, *target, geometry, wf, sub.snr)
         root_far_field = math.sqrt(radial_crlb_far_field(wf, geometry.num_elements, sub.snr))
-        roots = np.sqrt(bounds.radial), np.sqrt(bounds.transverse), root_far_field
-        groups.append((batch, *roots, bounds.singular))
+        groups.append((batch, bounds.root_radial, bounds.root_transverse, root_far_field, bounds.singular))
 
     return _table(
         f"sweep-{variable}",

@@ -33,6 +33,8 @@ __all__ = [
 
 # Relative distance below which a target is taken to sit on an element.
 _COINCIDENCE_RTOL = 1e-12
+# Points per block of per-point work: one block's Python floats take a few hundred kB.
+_POINT_BLOCK = 2**12
 
 
 class DegenerateGeometryError(ValueError):
@@ -49,6 +51,26 @@ def _require_positive(**values) -> None:
     for key, value in values.items():
         if not np.all(np.asarray(value) > 0.0):
             raise ValueError(f"{key} must be positive, got {value!r}")
+
+
+def _row_blocks(count: int, step: int = _POINT_BLOCK):
+    """Slices of at most ``step`` rows covering ``range(count)``."""
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _per_point(function, *arrays) -> np.ndarray:
+    """``function`` of the Python floats at each index of equal-shape float arrays, as a float array.
+
+    ``math`` functions round as published values pin, where numpy's vectorised
+    forms may differ in the last bit.  The floats are listed one block at a time,
+    so a call holds one block's Python objects however many points it has.
+    """
+    flat = [np.asarray(a, dtype=float).reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size)
+    for rows in _row_blocks(out.size):
+        block = [a[rows].tolist() for a in flat]
+        out[rows] = np.fromiter(map(function, *block), float, len(block[0]))
+    return out.reshape(np.shape(arrays[0]))
 
 
 def symmetric_index_grid(count: int) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Deterministic CSV emission: :class:`CsvTable` and the cell format :func:`format_cell`.
 
-A table holds one sequence per column.  ``CsvTable.render`` sends float arrays
-and columns of Python floats through one numpy kernel that writes ``'%.12e'``
-where it can prove the digits, bool arrays to ``1``/``0``, and every other cell,
-including each float the kernel cannot prove, through :func:`format_cell`.
+A table holds one sequence per column.  Its bytes come one block of rows at a
+time: float arrays and columns of Python floats go through one numpy kernel
+that writes ``'%.12e'`` where it can prove the digits, bool arrays become
+``1``/``0``, and every other cell, including each float the kernel cannot
+prove, goes through :func:`format_cell`.  ``CsvTable.write`` streams the blocks
+to a temporary file that replaces the target only once every block rendered.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -17,9 +21,9 @@ import numpy as np
 
 __all__ = ["CsvTable", "format_cell"]
 
-# Cells that CsvTable.render formats at once: one block's byte slots, not the
-# whole table's, set the peak memory.
-_RENDER_CELLS = 2**15
+# Cells formatted at once: one block's byte slots, not the whole table's, set
+# the peak memory of rendering or writing a table.
+_RENDER_CELLS = 2**13
 # 10**k for 0 <= k <= 22, all exact doubles; 10**23 is not.
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
 # The float kernel fills a cell's 20 bytes as five 4-byte words: "\0-" and
@@ -46,21 +50,40 @@ class CsvTable:
         return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.data)))
 
     def render(self) -> str:
-        meta = [f"# {key} = {_meta_str(self.meta[key])}" for key in sorted(self.meta)]
-        lines = [f"# nfvel {self.name}", *meta, ",".join(self.columns)]
+        return b"".join(self._pieces()).decode()
+
+    def write(self, path: str | Path) -> Path:
+        """Write the table's UTF-8 bytes to ``path``, which changes only once every row rendered."""
+        path = Path(path)
+        # Beside the file a symlink names, so that the link stays; opened as a direct
+        # write would open path, so the file gets the usual permissions.
+        target = Path(os.path.realpath(path))
+        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "xb") as file:
+                for piece in self._pieces():
+                    file.write(piece)
+            os.replace(temp, target)
+        except OSError as error:
+            # Named after the file asked for, as a direct write's error would be.
+            raise OSError(error.errno, error.strerror, str(path)) from None
+        finally:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+        return path
+
+    def _pieces(self):
+        """The file's bytes: the header, then one piece per block of rows."""
         lengths = sorted(set(map(len, self.data))) or [0]
         if len(self.data) != len(self.columns) or len(lengths) > 1:
             raise ValueError(f"{len(self.data)} columns of lengths {lengths} for {len(self.columns)} names")
+        meta = [f"# {key} = {_meta_str(self.meta[key])}\n" for key in sorted(self.meta)]
+        yield "".join([f"# nfvel {self.name}\n", *meta, ",".join(self.columns), "\n"]).encode()
         # A column that holds only Python floats is formatted as a float array.
         data = [c if isinstance(c, np.ndarray) or set(map(type, c)) != {float} else np.array(c) for c in self.data]
         step = max(1, _RENDER_CELLS // max(len(data), 1))
-        blocks = (_block_text([c[i : i + step] for c in data]) for i in range(0, lengths[0], step))
-        return "\n".join(lines) + "\n" + "".join(blocks)
-
-    def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.render(), encoding="utf-8", newline="\n")
-        return path
+        for i in range(0, lengths[0], step):
+            yield _block_bytes([c[i : i + step] for c in data])
 
 
 def format_cell(value) -> str:
@@ -91,8 +114,15 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _block_text(columns: list) -> str:
-    """The CSV lines of one block of columns, each ending in a newline, decoded from one byte array.
+def _block_bytes(columns: list) -> bytes:
+    """The UTF-8 CSV lines of one block of columns, each ending in a newline."""
+    # The cells' own slots are freed once _block_slots returns, before the bytes are gathered.
+    data, kept = _block_slots(columns)
+    return data[kept].tobytes()
+
+
+def _block_slots(columns: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, width) byte slots of one block of CSV lines, and the mask of the bytes kept.
 
     The columns of one kind are formatted together: float arrays by the ``%.12e``
     kernel, bool arrays as ``1``/``0``, any other by :func:`format_cell`.
@@ -118,7 +148,7 @@ def _block_text(columns: list) -> str:
     always = np.ones((count, 1), bool)
     data = np.concatenate([part for (cells, _), end in zip(slots, ends) for part in (cells, end)], axis=1)
     kept = np.concatenate([part for _, keep in slots for part in (keep, always)], axis=1)
-    return data[kept].tobytes().decode()
+    return data, kept
 
 
 def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:

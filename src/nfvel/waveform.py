@@ -23,6 +23,7 @@ from .constants import BOLTZMANN_CONSTANT, REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
     TargetState,
+    _per_point,
     _require_positive,
     element_distances,
     radial_projection_coeffs,
@@ -261,8 +262,7 @@ def _float_power(value, exponent: int):
     """
     if np.ndim(value) == 0:
         return value**exponent
-    values = np.asarray(value, dtype=float)
-    return np.array([v**exponent for v in values.reshape(-1).tolist()]).reshape(values.shape)
+    return _per_point(lambda v: v**exponent, value)
 
 
 def snr_from_link_budget(

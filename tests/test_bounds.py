@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -734,6 +735,39 @@ class TestBatchKernel:
             crlb = crlb_from_fisher(one)
             assert _bits(got) == _bits([one.j_rr, one.j_tt, one.j_rt, crlb.radial, crlb.transverse])
             assert batch.singular[i] == crlb.singular
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.sampled_from([1, 2, 5, 101]),
+        spacing=st.floats(0.002, 0.08),
+        rows=st.lists(st.tuples(st.floats(0.05, 1e4), _ANGLES), min_size=1, max_size=12),
+        snr_exponent=st.integers(-308, 4),
+    )
+    @example(k=101, spacing=SPEED_OF_LIGHT / 12e9, rows=[(1000.0, 0.0)], snr_exponent=-308)
+    def test_root_bounds_are_the_variance_roots_and_finite_past_them(self, k, spacing, rows, snr_exponent):
+        geom, wf = ArrayGeometry(k, spacing), make_waveform(carrier=6e9)
+        distances, angles = [d for d, _ in rows], [a for _, a in rows]
+        batch = closed_form_bounds(distances, angles, geom, wf, 10.0**snr_exponent)
+        for variance, root in ((batch.radial, batch.root_radial), (batch.transverse, batch.root_transverse)):
+            normal = (variance >= sys.float_info.min) & ~np.isinf(variance)
+            assert _bits(root[normal]) == _bits(np.sqrt(variance[normal]))
+        # Against the exact inverse of the float entries: each root squared is its variance
+        # within the rounding of the determinant, however far past the float range that lies.
+        for i in np.flatnonzero(~batch.singular).tolist():
+            j_rr, j_tt, j_rt = (Fraction(float(column[i])) for column in (batch.j_rr, batch.j_tt, batch.j_rt))
+            det = j_rr * j_tt - j_rt * j_rt
+            rounding = Fraction(1, 10**15) * j_rr * j_tt / det
+            for root, diagonal in ((batch.root_radial[i], j_tt), (batch.root_transverse[i], j_rr)):
+                assert math.isfinite(root)
+                assert abs(Fraction(float(root)) ** 2 * det / diagonal - 1) <= rounding
+
+    def test_root_bound_at_the_noise_floor_is_finite(self):
+        # fig3's 6 GHz half-wave array at 1000 m and -3080 dB, where the half-wave closed
+        # form reads 3.068076549424e+154 m/s: the transverse variance overflows.
+        geom, wf = ArrayGeometry.half_wavelength(101, 6e9), make_waveform(carrier=6e9)
+        batch = closed_form_bounds([1000.0], [0.0], geom, wf, 1e-308)
+        assert math.isinf(batch.transverse[0]) and not batch.singular[0]
+        assert batch.root_transverse[0] == pytest.approx(3.068e154, rel=1e-3)
 
     def test_peak_memory_stays_a_few_chunks(self):
         # 64 rows at K=16384 are 64 one-row chunks, so the peak is a few (1, K)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,92 @@ class TestCsvTable:
         assert first == table.render().encode("utf-8")
 
 
+def _write_peak(table: CsvTable, path) -> int:
+    """The peak memory ``table.write(path)`` allocates above what is held when it starts."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        table.write(path)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedWrite:
+    def _blocks_table(self, count: int) -> CsvTable:
+        """A float, a bool and a non-ASCII text column; fallback cells sit on both sides of each block boundary."""
+        step = _RENDER_CELLS // 3
+        floats = np.linspace(-3.0, 7.0, count)
+        floats[step - 1 :: step] = 0.0
+        floats[step::step] = math.inf
+        texts = [("é", "ascii", "日本")[i % 3] for i in range(count)]
+        return CsvTable("blocks", ("v", "flag", "text"), (floats, floats > 0.0, texts), {"note": "ü"})
+
+    def test_write_bytes_equal_render_across_blocks(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"an older file")
+        for count in (_RENDER_CELLS // 3, 2 * (_RENDER_CELLS // 3) + 5):
+            table = self._blocks_table(count)
+            assert table.write(path).read_bytes() == table.render().encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    @pytest.mark.parametrize("existing", [None, b"an older file"])
+    def test_nan_in_the_last_block_leaves_the_path_as_it_was(self, tmp_path, existing):
+        path = tmp_path / "table.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        table = self._blocks_table(3 * (_RENDER_CELLS // 3) + 2)
+        table.data[0][-1] = math.nan
+        with pytest.raises(ValueError, match="NaN reached an output cell"):
+            table.write(path)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["table.csv"])
+        assert existing is None or path.read_bytes() == existing
+
+    def test_write_error_names_the_target_and_leaves_no_file(self, tmp_path):
+        table = self._blocks_table(3)
+        missing = tmp_path / "missing" / "table.csv"
+        with pytest.raises(FileNotFoundError) as raised:
+            table.write(missing)
+        assert raised.value.filename == str(missing)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            table.write(tmp_path / "dir")
+        assert raised.value.filename == str(tmp_path / "dir")
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+    def test_write_through_a_symlink_keeps_the_link(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "table.csv"
+        link.symlink_to(tmp_path / "data" / "table.csv")
+        table = self._blocks_table(3)
+        assert table.write(link) == link
+        assert link.is_symlink() and link.read_bytes() == table.render().encode()
+        assert [p.name for p in (tmp_path / "data").iterdir()] == ["table.csv"]
+
+    def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
+        # A fig4-like table of six float columns and a bool column.
+        def table(count):
+            columns = [np.linspace(-25.0, 25.0, count) * (i + 1.5) for i in range(6)]
+            return CsvTable("map", tuple("abcdefg"), (*columns, columns[0] > 0.0), {})
+
+        block = _write_peak(table(_RENDER_CELLS // 7), tmp_path / "block.csv")
+        small = _write_peak(table(20_000), tmp_path / "small.csv")
+        large = _write_peak(table(80_000), tmp_path / "large.csv")
+        assert large <= small + block
+
+    def test_planar_map_peak_per_row(self, tmp_path):
+        # 401 x 201 points.  The kernel holds about a dozen floats per row at its
+        # peak, 108 bytes in all when measured; the whole-text render took 305.
+        run_planar_map(ScenarioConfig(), x_points=3, y_points=2)  # caches the element positions
+        tracemalloc.start()
+        try:
+            run_planar_map(ScenarioConfig(), x_points=401, y_points=201).write(tmp_path / "map.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 144 * 401 * 201
+
+
 class TestScenarioConfig:
     def test_spacing_defaults_to_half_wavelength(self):
         geometry = ScenarioConfig().geometry()
@@ -442,7 +529,8 @@ class TestPlanarMap:
 
         def nan_transverse(*args, **kwargs):
             rows = bounds(*args, **kwargs)
-            return dataclasses.replace(rows, transverse=np.full_like(rows.transverse, math.nan))
+            nan = np.full_like(rows.transverse, math.nan)
+            return dataclasses.replace(rows, transverse=nan, root_transverse=nan)
 
         monkeypatch.setattr(experiments, "closed_form_bounds", nan_transverse)
         table = run_planar_map(ScenarioConfig(), x_points=3, y_points=2)
