@@ -155,16 +155,17 @@ def fisher_info_numeric(
     return FisherInfo(j_rr=j_rr, j_tt=j_tt, j_rt=j_rt)
 
 
-def _scaled_crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled bounds ``b``, shifts ``s`` and singular flags of P information matrices.
+def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Variance bounds, root bounds and singular flags of P information matrices.
 
-    ``b`` and ``s`` are ``(2, P)``, radial then transverse: a variance bound is
-    ``ldexp(b, 2 s)`` and its root ``ldexp(sqrt(b), s)``, which equals the root of
-    the variance bit for bit where that is normal and stays finite where it overflows.
-    Each axis is scaled by an exact power of two that brings its diagonal entry into
-    [0.5, 2), so the tests are relative at any scale, and rows whose products stay normal
-    round as a one-matrix inverse that squares ``j_rt`` by multiplication.  An error
-    names the first bad row as given: an entry that is not finite overflows, and finite
+    The bounds are ``(2, P)``, radial then transverse, and the flags ``(P,)``.
+    Each axis is scaled by an exact power of two ``2**s`` that brings its diagonal
+    entry into [0.5, 2), so the tests are relative at any scale, and rows whose
+    products stay normal round as a one-matrix inverse that squares ``j_rt`` by
+    multiplication.  A scaled bound ``b`` gives the variance ``ldexp(b, 2 s)`` and
+    the root ``ldexp(sqrt(b), s)``, which equals the root of the variance bit for
+    bit where that is normal and stays finite where it overflows.  An error names
+    the first bad row as given: an entry that is not finite overflows, and finite
     entries whose determinant is ``-inf`` are negative definite.
     """
     # In the order (j_tt, j_rr): divided by the determinant, they give (radial, transverse).
@@ -193,18 +194,9 @@ def _scaled_crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[
         fallback = np.where(r > 0.0, 1.0 / r, math.inf), np.where((t > 0.0) & (r == 0.0), 1.0 / t, math.inf)
         scaled /= det
         np.copyto(scaled, fallback, where=singular)
-    return scaled, shift[::-1], singular
-
-
-def _crlb(j_rr: np.ndarray, j_tt: np.ndarray, j_rt: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Variance bounds and singular flags of P information matrices, as ``(P,)`` arrays.
-
-    See :func:`_scaled_crlb`, which this scales back.
-    """
-    scaled, shift, singular = _scaled_crlb(j_rr, j_tt, j_rt)
-    with np.errstate(over="ignore"):
-        radial, transverse = np.ldexp(scaled, 2 * shift, out=scaled)
-    return radial, transverse, singular
+        shift = shift[::-1]
+        roots = np.sqrt(scaled)
+        return np.ldexp(scaled, 2 * shift, out=scaled), np.ldexp(roots, shift, out=roots), singular
 
 
 def closed_form_bounds(
@@ -267,10 +259,7 @@ def closed_form_bounds(
     bounds = np.empty((4, distances.size))
     singular = np.empty(distances.size, dtype=bool)
     for rows in _row_blocks(distances.size):
-        scaled, shift, singular[rows] = _scaled_crlb(*entries[:, rows])
-        with np.errstate(over="ignore"):
-            bounds[:2, rows] = np.ldexp(scaled, 2 * shift)
-            bounds[2:, rows] = np.ldexp(np.sqrt(scaled), shift)
+        bounds[:2, rows], bounds[2:, rows], singular[rows] = _crlb(*entries[:, rows])
     return BoundRows(*entries, *bounds, singular, degenerate)
 
 
@@ -299,7 +288,8 @@ def crlb_from_fisher(info: FisherInfo) -> CrlbResult:
     applies to a whole batch.
     """
     entries = np.array([[info.j_rr], [info.j_tt], [info.j_rt]], dtype=float)
-    return CrlbResult(*(column.item() for column in _crlb(*entries)))
+    (radial, transverse), _, singular = _crlb(*entries)
+    return CrlbResult(radial.item(), transverse.item(), singular.item())
 
 
 def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float) -> float:

@@ -5,7 +5,8 @@ time: float arrays and columns of Python floats go through one numpy kernel
 that writes ``'%.12e'`` where it can prove the digits, bool arrays become
 ``1``/``0``, and every other cell, including each float the kernel cannot
 prove, goes through :func:`format_cell`.  ``CsvTable.write`` streams the blocks
-to a temporary file that replaces the target only once every block rendered.
+to a temporary file that replaces the target only once every block rendered,
+or straight to a target that is no regular file, such as a pipe.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -53,23 +55,39 @@ class CsvTable:
         return b"".join(self._pieces()).decode()
 
     def write(self, path: str | Path) -> Path:
-        """Write the table's UTF-8 bytes to ``path``, which changes only once every row rendered."""
+        """Write the table's UTF-8 bytes to ``path``.
+
+        A regular file, or a path that names no file yet, changes only once every
+        row rendered: the rows go to a new file beside it, which then replaces it.
+        Any other target, such as a device or a pipe, takes the rows as they render.
+        """
         path = Path(path)
-        # Beside the file a symlink names, so that the link stays; opened as a direct
-        # write would open path, so the file gets the usual permissions.
+        # Asked of path itself: the real path of /dev/stdout on a pipe names no file.
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as file:
+                file.writelines(self._pieces())
+            return path
+        # Beside the file a symlink names, so that the link stays.
         target = Path(os.path.realpath(path))
-        temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        # A random name: a file a killed run left, or another write's, is never taken.
+        temp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+        created = False
         try:
+            # Opened as a direct write would open path, so a new file gets the usual
+            # permissions; a file it replaces passes on its own.
             with open(temp, "xb") as file:
-                for piece in self._pieces():
-                    file.write(piece)
+                created = True
+                if os.path.exists(target):
+                    shutil.copymode(target, temp)
+                file.writelines(self._pieces())
             os.replace(temp, target)
         except OSError as error:
             # Named after the file asked for, as a direct write's error would be.
             raise OSError(error.errno, error.strerror, str(path)) from None
         finally:
-            with contextlib.suppress(OSError):
-                temp.unlink()
+            if created:
+                with contextlib.suppress(OSError):
+                    temp.unlink()
         return path
 
     def _pieces(self):

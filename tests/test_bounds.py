@@ -175,6 +175,12 @@ def _normal_or_zero(product, *factors):
     return sys.float_info.min <= abs(product) < math.inf or 0.0 in factors
 
 
+def _one_row_crlb(row):
+    """The variance bounds and singular flag :func:`_crlb` gives one row."""
+    (radial, transverse), _, singular = _crlb(*np.array(row, dtype=float).reshape(3, 1))
+    return radial.item(), transverse.item(), singular.item()
+
+
 def _scalar_crlb(j_rr, j_tt, j_rt):
     """Oracle: ``(radial, transverse, singular, rel)`` of one matrix, from the textbook inverse.
 
@@ -274,7 +280,7 @@ class TestArrayInverse:
         ]
     )
     def test_rows_equal_the_scalar_inverse(self, rows):
-        radial, transverse, singular = _crlb(*np.array(rows, dtype=float).reshape(-1, 3).T)
+        (radial, transverse), _, singular = _crlb(*np.array(rows, dtype=float).reshape(-1, 3).T)
         expected = [_scalar_crlb(*row) for row in rows]
         assert singular.tolist() == [s for _, _, s, _ in expected]
         for got, (*want, _, rel) in zip(zip(radial.tolist(), transverse.tolist()), expected):
@@ -303,7 +309,7 @@ class TestArrayInverse:
     @given(data=st.data())
     def test_power_of_two_scaling_scales_the_bounds_exactly(self, data):
         row = data.draw(_information_rows())
-        radial, transverse, singular = (v.item() for v in _crlb(*np.array(row).reshape(3, 1)))
+        radial, transverse, singular = _one_row_crlb(row)
         # A bound that overflowed has no exact scaled value to compare with.
         assume(singular or (math.isfinite(radial) and math.isfinite(transverse)))
         i = data.draw(st.integers(*_quarter_shifts(row[0], radial)))
@@ -315,7 +321,7 @@ class TestArrayInverse:
         assume(j_low <= j_high)
         j = data.draw(st.integers(j_low, j_high))
         scaled = (math.ldexp(row[0], 2 * i), math.ldexp(row[1], 2 * j), math.ldexp(row[2], i + j))
-        got = [v.item() for v in _crlb(*np.array(scaled).reshape(3, 1))]
+        got = _one_row_crlb(scaled)
         assert got[2] == singular
         assert _bits(got[:2]) == _bits([math.ldexp(radial, -2 * i), math.ldexp(transverse, -2 * j)])
 

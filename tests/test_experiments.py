@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import os
+import stat
 import struct
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,57 @@ class TestStreamedWrite:
         assert table.write(link) == link
         assert link.is_symlink() and link.read_bytes() == table.render().encode()
         assert [p.name for p in (tmp_path / "data").iterdir()] == ["table.csv"]
+
+    def test_write_keeps_a_file_a_killed_write_left(self, tmp_path):
+        path = tmp_path / "table.csv"
+        left = tmp_path / f".table.csv.{os.getpid()}.tmp"
+        left.write_bytes(b"partial")
+        table = self._blocks_table(3)
+        assert table.write(path).read_bytes() == table.render().encode()
+        assert left.read_bytes() == b"partial"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [left.name, "table.csv"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"an older file")
+        path.chmod(0o640)
+        self._blocks_table(3).write(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("pipe", ["named", "/dev/fd"])
+    def test_write_streams_every_block_to_a_pipe(self, tmp_path, pipe):
+        # Two blocks of "1"/"0" lines, well inside a pipe's 64 KiB buffer, so that
+        # the write never waits for the reader, opened first so that it can open.
+        table = CsvTable("flags", ("flag",), (np.arange(_RENDER_CELLS + 5) % 3 == 0,), {})
+        if pipe == "named":
+            path = tmp_path / "pipe"
+            os.mkfifo(path)
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        else:
+            # The real path of /dev/fd/N on a pipe names no file.
+            if not os.path.isdir("/dev/fd"):
+                pytest.skip("no /dev/fd")
+            reader, writer = os.pipe()
+            path = Path(f"/dev/fd/{writer}")
+        try:
+            assert table.write(path) == path
+            if pipe != "named":
+                os.close(writer)
+            received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+        finally:
+            os.close(reader)
+        assert received == table.render().encode()
+        assert pipe != "named" or stat.S_ISFIFO(path.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == (["pipe"] if pipe == "named" else [])
+
+    def test_write_to_a_device_leaves_it_a_device(self, monkeypatch):
+        # Should the device be taken for a file, the refused rename keeps it in place.
+        def refuse(*paths):
+            raise PermissionError(1, "replace refused", str(paths[0]))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert self._blocks_table(3).write(os.devnull) == Path(os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
     def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
         # A fig4-like table of six float columns and a bool column.
