@@ -33,14 +33,13 @@ from .geometry import (
     _require_positive,
     _row_blocks,
     element_distances,
-    radial_projection_coeffs,
     symmetric_index_grid,
-    transverse_projection_coeffs,
 )
 from .waveform import (
     ChannelNoise,
     WaveformConfig,
     _float_power,
+    _phase_rates,
     subcarrier_frequencies,
     synthesize_noise_free,
 )
@@ -123,30 +122,20 @@ def fisher_info_numeric(
     """Information matrix by brute-force summation over the sample cube.
 
     Synthesizes the noise-free observation at unit channel gain and
-    accumulates ``(2/sigma^2) * Re{conj(dy_i) * dy_j}`` over all
-    ``(m, n, k)``, where the derivative of sample ``y`` with respect to the
-    radial velocity is ``y * j*2*pi*(f_n/c)*(1 + q_k)*m*T_sym`` and with
-    respect to the transverse velocity is
-    ``y * j*2*pi*(f_n/c)*p_k*m*T_sym``.  Exact per-subcarrier frequencies
-    are used throughout.  The result does not depend on the target's
-    velocity, only on its position.
+    accumulates ``(2/sigma^2) * Re{conj(dy_a) * dy_b}`` over all
+    ``(m, n, k)``, where ``dy_a = y * j*m*psi_a`` is the derivative of sample
+    ``y`` in velocity ``a`` and ``psi`` the model's phase rates.  Exact
+    per-subcarrier frequencies are used throughout.  The result does not
+    depend on the target's velocity, only on its position.
     """
     _require_positive(snr=snr)
     noise = ChannelNoise.from_snr(config, snr)
     cube = synthesize_noise_free(target, geometry, config, noise)
 
     m_grid = symmetric_index_grid(config.num_symbols)
-    freqs = subcarrier_frequencies(config)
-    q = radial_projection_coeffs(target, geometry)
-    p = transverse_projection_coeffs(target, geometry)
-
-    # Phase sensitivities, shaped (M, N, K).
-    scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
-    radial_sens = scale * m_grid[:, None, None] * freqs[None, :, None] * (1.0 + q)[None, None, :]
-    transverse_sens = scale * m_grid[:, None, None] * freqs[None, :, None] * p[None, None, :]
-
-    dy_radial = cube.samples * (1j * radial_sens)
-    dy_transverse = cube.samples * (1j * transverse_sens)
+    psi = _phase_rates(target, geometry, config)
+    # The derivative cubes, each shaped (M, N, K): sample y turns by m * psi per unit velocity.
+    dy_radial, dy_transverse = cube.samples * (1j * (m_grid[:, None, None] * psi[:, None]))
 
     weight = 2.0 / noise.noise_variance
     j_rr = weight * float(np.sum((dy_radial.conj() * dy_radial).real))
@@ -353,7 +342,7 @@ def transverse_info_boresight(
     k_grid = symmetric_index_grid(geometry.num_elements)
     ratio_sq = (k_grid * geometry.spacing / distance) ** 2
     series = float(np.sum(k_grid**2 / (1.0 + ratio_sq)))
-    prefactor = _boresight_weight(config, snr) * geometry.spacing**2 / distance**2
+    prefactor = _boresight_weight(config, snr) * geometry.spacing**2 / _scaled_square(1.0, distance)
     return prefactor * series
 
 
@@ -384,7 +373,7 @@ def transverse_info_boresight_approx(
         length_sq = geometry.aperture**2
     else:
         length_sq = (k_count**2 - 1) * geometry.spacing**2
-    return _boresight_weight(config, snr) * k_count * length_sq / (12.0 * distance**2)
+    return _boresight_weight(config, snr) * k_count * length_sq / _scaled_square(12.0, distance)
 
 
 def transverse_info_half_wavelength(
@@ -414,8 +403,20 @@ def transverse_info_half_wavelength(
         * (m_count**2 - 1)
         * config.symbol_time**2
         * (num_elements**2 - 1)
-        / (72.0 * _float_power(distance, 2))
+        / _scaled_square(72.0, distance)
     )
+
+
+def _scaled_square(factor: float, distance):
+    """``factor * distance**2``, a boresight form's denominator; a ``ValueError`` names a distance past it."""
+    try:
+        with np.errstate(over="ignore"):
+            square = factor * _float_power(distance, 2)
+    except OverflowError:  # a Python float's power raises where numpy's gives inf
+        square = math.inf
+    if not np.all(np.isfinite(square)):
+        raise ValueError(f"distance {distance!r} squares past the float range of its bound")
+    return square
 
 
 def crossover_distance(geometry: ArrayGeometry) -> float:

@@ -7,11 +7,12 @@ pair maximises the magnitude of the matched-filter output
 
 which is invariant to any common complex gain on the data.  The search runs a
 coarse grid, then joint Newton steps on the analytic gradient and Hessian of
-L, which carry the radial/transverse coupling.  It runs at a power-of-two
-scale near unit sample magnitude, so the data's absolute power does not move
-its result either.  An axis along which the statistic shows no curvature at
-the peak (end-fire targets leave the transverse component unobservable) is
-flagged unidentifiable instead.
+L, which carry the radial/transverse coupling.  One search path serves a
+single cube and every Monte Carlo trial.  It scales the samples by the power
+of two that takes their largest magnitude into [0.5, 1), so the data's
+absolute power does not move its result either.  An axis along which the
+statistic shows no curvature at the peak (end-fire targets leave the
+transverse component unobservable) is flagged unidentifiable instead.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ from .geometry import (
     DegenerateGeometryError,
     TargetState,
     _require_positive,
-    radial_projection_coeffs,
     symmetric_index_grid,
-    transverse_projection_coeffs,
 )
 from .waveform import (
     ChannelNoise,
     ObservationCube,
     WaveformConfig,
+    _phase_rates,
     _unit_noise,
     add_noise,  # noqa: F401 - perfbench's tracer test patches it through this module
     round_trip_delays,
@@ -151,17 +151,14 @@ class MatchedFilter:
 
         freqs = subcarrier_frequencies(config)
         delays = round_trip_delays(position, geometry)
-        q = radial_projection_coeffs(position, geometry)
-        p = transverse_projection_coeffs(position, geometry)
         m_grid = symmetric_index_grid(config.num_symbols)
 
         # Conjugate of the model's delay phase; applying it to the data
         # leaves only the velocity-dependent phase to search over.
         self._delay_comp = np.exp(2j * math.pi * freqs[:, None] * delays[None, :])
 
-        scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
         # Rows: the phase per unit radial and per unit transverse velocity, at m = 1 and on the grid.
-        self._psi = psi = (scale * freqs[:, None] * np.stack([1.0 + q, p])[:, None, :]).reshape(2, -1)
+        self._psi = psi = _phase_rates(position, geometry, config).reshape(2, -1)
         phase = (m_grid[None, :, None] * psi[:, None, :]).reshape(2, -1)
         self._starts = (-1j * np.array([m_grid[0], 1.0]))[: config.num_symbols, None]
         self._factor_rows = np.minimum(np.arange(config.num_symbols), 1)
@@ -184,8 +181,7 @@ class MatchedFilter:
     def estimate(self, samples: np.ndarray) -> VelocityEstimate:
         """ML estimate from the samples of any cube taken at this filter's position."""
         data = self._compensate(samples)
-        data *= _unit_scale(np.abs(data).max())
-        return self._search(data, np.abs(self._statistic(data)) ** 2)
+        return self._search(data, self._statistic(data))
 
     def _compensate(self, samples: np.ndarray) -> np.ndarray:
         """The samples with the model's delay phase removed, flattened."""
@@ -195,28 +191,17 @@ class MatchedFilter:
         """Matched-filter output on the coarse grid: linear in ``data``, searched as ``|.|**2``."""
         return (self._radial_table * data[None, :]) @ self._transverse_table.T
 
-    def _estimates_sharing_noise(
-        self, unit: np.ndarray, levels: Sequence[tuple[np.ndarray, np.ndarray, float]]
-    ) -> list[VelocityEstimate]:
-        """``estimate(clean + sigma * unit)`` for each ``(clean, clean_statistic, sigma)`` of ``levels``.
+    def _search(self, data: np.ndarray, statistic: np.ndarray) -> VelocityEstimate:
+        """Peak pick, identifiability test and Newton refinement of ``data`` from ``_statistic(data)``.
 
-        ``clean_statistic`` is ``_statistic(_compensate(clean))``.  By linearity
-        each level's coarse grid is ``|clean_statistic + sigma * F(unit)|**2``,
-        with one coarse product for ``unit``; the peak pick and refinement then
-        run on that level's own samples.  A level scaled by a power of two gives
-        the same estimate, so each may be scaled near unit sample power.
+        Both are first scaled by the power of two that takes the largest sample
+        magnitude into [0.5, 1).  The search is exact under a power-of-two gain,
+        so the data's absolute power does not move the estimate, and a caller may
+        pass any statistic that equals ``_statistic(data)`` by linearity.
         """
-        unit_statistic = self._statistic(self._compensate(unit))
-        return [
-            self._search(
-                self._compensate(clean + sigma * unit),
-                np.abs(clean_statistic + sigma * unit_statistic) ** 2,
-            )
-            for clean, clean_statistic, sigma in levels
-        ]
-
-    def _search(self, data: np.ndarray, coarse: np.ndarray) -> VelocityEstimate:
-        """Peak pick, identifiability test and Newton refinement of ``data`` from its grid."""
+        scale = _unit_scale(np.abs(data).max())
+        data = data * scale
+        coarse = np.abs(statistic * scale) ** 2
         i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
         peak = coarse[i0, j0]
         floor = _CURVATURE_FLOOR * max(peak, np.finfo(float).tiny)
@@ -289,11 +274,7 @@ class MatchedFilter:
 
 
 def _unit_scale(magnitude: float) -> float:
-    """The power of two that takes ``magnitude`` into ``[0.5, 1)``.
-
-    The search is exact under a power-of-two gain, and near unit magnitude its
-    Python-float products neither underflow nor overflow.
-    """
+    """The power of two that takes ``magnitude`` into [0.5, 1), where float products neither under- nor overflow."""
     return math.ldexp(1.0, -math.frexp(magnitude)[1])
 
 
@@ -334,9 +315,10 @@ def monte_carlo_reports(
     equals the one-SNR call, and the reports are correlated with one another.
     The coarse matched-filter statistic is linear in the samples, so it is
     formed once for the clean cube and once per trial for ``u``.  One
-    :class:`MatchedFilter` serves every SNR and trial; each SNR's search runs
-    at the power-of-two scale of its sample amplitude.  The bounds are those of
-    :func:`~nfvel.bounds.closed_form_bounds` at each SNR as given.
+    :class:`MatchedFilter` serves every SNR and trial, through the search its
+    ``estimate`` runs, scaled by the largest sample magnitude of each SNR's
+    cube.  The bounds are those of :func:`~nfvel.bounds.closed_form_bounds`
+    at each SNR as given.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
@@ -359,11 +341,7 @@ def monte_carlo_reports(
     clean = synthesize_noise_free(target, geometry, config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
-    levels = []
-    for noise in noises:
-        sigma = math.sqrt(noise.noise_variance / 2.0)
-        scale = _unit_scale(math.hypot(math.sqrt(config.subcarrier_power), sigma))
-        levels.append((clean * scale, clean_statistic * scale, sigma * scale))
+    sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
 
     # Squared error per SNR, axis (radial, transverse) and trial; NaN where
     # the axis was not identified.
@@ -371,8 +349,11 @@ def monte_carlo_reports(
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         unit = _unit_noise(clean.shape, rng)
-        estimates = finder._estimates_sharing_noise(unit, levels)
-        for row, est in enumerate(estimates):
+        unit_statistic = finder._statistic(finder._compensate(unit))
+        for row, sigma in enumerate(sigmas):
+            est = finder._search(
+                finder._compensate(clean + sigma * unit), clean_statistic + sigma * unit_statistic
+            )
             sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
             sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
 

@@ -141,7 +141,10 @@ class ChannelNoise:
     def from_snr(cls, config: WaveformConfig, snr: float) -> "ChannelNoise":
         """Unit-gain channel whose noise floor realises the requested linear SNR."""
         _require_positive(snr=snr)
-        return cls(gain=1.0, noise_variance=config.subcarrier_power / snr)
+        variance = config.subcarrier_power / snr
+        if not 0.0 < variance < math.inf:
+            raise ValueError(f"snr {snr!r} puts the noise floor P/snr = {variance!r} outside the float range")
+        return cls(gain=1.0, noise_variance=variance)
 
     @classmethod
     def from_noise_figure(
@@ -197,6 +200,18 @@ def doppler_shifts(
     p = transverse_projection_coeffs(target, geometry)
     v_seen = target.radial_velocity * (1.0 + q) + target.transverse_velocity * p
     return freqs[:, None] / SPEED_OF_LIGHT * v_seen[None, :]
+
+
+def _phase_rates(target: TargetState, geometry: ArrayGeometry, config: WaveformConfig) -> np.ndarray:
+    """Phase per symbol and unit velocity, psi, shaped ``(2, N, K)``: radial, then transverse.
+
+    ``2*pi*T_sym*f_n/c`` times ``1 + q_k``, then ``p_k``: symbol ``m`` turns by ``m * (v_r psi[0] + v_t psi[1])``.
+    """
+    freqs = subcarrier_frequencies(config)
+    q = radial_projection_coeffs(target, geometry)
+    p = transverse_projection_coeffs(target, geometry)
+    scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
+    return scale * freqs[:, None] * np.stack([1.0 + q, p])[:, None, :]
 
 
 def synthesize_noise_free(

@@ -15,12 +15,15 @@ from nfvel import (
     CrlbResult,
     DegenerateGeometryError,
     FisherInfo,
+    MlSearchConfig,
+    Scenario,
     TargetState,
     closed_form_bounds,
     crlb_from_fisher,
     crossover_distance,
     fisher_info_closed_form,
     fisher_info_numeric,
+    monte_carlo_mse,
     radial_crlb_far_field,
     radial_info_boresight,
     transverse_info_boresight,
@@ -820,6 +823,9 @@ class TestBatchKernel:
             assert (rows.j_rr.item(), rows.j_tt.item(), rows.j_rt.item()) == (0.0, 0.0, 0.0)
             with pytest.raises(DegenerateGeometryError, match="check distance"):
                 fisher_info_closed_form(target, geom, wf, 1.0)
+            scenario = Scenario(target, geom, wf, MlSearchConfig((-1.0, 1.0), (-1.0, 1.0)))
+            with pytest.raises(DegenerateGeometryError, match="check distance"):
+                monte_carlo_mse(scenario, 1.0, trials=100, seed=0)
 
     def test_empty_batch(self):
         rows = closed_form_bounds([], [], ArrayGeometry(3, 0.1), make_waveform(), 1.0)

@@ -87,6 +87,8 @@ OUT_OF_RANGE_SETTINGS = [
     ("noise_figure=4000dB", "noise_figure: expected a finite number"),
     ("tx_power=5000 dBm", "tx_power: expected a finite number"),
     ("snr_list=0,nan", "snr_list: expected a finite number"),
+    ("fig1 d_min=abc", "d_min: cannot parse 'abc' as a number"),
+    ("fig2 angles=,", "angles: empty list"),
     # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
     ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
     ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),

@@ -134,17 +134,27 @@ class TestNoiseFree:
             a.transverse_identifiable,
         )
 
-    @pytest.mark.parametrize("tx_power", [1e-200, 1e150])
+    @pytest.mark.parametrize("tx_power", [1e-200, 1e150, 1e300])
     def test_absolute_power_leaves_estimate_unchanged(self, tx_power):
         # At such powers Newton's Python-float products would underflow or overflow unscaled.
+        search = MlSearchConfig((2.9, 3.1), (0.0, 2.0))
+
         def estimate(config):
             wf, geom, target = config.waveform(), config.geometry(), config.target()
             cube = add_noise(_clean_cube(target, geom, wf, snr=10.0), 3)
-            search = MlSearchConfig((2.9, 3.1), (0.0, 2.0))
             return ml_estimate(cube, target.distance, target.angle, search)
 
-        default = estimate(ScenarioConfig())
-        assert estimate(ScenarioConfig(tx_power=tx_power)) == default
+        def reports(config):
+            scenario = Scenario(config.target(), config.geometry(), config.waveform(), search)
+            return monte_carlo_reports(scenario, _linear((-20.0, 10.0)), trials=100, seed=3)
+
+        default = ScenarioConfig()
+        assert estimate(ScenarioConfig(tx_power=tx_power)) == estimate(default)
+        # Monte Carlo rows at SNRs given keep their bits at the power 4**k times the default
+        # nearest tx_power: the clean amplitude sqrt(P) then scales by exactly 2**k.  At other
+        # powers sqrt(P) rounds otherwise, which moves an MSE by a few ulps.
+        k = round(math.log(tx_power / default.tx_power, 4))
+        assert reports(ScenarioConfig(tx_power=math.ldexp(default.tx_power, 2 * k))) == reports(default)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -250,11 +260,14 @@ class TestMonteCarlo:
         assert type(report.crlb_radial) is type(report.crlb_transverse) is float
 
     def test_rejects_truth_outside_span(self):
-        bad = dataclasses.replace(
-            _mc_scenario(), search=_search(radial=(3.0, 5.0), transverse=(-8.0, 8.0))
-        )
-        with pytest.raises(ValueError):
-            monte_carlo_mse(bad, _MC_SNR, trials=100, seed=0)
+        spans = {
+            "radial": _search(radial=(3.0, 5.0), transverse=(-8.0, 8.0)),
+            "transverse": _search(radial=(-5.0, 5.0), transverse=(-2.0, 8.0)),
+        }
+        for axis, search in spans.items():
+            bad = dataclasses.replace(_mc_scenario(), search=search)
+            with pytest.raises(ValueError, match=f"^{axis} search span does not contain"):
+                monte_carlo_mse(bad, _MC_SNR, trials=100, seed=0)
 
     def test_rejects_thin_trial_count_and_bad_seed(self):
         scenario = _mc_scenario()
@@ -283,16 +296,16 @@ class TestMonteCarlo:
         # Every third trial misses the transverse axis.  Its MSE is the mean over the other
         # trials, which rounds otherwise than a sum with zeros in place of the misses.
         scenario, errors = _mc_scenario(), []
-        search = MatchedFilter._estimates_sharing_noise
+        search = MatchedFilter._search
 
-        def miss_every_third(finder, unit, levels):
-            (estimate,) = search(finder, unit, levels)
+        def miss_every_third(finder, data, statistic):
+            estimate = search(finder, data, statistic)
             if len(errors) % 3 == 0:
                 estimate = dataclasses.replace(estimate, transverse=math.nan, transverse_identifiable=False)
             errors.append((estimate.transverse - scenario.target.transverse_velocity) ** 2)
-            return [estimate]
+            return estimate
 
-        monkeypatch.setattr(MatchedFilter, "_estimates_sharing_noise", miss_every_third)
+        monkeypatch.setattr(MatchedFilter, "_search", miss_every_third)
         report = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=4)
         found = np.array([error for error in errors if not math.isnan(error)])
         assert (report.degenerate_trials, found.size) == (34, 66)
@@ -412,17 +425,20 @@ class TestSharedNoise:
         finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
         clean = synthesize_noise_free(target, geom, wf, noises[0])
         clean_statistic = finder._statistic(finder._compensate(clean.samples))
-        # Each level at its own power of two: the estimates do not move with it.
-        levels = [
-            (clean.samples * scale, clean_statistic * scale, math.sqrt(noise.noise_variance / 2.0) * scale)
-            for noise, scale in zip(noises, (2.0 ** (60 * row - 150) for row in range(len(noises))))
-        ]
+        # Each level at its own power of two: the search's own scale takes it out.
+        scales = [2.0 ** (60 * row - 150) for row in range(len(noises))]
         flags = set()
         for trial in range(30):
             seeds = np.random.SeedSequence([11, trial])
             unit = waveform._unit_noise(clean.samples.shape, np.random.default_rng(seeds))
-            shared = finder._estimates_sharing_noise(unit, levels)
-            for noise, est in zip(noises, shared):
+            unit_statistic = finder._statistic(finder._compensate(unit))
+            for noise, scale in zip(noises, scales):
+                sigma = math.sqrt(noise.noise_variance / 2.0) * scale
+                # The coarse grid by linearity, from one product for the clean cube and one for the draw.
+                est = finder._search(
+                    finder._compensate(clean.samples * scale + sigma * unit),
+                    clean_statistic * scale + sigma * unit_statistic,
+                )
                 cube = synthesize_noise_free(target, geom, wf, noise)
                 noisy = add_noise(cube, np.random.SeedSequence([11, trial]))
                 direct = finder.estimate(noisy.samples)

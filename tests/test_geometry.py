@@ -441,3 +441,56 @@ def test_non_positive_input_names_its_key(entry, value):
     key, call = POSITIVE_INPUTS[entry]
     with pytest.raises(ValueError, match=rf"^{key} must be positive, got "):
         call(value)
+
+
+# Positive inputs whose quotient leaves the float range: id -> (key named, call).  The
+# noise floor P/snr overflows or underflows to 0; a boresight form's distance-squared
+# denominator, 72 d**2 for half-wavelength spacing, 12 d**2 for the approximation and
+# d**2 exactly, overflows.
+FLOAT_RANGE_INPUTS = {
+    "ChannelNoise.from_snr-floor-inf": (
+        "snr",
+        lambda: ChannelNoise.from_snr(make_waveform(total_power=1e300), 1e-10),
+    ),
+    "ChannelNoise.from_snr-floor-0": (
+        "snr",
+        lambda: ChannelNoise.from_snr(make_waveform(total_power=1e-300), 1e300),
+    ),
+}
+for _d in (5e153, 2e154):
+    FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-{_d:g}"] = (
+        "distance",
+        lambda d=_d: transverse_info_half_wavelength(d, 101, make_waveform(), 1.0),
+    )
+    FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-array-{_d:g}"] = (
+        "distance",
+        lambda d=_d: transverse_info_half_wavelength(np.array([1.0, d]), 101, make_waveform(), 1.0),
+    )
+    for _aperture_form in (False, True):
+        FLOAT_RANGE_INPUTS[f"transverse_info_boresight_approx-{_aperture_form}-{_d:g}"] = (
+            "distance",
+            lambda d=_d, a=_aperture_form: transverse_info_boresight_approx(
+                d, _ARRAY, make_waveform(), 1.0, aperture_form=a
+            ),
+        )
+FLOAT_RANGE_INPUTS["transverse_info_boresight-2e+154"] = (
+    "distance",
+    lambda: transverse_info_boresight(2e154, _ARRAY, make_waveform(), 1.0),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", sorted(FLOAT_RANGE_INPUTS))
+def test_quotient_past_the_float_range_names_its_key(entry):
+    key, call = FLOAT_RANGE_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"^{key} .* the float range"):
+        call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_boresight_form_is_finite_where_its_square_is():
+    # At 5e153 m the square 2.5e307 is finite: the exact form keeps its square law,
+    # while the two forms whose denominators scale the square past the float range raise.
+    far, nearer = (transverse_info_boresight(d, _ARRAY, make_waveform(), 1.0) for d in (5e153, 5e152))
+    assert 0.0 < far < math.inf
+    assert far * 100.0 == pytest.approx(nearer, rel=1e-12)

@@ -1,6 +1,8 @@
 """Signal model: subcarriers, Doppler, synthesis, noise and the link budget."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +139,9 @@ class TestSynthesis:
         assert cube.samples.shape == (6, 3, 9)
         expected = math.sqrt(4.0 / 3.0) * 0.5
         assert np.allclose(np.abs(cube.samples), expected, rtol=1e-13)
+        # A cube holds (M, N, K) samples, in that order.
+        with pytest.raises(ValueError, match=re.escape("samples shape (9, 3, 6) != expected (6, 3, 9)")):
+            dataclasses.replace(cube, samples=cube.samples.T)
 
     def test_slow_time_ratio_equals_doppler_increment(self):
         # consecutive symbols differ by exactly exp(j*2*pi*nu*T_sym)
