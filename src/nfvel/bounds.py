@@ -205,8 +205,9 @@ def closed_form_bounds(
     to one matrix, so rows match the one-point functions bit for bit.  The root
     bounds are taken before the inverse's power-of-two scale is undone, so they
     stay finite where a variance overflows.  A target on an element or the
-    array centre has no bound: its row is marked ``degenerate``, with zero
-    information and infinite bounds, and the caller decides what that means.
+    array centre, distance 0 included, has no bound: its row is marked
+    ``degenerate``, with zero information and infinite bounds at any SNR, and
+    the caller decides what that means.
     Information past the float range raises a ``ValueError`` naming the carrier.
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
@@ -324,7 +325,9 @@ def radial_info_boresight(distance, geometry: ArrayGeometry, config: WaveformCon
     k_grid = symmetric_index_grid(geometry.num_elements)
     sums = np.empty(flat.size)
     for rows in _row_chunks(flat.size, geometry.num_elements):
-        ratio_sq = (k_grid * geometry.spacing / flat[rows, None]) ** 2
+        # Near the centre the ratio overflows to inf, where each term takes its limit 1.
+        with np.errstate(over="ignore"):
+            ratio_sq = (k_grid * geometry.spacing / flat[rows, None]) ** 2
         sums[rows] = np.sum((1.0 + 1.0 / np.sqrt(1.0 + ratio_sq)) ** 2, axis=1)
     info = _boresight_weight(config, snr) * sums
     return float(info[0]) if np.ndim(distance) == 0 else info.reshape(np.shape(distance))
@@ -337,13 +340,27 @@ def transverse_info_boresight(
 
     Boresight weight times ``(delta^2/d^2) * sum_k k^2/(1 + k^2*delta^2/d^2)``.
     Zero for a single element: one element carries no transverse information.
+    ``distance`` is one float; at the centre the limit is the weight per off-centre element.
     """
     _require_positive(distance=distance, snr=snr)
+    if np.ndim(distance) != 0:
+        raise ValueError(f"distance must be one float, got {distance!r}")
     k_grid = symmetric_index_grid(geometry.num_elements)
-    ratio_sq = (k_grid * geometry.spacing / distance) ** 2
-    series = float(np.sum(k_grid**2 / (1.0 + ratio_sq)))
-    prefactor = _boresight_weight(config, snr) * geometry.spacing**2 / _scaled_square(1.0, distance)
-    return prefactor * series
+    weight = _boresight_weight(config, snr)
+    try:
+        prefactor = _inverse_square(weight * geometry.spacing**2, 1.0, distance)
+    except ValueError:
+        if distance > 1.0:  # d**2 overflows
+            raise
+        prefactor = math.inf
+    with np.errstate(over="ignore"):
+        ratio_sq = (k_grid * geometry.spacing / distance) ** 2
+        if prefactor < math.inf and ratio_sq.max() < math.inf:
+            return prefactor * float(np.sum(k_grid**2 / (1.0 + ratio_sq)))
+        # Near the centre, where d^2, r = (k delta/d)^2 or delta^2/d^2 leaves the float range,
+        # each element's share r/(1 + r) is taken as 1/(1 + 1/r).
+        inverse_sq = (distance / (k_grid[k_grid != 0.0] * geometry.spacing)) ** 2
+    return weight * float(np.sum(1.0 / (1.0 + inverse_sq)))
 
 
 def transverse_info_boresight_approx(
@@ -373,7 +390,7 @@ def transverse_info_boresight_approx(
         length_sq = geometry.aperture**2
     else:
         length_sq = (k_count**2 - 1) * geometry.spacing**2
-    return _boresight_weight(config, snr) * k_count * length_sq / _scaled_square(12.0, distance)
+    return _inverse_square(_boresight_weight(config, snr) * k_count * length_sq, 12.0, distance)
 
 
 def transverse_info_half_wavelength(
@@ -394,7 +411,7 @@ def transverse_info_half_wavelength(
         raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
     _require_positive(snr=snr)
     m_count = config.num_symbols
-    return (
+    numerator = (
         math.pi**2
         * m_count
         * config.num_subcarriers
@@ -403,20 +420,28 @@ def transverse_info_half_wavelength(
         * (m_count**2 - 1)
         * config.symbol_time**2
         * (num_elements**2 - 1)
-        / _scaled_square(72.0, distance)
     )
+    return _inverse_square(numerator, 72.0, distance)
 
 
-def _scaled_square(factor: float, distance):
-    """``factor * distance**2``, a boresight form's denominator; a ``ValueError`` names a distance past it."""
+def _inverse_square(numerator: float, factor: float, distance):
+    """``numerator / (factor * distance**2)``, a boresight form's distance law.
+
+    A ``ValueError`` names a distance, at either end, whose square is no normal
+    float, whose scaled square overflows, or that takes a finite quotient past the float range.
+    """
     try:
         with np.errstate(over="ignore"):
-            square = factor * _float_power(distance, 2)
+            square = _float_power(distance, 2)
+            scaled = factor * square
     except OverflowError:  # a Python float's power raises where numpy's gives inf
-        square = math.inf
-    if not np.all(np.isfinite(square)):
-        raise ValueError(f"distance {distance!r} squares past the float range of its bound")
-    return square
+        square = scaled = math.inf
+    if np.all((square >= np.finfo(float).tiny) & (scaled < math.inf)):
+        with np.errstate(over="ignore"):
+            law = numerator / scaled
+        if np.all(law < math.inf) or not math.isfinite(numerator):
+            return law
+    raise ValueError(f"distance {distance!r} takes its bound past the float range")
 
 
 def crossover_distance(geometry: ArrayGeometry) -> float:

@@ -18,8 +18,9 @@ transverse component unobservable) is flagged unidentifiable instead.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .bounds import closed_form_bounds
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
-    DegenerateGeometryError,
     TargetState,
     _require_positive,
     symmetric_index_grid,
@@ -308,7 +308,8 @@ def monte_carlo_reports(
 ) -> list[MonteCarloReport]:
     """One :func:`monte_carlo_mse` report per linear SNR, all from the same noise draws.
 
-    Each SNR's channel is ``ChannelNoise.from_snr(scenario.waveform, snr)``.
+    The trials run in units of the noise, a unit-magnitude clean cube and the
+    floor ``1/snr``, so the waveform's ``total_power`` does not move a report.
     Trial ``t`` draws one unit noise cube ``u`` from a generator seeded by
     ``(seed, t)``, and each SNR estimates from ``clean + sigma * u``: the cube
     :func:`add_noise` returns for that generator.  Each report therefore
@@ -333,12 +334,14 @@ def monte_carlo_reports(
     if not (search.transverse_span[0] <= target.transverse_velocity <= search.transverse_span[1]):
         raise ValueError("transverse search span does not contain the true velocity")
 
-    noises = [ChannelNoise.from_snr(config, snr) for snr in snrs]
+    # One watt per subcarrier gives the unit-magnitude cube and the floor 1/snr; the copy's warnings would repeat.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        unit_config = replace(config, total_power=float(config.num_subcarriers))
+    noises = [ChannelNoise.from_snr(unit_config, snr) for snr in snrs]
     count = len(snrs)
     bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
-    if bounds.degenerate[0]:
-        raise DegenerateGeometryError()
-    clean = synthesize_noise_free(target, geometry, config, noises[0]).samples
+    clean = synthesize_noise_free(target, geometry, unit_config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
     clean_statistic = finder._statistic(finder._compensate(clean))
     sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]

@@ -385,7 +385,8 @@ def run_planar_map(
 
     The y grid is half-open ``(y_min, y_max]`` so the default map never lands
     on the array line; a custom grid that does (or that hits an element)
-    yields a row flagged degenerate with an ``inf`` bound, never NaN.
+    yields a row flagged degenerate with an ``inf`` bound, never NaN.  The
+    array centre is one such row, with an ``inf`` SNR, and reads angle 0.
     """
     _check_grid_sizes(x_points=x_points, y_points=y_points)
     _check_increasing(x_points, x_min=x_min, x_max=x_max)
@@ -400,13 +401,9 @@ def run_planar_map(
     # Per-point hypot, atan2 and log10 use ``math``, whose rounding the published maps pin.
     distance = _per_point(math.hypot, x, y)
     angle = _per_point(math.atan2, x, y)
-    # The array centre has no bound: its row reads angle 0 and infinite SNR and bound.  With no
-    # row there, as on the default map, the rows off it are the whole columns, not copies.
-    off = distance > 0.0
-    rows = slice(None) if off.all() else off
     try:
         snr = snr_from_link_budget(
-            distance[rows],
+            distance,
             wf,
             radar_cross_section=config.radar_cross_section,
             tx_gain=config.tx_gain,
@@ -424,22 +421,19 @@ def run_planar_map(
             f"(x_min, x_max, y_min, y_max) or check {budget}"
         )
     try:
-        # Degenerate rows come back singular with infinite bounds.
-        bounds = closed_form_bounds(distance[rows], angle[rows], geometry, wf, snr)
+        # Degenerate rows, the array centre among them, come back singular with infinite bounds.
+        bounds = closed_form_bounds(distance, angle, geometry, wf, snr)
     except ValueError:  # the rows lie in front of the array: only the information can fail
+        peak = max(snr[snr < math.inf].tolist(), default=math.inf)  # the centre's snr is inf
         raise ValueError(
-            f"the link-budget snr, up to {float(snr.max())!r} on this map, takes the information matrix "
+            f"the link-budget snr, up to {peak!r} on this map, takes the information matrix "
             f"past the float range: check {budget}"
         ) from None
-    root_vt = np.full(x.size, math.inf)
-    root_vt[rows] = bounds.root_transverse
-    degenerate = ~off
-    degenerate[rows] = bounds.singular
+    root_vt, degenerate = bounds.root_transverse, bounds.singular
     del bounds  # the kernel's other columns, before the SNR's
-    snr_db = np.full(x.size, math.inf)
-    snr_db[rows] = 10.0 * _per_point(math.log10, snr)
+    snr_db = 10.0 * _per_point(math.log10, snr)
     angle_deg = np.degrees(angle, out=angle)
-    angle_deg[~off] = 0.0
+    angle_deg[distance == 0.0] = 0.0  # the centre reads angle 0, also where x is -0.0
 
     return _table(
         "planar-map",
@@ -495,11 +489,10 @@ def run_montecarlo(
             snr = 10.0 ** (snr_db / 10.0)
         except OverflowError:
             snr = math.inf
-        if not 0.0 < snr < math.inf:
-            raise ValueError(f"snr_list entry {snr_db!r} dB is outside the float range as a linear SNR")
-        if not 0.0 < wf.subcarrier_power / snr < math.inf:
+        # The trials run in units of the noise, at the floor 1/snr.
+        if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):
             raise ValueError(
-                f"snr_list entry {snr_db!r} dB puts the noise floor P/snr outside the float range"
+                f"snr_list entry {snr_db!r} dB is outside the float range as a linear SNR or floor 1/snr"
             )
         try:
             root_vr = math.sqrt(crlb_from_fisher(fisher_info_closed_form(target, geometry, wf, snr)).radial)

@@ -178,11 +178,8 @@ class TargetState:
         """Build a state from a Cartesian position with ``y >= 0``."""
         if y < 0.0:
             raise ValueError(f"target must sit on the +y side of the array, got y={y!r}")
-        distance = math.hypot(x, y)
-        if distance == 0.0:
-            raise ValueError("target cannot sit at the array centre")
         return cls(
-            distance=distance,
+            distance=math.hypot(x, y),
             angle=math.atan2(x, y),
             radial_velocity=radial_velocity,
             transverse_velocity=transverse_velocity,
@@ -191,10 +188,11 @@ class TargetState:
 
 def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
     """Raise the error :class:`TargetState` gives the first (distance, angle) row it rejects."""
-    valid = (distances > 0.0) & (np.abs(angles) <= math.pi / 2.0)
+    valid = (distances >= 0.0) & (np.abs(angles) <= math.pi / 2.0)
     if not valid.all():
         row = int(np.argmin(valid))
-        TargetState(float(distances[row]), float(angles[row]))
+        # Distance 0, the array centre, is a degenerate row: at 1 m only its angle can fail.
+        TargetState(float(distances[row]) or 1.0, float(angles[row]))
 
 
 def element_distances(target, geometry: ArrayGeometry, *, sines=None):
@@ -205,14 +203,15 @@ def element_distances(target, geometry: ArrayGeometry, *, sines=None):
     array.  A pair ``(distances, angles)`` of P rows gives the ``(P, K)``
     block, each row bit-identical to a one-target call, and a ``(P,)`` mask
     of degenerate rows; a row that :class:`TargetState` rejects raises its
-    ``ValueError``.  A caller that has checked the angles and holds their
-    ``(P,)`` sines already may pass them as ``sines``.
+    ``ValueError``, unless its distance is 0.  A caller that has checked the
+    angles and holds their ``(P,)`` sines already may pass them as ``sines``.
 
     A row is degenerate when its smallest distance is not above
     ``1e-12 * max(d, aperture)``: on an element, with a radicand that rounds
-    below zero (a NaN root), or with ``d <= 1e-12 * aperture``, where ``x_k/d``
-    could overflow (evaluated at NaN).  A degenerate :class:`TargetState` raises
-    :class:`DegenerateGeometryError`; a pair flags the row and fills it with ones.
+    below zero (a NaN root), or with ``d <= 1e-12 * aperture``, 0 included,
+    where ``x_k/d`` could overflow (evaluated at NaN).  A degenerate
+    :class:`TargetState` raises :class:`DegenerateGeometryError`; a pair
+    flags the row and fills it with ones.
     """
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target

@@ -293,8 +293,8 @@ def snr_from_link_budget(
     """Per-subcarrier SNR of a point scatterer from the two-way radar equation.
 
     Args:
-        distance: One-way range in metres, > 0; an array gives an array of
-            the same shape.
+        distance: One-way range in metres, ``>= 0``; an array gives an array
+            of the same shape.
         config: Burst parameters; supplies per-subcarrier power, wavelength
             and the noise bandwidth (one subcarrier spacing).
         radar_cross_section: Target RCS in m^2.
@@ -304,18 +304,18 @@ def snr_from_link_budget(
         temperature: Noise reference temperature in kelvin.
 
     Returns:
-        Linear SNR; scales as ``distance**-4``.
+        Linear SNR; scales as ``distance**-4``, and is ``inf`` at 0.
     """
-    _require_positive(
-        distance=distance, radar_cross_section=radar_cross_section, tx_gain=tx_gain, rx_gain=rx_gain
-    )
+    if not np.all(np.asarray(distance) >= 0.0):
+        raise ValueError(f"distance must be nonnegative, got {distance!r}")
+    _require_positive(radar_cross_section=radar_cross_section, tx_gain=tx_gain, rx_gain=rx_gain)
     noise_power = ChannelNoise.from_noise_figure(
         noise_figure, config.subcarrier_spacing, temperature=temperature
     ).noise_variance
 
     wavelength = config.wavelength
-    # Within ~1e-77 m of the centre distance**4 underflows to 0 and the SNR is inf.
-    with np.errstate(divide="ignore"):
+    # At the centre, and near it where distance**4 underflows or the quotient overflows, the SNR is inf.
+    with np.errstate(divide="ignore", over="ignore"):
         received = (
             config.subcarrier_power
             * tx_gain
@@ -324,5 +324,5 @@ def snr_from_link_budget(
             * radar_cross_section
             / ((4.0 * math.pi) ** 3 * np.asarray(_float_power(distance, 4)))
         )
-    snr = received / noise_power
+        snr = received / noise_power
     return float(snr) if np.ndim(distance) == 0 else snr

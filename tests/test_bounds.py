@@ -1,6 +1,7 @@
 """Tests for the Fisher information routes and the velocity variance bounds."""
 
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,7 @@ from nfvel import (
     fisher_info_closed_form,
     fisher_info_numeric,
     monte_carlo_mse,
+    monte_carlo_reports,
     radial_crlb_far_field,
     radial_info_boresight,
     transverse_info_boresight,
@@ -798,13 +800,15 @@ class TestBatchKernel:
         # A batch flags a degenerate row; the one-point call on it raises.
         geom = ArrayGeometry(num_elements=5, spacing=0.25)
         wf = make_waveform()
-        # On the element at x = 0.5, on the array centre, and a regular point.
-        distances, angles = [0.5, 1e-300, 3.0], [math.pi / 2, 0.0, 0.2]
-        rows = closed_form_bounds(distances, angles, geom, wf, 1.0)
-        assert rows.degenerate.tolist() == [True, True, False]
-        assert rows.singular[:2].tolist() == [True, True]
-        assert rows.radial[:2].tolist() == rows.transverse[:2].tolist() == [math.inf, math.inf]
-        assert math.isfinite(rows.transverse[2])
+        # On the element at x = 0.5, next to and on the array centre, and a regular point.
+        # The centre row keeps its infinite bounds at an infinite SNR, as fig4's link budget gives it.
+        distances, angles = [0.5, 1e-300, 0.0, 3.0], [math.pi / 2, 0.0, 0.3, 0.2]
+        rows = closed_form_bounds(distances, angles, geom, wf, [1.0, 1.0, math.inf, 1.0])
+        assert rows.degenerate.tolist() == [True, True, True, False]
+        assert rows.singular[:3].tolist() == [True, True, True]
+        assert rows.radial[:3].tolist() == rows.transverse[:3].tolist() == [math.inf] * 3
+        assert (rows.j_rr[2], rows.j_tt[2], rows.j_rt[2]) == (0.0, 0.0, 0.0)
+        assert math.isfinite(rows.transverse[3])
         for d, angle in zip(distances[:2], angles[:2]):
             with pytest.raises(DegenerateGeometryError, match="check distance"):
                 fisher_info_closed_form(TargetState(d, angle), geom, wf, 1.0)
@@ -824,8 +828,11 @@ class TestBatchKernel:
             with pytest.raises(DegenerateGeometryError, match="check distance"):
                 fisher_info_closed_form(target, geom, wf, 1.0)
             scenario = Scenario(target, geom, wf, MlSearchConfig((-1.0, 1.0), (-1.0, 1.0)))
-            with pytest.raises(DegenerateGeometryError, match="check distance"):
+            default = f"^{re.escape(str(DegenerateGeometryError()))}$"
+            with pytest.raises(DegenerateGeometryError, match=default):
                 monte_carlo_mse(scenario, 1.0, trials=100, seed=0)
+            with pytest.raises(DegenerateGeometryError, match=default):
+                monte_carlo_reports(scenario, [1.0, 10.0], trials=100, seed=0)
 
     def test_empty_batch(self):
         rows = closed_form_bounds([], [], ArrayGeometry(3, 0.1), make_waveform(), 1.0)

@@ -92,9 +92,8 @@ OUT_OF_RANGE_SETTINGS = [
     # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
     ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
     ("snr_list=10,-4000", "snr_list entry -4000.0 dB is outside the float range"),
-    # Linear SNRs in range whose noise floor P/snr or information matrix is not.
-    ("snr_list=-3100", "snr_list entry -3100.0 dB puts the noise floor P/snr outside"),
-    ("snr_list=-100 tx_power=1e300", "snr_list entry -100.0 dB puts the noise floor P/snr outside"),
+    # Linear SNRs in range whose noise floor 1/snr or information matrix is not.
+    ("snr_list=-3100", "snr_list entry -3100.0 dB is outside the float range as a linear SNR or floor 1/snr"),
     ("snr_list=3080", "snr_list entry 3080.0 dB: information matrix"),
     # A target on an element is the scene's fault, not the entry's: the error names no entry.
     (
@@ -122,6 +121,12 @@ OUT_OF_RANGE_SETTINGS = [
         "the link-budget snr, up to 3.8750132316680444e+301 on this map, takes the information matrix "
         "past the float range: check tx_power, radar_cross_section, tx_gain, rx_gain, noise_figure "
         "and temperature",
+    ),
+    # With the array centre on the map, the message quotes the largest finite snr.
+    (
+        "fig4 tx_power=1e300 x_min=-1 x_max=1 x_points=3 y_min=-1 y_max=0 y_points=1",
+        "the link-budget snr, up to 1.5136770436203297e+307 on this map, takes the information matrix "
+        "past the float range",
     ),
     # A map behind the array is no angle the model takes; the y grid is at fault.
     ("fig4 y_min=-50 y_max=-10 y_points=2", "y_min -50.0 puts map rows behind the array, at y -30.0 < 0"),
@@ -572,11 +577,14 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_snr_list_entry_just_above_the_noise_floor_runs(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
-        assert main(["montecarlo", "--trials", "100", "--snr-list=-3070", "--out", str(out)]) == 0
-        header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-        cells = dict(zip(header.split(","), row.split(",")))
-        for key in ("crlb_vr", "crlb_vt", "ratio_vr", "ratio_vt"):
-            assert math.isfinite(float(cells[key])), key
+        # The trials run in units of the noise, so the transmit power moves no floor.
+        for snr_list, settings in (("-3070", []), ("-100", ["--set", "tx_power=1e300"])):
+            args = ["montecarlo", "--trials", "100", f"--snr-list={snr_list}", *settings, "--out", str(out)]
+            assert main(args) == 0, capsys.readouterr().err
+            header, row = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            cells = dict(zip(header.split(","), row.split(",")))
+            for key in ("crlb_vr", "crlb_vt", "ratio_vr", "ratio_vt"):
+                assert math.isfinite(float(cells[key])), (snr_list, key)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_snr_list_entry_above_the_resolution_floor_runs(self, tmp_path, capsys):

@@ -150,11 +150,8 @@ class TestNoiseFree:
 
         default = ScenarioConfig()
         assert estimate(ScenarioConfig(tx_power=tx_power)) == estimate(default)
-        # Monte Carlo rows at SNRs given keep their bits at the power 4**k times the default
-        # nearest tx_power: the clean amplitude sqrt(P) then scales by exactly 2**k.  At other
-        # powers sqrt(P) rounds otherwise, which moves an MSE by a few ulps.
-        k = round(math.log(tx_power / default.tx_power, 4))
-        assert reports(ScenarioConfig(tx_power=math.ldexp(default.tx_power, 2 * k))) == reports(default)
+        # Monte Carlo runs in units of the noise, so its rows at SNRs given keep their bits.
+        assert reports(ScenarioConfig(tx_power=tx_power)) == reports(default)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -7,6 +7,7 @@ import stat
 import struct
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -561,21 +562,28 @@ class TestPlanarMap:
         # doubling the distance costs 40*log10(2) ~ 12.04 dB
         assert snr_db[0] - snr_db[1] == pytest.approx(40.0 * math.log10(2.0), abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_array_line_rows_are_degenerate_not_nan(self):
-        table = run_planar_map(
-            ScenarioConfig(),
-            x_min=-1.0,
-            x_max=1.0,
-            x_points=3,
-            y_min=-1.0,
-            y_max=0.0,
-            y_points=1,
-        )
-        assert all(row[6] for row in table.rows)
-        assert all(math.isinf(row[5]) for row in table.rows)
-        text = table.render()
-        assert "nan" not in text.lower()
-        assert ",inf," in text or text.rstrip().endswith("inf,1")
+        for x_max in (1.0, -0.0):
+            table = run_planar_map(
+                ScenarioConfig(),
+                x_min=-1.0,
+                x_max=x_max,
+                x_points=3,
+                y_min=-1.0,
+                y_max=0.0,
+                y_points=1,
+            )
+            assert all(row[6] for row in table.rows)
+            assert all(math.isinf(row[5]) for row in table.rows)
+            text = table.render()
+            assert "nan" not in text.lower()
+            assert ",inf," in text or text.rstrip().endswith("inf,1")
+            # The array centre goes to the link budget and the kernel with the rest of the grid,
+            # and reads angle 0 where atan2(-0.0, 0.0) gives -0.0.
+            (centre,) = [dict(zip(table.columns, row)) for row in table.rows if row[2] == 0.0]
+            assert math.copysign(1.0, centre["angle_deg"]) == 1.0 and centre["angle_deg"] == 0.0
+            assert (centre["snr_db"], centre["root_crlb_vt"], centre["degenerate"]) == (math.inf, math.inf, True)
 
     def test_nan_bound_reaches_format_cell(self, monkeypatch):
         # The CSV contract never carries NaN: a NaN bound must not print as inf.
@@ -624,6 +632,14 @@ class TestMonteCarloRunner:
     def test_rejects_thin_trial_count(self):
         with pytest.raises(ValueError, match="trials"):
             run_montecarlo(self._config(), trials=99)
+
+    def test_strained_waveform_warns_once(self):
+        # The trials' unit-power copy of the waveform does not repeat its warning.
+        config = dataclasses.replace(self._config(), carrier=1e6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_montecarlo(config, snr_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0)
+        assert [str(w.message).split(" ")[0] for w in caught] == ["bandwidth"]
 
 
 class TestRunSweep:

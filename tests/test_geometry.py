@@ -30,7 +30,7 @@ from nfvel import (
     transverse_projection_coeff,
     transverse_projection_coeffs,
 )
-from nfvel.bounds import _CHUNK_ELEMENTS, _row_chunks
+from nfvel.bounds import _CHUNK_ELEMENTS, _boresight_weight, _row_chunks
 from nfvel.geometry import _COINCIDENCE_RTOL
 
 from conftest import array_line_rows, cartesian_los_speeds, make_waveform
@@ -121,7 +121,7 @@ class TestTargetState:
     def test_from_xy_rejects_negative_y_and_origin(self):
         with pytest.raises(ValueError):
             TargetState.from_xy(1.0, -0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^distance must be positive, got 0.0"):
             TargetState.from_xy(0.0, 0.0)
 
     def test_end_fire_position_lands_on_axis(self):
@@ -292,7 +292,7 @@ def _one_target_distances(distance, angle, geometry):
 
 @st.composite
 def _block_rows(draw):
-    """A geometry and (distance, angle) rows: regular, end-fire, on or next to an element, at the centre."""
+    """A geometry and (distance, angle) rows: regular, end-fire, on or next to an element, at or near the centre."""
     k = draw(st.sampled_from([1, 2, 101, 2048, 16385]), label="K")
     geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing"))
     # Up to two bound-kernel chunks and one row, so that batches at K=2048
@@ -306,8 +306,8 @@ def _block_rows(draw):
         st.sampled_from(x[x != 0.0].tolist() or [1.0]).map(
             lambda x_k: (abs(x_k), math.copysign(math.pi / 2, x_k))
         ),
-        # Within 1e-12 aperture of the centre.
-        st.sampled_from([1e-300, 1e-14 * geometry.aperture or 1e-300]).map(lambda d: (d, 0.3)),
+        # At the centre, and within 1e-12 aperture of it.
+        st.sampled_from([0.0, 1e-300, 1e-14 * geometry.aperture or 1e-300]).map(lambda d: (d, 0.3)),
         array_line_rows(geometry),
     )
     rows = draw(st.lists(row, min_size=count, max_size=count), label="rows")
@@ -322,16 +322,24 @@ class TestDistanceBlock:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             block, degenerate = element_distances((distances, angles), geometry)
+            bounds = closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
         assert block.shape == (len(distances), geometry.num_elements)
+        assert np.array_equal(bounds.degenerate, degenerate)
         for i, (d, angle) in enumerate(zip(distances, angles)):
-            target = TargetState(d, angle)
             if degenerate[i]:
+                assert np.all(block[i] == 1.0)
+                assert bounds.singular[i] and bounds.radial[i] == bounds.transverse[i] == math.inf
+                if d == 0.0:
+                    # The array centre: a batch flags it, and no one target sits there.
+                    with pytest.raises(ValueError, match="^distance must be positive"):
+                        TargetState(d, angle)
+                    continue
                 with pytest.raises(DegenerateGeometryError):
-                    element_distances(target, geometry)
+                    element_distances(TargetState(d, angle), geometry)
                 with pytest.raises(DegenerateGeometryError):
                     _one_target_distances(d, angle, geometry)
-                assert np.all(block[i] == 1.0)
                 continue
+            target = TargetState(d, angle)
             assert np.array_equal(block[i], element_distances(target, geometry))
             assert np.array_equal(block[i], _one_target_distances(d, angle, geometry))
         # The bound kernel's chunks see the same rows as one whole block.
@@ -347,6 +355,9 @@ class TestDistanceBlock:
             [
                 (-1.0, 0.0),
                 (0.0, 0.2),
+                (-0.0, 0.2),
+                (0.0, 2.0),
+                (0.0, math.nan),
                 (math.nan, 0.0),
                 (1e-300, 0.0),
                 (2.0, math.pi / 2 + 1e-9),
@@ -363,8 +374,11 @@ class TestDistanceBlock:
         rows = [(d, 0.1) for d in good]
         rows.insert(position, bad)
         distances, angles = [d for d, _ in rows], [a for _, a in rows]
+        # A batch takes the array centre, distance 0, as it takes a distance within 1e-12 aperture
+        # of it: its row is checked as the one target 1e-300 m away, and only its angle can fail.
+        stand_in = (bad[0] or 1e-300, bad[1])
         try:
-            TargetState(*bad)
+            TargetState(*stand_in)
         except ValueError as exc:
             message = re.escape(str(exc))
         else:
@@ -374,7 +388,7 @@ class TestDistanceBlock:
             if message is None:
                 # A degenerate row: the batch flags it, and only the one-target call raises.
                 with pytest.raises(DegenerateGeometryError, match="array element or the array centre"):
-                    element_distances(TargetState(*bad), geometry)
+                    element_distances(TargetState(*stand_in), geometry)
                 flagged = [i == min(position, len(good)) for i in range(len(rows))]
                 assert element_distances((distances, angles), geometry)[1].tolist() == flagged
                 bounds = closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
@@ -419,7 +433,7 @@ POSITIVE_INPUTS = {
 }
 for _key in ("carrier", "subcarrier_spacing", "symbol_time", "total_power"):
     POSITIVE_INPUTS[f"WaveformConfig-{_key}"] = (_key, lambda v, key=_key: make_waveform(**{key: v}))
-for _key in ("distance", "radar_cross_section", "tx_gain", "rx_gain"):
+for _key in ("radar_cross_section", "tx_gain", "rx_gain"):
     POSITIVE_INPUTS[f"snr_from_link_budget-{_key}"] = (
         _key,
         lambda v, key=_key: snr_from_link_budget(**{"distance": 1.0, "config": make_waveform(), key: v}),
@@ -446,7 +460,8 @@ def test_non_positive_input_names_its_key(entry, value):
 # Positive inputs whose quotient leaves the float range: id -> (key named, call).  The
 # noise floor P/snr overflows or underflows to 0; a boresight form's distance-squared
 # denominator, 72 d**2 for half-wavelength spacing, 12 d**2 for the approximation and
-# d**2 exactly, overflows.
+# d**2 exactly, overflows.  Near the centre d**2 falls below the normal floats, or to 0 at
+# 1e-200 m, and at 1.6e-154 m the 1/d**2 forms' quotient overflows.
 FLOAT_RANGE_INPUTS = {
     "ChannelNoise.from_snr-floor-inf": (
         "snr",
@@ -457,7 +472,7 @@ FLOAT_RANGE_INPUTS = {
         lambda: ChannelNoise.from_snr(make_waveform(total_power=1e-300), 1e300),
     ),
 }
-for _d in (5e153, 2e154):
+for _d in (5e153, 2e154, 1.6e-154, 1e-160, 1e-200):
     FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-{_d:g}"] = (
         "distance",
         lambda d=_d: transverse_info_half_wavelength(d, 101, make_waveform(), 1.0),
@@ -494,3 +509,23 @@ def test_exact_boresight_form_is_finite_where_its_square_is():
     far, nearer = (transverse_info_boresight(d, _ARRAY, make_waveform(), 1.0) for d in (5e153, 5e152))
     assert 0.0 < far < math.inf
     assert far * 100.0 == pytest.approx(nearer, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("distance", [1e-100, 2e-154, 1.5e-154, 1e-160, 1e-200, 5e-324])
+@pytest.mark.parametrize("num_elements", [4, 5])
+def test_exact_boresight_forms_tend_to_their_limit_near_the_centre(distance, num_elements):
+    # Each off-centre element's transverse share tends to the weight w, and its radial
+    # share (1 + 1/sqrt(1 + (k delta/d)**2))**2 to w as well; the centre element's are 0 and 4 w.
+    geometry, wf = ArrayGeometry(num_elements, 0.1), make_waveform()
+    weight = _boresight_weight(wf, 1.0)
+    radial = (4.0 + 4.0 * (num_elements % 2)) * weight
+    assert transverse_info_boresight(distance, geometry, wf, 1.0) == pytest.approx(4.0 * weight, rel=1e-12)
+    assert radial_info_boresight(distance, geometry, wf, 1.0) == pytest.approx(radial, rel=1e-12)
+    batch = radial_info_boresight(np.array([1.0, distance]), geometry, wf, 1.0)
+    assert batch[1] == radial_info_boresight(distance, geometry, wf, 1.0)
+
+
+def test_exact_transverse_form_takes_one_distance():
+    with pytest.raises(ValueError, match=r"^distance must be one float, got array\("):
+        transverse_info_boresight(np.array([1.0, 2.0]), _ARRAY, make_waveform(), 1.0)

@@ -293,19 +293,21 @@ class TestLinkBudget:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowing_distance_gives_inf_for_scalar_and_array(self):
-        # Within ~1e-77 m of the centre distance**4 underflows to 0.
+        # At the centre, within ~1e-81 m of it where distance**4 underflows to 0, and
+        # below ~1e-75 m where the SNR's quotient overflows.
         wf = make_waveform()
-        scalar = snr_from_link_budget(1e-100, wf)
-        assert type(scalar) is float and scalar == math.inf
-        assert snr_from_link_budget(np.array([1e-100]), wf).tolist() == [math.inf]
+        for distance in (1e-100, 1e-78, 0.0):
+            scalar = snr_from_link_budget(distance, wf)
+            assert type(scalar) is float and scalar == math.inf
+            assert snr_from_link_budget(np.array([distance]), wf).tolist() == [math.inf]
         assert type(snr_from_link_budget(5.0, wf)) is float
 
     def test_validation(self):
         wf = make_waveform()
-        with pytest.raises(ValueError):
-            snr_from_link_budget(0.0, wf)
-        with pytest.raises(ValueError):
-            snr_from_link_budget(np.array([1.0, 0.0]), wf)
+        # Distance 0, the array centre, gives inf; a negative or NaN distance is named.
+        for bad in (-1.0, math.nan, np.array([1.0, 0.0, -1.0]), np.array([0.0, math.nan])):
+            with pytest.raises(ValueError, match="^distance must be nonnegative, got "):
+                snr_from_link_budget(bad, wf)
         with pytest.raises(ValueError):
             snr_from_link_budget(1.0, wf, radar_cross_section=0.0)
         with pytest.raises(ValueError, match="noise figure"):
