@@ -430,17 +430,13 @@ def _inverse_square(numerator: float, factor: float, distance):
     A ``ValueError`` names a distance, at either end, whose square is no normal
     float, whose scaled square overflows, or that takes a finite quotient past the float range.
     """
-    try:
-        with np.errstate(over="ignore"):
-            square = _float_power(distance, 2)
-            scaled = factor * square
-    except OverflowError:  # a Python float's power raises where numpy's gives inf
-        square = scaled = math.inf
-    if np.all((square >= np.finfo(float).tiny) & (scaled < math.inf)):
-        with np.errstate(over="ignore"):
+    square = _float_power(distance, 2)
+    with np.errstate(over="ignore"):
+        scaled = factor * square
+        if np.all((square >= np.finfo(float).tiny) & (scaled < math.inf)):
             law = numerator / scaled
-        if np.all(law < math.inf) or not math.isfinite(numerator):
-            return law
+            if np.all(law < math.inf) or not math.isfinite(numerator):
+                return law
     raise ValueError(f"distance {distance!r} takes its bound past the float range")
 
 

@@ -37,6 +37,7 @@ from .experiments import (
     run_sweep,
     run_transverse_vs_distance,
 )
+from .waveform import _float_power
 
 __all__ = ["ConfigError", "main"]
 
@@ -71,7 +72,7 @@ def _unit_parser(kind: str) -> Callable[[str, str], float]:
         if unit not in units:
             raise ConfigError(f"{key}: unknown {kind} unit {unit!r}")
         scale, decibel = units[unit]
-        return (10.0 ** (value / 10.0) if decibel else value) * scale
+        return (_float_power(10.0, value / 10.0) if decibel else value) * scale
 
     return parse
 
@@ -197,10 +198,7 @@ def _parse_settings(raw: dict[str, str]) -> tuple[dict, dict]:
         parse = _SCENARIO_KEYS.get(key) or _EXPERIMENT_KEYS.get(key)
         if parse is None:
             raise ConfigError(f"unknown configuration key {key!r}")
-        try:
-            value = parse(text, key)
-        except OverflowError:  # a dB or dBm value beyond the float range
-            value = math.inf
+        value = parse(text, key)
         values = value if isinstance(value, list) else [value]
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key}: expected a finite number, got {text!r}")

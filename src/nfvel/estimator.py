@@ -275,7 +275,7 @@ class MatchedFilter:
 
 def _unit_scale(magnitude: float) -> float:
     """The power of two that takes ``magnitude`` into [0.5, 1), where float products neither under- nor overflow."""
-    return math.ldexp(1.0, -math.frexp(magnitude)[1])
+    return math.ldexp(1.0, min(-math.frexp(magnitude)[1], 1023))  # 2**1023 takes a subnormal one to normal
 
 
 def ml_estimate(

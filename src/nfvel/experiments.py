@@ -26,9 +26,9 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
-from .geometry import ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_positive
+from .geometry import _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_positive
 from .table import CsvTable, format_cell
-from .waveform import WaveformConfig, snr_from_link_budget
+from .waveform import WaveformConfig, _float_power, snr_from_link_budget
 
 __all__ = [
     "CsvTable",
@@ -391,6 +391,10 @@ def run_planar_map(
     _check_grid_sizes(x_points=x_points, y_points=y_points)
     _check_increasing(x_points, x_min=x_min, x_max=x_max)
     _check_increasing(y_points, y_min=y_min, y_max=y_max)
+    # np.linspace takes x_max - x_min, and the y grid (y_max - y_min) times up to y_points.
+    for axis, low, high, reach in (("x", x_min, x_max, x_max - x_min), ("y", y_min, y_max, (y_max - y_min) * y_points)):
+        if not reach < math.inf:
+            raise ValueError(f"{axis}_min and {axis}_max span the map past the float range, got {low!r} and {high!r}")
     geometry = config.geometry()
     wf = config.waveform()
     x = np.tile(np.linspace(x_min, x_max, x_points), y_points)
@@ -401,21 +405,17 @@ def run_planar_map(
     # Per-point hypot, atan2 and log10 use ``math``, whose rounding the published maps pin.
     distance = _per_point(math.hypot, x, y)
     angle = _per_point(math.atan2, x, y)
-    try:
-        snr = snr_from_link_budget(
-            distance,
-            wf,
-            radar_cross_section=config.radar_cross_section,
-            tx_gain=config.tx_gain,
-            rx_gain=config.rx_gain,
-            noise_figure=config.noise_figure,
-            temperature=config.temperature,
-        )
-        reached = snr.all()
-    except OverflowError:  # distance**4 past the float range
-        reached = False
+    snr = snr_from_link_budget(
+        distance,
+        wf,
+        radar_cross_section=config.radar_cross_section,
+        tx_gain=config.tx_gain,
+        rx_gain=config.rx_gain,
+        noise_figure=config.noise_figure,
+        temperature=config.temperature,
+    )
     budget = "tx_power, radar_cross_section, tx_gain, rx_gain, noise_figure and temperature"
-    if not reached:
+    if not snr.all():
         raise ValueError(
             f"the link-budget snr underflows to 0 on a map reaching {float(distance.max())!r} m: narrow it "
             f"(x_min, x_max, y_min, y_max) or check {budget}"
@@ -424,6 +424,14 @@ def run_planar_map(
         # Degenerate rows, the array centre among them, come back singular with infinite bounds.
         bounds = closed_form_bounds(distance, angle, geometry, wf, snr)
     except ValueError:  # the rows lie in front of the array: only the information can fail
+        # Off the centre, where distance**4 underflows, the snr is inf by the extent's fault, not the budget's.
+        off_centre = distance > _COINCIDENCE_RTOL * geometry.aperture
+        near = distance[off_centre & (_float_power(distance, 4) < np.finfo(float).tiny)]
+        if near.size:
+            raise ValueError(
+                f"the map comes within {float(near.min())!r} m of the array centre, where the link-budget snr "
+                "takes the information matrix past the float range: move it away (x_min, x_max, y_min, y_max)"
+            ) from None
         peak = max(snr[snr < math.inf].tolist(), default=math.inf)  # the centre's snr is inf
         raise ValueError(
             f"the link-budget snr, up to {peak!r} on this map, takes the information matrix "
@@ -485,10 +493,7 @@ def run_montecarlo(
 
     snrs = []
     for snr_db in snr_list:
-        try:
-            snr = 10.0 ** (snr_db / 10.0)
-        except OverflowError:
-            snr = math.inf
+        snr = _float_power(10.0, _float_power(snr_db, 1) / 10.0)  # an int entry may exceed every float
         # The trials run in units of the noise, at the floor 1/snr.
         if not (0.0 < snr < math.inf and 1.0 / snr < math.inf):
             raise ValueError(

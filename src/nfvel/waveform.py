@@ -269,15 +269,19 @@ def _unit_noise(shape: tuple[int, ...], rng: int | np.random.Generator) -> np.nd
     return noise
 
 
-def _float_power(value, exponent: int):
-    """``value**exponent`` through Python's float power, element by element for an array.
+def _float_power(value, exponent):
+    """``float(value) ** exponent`` by Python's power, ``inf`` where that overflows; an array goes element by element.
 
-    numpy's vectorised power can round differently in the last bit; this
-    keeps a batch bit-identical to one-point calls.
+    numpy's vectorised power can round differently in the last bit, and its scalar power warns at overflow.
     """
-    if np.ndim(value) == 0:
-        return value**exponent
-    return _per_point(lambda v: v**exponent, value)
+
+    def power(v) -> float:
+        try:
+            return float(v) ** exponent
+        except OverflowError:
+            return math.inf
+
+    return power(value) if np.ndim(value) == 0 else _per_point(power, value)
 
 
 def snr_from_link_budget(
@@ -304,7 +308,7 @@ def snr_from_link_budget(
         temperature: Noise reference temperature in kelvin.
 
     Returns:
-        Linear SNR; scales as ``distance**-4``, and is ``inf`` at 0.
+        Linear SNR; scales as ``distance**-4``: ``inf`` at 0 and 0 past about 1e77 m.
     """
     if not np.all(np.asarray(distance) >= 0.0):
         raise ValueError(f"distance must be nonnegative, got {distance!r}")
@@ -314,7 +318,7 @@ def snr_from_link_budget(
     ).noise_variance
 
     wavelength = config.wavelength
-    # At the centre, and near it where distance**4 underflows or the quotient overflows, the SNR is inf.
+    # The SNR is inf at the centre and near it, where distance**4 underflows or the quotient overflows, and 0 far out.
     with np.errstate(divide="ignore", over="ignore"):
         received = (
             config.subcarrier_power

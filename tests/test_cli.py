@@ -128,6 +128,22 @@ OUT_OF_RANGE_SETTINGS = [
         "the link-budget snr, up to 1.5136770436203297e+307 on this map, takes the information matrix "
         "past the float range",
     ),
+    # Rows that come within ~1e-77 m of a tiny array's centre, off it, have an inf snr
+    # because distance**4 underflows: the extent is at fault, not the budget.
+    (
+        "fig4 num_elements=5 spacing=1e-80 x_min=-1e-78 x_max=1e-78 x_points=3 y_min=0 y_max=1e-78 y_points=1",
+        "the map comes within 1e-78 m of the array centre, where the link-budget snr takes the information "
+        "matrix past the float range: move it away (x_min, x_max, y_min, y_max)",
+    ),
+    # An extent whose span, or y span times y_points, overflows has no grid.
+    (
+        "fig4 x_min=-1e308 x_max=1e308 x_points=3 y_points=2",
+        "x_min and x_max span the map past the float range, got -1e+308 and 1e+308",
+    ),
+    (
+        "fig4 y_max=1.7e308 x_points=3 y_points=2",
+        "y_min and y_max span the map past the float range, got 0.0 and 1.7e+308",
+    ),
     # A map behind the array is no angle the model takes; the y grid is at fault.
     ("fig4 y_min=-50 y_max=-10 y_points=2", "y_min -50.0 puts map rows behind the array, at y -30.0 < 0"),
     # A grid point that puts the target on the array is named, with the keys that place the grid.

@@ -153,6 +153,18 @@ class TestNoiseFree:
         # Monte Carlo runs in units of the noise, so its rows at SNRs given keep their bits.
         assert reports(ScenarioConfig(tx_power=tx_power)) == reports(default)
 
+    @pytest.mark.parametrize("gain", [1e-310, 5e-324])
+    def test_subnormal_sample_peak_is_estimated_inside_the_window(self, gain):
+        # Taking a subnormal peak into [0.5, 1) needs a power of two past the float range.
+        search = MlSearchConfig((2.9, 3.1), (0.0, 2.0))
+        config = ScenarioConfig()
+        wf, geom, target = config.waveform(), config.geometry(), config.target()
+        cube = add_noise(_clean_cube(target, geom, wf, snr=10.0), 3)
+        faint = dataclasses.replace(cube, samples=cube.samples * gain)
+        est = ml_estimate(faint, target.distance, target.angle, search)
+        assert est.radial_identifiable and est.transverse_identifiable
+        assert 2.9 <= est.radial <= 3.1 and 0.0 <= est.transverse <= 2.0
+
     @settings(max_examples=25, deadline=None)
     @given(
         angle=st.sampled_from([-0.4, math.pi / 4]),

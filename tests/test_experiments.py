@@ -629,6 +629,12 @@ class TestMonteCarloRunner:
         )
         assert again.render() == table.render()
 
+    @pytest.mark.parametrize("entry", [10**400, -(10**400)])
+    def test_int_entry_past_the_float_range_names_snr_list(self, entry):
+        # An int entry no float holds is named like a float one whose linear SNR overflows.
+        with pytest.raises(ValueError, match=r"^snr_list entry -?\d+ dB is outside the float range"):
+            run_montecarlo(self._config(), snr_list=(entry,), trials=100)
+
     def test_rejects_thin_trial_count(self):
         with pytest.raises(ValueError, match="trials"):
             run_montecarlo(self._config(), trials=99)

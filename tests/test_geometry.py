@@ -472,22 +472,28 @@ FLOAT_RANGE_INPUTS = {
         lambda: ChannelNoise.from_snr(make_waveform(total_power=1e-300), 1e300),
     ),
 }
-for _d in (5e153, 2e154, 1.6e-154, 1e-160, 1e-200):
-    FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-{_d:g}"] = (
-        "distance",
-        lambda d=_d: transverse_info_half_wavelength(d, 101, make_waveform(), 1.0),
-    )
+# A 1/d**2 form takes a Python int or a numpy scalar as it takes a float: at 1e200 m the
+# square overflows in Python's power, with no RuntimeWarning from numpy's.
+for _d in (5e153, 2e154, 1.6e-154, 1e-160, 1e-200, 1e200):
     FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-array-{_d:g}"] = (
         "distance",
         lambda d=_d: transverse_info_half_wavelength(np.array([1.0, d]), 101, make_waveform(), 1.0),
     )
-    for _aperture_form in (False, True):
-        FLOAT_RANGE_INPUTS[f"transverse_info_boresight_approx-{_aperture_form}-{_d:g}"] = (
+    _kinds = {"": _d, "float64-": np.float64(_d)}
+    if _d > 1.0:  # below 1 m an int is 0, which names distance as not positive
+        _kinds["int-"] = int(_d)
+    for _kind, _value in _kinds.items():
+        FLOAT_RANGE_INPUTS[f"transverse_info_half_wavelength-{_kind}{_d:g}"] = (
             "distance",
-            lambda d=_d, a=_aperture_form: transverse_info_boresight_approx(
-                d, _ARRAY, make_waveform(), 1.0, aperture_form=a
-            ),
+            lambda d=_value: transverse_info_half_wavelength(d, 101, make_waveform(), 1.0),
         )
+        for _aperture_form in (False, True):
+            FLOAT_RANGE_INPUTS[f"transverse_info_boresight_approx-{_aperture_form}-{_kind}{_d:g}"] = (
+                "distance",
+                lambda d=_value, a=_aperture_form: transverse_info_boresight_approx(
+                    d, _ARRAY, make_waveform(), 1.0, aperture_form=a
+                ),
+            )
 FLOAT_RANGE_INPUTS["transverse_info_boresight-2e+154"] = (
     "distance",
     lambda: transverse_info_boresight(2e154, _ARRAY, make_waveform(), 1.0),

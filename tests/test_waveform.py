@@ -292,15 +292,26 @@ class TestLinkBudget:
             assert snr == snr_from_link_budget(d, wf, noise_figure=3.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_underflowing_distance_gives_inf_for_scalar_and_array(self):
+    def test_distance_past_the_float_range_gives_inf_or_0_for_scalar_and_array(self):
         # At the centre, within ~1e-81 m of it where distance**4 underflows to 0, and
-        # below ~1e-75 m where the SNR's quotient overflows.
+        # below ~1e-75 m where the SNR's quotient overflows, the SNR is inf; past ~1e77 m,
+        # where distance**4 overflows, it is 0.
         wf = make_waveform()
-        for distance in (1e-100, 1e-78, 0.0):
+        for distance, expected in ((1e-100, math.inf), (1e-78, math.inf), (0.0, math.inf), (1e80, 0.0)):
             scalar = snr_from_link_budget(distance, wf)
-            assert type(scalar) is float and scalar == math.inf
-            assert snr_from_link_budget(np.array([distance]), wf).tolist() == [math.inf]
+            assert type(scalar) is float and scalar == expected
+            assert snr_from_link_budget(np.array([distance]), wf).tolist() == [expected]
+        assert snr_from_link_budget(np.array([1.0, 1e80]), wf)[1] == 0.0
         assert type(snr_from_link_budget(5.0, wf)) is float
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_power_gives_inf_past_the_float_range(self):
+        # An int no float holds, a numpy scalar and a float, alone or in an array.
+        for value in (10**400, np.float64(1e200), 1e200):
+            assert waveform._float_power(value, 2) == math.inf
+        assert waveform._float_power(np.array([3.0, 1e200]), 2).tolist() == [9.0, math.inf]
+        assert waveform._float_power(10.0, 400 / 10.0) == 1e40
+        assert waveform._float_power(10.0, 4000 / 10.0) == math.inf
 
     def test_validation(self):
         wf = make_waveform()
