@@ -30,6 +30,7 @@ from .geometry import (
     TargetState,
     _check_rows,
     _per_point,
+    _require_count,
     _require_positive,
     _row_blocks,
     element_distances,
@@ -289,8 +290,7 @@ def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float)
     single symbol, since one pulse carries no Doppler information.
     """
     _require_positive(snr=snr)
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
+    _require_count(1, num_elements=num_elements)
     if config.num_symbols == 1:
         return math.inf
     return 1.0 / (4.0 * num_elements * _boresight_weight(config, snr))
@@ -407,8 +407,7 @@ def transverse_info_half_wavelength(
     an array, which gives an array of the same shape.
     """
     _require_positive(distance=distance)
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements!r}")
+    _require_count(1, num_elements=num_elements)
     _require_positive(snr=snr)
     m_count = config.num_symbols
     numerator = (

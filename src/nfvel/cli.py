@@ -37,6 +37,7 @@ from .experiments import (
     run_sweep,
     run_transverse_vs_distance,
 )
+from .geometry import _require_count
 from .waveform import _float_power
 
 __all__ = ["ConfigError", "main"]
@@ -299,8 +300,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     scenario = ScenarioConfig(**scenario_kwargs)
 
     seed = experiment.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    _require_count(0, seed=seed)
 
     _, runner, default_name = _commands()[args.command]
     # The runner's parameters are the experiment keys the subcommand takes.

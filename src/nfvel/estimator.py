@@ -29,6 +29,7 @@ from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
     TargetState,
+    _require_count,
     _require_positive,
     symmetric_index_grid,
 )
@@ -84,8 +85,7 @@ class MlSearchConfig:
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
             object.__setattr__(self, name, tuple(span))  # a frozen config hashes
-        if self.grid_points < 3:
-            raise ValueError(f"grid_points must be >= 3, got {self.grid_points!r}")
+        _require_count(3, grid_points=self.grid_points)
         _require_positive(tolerance=self.tolerance)
 
 
@@ -321,10 +321,8 @@ def monte_carlo_reports(
     cube.  The bounds are those of :func:`~nfvel.bounds.closed_form_bounds`
     at each SNR as given.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100 for a usable MSE, got {trials!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    _require_count(100, trials=trials)  # fewer trials give no usable MSE
+    _require_count(0, seed=seed)
     if not snrs:
         return []
     target, search = scenario.target, scenario.search

@@ -26,7 +26,9 @@ from .bounds import (
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
-from .geometry import _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_positive
+from .geometry import (
+    _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_count, _require_positive
+)
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, _float_power, snr_from_link_budget
 
@@ -116,8 +118,7 @@ def _root_inverse(info: np.ndarray) -> np.ndarray:
 
 
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
-    if num_elements < 2:
-        raise ValueError(f"num_elements must be >= 2 to size by aperture, got {num_elements}")
+    _require_count(2, num_elements=num_elements)  # an aperture spans at least two elements
     return ArrayGeometry(num_elements, aperture / (num_elements - 1))
 
 
@@ -149,12 +150,6 @@ def _stacked(groups: list[tuple]) -> list[np.ndarray]:
     return [np.concatenate(parts) for parts in zip(*(np.broadcast_arrays(*group) for group in groups))]
 
 
-def _check_grid_sizes(**sizes: int) -> None:
-    for key, size in sizes.items():
-        if size < 1:
-            raise ValueError(f"{key} must be >= 1, got {size!r}")
-
-
 def _check_increasing(points: int, **bounds: float) -> None:
     """Reject a grid whose upper bound (second key) is not above its lower bound (first key).
 
@@ -174,7 +169,7 @@ def _check_angles(**values) -> None:
 
 def _distance_grid(points: int, d_min: float, d_max: float) -> np.ndarray:
     """The ``points`` log-spaced distances from ``d_min`` to ``d_max`` of fig1, fig2 and fig3."""
-    _check_grid_sizes(points=points)
+    _require_count(1, points=points)
     _require_positive(d_min=d_min, d_max=d_max)
     if d_max == math.inf:
         raise ValueError(f"d_max must be finite, got {d_max!r}")
@@ -388,7 +383,7 @@ def run_planar_map(
     yields a row flagged degenerate with an ``inf`` bound, never NaN.  The
     array centre is one such row, with an ``inf`` SNR, and reads angle 0.
     """
-    _check_grid_sizes(x_points=x_points, y_points=y_points)
+    _require_count(1, x_points=x_points, y_points=y_points)
     _check_increasing(x_points, x_min=x_min, x_max=x_max)
     _check_increasing(y_points, y_min=y_min, y_max=y_max)
     # np.linspace takes x_max - x_min, and the y grid (y_max - y_min) times up to y_points.
@@ -573,8 +568,7 @@ def run_sweep(
     """
     if variable not in _SWEEP_VARIABLES:
         raise ValueError(f"variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points!r}")
+    _require_count(2, points=points)
     _check_increasing(points, start=start, stop=stop)
     if log and not start > 0.0:
         raise ValueError("log grids need a positive start")

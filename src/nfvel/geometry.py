@@ -54,19 +54,27 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{key} must be positive, got {value!r}")
 
 
+def _require_count(minimum: int, **values) -> None:
+    """Raise a ``ValueError`` naming the first key whose value is not an integer at or above ``minimum``."""
+    for key, value in values.items():
+        if not (isinstance(value, (int, np.integer)) and value >= minimum):
+            raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+
+
 def _row_blocks(count: int, step: int = _POINT_BLOCK):
     """Slices of at most ``step`` rows covering ``range(count)``."""
     return (slice(start, start + step) for start in range(0, count, step))
 
 
 def _per_point(function, *arrays) -> np.ndarray:
-    """``function`` of the Python floats at each index of equal-shape float arrays, as a float array.
+    """``function`` of the Python numbers at each index of equal-shape arrays, as a float array.
 
     ``math`` functions round as published values pin, where numpy's vectorised
-    forms may differ in the last bit.  The floats are listed one block at a time,
+    forms may differ in the last bit.  The numbers are listed one block at a time,
     so a call holds one block's Python objects however many points it has.
+    Entries keep their type, so a list's int past the float range stays a Python int.
     """
-    flat = [np.asarray(a, dtype=float).reshape(-1) for a in arrays]
+    flat = [np.asarray(a).reshape(-1) for a in arrays]
     out = np.empty(flat[0].size)
     for rows in _row_blocks(out.size):
         block = [a[rows].tolist() for a in flat]
@@ -80,8 +88,7 @@ def symmetric_index_grid(count: int) -> np.ndarray:
     Integers for odd counts, half-integers for even counts.  Either way the
     grid is symmetric and ``sum(grid**2) == count*(count**2 - 1)/12``.
     """
-    if count < 1:
-        raise ValueError(f"grid needs at least one point, got {count}")
+    _require_count(1, count=count)
     return np.arange(count, dtype=float) - (count - 1) / 2.0
 
 
@@ -108,8 +115,7 @@ class ArrayGeometry:
     spacing: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_elements, (int, np.integer)) or self.num_elements < 1:
-            raise ValueError(f"num_elements must be a positive integer, got {self.num_elements!r}")
+        _require_count(1, num_elements=self.num_elements)
         _require_positive(spacing=self.spacing)
 
     @classmethod

@@ -24,6 +24,7 @@ from .geometry import (
     ArrayGeometry,
     TargetState,
     _per_point,
+    _require_count,
     _require_positive,
     element_distances,
     radial_projection_coeffs,
@@ -70,13 +71,9 @@ class WaveformConfig:
 
     def __post_init__(self) -> None:
         _require_positive(carrier=self.carrier)
-        if not isinstance(self.num_subcarriers, (int, np.integer)) or self.num_subcarriers < 1:
-            raise ValueError(
-                f"num_subcarriers must be a positive integer, got {self.num_subcarriers!r}"
-            )
+        _require_count(1, num_subcarriers=self.num_subcarriers)
         _require_positive(subcarrier_spacing=self.subcarrier_spacing)
-        if not isinstance(self.num_symbols, (int, np.integer)) or self.num_symbols < 1:
-            raise ValueError(f"num_symbols must be a positive integer, got {self.num_symbols!r}")
+        _require_count(1, num_symbols=self.num_symbols)
         _require_positive(symbol_time=self.symbol_time, total_power=self.total_power)
         # The bounds and the link budget square these: name a square past the float range.
         squared = {"carrier": (self.carrier, self.wavelength), "symbol_time": (self.symbol_time,)}

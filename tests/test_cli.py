@@ -453,7 +453,7 @@ class TestExitCodes:
     def test_empty_grid_names_its_key(self, command, key, value, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main([command, "--set", f"{key}={value}", "--out", str(out)]) == 1
-        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert f"{key} must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -632,7 +632,7 @@ class TestExitCodes:
     def test_coarse_grid_names_grid_points(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert main(["montecarlo", "--set", "grid_points=1", "--out", str(out)]) == 1
-        assert "grid_points must be >= 3" in capsys.readouterr().err
+        assert "grid_points must be an integer >= 3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_errors_exit_one(self, capsys):

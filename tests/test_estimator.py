@@ -62,9 +62,9 @@ class TestSearchConfig:
             _search(transverse=(2.0, -2.0))
 
     def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 3"):
             _search(grid_points=2)
-        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+        with pytest.raises(ValueError, match="grid_points must be an integer >= 3"):
             _search(grid_points=1)
 
     def test_rejects_bad_refinement(self):
@@ -470,9 +470,9 @@ class TestSharedNoise:
         # An empty SNR list still has its trials and seed checked.
         scenario = _shared_scenario()
         assert monte_carlo_reports(scenario, [], trials=100, seed=0) == []
-        with pytest.raises(ValueError, match="trials must be >= 100"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 100"):
             monte_carlo_reports(scenario, [], trials=99, seed=0)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             monte_carlo_reports(scenario, [], trials=100, seed=-1)
 
 

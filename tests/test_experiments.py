@@ -687,7 +687,7 @@ class TestRunSweep:
         config = ScenarioConfig()
         with pytest.raises(ValueError, match="variable must be one of"):
             run_sweep(config, variable="bogus", start=1.0, stop=2.0, points=3)
-        with pytest.raises(ValueError, match="points must be >= 2"):
+        with pytest.raises(ValueError, match="points must be an integer >= 2"):
             run_sweep(config, variable="distance", start=1.0, stop=2.0, points=1)
         with pytest.raises(ValueError, match="stop must exceed start"):
             run_sweep(config, variable="distance", start=2.0, stop=1.0, points=3)

@@ -1,8 +1,10 @@
 """Geometry: symmetric grids, element distances and projection coefficients."""
 
 import math
+import os
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +32,10 @@ from nfvel import (
     transverse_projection_coeff,
     transverse_projection_coeffs,
 )
+from nfvel import cli
 from nfvel.bounds import _CHUNK_ELEMENTS, _boresight_weight, _row_chunks
+from nfvel.estimator import Scenario, monte_carlo_reports
+from nfvel.experiments import ScenarioConfig, run_planar_map, run_sweep, run_transverse_vs_distance
 from nfvel.geometry import _COINCIDENCE_RTOL
 
 from conftest import array_line_rows, cartesian_los_speeds, make_waveform
@@ -455,6 +460,60 @@ def test_non_positive_input_names_its_key(entry, value):
     key, call = POSITIVE_INPUTS[entry]
     with pytest.raises(ValueError, match=rf"^{key} must be positive, got "):
         call(value)
+
+
+def _dispatch_with_seed(seed):
+    # The command line parses the seed as an int, so a non-integer reaches the check only past the parser.
+    args = cli.build_parser().parse_args(["sweep", "--out", os.devnull])
+    sweep = {"variable": "distance", "start": 1.0, "stop": 2.0, "points": 2}
+    with mock.patch.object(cli, "_parse_settings", return_value=({}, {"seed": seed, **sweep})):
+        return cli._dispatch(args)
+
+
+_MC_SCENARIO = Scenario(TargetState(10.0, 0.0), _ARRAY, make_waveform(), MlSearchConfig((0.0, 1.0), (0.0, 1.0)))
+
+# Entry points that take a count: id -> (key named, floor, call with a value for it).
+COUNT_INPUTS = {
+    "ArrayGeometry": ("num_elements", 1, lambda v: ArrayGeometry(v, 0.1)),
+    "symmetric_index_grid": ("count", 1, symmetric_index_grid),
+    "WaveformConfig-num_subcarriers": ("num_subcarriers", 1, lambda v: make_waveform(num_subcarriers=v)),
+    "WaveformConfig-num_symbols": ("num_symbols", 1, lambda v: make_waveform(num_symbols=v)),
+    "radial_crlb_far_field": ("num_elements", 1, lambda v: radial_crlb_far_field(make_waveform(), v, 1.0)),
+    "transverse_info_half_wavelength": (
+        "num_elements",
+        1,
+        lambda v: transverse_info_half_wavelength(1.0, v, make_waveform(), 1.0),
+    ),
+    "MlSearchConfig": ("grid_points", 3, lambda v: MlSearchConfig((0.0, 1.0), (0.0, 1.0), grid_points=v)),
+    "monte_carlo_reports-trials": ("trials", 100, lambda v: monte_carlo_reports(_MC_SCENARIO, [], v, 0)),
+    "monte_carlo_reports-seed": ("seed", 0, lambda v: monte_carlo_reports(_MC_SCENARIO, [], 100, v)),
+    "run_transverse_vs_distance": ("points", 1, lambda v: run_transverse_vs_distance(ScenarioConfig(), points=v)),
+    "run_planar_map-x_points": ("x_points", 1, lambda v: run_planar_map(ScenarioConfig(), x_points=v, y_points=1)),
+    "run_planar_map-y_points": ("y_points", 1, lambda v: run_planar_map(ScenarioConfig(), x_points=1, y_points=v)),
+    "ScenarioConfig-aperture": (
+        "num_elements",
+        2,
+        lambda v: ScenarioConfig(num_elements=v, aperture=0.5).geometry(),
+    ),
+    "run_sweep": ("points", 2, lambda v: run_sweep(ScenarioConfig(), "distance", 1.0, 2.0, points=v)),
+    "cli._dispatch": ("seed", 0, _dispatch_with_seed),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [lambda floor: floor - 1, lambda floor: floor + 0.5, float], ids=["below", "between", "float"]
+)
+@pytest.mark.parametrize("entry", sorted(COUNT_INPUTS))
+def test_count_off_the_integers_at_its_floor_names_its_key(entry, bad):
+    key, floor, call = COUNT_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer >= {floor}, got "):
+        call(bad(floor))
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_INPUTS))
+def test_numpy_integer_count_at_its_floor_is_accepted(entry):
+    _, floor, call = COUNT_INPUTS[entry]
+    call(np.int64(floor))
 
 
 # Positive inputs whose quotient leaves the float range: id -> (key named, call).  The

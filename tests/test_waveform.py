@@ -302,6 +302,8 @@ class TestLinkBudget:
             assert type(scalar) is float and scalar == expected
             assert snr_from_link_budget(np.array([distance]), wf).tolist() == [expected]
         assert snr_from_link_budget(np.array([1.0, 1e80]), wf)[1] == 0.0
+        # A list entry no float holds gives 0 as the same int alone does.
+        assert snr_from_link_budget([1.0, 10**400], wf).tolist() == [snr_from_link_budget(1.0, wf), 0.0]
         assert type(snr_from_link_budget(5.0, wf)) is float
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
