@@ -29,10 +29,10 @@ from .geometry import (
     DegenerateGeometryError,
     TargetState,
     _check_rows,
-    _per_point,
     _require_count,
     _require_positive,
     _row_blocks,
+    _trig,
     element_distances,
     symmetric_index_grid,
 )
@@ -201,7 +201,13 @@ def closed_form_bounds(
         w_n = 2 * pi^2 * f_n^2 * M * snr * (M^2 - 1) * T_sym^2 / (3 * c^2)
 
     and the entries are the summed weight times the element sums of
-    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  All P matrices are
+    ``(1 + q_k)^2``, ``p_k^2`` and ``p_k * (1 + q_k)``.  With ``u = 1/d_k``,
+    ``q = (d - x sin) u``, ``p = x cos u`` and ``q^2 + p^2 = 1``, those are
+
+        2K + 2 (d sum u - sin sum x u) - sum p^2,   cos^2 sum x^2 u^2   and
+        cos (sum x u + d sum x u^2 - sin sum x^2 u^2),
+
+    four moments of ``u``, each a pairwise sum along the elements.  All P matrices are
     inverted in blocks of rows, by the inverse :func:`crlb_from_fisher` applies
     to one matrix, so rows match the one-point functions bit for bit.  The root
     bounds are taken before the inverse's power-of-two scale is undone, so they
@@ -217,9 +223,7 @@ def closed_form_bounds(
     _require_positive(snr=snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
-    # One sine and one cosine per point, from ``math``; the cosine is sin(pi/2 - |angle|),
-    # as ``_cos_angle`` takes it.
-    trig = _per_point(math.sin, np.stack((angles, math.pi / 2.0 - np.abs(angles))))
+    trig = _trig(angles)
     weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
@@ -232,18 +236,22 @@ def closed_form_bounds(
             weights = head * snr[rows, None] * (config.num_symbols**2 - 1) * config.symbol_time**2
             weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
         for rows in _row_chunks(distances.size, geometry.num_elements):
-            d = distances[rows, None]
-            element_d, degenerate[rows] = element_distances((d, angles[rows]), geometry, sines=trig[0, rows])
-            # 1 + q = 1 + (d - x sin)/d_k, p = x cos/d_k and p(1 + q), in place.
-            terms = np.empty((3, *element_d.shape))
-            np.multiply(geometry.element_x_positions, trig[:, rows, None], out=terms[:2])
-            np.subtract(d, terms[0], out=terms[0])
-            terms[:2] /= element_d
-            terms[0] += 1.0
-            np.multiply(terms[1], terms[0], out=terms[2])
-            terms[:2] *= terms[:2]
-            entries[:, rows] = weight_total[rows] * terms.sum(axis=2)
-            del terms  # before the next chunk's distances: one chunk's terms at a time
+            d, (sin, cos) = distances[rows], trig[:, rows]
+            u, degenerate[rows] = element_distances((d, angles[rows]), geometry, trig=trig[:, rows])
+            # The docstring's four moments, each product formed in place.
+            np.divide(1.0, u, out=u)
+            x_u = geometry.element_x_positions * u
+            sum_u, sum_x_u = u.sum(axis=1), x_u.sum(axis=1)
+            u *= x_u
+            sum_x_u2 = u.sum(axis=1)
+            u *= geometry.element_x_positions
+            sum_x2_u2 = u.sum(axis=1)
+            transverse = cos * cos * sum_x2_u2
+            radial = 2.0 * geometry.num_elements + 2.0 * (d * sum_u - sin * sum_x_u) - transverse
+            cross = cos * (sum_x_u + d * sum_x_u2 - sin * sum_x2_u2)
+            entries[:, rows] = weight_total[rows] * np.stack((radial, transverse, cross))
+            # One chunk's block at a time, and no view left to keep trig alive past the loop.
+            del u, x_u, sin, cos
     entries[:, degenerate] = 0.0
     del trig, weight_total  # before the inverse's blocks: the two loops' peaks stay apart
     # Variance bounds, then root bounds, radial before transverse.

@@ -99,6 +99,12 @@ def _cos_angle(angle: float) -> float:
     return math.sin(math.pi / 2.0 - abs(angle))
 
 
+def _trig(angles: np.ndarray) -> np.ndarray:
+    """``(2, P)`` sines and cosines of checked angles, from ``math`` as published values pin:
+    the cosine as ``_cos_angle`` takes it."""
+    return _per_point(math.sin, np.stack((angles, math.pi / 2.0 - np.abs(angles))))
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array on the x axis.
@@ -201,43 +207,49 @@ def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
         TargetState(float(distances[row]) or 1.0, float(angles[row]))
 
 
-def element_distances(target, geometry: ArrayGeometry, *, sines=None):
+def element_distances(target, geometry: ArrayGeometry, *, trig=None):
     """Distance from the target to every array element.
 
-    Implements ``d_k = d * sqrt(1 + x_k**2/d**2 - 2*x_k*sin(theta)/d)`` for
-    each element position ``x_k``.  One :class:`TargetState` gives a ``(K,)``
-    array.  A pair ``(distances, angles)`` of P rows gives the ``(P, K)``
-    block, each row bit-identical to a one-target call, and a ``(P,)`` mask
-    of degenerate rows; a row that :class:`TargetState` rejects raises its
-    ``ValueError``, unless its distance is 0.  A caller that has checked the
-    angles and holds their ``(P,)`` sines already may pass them as ``sines``.
+    Implements ``d_k = sqrt((x_k - d*sin(theta))**2 + (d*cos(theta))**2)`` for
+    each element position ``x_k``, a sum of squares that does not cancel near
+    an element.  The cosine is ``_cos_angle``'s, so an end-fire row is exactly
+    ``|x_k - d|``.  One :class:`TargetState` gives a ``(K,)`` array.  A pair
+    ``(distances, angles)`` of P rows gives the ``(P, K)`` block, each row
+    bit-identical to a one-target call, and a ``(P,)`` mask of degenerate rows;
+    a row that :class:`TargetState` rejects raises its ``ValueError``, unless
+    its distance is 0.  A caller that has checked the rows and holds their sines
+    and cosines already may pass them as the ``(2, P)`` array ``trig``.
 
     A row is degenerate when its smallest distance is not above
-    ``1e-12 * max(d, aperture)``: on an element, with a radicand that rounds
-    below zero (a NaN root), or with ``d <= 1e-12 * aperture``, 0 included,
-    where ``x_k/d`` could overflow (evaluated at NaN).  A degenerate
-    :class:`TargetState` raises :class:`DegenerateGeometryError`; a pair
-    flags the row and fills it with ones.
+    ``1e-12 * max(d, aperture)``: on an element, or with ``d <= 1e-12 * aperture``,
+    0 included, or infinite (evaluated at NaN).  A degenerate :class:`TargetState` raises
+    :class:`DegenerateGeometryError`; a pair flags the row and fills it with ones.
     """
     single = isinstance(target, TargetState)
     distance_list, angle_list = ([target.distance], [target.angle]) if single else target
     given = np.asarray(distance_list, dtype=float).reshape(-1, 1)
-    # Rows at the centre and rows TargetState rejects are NaN, which flags them.  Sines
-    # come from ``math``, as published values pin; ratio * (2 sin) rounds as (2 ratio) * sin.
-    d = np.where(given > _COINCIDENCE_RTOL * geometry.aperture, given, math.nan)
-    if sines is None:
-        sines = [math.sin(a) if abs(a) <= math.pi / 2 else math.nan for a in angle_list]
-    two_sin = 2.0 * np.asarray(sines)[:, None]
-    ratio = geometry.element_x_positions / d
-    distances = ratio * ratio
-    distances += 1.0
-    distances -= np.multiply(ratio, two_sin, out=ratio)
-    with np.errstate(invalid="ignore"):
-        np.sqrt(distances, out=distances)
-        distances *= d
-        degenerate = ~(distances.min(axis=1) > _COINCIDENCE_RTOL * np.maximum(d[:, 0], geometry.aperture))
+    if trig is None:
+        angles = np.asarray(angle_list, dtype=float).reshape(-1)
+        _check_rows(given[:, 0], angles)
+        trig = _trig(angles)
+    # A row at the centre or at an infinite distance is NaN, which flags it.  A row past 2**+-400 m
+    # takes its lengths in units of a power of two near the larger of d and the aperture, so
+    # its squares stay normal; a power of two changes no bit.
+    d = np.where((given > _COINCIDENCE_RTOL * geometry.aperture) & (given < math.inf), given, math.nan)
+    lengths = np.maximum(d, geometry.aperture)
+    shift = np.frexp(lengths)[1]
+    shift[np.abs(shift) <= 400] = 0
+    x, scaled = geometry.element_x_positions, shift.any()
+    if scaled:
+        x, d = np.ldexp(x, -shift), np.ldexp(d, -shift)
+    distances = x - d * trig[0][:, None]
+    distances *= distances
+    distances += np.square(d * trig[1][:, None])
+    np.sqrt(distances, out=distances)
+    if scaled:
+        np.ldexp(distances, shift, out=distances)
+    degenerate = ~(distances.min(axis=1) > _COINCIDENCE_RTOL * lengths[:, 0])
     if degenerate.any():
-        _check_rows(given[:, 0], np.asarray(angle_list, dtype=float))
         if single:
             raise DegenerateGeometryError()
         distances[degenerate] = 1.0
@@ -245,11 +257,9 @@ def element_distances(target, geometry: ArrayGeometry, *, sines=None):
 
 
 def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) -> float:
-    """Distance from the target to the element with grid index ``k``."""
-    x_k = k * geometry.spacing
-    d = target.distance
-    arg = 1.0 + (x_k / d) ** 2 - 2.0 * (x_k / d) * math.sin(target.angle)
-    dist = d * math.sqrt(max(arg, 0.0))
+    """Distance from the target to the element with grid index ``k``, exactly ``d`` at ``k = 0``."""
+    x_k, d = k * geometry.spacing, target.distance
+    dist = math.hypot(d - x_k * math.sin(target.angle), x_k * _cos_angle(target.angle))
     if dist <= _COINCIDENCE_RTOL * max(d, abs(x_k)):
         raise DegenerateGeometryError()
     return dist
@@ -258,8 +268,8 @@ def distance_to_element(target: TargetState, geometry: ArrayGeometry, k: float) 
 def radial_projection_coeffs(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
     """Per-element projection of the radial unit velocity onto the element line of sight.
 
-    ``q_k = (d - x_k*sin(theta)) / d_k``; always in ``[-1, 1]``, equal to 1
-    for the centre element.
+    ``q_k = (d - x_k*sin(theta)) / d_k``; in ``[-1, 1]``, and 1 for the centre
+    element, within the rounding of :func:`element_distances`, about an ulp.
     """
     x = geometry.element_x_positions
     return (target.distance - x * math.sin(target.angle)) / element_distances(target, geometry)

@@ -64,9 +64,9 @@ def cartesian_los_speeds(target: TargetState, geometry: ArrayGeometry) -> list[f
 def array_line_rows(geometry: ArrayGeometry):
     """(distance, angle) rows on the array line within a few ulps of an element.
 
-    The radicand of the element distance there is zero or a few ulps; this is
-    where rounding would take it below zero.  The angle is end-fire or the
-    nearest angles whose sines round below 1.
+    The nearest element distance there is a few ulps or a few 1e-8 of the
+    distance, where a radicand ``1 + r**2 - 2*r*sin`` would cancel.  The angle
+    is end-fire or the nearest angles whose sines round below 1.
     """
     x = geometry.element_x_positions
     return st.tuples(

@@ -32,7 +32,7 @@ from nfvel import (
     transverse_info_boresight_approx,
     transverse_info_half_wavelength,
 )
-from nfvel.bounds import _CHUNK_ELEMENTS, _crlb
+from nfvel.bounds import _CHUNK_ELEMENTS, _SINGULAR_RTOL, _crlb
 from nfvel.constants import SPEED_OF_LIGHT
 from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle
 from nfvel.waveform import subcarrier_frequencies
@@ -615,32 +615,63 @@ class TestCrossover:
         )
 
 
+def _summed_weight(config, snr):
+    """The kernel's per-point weight, summed over the subcarriers in its operation order."""
+    m_count = config.num_symbols
+    head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * m_count
+    weights = head * snr * (m_count**2 - 1) * config.symbol_time**2
+    return np.sum(weights / (3.0 * SPEED_OF_LIGHT**2))
+
+
 def _reference_entries(distance, angle, geometry, config, snr):
     """``(j_rr, j_tt, j_rt)`` of one point, one operation at a time; None if degenerate.
 
-    The element distances clamp their radicand at zero, and the entries sum
-    ``(1 + q)**2``, ``p**2`` and ``p * (1 + q)`` with
-    ``1 + q = 1.0 + (d - x*sin)/d_k``, each term its own temporary.
+    The element distances are ``sqrt((x - d*sin)**2 + (d*cos)**2)``, and the
+    entries come from four moments of ``u = 1/d_k``: with ``q = (d - x*sin)*u``,
+    ``p = x*cos*u`` and ``q**2 + p**2 = 1``, the sums of ``(1 + q)**2``, ``p**2``
+    and ``p*(1 + q)`` are ``2K + 2*(d*sum(u) - sin*sum(x*u)) - sum(p**2)``,
+    ``cos**2 * sum(x*x*u*u)`` and ``cos*(sum(x*u) + d*sum(x*u*u) - sin*sum(x*x*u*u))``.
+    The distances are taken in units of the power of two just above ``max(d, aperture)``,
+    which changes no bit where metres neither overflow nor underflow.
     """
     if distance <= _COINCIDENCE_RTOL * geometry.aperture:
         return None
     x = geometry.element_x_positions
-    sin_angle = math.sin(angle)
-    ratio = x / distance
-    d_k = distance * np.sqrt(np.maximum(1.0 + ratio * ratio - 2.0 * ratio * sin_angle, 0.0))
+    sin_angle, cos_angle = math.sin(angle), _cos_angle(angle)
+    unit = math.ldexp(1.0, math.frexp(max(distance, geometry.aperture))[1])
+    across = distance / unit * cos_angle
+    d_k = np.sqrt((x / unit - distance / unit * sin_angle) ** 2 + across * across) * unit
     if np.any(d_k <= _COINCIDENCE_RTOL * max(distance, geometry.aperture)):
         return None
-    m_count = config.num_symbols
-    head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * m_count
-    weights = head * snr * (m_count**2 - 1) * config.symbol_time**2
-    weight = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2))
-    one_plus_q = 1.0 + (distance - x * sin_angle) / d_k
-    p = x * _cos_angle(angle) / d_k
+    weight = _summed_weight(config, snr)
+    u = 1.0 / d_k
+    x_u = x * u
+    x_u2 = x_u * u
+    x2_u2 = x * x_u2
+    sum_p2 = cos_angle * cos_angle * np.sum(x2_u2)
     return [
-        weight * np.sum(one_plus_q**2),
-        weight * np.sum(p**2),
-        weight * np.sum(p * one_plus_q),
+        weight * (2.0 * geometry.num_elements + 2.0 * (distance * np.sum(u) - sin_angle * np.sum(x_u)) - sum_p2),
+        weight * sum_p2,
+        weight * (cos_angle * (np.sum(x_u) + distance * np.sum(x_u2) - sin_angle * np.sum(x2_u2))),
     ]
+
+
+def _long_double_bounds(distance, angle, geometry, weight):
+    """``(j_rr, j_tt, j_rt, radial, transverse)`` of one point in ``np.longdouble``.
+
+    The sums of ``(1 + q)**2``, ``p**2`` and ``p*(1 + q)`` are taken as defined, from the
+    float inputs the kernel sees: the distance, ``math``'s sine and cosine, the element
+    positions and the summed weight.  A singular matrix has an infinite transverse bound.
+    """
+    x = geometry.element_x_positions.astype(np.longdouble)
+    d, sin, cos = (np.longdouble(v) for v in (distance, math.sin(angle), _cos_angle(angle)))
+    d_k = np.sqrt((x - d * sin) ** 2 + (d * cos) ** 2)
+    one_plus_q, p = 1 + (d - x * sin) / d_k, x * cos / d_k
+    j_rr, j_tt, j_rt = (np.longdouble(weight) * np.sum(v) for v in (one_plus_q**2, p * p, p * one_plus_q))
+    det = j_rr * j_tt - j_rt * j_rt
+    if det <= _SINGULAR_RTOL * j_rr * j_tt:
+        return j_rr, j_tt, j_rt, 1 / j_rr, np.longdouble(math.inf)
+    return j_rr, j_tt, j_rt, j_tt / det, j_rr / det
 
 
 class TestBatchKernel:
@@ -673,6 +704,42 @@ class TestBatchKernel:
             got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i]]
             assert batch.degenerate[i] == (expected is None)
             assert np.array_equal(got, [0.0, 0.0, 0.0] if expected is None else expected)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_entries_and_bounds_match_a_long_double_reference(self, data):
+        # Near an element the radicand form d*sqrt(1 + r**2 - 2*r*sin) cancelled: 1e-4
+        # spacings above one, it put crlb_vt at K=16385 off by up to 0.3 relative.
+        k = data.draw(st.sampled_from([5, 101, 2048, 16385]), label="K")
+        geom = ArrayGeometry(k, data.draw(st.floats(0.002, 0.08), label="spacing"))
+        wf = make_waveform(carrier=data.draw(st.floats(2e9, 40e9), label="carrier"))
+        x = geom.element_x_positions
+        row = st.one_of(
+            # 1e-4 to 0.1 spacings above an element.
+            st.tuples(st.sampled_from(x.tolist()), st.floats(1e-4, 0.1)).map(
+                lambda t: (math.hypot(t[0], t[1] * geom.spacing), math.atan2(t[0], t[1] * geom.spacing))
+            ),
+            # End-fire, on the array line between or past the elements.
+            st.tuples(st.floats(0.05, 200.0), st.sampled_from([-math.pi / 2, math.pi / 2])),
+            # The far field, 1e3 to 1e6 apertures away.
+            st.tuples(st.floats(1e3, 1e6).map(lambda f: f * geom.aperture), _ANGLES),
+        )
+        rows = data.draw(st.lists(row, min_size=1, max_size=4), label="rows")
+        distances, angles = [d for d, _ in rows], [a for _, a in rows]
+
+        batch = closed_form_bounds(distances, angles, geom, wf, 1.0)
+        weight = _summed_weight(wf, 1.0)
+        for i, (d, angle) in enumerate(zip(distances, angles)):
+            if batch.degenerate[i]:
+                assert _reference_entries(d, angle, geom, wf, 1.0) is None
+                continue
+            j_rr, j_tt, j_rt, radial, transverse = _long_double_bounds(d, angle, geom, weight)
+            assert batch.j_rr[i] == pytest.approx(j_rr, rel=1e-9)
+            assert batch.j_tt[i] == pytest.approx(j_tt, rel=1e-9)
+            assert abs(batch.j_rt[i] - j_rt) <= 1e-9 * np.sqrt(j_rr * j_tt)
+            assert batch.radial[i] == pytest.approx(radial, rel=1e-9)
+            assert batch.transverse[i] == pytest.approx(transverse, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

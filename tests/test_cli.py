@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from nfvel.bounds import closed_form_bounds
 from nfvel.cli import (
     _EXPERIMENT_KEYS,
     _SCENARIO_KEYS,
@@ -77,6 +78,17 @@ def _float_keys():
 
 
 FLOAT_KEYS = _float_keys()
+
+
+def _root_radial(snr_db):
+    """``repr`` of the default scene's radial root-CRLB, m/s, at ``snr_db``."""
+    config = ScenarioConfig()
+    target = config.target()
+    rows = closed_form_bounds(
+        [target.distance], [target.angle], config.geometry(), config.waveform(), 10.0 ** (snr_db / 10.0)
+    )
+    return repr(float(rows.root_radial[0]))
+
 
 # A setting whose value is non-finite or leaves the float range once converted from dB or
 # squared, or that puts the target on an element, and the start of the error that names it.
@@ -183,7 +195,7 @@ OUT_OF_RANGE_SETTINGS = [
     # Past one ulp of the radial span the Monte Carlo MSE measures float rounding.
     (
         "snr_list=250",
-        "snr_list entry 250.0 dB puts the radial root-CRLB 7.571898343849762e-17 m/s below the float "
+        f"snr_list entry 250.0 dB puts the radial root-CRLB {_root_radial(250.0)} m/s below the float "
         "resolution 4.440892098500626e-16 m/s of the radial span",
     ),
 ]

@@ -36,7 +36,7 @@ from nfvel import cli
 from nfvel.bounds import _CHUNK_ELEMENTS, _boresight_weight, _row_chunks
 from nfvel.estimator import Scenario, monte_carlo_reports
 from nfvel.experiments import ScenarioConfig, run_planar_map, run_sweep, run_transverse_vs_distance
-from nfvel.geometry import _COINCIDENCE_RTOL
+from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle
 
 from conftest import array_line_rows, cartesian_los_speeds, make_waveform
 
@@ -284,12 +284,17 @@ class TestProjectionCoefficients:
 
 
 def _one_target_distances(distance, angle, geometry):
-    """Reference: one target's element distances, computed as the scalar formula reads."""
+    """Reference: one target's element distances, computed as the formula reads.
+
+    Lengths are taken in units of the power of two just above ``max(d, aperture)``,
+    which changes no bit where metres neither overflow nor underflow.
+    """
     if distance <= _COINCIDENCE_RTOL * geometry.aperture:
         raise DegenerateGeometryError()
-    ratio = geometry.element_x_positions / distance
-    arg = 1.0 + ratio * ratio - 2.0 * ratio * math.sin(angle)
-    distances = distance * np.sqrt(np.maximum(arg, 0.0))
+    unit = math.ldexp(1.0, math.frexp(max(distance, geometry.aperture))[1])
+    d, x = distance / unit, geometry.element_x_positions / unit
+    across = d * _cos_angle(angle)
+    distances = np.sqrt((x - d * math.sin(angle)) ** 2 + across * across) * unit
     if np.any(distances <= _COINCIDENCE_RTOL * max(distance, geometry.aperture)):
         raise DegenerateGeometryError()
     return distances
@@ -354,6 +359,23 @@ class TestDistanceBlock:
             assert np.array_equal(chunk_block, block[rows])
             assert np.array_equal(chunk_degenerate, degenerate[rows])
 
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["2**-600", "2**600"])
+    def test_lengths_whose_squares_leave_the_float_range_scale_exactly(self, scale):
+        # Every length times a power of two, far enough that its square in metres
+        # underflows or overflows: the block scales by that power and the bounds,
+        # which are free of units, do not change, bit for bit.
+        distances, angles = [3.0, 0.25, 0.5, 40.0], [0.3, math.pi / 2 - 1e-3, -1.2, math.pi / 2]
+        block, degenerate = element_distances((distances, angles), ArrayGeometry(101, 0.01))
+        scaled_geometry = ArrayGeometry(101, 0.01 * scale)
+        scaled_distances = [d * scale for d in distances]
+        scaled_block, scaled_degenerate = element_distances((scaled_distances, angles), scaled_geometry)
+        assert np.array_equal(scaled_block, block * scale) and not degenerate.any()
+        assert np.array_equal(scaled_degenerate, degenerate)
+        bounds = closed_form_bounds(distances, angles, ArrayGeometry(101, 0.01), make_waveform(), 1.0)
+        scaled_bounds = closed_form_bounds(scaled_distances, angles, scaled_geometry, make_waveform(), 1.0)
+        for name in ("j_rr", "j_tt", "j_rt", "radial", "transverse"):
+            assert np.array_equal(getattr(scaled_bounds, name), getattr(bounds, name)), name
+
     @settings(max_examples=60, deadline=None)
     @given(
         bad=st.sampled_from(
@@ -365,6 +387,7 @@ class TestDistanceBlock:
                 (0.0, math.nan),
                 (math.nan, 0.0),
                 (1e-300, 0.0),
+                (math.inf, 0.0),
                 (2.0, math.pi / 2 + 1e-9),
                 (2.0, -2.0),
                 (2.0, math.nan),
