@@ -156,6 +156,12 @@ class ChannelNoise:
             raise ValueError(f"linear noise figure must be >= 1, got {noise_figure!r}")
         _require_positive(subcarrier_spacing=subcarrier_spacing, temperature=temperature)
         variance = BOLTZMANN_CONSTANT * temperature * noise_figure * subcarrier_spacing
+        if not 0.0 < variance < math.inf:
+            raise ValueError(
+                f"temperature {temperature!r}, noise_figure {noise_figure!r} and subcarrier_spacing "
+                f"{subcarrier_spacing!r} put the noise floor k_B*T*F*subcarrier_spacing = {variance!r} "
+                "outside the float range"
+            )
         return cls(gain=gain, noise_variance=variance)
 
 

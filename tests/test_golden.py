@@ -12,11 +12,13 @@ Regenerate every file from the current build with::
 import contextlib
 import io
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from nfvel.cli import main
+from nfvel.experiments import ScenarioConfig, format_cell, run_planar_map
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -106,6 +108,24 @@ def render(name: str, workdir: Path) -> bytes:
 def test_matches_golden_file(name, tmp_path):
     expected = (GOLDEN_DIR / name).read_bytes()
     assert render(name, tmp_path) == expected, f"{name} differs from tests/golden/{name}"
+
+
+def test_default_map_rows_are_rendered_cells(tmp_path):
+    """The default-size fig4 map: every float cell through the render kernel, and the file's bytes.
+
+    The golden files are reduced-size, so this compares each row of the full map with
+    ``format_cell`` and the streamed file with the bytes of ``render()``.
+    """
+    out = tmp_path / "fig4.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fig4", "--out", str(out)]) == 0
+    table = run_planar_map(ScenarioConfig())
+    data = out.read_bytes()
+    lines = data.decode().splitlines()
+    body = lines[lines.index(",".join(table.columns)) + 1 :]
+    assert body == [",".join(map(format_cell, row)) for row in table.rows]
+    # The CLI records the seed, 0 by default, in the header.
+    assert data == replace(table, meta={**table.meta, "seed": 0}).render().encode()
 
 
 if __name__ == "__main__":

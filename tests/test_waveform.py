@@ -256,6 +256,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             ChannelNoise.from_noise_figure(0.5, 120e3)
 
+        # A floor k_B*T*F*spacing that underflows or overflows names its three factors.
+        for figure, spacing, temperature in ((2.0, 120e3, 1e-320), (1e300, 1e300, 290.0)):
+            message = r"^temperature .+, noise_figure .+ and subcarrier_spacing .+ outside the float range$"
+            with pytest.raises(ValueError, match=message):
+                ChannelNoise.from_noise_figure(figure, spacing, temperature=temperature)
+
 
 class TestLinkBudget:
     def test_reference_value(self):
