@@ -37,7 +37,7 @@ from .experiments import (
     run_sweep,
     run_transverse_vs_distance,
 )
-from .geometry import _require_count
+from .geometry import _check_angles, _require_count
 from .waveform import _float_power
 
 __all__ = ["ConfigError", "main"]
@@ -103,9 +103,8 @@ def _parse_bool(text: str, key: str) -> bool:
 
 def _parse_degrees(text: str, key: str) -> float:
     degrees = _parse_float(text, key)
-    # A non-finite value is left to the finite check of _parse_settings.
-    if math.isfinite(degrees) and abs(degrees) > 90.0:
-        raise ConfigError(f"{key} must lie in [-90, 90] degrees, got {degrees!r}")
+    if math.isfinite(degrees):  # a non-finite value is left to the finite check of _parse_settings
+        _check_angles(**{key: degrees})
     # deg/180*pi so that 90 degrees maps to the exact float pi/2.
     return degrees / 180.0 * math.pi
 
@@ -300,7 +299,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     scenario = ScenarioConfig(**scenario_kwargs)
 
     seed = experiment.get("seed", 0)
-    _require_count(0, seed=seed)
+    _require_count(0, None, seed=seed)
 
     _, runner, default_name = _commands()[args.command]
     # The runner's parameters are the experiment keys the subcommand takes.
@@ -344,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OverflowError:  # Python float arithmetic past the float range
         print("nfvel: invalid configuration: a value overflows the float range", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a count the machine cannot hold
+        print(f"nfvel: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"nfvel: i/o error: {exc}", file=sys.stderr)

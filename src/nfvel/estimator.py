@@ -322,7 +322,7 @@ def monte_carlo_reports(
     at each SNR as given.
     """
     _require_count(100, trials=trials)  # fewer trials give no usable MSE
-    _require_count(0, seed=seed)
+    _require_count(0, None, seed=seed)
     if not snrs:
         return []
     target, search = scenario.target, scenario.search

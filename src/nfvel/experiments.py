@@ -27,7 +27,8 @@ from .bounds import (
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
 from .geometry import (
-    _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _per_point, _require_count, _require_positive
+    _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _check_angles, _per_point, _require_count,
+    _require_positive,
 )
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, _float_power, snr_from_link_budget
@@ -158,13 +159,6 @@ def _check_increasing(points: int, **bounds: float) -> None:
     (low_key, low), (high_key, high) = bounds.items()
     if not (high > low or (high == low and points == 1)):
         raise ValueError(f"{high_key} must exceed {low_key}, got {low!r} and {high!r}")
-
-
-def _check_angles(**values) -> None:
-    """Reject an angle in degrees, or a list entry, outside ``[-90, 90]``."""
-    for key, value in values.items():
-        if not all(abs(v) <= 90.0 for v in np.atleast_1d(value)):
-            raise ValueError(f"{key} must lie in [-90, 90] degrees, got {value!r}")
 
 
 def _distance_grid(points: int, d_min: float, d_max: float) -> np.ndarray:

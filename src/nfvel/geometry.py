@@ -54,11 +54,23 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{key} must be positive, got {value!r}")
 
 
-def _require_count(minimum: int, **values) -> None:
-    """Raise a ``ValueError`` naming the first key whose value is not an integer at or above ``minimum``."""
+def _require_count(minimum: int, ceiling: int | None = 2**53, **values) -> None:
+    """Raise a ``ValueError`` naming the first key whose value is not an integer from ``minimum`` to ``ceiling``.
+
+    Past 2**53 a count no longer converts to float exactly; a seed, which never does, passes ``None``.
+    """
     for key, value in values.items():
         if not (isinstance(value, (int, np.integer)) and value >= minimum):
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        if ceiling is not None and value > ceiling:
+            raise ValueError(f"{key} must be at most {ceiling}, got {value!r}")
+
+
+def _check_angles(**values) -> None:
+    """Reject an angle in degrees, or a list entry, outside ``[-90, 90]``."""
+    for key, value in values.items():
+        if not all(abs(v) <= 90.0 for v in np.atleast_1d(value)):
+            raise ValueError(f"{key} must lie in [-90, 90] degrees, got {value!r}")
 
 
 def _row_blocks(count: int, step: int = _POINT_BLOCK):

@@ -164,16 +164,6 @@ class TestRouteAgreement:
         assert hi.j_tt == pytest.approx(8.0 * lo.j_tt, rel=1e-14)
         assert hi.j_rt == pytest.approx(8.0 * lo.j_rt, rel=1e-14)
 
-    def test_rejects_nonpositive_snr(self):
-        geom = ArrayGeometry(num_elements=3, spacing=0.01)
-        wf = make_waveform()
-        target = TargetState(4.0, 0.0)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                fisher_info_numeric(target, geom, wf, bad)
-            with pytest.raises(ValueError):
-                fisher_info_closed_form(target, geom, wf, bad)
-
 
 def _normal_or_zero(product, *factors):
     """Whether ``product`` of ``factors`` rounds as a normal float: nonzero, or zero exactly."""
@@ -377,13 +367,13 @@ class TestCrlbFromFisher:
             assert result.transverse == pytest.approx(inverse[1, 1], rel=1e-10)
 
     def test_negative_diagonal_raises(self):
-        with pytest.raises(ValueError):
-            crlb_from_fisher(FisherInfo(-1.0, 1.0, 0.0))
-        with pytest.raises(ValueError):
-            crlb_from_fisher(FisherInfo(1.0, -1.0, 0.0))
+        for row in ((-1.0, 1.0, 0.0), (1.0, -1.0, 0.0)):
+            message = f"^information diagonal must be nonnegative, got {re.escape(str(row))}$"
+            with pytest.raises(ValueError, match=message):
+                crlb_from_fisher(FisherInfo(*row))
 
     def test_indefinite_matrix_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^information matrix is negative definite: \(1.0, 1.0, 2.0\)$"):
             crlb_from_fisher(FisherInfo(1.0, 1.0, 2.0))
 
     def test_null_matrix_is_fully_unidentifiable(self):
@@ -455,13 +445,6 @@ class TestFarField:
         far = radial_crlb_far_field(wf, 31, 2.0)
         assert bound.radial == pytest.approx(far, rel=1e-3)
 
-    def test_input_validation(self):
-        wf = make_waveform()
-        with pytest.raises(ValueError):
-            radial_crlb_far_field(wf, 0, 1.0)
-        with pytest.raises(ValueError):
-            radial_crlb_far_field(wf, 101, 0.0)
-
 
 class TestBoresightForms:
     def test_radial_matches_generic_closed_form(self):
@@ -532,21 +515,6 @@ class TestBoresightForms:
         assert transverse_info_boresight(4.0, geom, wf, 1.0) == pytest.approx(
             generic.j_tt, rel=1e-8
         )
-
-    def test_input_validation(self):
-        wf = make_waveform()
-        geom = ArrayGeometry(num_elements=5, spacing=0.01)
-        for func in (radial_info_boresight, transverse_info_boresight):
-            with pytest.raises(ValueError):
-                func(0.0, geom, wf, 1.0)
-            with pytest.raises(ValueError):
-                func(1.0, geom, wf, -2.0)
-        with pytest.raises(ValueError):
-            transverse_info_boresight_approx(-1.0, geom, wf, 1.0)
-        with pytest.raises(ValueError):
-            transverse_info_half_wavelength(0.0, 5, wf, 1.0)
-        with pytest.raises(ValueError):
-            transverse_info_half_wavelength(1.0, 0, wf, 1.0)
 
 
 class TestHalfWavelength:

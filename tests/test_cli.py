@@ -134,6 +134,12 @@ OUT_OF_RANGE_SETTINGS = [
     ("grid_points=1", "grid_points must be an integer >= 3, got 1"),
     ("fig1 num_elements=1", "num_elements must be an integer >= 2, got 1"),
     ("fig2 num_elements=1", "num_elements must be an integer >= 2, got 1"),
+    # A count past 2**53, which no float holds exactly, and one below it whose arrays ask for
+    # more bytes than the address space holds, so the allocation fails at once.
+    ("crlb num_elements=9007199254740993", "num_elements must be at most 9007199254740992, got 9007199254740993"),
+    ("crlb num_elements=1000000000000000", "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"),
+    ("fig4 x_points=1000000000000000", "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"),
+    ("--trials 1000000000000000 --snr-list 10", "Unable to allocate 14.2 PiB for an array with shape (1, 2, "),
     # A value that must be positive.
     ("fig1 d_min=0", "d_min must be positive, got 0.0"),
     ("fig2 d_min=-0.5", "d_min must be positive, got -0.5"),
@@ -424,6 +430,15 @@ class TestExitCodes:
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["crlb", "--config", "/nonexistent/scenario.cfg"]) == 2
         assert "i/o" in capsys.readouterr().err
+
+    def test_float_overflow_is_config_error(self, capsys, monkeypatch):
+        # The last resort for Python float arithmetic that no check ahead of it names.
+        def overflow(scenario):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr("nfvel.cli.run_single", overflow)
+        assert main(["crlb"]) == 1
+        assert capsys.readouterr().err == "nfvel: invalid configuration: a value overflows the float range\n"
 
     def test_bad_seed_or_threads(self, capsys):
         assert main(["crlb", "--seed", "-1"]) == 1

@@ -18,7 +18,6 @@ from nfvel import (
     SPEED_OF_LIGHT,
     Scenario,
     TargetState,
-    WaveformConfig,
     add_noise,
     crlb_from_fisher,
     fisher_info_closed_form,
@@ -56,20 +55,10 @@ def _search(radial=(-10.0, 10.0), transverse=(-10.0, 10.0), **overrides):
 
 class TestSearchConfig:
     def test_rejects_bad_spans(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^radial_span must be increasing, got \(5.0, 5.0\)$"):
             _search(radial=(5.0, 5.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^transverse_span must be increasing, got \(2.0, -2.0\)$"):
             _search(transverse=(2.0, -2.0))
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError, match="grid_points must be an integer >= 3"):
-            _search(grid_points=2)
-        with pytest.raises(ValueError, match="grid_points must be an integer >= 3"):
-            _search(grid_points=1)
-
-    def test_rejects_bad_refinement(self):
-        with pytest.raises(ValueError):
-            _search(tolerance=0.0)
 
 
 class TestNoiseFree:
@@ -277,13 +266,6 @@ class TestMonteCarlo:
             bad = dataclasses.replace(_mc_scenario(), search=search)
             with pytest.raises(ValueError, match=f"^{axis} search span does not contain"):
                 monte_carlo_mse(bad, _MC_SNR, trials=100, seed=0)
-
-    def test_rejects_thin_trial_count_and_bad_seed(self):
-        scenario = _mc_scenario()
-        with pytest.raises(ValueError):
-            monte_carlo_mse(scenario, _MC_SNR, trials=99, seed=0)
-        with pytest.raises(ValueError):
-            monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=-1)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_snr_gives_finite_bounds_and_ratios(self):

@@ -399,12 +399,8 @@ class TestScenarioConfig:
         assert geometry.aperture == pytest.approx(1.0, rel=1e-15)
 
     def test_spacing_and_aperture_conflict(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^give spacing or aperture, not both$"):
             ScenarioConfig(spacing=0.01, aperture=1.0)
-
-    def test_single_element_aperture_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(num_elements=1, aperture=1.0).geometry()
 
 
 class TestRunSingle:
@@ -635,10 +631,6 @@ class TestMonteCarloRunner:
         with pytest.raises(ValueError, match=r"^snr_list entry -?\d+ dB is outside the float range"):
             run_montecarlo(self._config(), snr_list=(entry,), trials=100)
 
-    def test_rejects_thin_trial_count(self):
-        with pytest.raises(ValueError, match="trials"):
-            run_montecarlo(self._config(), trials=99)
-
     def test_strained_waveform_warns_once(self):
         # The trials' unit-power copy of the waveform does not repeat its warning.
         config = dataclasses.replace(self._config(), carrier=1e6)
@@ -687,8 +679,6 @@ class TestRunSweep:
         config = ScenarioConfig()
         with pytest.raises(ValueError, match="variable must be one of"):
             run_sweep(config, variable="bogus", start=1.0, stop=2.0, points=3)
-        with pytest.raises(ValueError, match="points must be an integer >= 2"):
-            run_sweep(config, variable="distance", start=1.0, stop=2.0, points=1)
         with pytest.raises(ValueError, match="stop must exceed start"):
             run_sweep(config, variable="distance", start=2.0, stop=1.0, points=3)
         with pytest.raises(ValueError, match="log grids need a positive start"):

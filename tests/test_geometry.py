@@ -1,9 +1,11 @@
 """Geometry: symmetric grids, element distances and projection coefficients."""
 
+import ast
 import math
 import os
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,8 @@ from nfvel import (
     closed_form_bounds,
     distance_to_element,
     element_distances,
+    fisher_info_closed_form,
+    fisher_info_numeric,
     radial_crlb_far_field,
     radial_info_boresight,
     radial_projection_coeff,
@@ -67,10 +71,6 @@ class TestSymmetricGrid:
             expected = count * (count**2 - 1) / 12.0
             assert math.fsum(grid**2) == pytest.approx(expected, rel=1e-14)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            symmetric_index_grid(0)
-
 
 class TestArrayGeometry:
     def test_half_wavelength_aperture_frozen_value(self):
@@ -91,22 +91,10 @@ class TestArrayGeometry:
         assert geom.aperture == 0.0
         assert geom.element_x_positions.tolist() == [0.0]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(num_elements=0, spacing=0.1)
-        with pytest.raises(ValueError):
-            ArrayGeometry(num_elements=3, spacing=0.0)
-        with pytest.raises(ValueError):
-            ArrayGeometry.half_wavelength(3, 0.0)
-
 
 class TestTargetState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TargetState(distance=0.0, angle=0.0)
-        with pytest.raises(ValueError):
-            TargetState(distance=-1.0, angle=0.0)
-        with pytest.raises(ValueError):
+    def test_angle_range(self):
+        with pytest.raises(ValueError, match=r"^angle must lie in \[-pi/2, pi/2\], got 1.5707973267948965$"):
             TargetState(distance=1.0, angle=math.pi / 2 + 1e-6)
         # end-fire itself is allowed
         TargetState(distance=1.0, angle=math.pi / 2)
@@ -124,7 +112,7 @@ class TestTargetState:
             assert back.angle == pytest.approx(theta, abs=1e-12)
 
     def test_from_xy_rejects_negative_y_and_origin(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target must sit on the \+y side of the array, got y=-0.5$"):
             TargetState.from_xy(1.0, -0.5)
         with pytest.raises(ValueError, match="^distance must be positive, got 0.0"):
             TargetState.from_xy(0.0, 0.0)
@@ -430,6 +418,7 @@ class TestDistanceBlock:
 
 
 _ARRAY = ArrayGeometry(4, 0.1)
+_TARGET = TargetState(10.0, 0.0)
 
 # Public entry points that take a positive quantity: id -> (key named, call with a value for it).
 POSITIVE_INPUTS = {
@@ -449,6 +438,8 @@ POSITIVE_INPUTS = {
     ),
     "MlSearchConfig": ("tolerance", lambda v: MlSearchConfig((0.0, 1.0), (0.0, 1.0), tolerance=v)),
     "closed_form_bounds": ("snr", lambda v: closed_form_bounds([1.0], [0.0], _ARRAY, make_waveform(), v)),
+    "fisher_info_closed_form": ("snr", lambda v: fisher_info_closed_form(_TARGET, _ARRAY, make_waveform(), v)),
+    "fisher_info_numeric": ("snr", lambda v: fisher_info_numeric(_TARGET, _ARRAY, make_waveform(), v)),
     "radial_crlb_far_field": ("snr", lambda v: radial_crlb_far_field(make_waveform(), 4, v)),
     "transverse_info_half_wavelength-distance": (
         "distance",
@@ -493,7 +484,7 @@ def _dispatch_with_seed(seed):
         return cli._dispatch(args)
 
 
-_MC_SCENARIO = Scenario(TargetState(10.0, 0.0), _ARRAY, make_waveform(), MlSearchConfig((0.0, 1.0), (0.0, 1.0)))
+_MC_SCENARIO = Scenario(_TARGET, _ARRAY, make_waveform(), MlSearchConfig((0.0, 1.0), (0.0, 1.0)))
 
 # Entry points that take a count: id -> (key named, floor, call with a value for it).
 COUNT_INPUTS = {
@@ -537,6 +528,39 @@ def test_count_off_the_integers_at_its_floor_names_its_key(entry, bad):
 def test_numpy_integer_count_at_its_floor_is_accepted(entry):
     _, floor, call = COUNT_INPUTS[entry]
     call(np.int64(floor))
+
+
+# Past 2**53 a count no longer converts to float exactly; a seed never enters float arithmetic.
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+@pytest.mark.parametrize("entry", sorted(entry for entry, (key, _, _) in COUNT_INPUTS.items() if key != "seed"))
+def test_count_past_its_ceiling_names_its_key(entry, value):
+    key, _, call = COUNT_INPUTS[entry]
+    with pytest.raises(ValueError, match=rf"^{key} must be at most 9007199254740992, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", sorted(entry for entry, (key, _, _) in COUNT_INPUTS.items() if key == "seed"))
+def test_seed_past_the_count_ceiling_is_accepted(entry):
+    COUNT_INPUTS[entry][2](10**400)
+
+
+def test_every_value_error_check_asserts_its_message():
+    # A check with neither match= nor an ``as`` target passes on a numpy error or the wrong key.
+    bare = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        items = [node for node in ast.walk(tree) if isinstance(node, ast.withitem)]
+        bound = {id(item.context_expr) for item in items if item.optional_vars}
+        bare += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "pytest.raises"
+            and [ast.unparse(arg) for arg in node.args] == ["ValueError"]
+            and "match" not in {keyword.arg for keyword in node.keywords}
+            and id(node) not in bound
+        ]
+    assert bare == []
 
 
 # Positive inputs whose quotient leaves the float range: id -> (key named, call).  The

@@ -13,14 +13,12 @@ from nfvel import (
     ChannelNoise,
     SPEED_OF_LIGHT,
     TargetState,
-    WaveformConfig,
     add_noise,
     doppler_shifts,
     element_distances,
     round_trip_delays,
     snr_from_link_budget,
     subcarrier_frequencies,
-    symmetric_index_grid,
     synthesize_noise_free,
     waveform,
 )
@@ -38,7 +36,8 @@ class TestWaveformConfig:
         assert wf.cyclic_prefix >= 0.0
 
     def test_rejects_negative_cyclic_prefix(self):
-        with pytest.raises(ValueError):
+        message = r"^symbol_time implies a negative cyclic prefix: T_sym=1e-06 < 1/spacing=8.333333333333334e-06$"
+        with pytest.raises(ValueError, match=message):
             make_waveform(symbol_time=1e-6, subcarrier_spacing=120e3)
 
     def test_zero_cyclic_prefix_is_allowed(self):
@@ -54,18 +53,6 @@ class TestWaveformConfig:
         with pytest.warns(UserWarning):
             make_waveform(carrier=1e9, num_subcarriers=1000, subcarrier_spacing=1e6,
                           symbol_time=1e-5)
-
-    def test_validation(self):
-        for bad in (
-            dict(carrier=0.0),
-            dict(num_subcarriers=0),
-            dict(subcarrier_spacing=-1.0),
-            dict(num_symbols=0),
-            dict(symbol_time=0.0),
-            dict(total_power=0.0),
-        ):
-            with pytest.raises(ValueError):
-                make_waveform(**bad)
 
 
 class TestSubcarrierFrequencies:
@@ -246,14 +233,7 @@ class TestNoise:
         assert noise.noise_variance == pytest.approx(expected, rel=1e-14)
 
     def test_validation(self):
-        wf = make_waveform()
-        with pytest.raises(ValueError):
-            ChannelNoise(gain=0.0, noise_variance=1.0)
-        with pytest.raises(ValueError):
-            ChannelNoise(gain=1.0, noise_variance=0.0)
-        with pytest.raises(ValueError):
-            ChannelNoise.from_snr(wf, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^linear noise figure must be >= 1, got 0.5$"):
             ChannelNoise.from_noise_figure(0.5, 120e3)
 
         # A floor k_B*T*F*spacing that underflows or overflows names its three factors.
@@ -327,8 +307,6 @@ class TestLinkBudget:
         for bad in (-1.0, math.nan, np.array([1.0, 0.0, -1.0]), np.array([0.0, math.nan])):
             with pytest.raises(ValueError, match="^distance must be nonnegative, got "):
                 snr_from_link_budget(bad, wf)
-        with pytest.raises(ValueError):
-            snr_from_link_budget(1.0, wf, radar_cross_section=0.0)
         with pytest.raises(ValueError, match="noise figure"):
             snr_from_link_budget(1.0, wf, noise_figure=0.9)
         with pytest.raises(ValueError, match="temperature"):
