@@ -129,7 +129,6 @@ def fisher_info_numeric(
     per-subcarrier frequencies are used throughout.  The result does not
     depend on the target's velocity, only on its position.
     """
-    _require_positive(snr=snr)
     noise = ChannelNoise.from_snr(config, snr)
     cube = synthesize_noise_free(target, geometry, config, noise)
 

@@ -166,6 +166,11 @@ _EXPERIMENT_KEYS: dict[str, Callable[[str, str], object]] = {
     "log": _parse_bool,
 }
 
+# Keys that size the run's arrays: every integer key but the seed.
+_COUNT_KEYS = {
+    key for key, parse in {**_SCENARIO_KEYS, **_EXPERIMENT_KEYS}.items() if parse is _parse_int and key != "seed"
+}
+
 # Dedicated flags, each stored under the key it sets; they win over the file
 # and over --set.
 _FLAG_KEYS = ("seed", "trials", "snr_list", "variable", "start", "stop", "points", "log")
@@ -316,16 +321,22 @@ def _dispatch(args: argparse.Namespace) -> int:
         if parameters[name].default is inspect.Parameter.empty and name not in kwargs:
             raise ConfigError(f"{args.command} needs the key {name!r}")
 
-    if default_name is None:
-        for key, value in runner(scenario, **kwargs).items():
-            print(f"{key} = {format_cell(value)}")
-        return 0
-    table = runner(scenario, **kwargs)
-    # Every emitted file records the seed alongside the resolved scenario so
-    # a rerun from the header alone reproduces it byte for byte.
-    path = replace(table, meta={**table.meta, "seed": seed}).write(
-        args.out or default_name.format(**kwargs)
-    )
+    try:
+        if default_name is None:
+            for key, value in runner(scenario, **kwargs).items():
+                print(f"{key} = {format_cell(value)}")
+            return 0
+        table = runner(scenario, **kwargs)
+        # Every emitted file records the seed alongside the resolved scenario so
+        # a rerun from the header alone reproduces it byte for byte.
+        path = replace(table, meta={**table.meta, "seed": seed}).write(
+            args.out or default_name.format(**kwargs)
+        )
+    except MemoryError as exc:  # name the counts in effect, largest first
+        counts = {key: getattr(scenario, key) for key in _SCENARIO_KEYS if key in _COUNT_KEYS}
+        counts.update((key, kwargs.get(key, parameters[key].default)) for key in parameters if key in _COUNT_KEYS)
+        named = ", ".join(f"{key}={value}" for key, value in sorted(counts.items(), key=lambda item: -item[1]))
+        raise MemoryError(f"out of memory with {named}: {exc}") from exc
     print(f"wrote {path}")
     return 0
 

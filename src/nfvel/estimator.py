@@ -157,20 +157,34 @@ class MatchedFilter:
         # leaves only the velocity-dependent phase to search over.
         self._delay_comp = np.exp(2j * math.pi * freqs[:, None] * delays[None, :])
 
-        # Rows: the phase per unit radial and per unit transverse velocity, at m = 1 and on the grid.
+        # Rows: the phase per unit radial and per unit transverse velocity, at m = 1.
         self._psi = psi = _phase_rates(position, geometry, config).reshape(2, -1)
-        phase = (m_grid[None, :, None] * psi[:, None, :]).reshape(2, -1)
         self._starts = (-1j * np.array([m_grid[0], 1.0]))[: config.num_symbols, None]
         self._factor_rows = np.minimum(np.arange(config.num_symbols), 1)
         self._powers = np.array([m_grid, m_grid**2])
         self._weights = np.stack([*psi, *psi[[0, 0, 1]] * psi[[0, 1, 1]]], 1).astype(complex)
 
-        self._radial_grid = np.linspace(*search.radial_span, search.grid_points)
-        self._transverse_grid = np.linspace(*search.transverse_span, search.grid_points)
+        grid_points = search.grid_points
+        self._radial_grid = np.linspace(*search.radial_span, grid_points)
+        self._transverse_grid = np.linspace(*search.transverse_span, grid_points)
         self._cell = [float(grid[1] - grid[0]) for grid in (self._radial_grid, self._transverse_grid)]
-        self._lower, self._upper = np.array([search.radial_span, search.transverse_span], float).T.tolist()
-        self._radial_table = np.exp(-1j * np.outer(self._radial_grid, phase[0]))
-        self._transverse_table = np.exp(-1j * np.outer(self._transverse_grid, phase[1]))
+
+        # The coarse grid, folded (see _statistic): with each axis's centre phase taken off
+        # the data, the offsets on each axis and the symbol index m are mirrored about 0.
+        # Each axis's table holds cos and sin of the phase on the upper half of its offsets
+        # and m >= 0, shaped (cos/sin, H, M_h * N * K); row `first` holds the least m >= 0.
+        spans = np.array([search.radial_span, search.transverse_span], float)
+        self._lower, self._upper = spans.T.tolist()
+        half, first = -(-grid_points // 2), config.num_symbols // 2
+        step = np.diff(spans) / (grid_points - 1)
+        offsets = step * (np.arange(grid_points - half, grid_points) - (grid_points - 1) / 2.0)
+        self._centring = np.exp(-1j * m_grid[:, None] * (spans.mean(axis=1) @ psi))
+        if config.num_symbols % 2:
+            self._centring[first] *= 0.5  # m = 0 pairs with itself
+        self._fold = (slice(first, None), slice((config.num_symbols - 1) // 2, None, -1))
+        angles = (offsets[:, :, None, None] * (m_grid[first:, None] * psi[:, None, None, :])).reshape(2, half, -1)
+        self._radial_half, self._transverse_half = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        self._quadrants = (slice(grid_points - half, None), slice(half - 1, None, -1))
 
     @staticmethod
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
@@ -188,8 +202,40 @@ class MatchedFilter:
         return (samples * self._delay_comp[None, :, :]).ravel()
 
     def _statistic(self, data: np.ndarray) -> np.ndarray:
-        """Matched-filter output on the coarse grid: linear in ``data``, searched as ``|.|**2``."""
-        return (self._radial_table * data[None, :]) @ self._transverse_table.T
+        """Matched-filter output on the coarse grid: linear in ``data``, searched as ``|.|**2``.
+
+        ``S[i, j] = sum(d * exp(-i * m * (v_i psi_r + w_j psi_t)))``.  With each axis's centre
+        taken off the data and rows ``m``, ``-m`` paired as ``e = d_m + d_-m``, ``o = d_m - d_-m``,
+        the kernel's cos is even and its sin odd in ``m`` and in each offset, so four sums over
+        ``m >= 0`` and the upper half offsets give every quadrant (signs ``s_r``, ``s_t``):
+        ``A - s_r s_t B - i (s_r P + s_t Q)``, with ``A = sum(e C_r C_t)``, ``B = sum(e S_r S_t)``,
+        ``P = sum(o S_r C_t)`` and ``Q = sum(o C_r S_t)``: two real products, ``[A, Q]`` from
+        ``C_r`` and ``[B, P]`` from ``S_r``, each against ``[e, o]`` times a transverse table.
+        """
+        rows = data.reshape(self._centring.shape) * self._centring
+        upper, lower = (rows[pick] for pick in self._fold)
+        # [e, -i o] as (e/o, 1, re/im, M_h * N * K): the products then give -i Q and -i P.
+        parts = np.empty((2, 2) + upper.shape)
+        np.add(upper.real, lower.real, out=parts[0, 0])
+        np.add(upper.imag, lower.imag, out=parts[0, 1])
+        np.subtract(upper.imag, lower.imag, out=parts[1, 0])
+        np.subtract(lower.real, upper.real, out=parts[1, 1])
+        parts = parts.reshape(2, 1, 2, -1)
+        tables = self._transverse_half[:, :, None, :]  # (cos/sin, H, 1, M_h * N * K)
+        half = tables.shape[1]
+        operand = np.empty((2, 2, half, 2, parts.shape[-1]))
+        np.multiply(tables, parts, out=operand[0])  # e C_t, -i o S_t
+        np.multiply(tables[::-1], parts, out=operand[1])  # e S_t, -i o C_t
+        sums = self._radial_half @ operand.reshape(2, 4 * half, -1).transpose(0, 2, 1)
+        (a, q), (b, p) = sums.reshape(2, half, 2, half, 2).view(complex)[..., 0].transpose(0, 2, 1, 3)
+        f, f_mirror, g, g_mirror = a + q, a - q, b - p, b + p  # A -+ i Q and B +- i P
+        top, bottom = self._quadrants
+        out = np.empty((self._radial_grid.size,) * 2, complex)
+        np.subtract(f, g, out=out[top, top])
+        np.add(f, g, out=out[bottom, top])
+        np.add(f_mirror, g_mirror, out=out[top, bottom])
+        np.subtract(f_mirror, g_mirror, out=out[bottom, bottom])
+        return out
 
     def _search(self, data: np.ndarray, statistic: np.ndarray) -> VelocityEstimate:
         """Peak pick, identifiability test and Newton refinement of ``data`` from ``_statistic(data)``.

@@ -39,6 +39,9 @@ from nfvel.waveform import subcarrier_frequencies
 
 from conftest import array_line_rows, make_waveform
 
+# The whole message of a target on an element or at the array centre.
+_ON_ELEMENT = f"^{re.escape(str(DegenerateGeometryError()))}$"
+
 # Frozen reference values, recomputed independently from the defining formulas
 # before being pinned here.
 FAR_FIELD_CRLB_REFERENCE = 5.732666385693405e-08  # 28 GHz, M=14, N=1, K=101, snr=1, T=16.6 ms
@@ -731,7 +734,7 @@ class TestBatchKernel:
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             target = TargetState(d, angle)
             if rows.degenerate[i]:
-                with pytest.raises(DegenerateGeometryError):
+                with pytest.raises(DegenerateGeometryError, match=_ON_ELEMENT):
                     fisher_info_closed_form(target, geom, wf, snr)
                 continue
             one = fisher_info_closed_form(target, geom, wf, snr)
@@ -773,7 +776,7 @@ class TestBatchKernel:
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i], batch.radial[i], batch.transverse[i]]
             if batch.degenerate[i]:
-                with pytest.raises(DegenerateGeometryError):
+                with pytest.raises(DegenerateGeometryError, match=_ON_ELEMENT):
                     fisher_info_closed_form(TargetState(d, angle), geom, wf, snr)
                 assert got == [0.0, 0.0, 0.0, math.inf, math.inf] and batch.singular[i]
                 continue

@@ -137,9 +137,22 @@ OUT_OF_RANGE_SETTINGS = [
     # A count past 2**53, which no float holds exactly, and one below it whose arrays ask for
     # more bytes than the address space holds, so the allocation fails at once.
     ("crlb num_elements=9007199254740993", "num_elements must be at most 9007199254740992, got 9007199254740993"),
-    ("crlb num_elements=1000000000000000", "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"),
-    ("fig4 x_points=1000000000000000", "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)"),
-    ("--trials 1000000000000000 --snr-list 10", "Unable to allocate 14.2 PiB for an array with shape (1, 2, "),
+    # The out-of-memory message names the counts in effect, largest first.
+    (
+        "crlb num_elements=1000000000000000",
+        "out of memory with num_elements=1000000000000000, num_symbols=14, num_subcarriers=1: "
+        "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)",
+    ),
+    (
+        "fig4 x_points=1000000000000000",
+        "out of memory with x_points=1000000000000000, num_elements=101, y_points=101, num_symbols=14, "
+        "num_subcarriers=1: Unable to allocate 7.11 PiB for an array with shape (1000000000000000,)",
+    ),
+    (
+        "--trials 1000000000000000 --snr-list 10",
+        "out of memory with trials=1000000000000000, num_elements=101, grid_points=41, num_symbols=14, "
+        "num_subcarriers=1: Unable to allocate 14.2 PiB for an array with shape (1, 2, ",
+    ),
     # A value that must be positive.
     ("fig1 d_min=0", "d_min must be positive, got 0.0"),
     ("fig2 d_min=-0.5", "d_min must be positive, got -0.5"),
@@ -409,7 +422,7 @@ class TestConfigHandling:
     def test_malformed_config_line_raises(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("distance 5\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg))}:1: expected 'key = value', got 'distance 5'$"):
             read_config_file(cfg)
 
 
@@ -419,13 +432,21 @@ class TestExitCodes:
         assert "bogus" in capsys.readouterr().err
 
     def test_unparseable_value_is_config_error(self, capsys):
-        assert main(["crlb", "--set", "carrier=abc"]) == 1
-        assert main(["crlb", "--set", "symbol_time=5 parsec"]) == 1
-        assert main(["crlb", "--set", "distance"]) == 1
+        for argv, message in (
+            (["--set", "carrier=abc"], "carrier: cannot parse 'abc' as a number"),
+            (["--set", "symbol_time=5 parsec"], "symbol_time: unknown time unit 'parsec'"),
+            (["--set", "distance"], "--set expects key=value, got 'distance'"),
+        ):
+            assert main(["crlb", *argv]) == 1
+            assert capsys.readouterr().err == f"nfvel: invalid configuration: {message}\n"
 
     def test_invalid_scenario_is_config_error(self, capsys):
-        assert main(["crlb", "--set", "distance=-1"]) == 1
-        assert main(["crlb", "--set", "spacing=0.1", "--set", "aperture=1"]) == 1
+        for argv, message in (
+            (["--set", "distance=-1"], "distance must be positive, got -1.0"),
+            (["--set", "spacing=0.1", "--set", "aperture=1"], "give spacing or aperture, not both"),
+        ):
+            assert main(["crlb", *argv]) == 1
+            assert capsys.readouterr().err == f"nfvel: invalid configuration: {message}\n"
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["crlb", "--config", "/nonexistent/scenario.cfg"]) == 2

@@ -516,6 +516,17 @@ class TestNewtonStep:
         assert moved[moving] == min(max(-g / h, -cell), cell)
 
 
+def _full_phase(geometry, config, position):
+    """The phase per unit radial and transverse velocity of every cube sample, ``(2, M*N*K)``."""
+    freqs = subcarrier_frequencies(config)
+    q = radial_projection_coeffs(position, geometry)
+    p = transverse_projection_coeffs(position, geometry)
+    m_grid = symmetric_index_grid(config.num_symbols)
+    scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
+    sens = scale * m_grid[:, None, None] * freqs[None, :, None]
+    return np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+
+
 def _full_phase_derivatives(geometry, config, position, rows, velocity):
     """``S``, gradient and Hessian from the full phase: one ``exp`` per cube sample.
 
@@ -526,13 +537,7 @@ def _full_phase_derivatives(geometry, config, position, rows, velocity):
     ``a_2 = max_a sum(phase_a**2 * |E|)``, so the gradient by ``2 a_0 a_1``
     and the Hessian by ``2 max(a_1**2, a_0 a_2)``.
     """
-    freqs = subcarrier_frequencies(config)
-    q = radial_projection_coeffs(position, geometry)
-    p = transverse_projection_coeffs(position, geometry)
-    m_grid = symmetric_index_grid(config.num_symbols)
-    scale = 2.0 * math.pi * config.symbol_time / SPEED_OF_LIGHT
-    sens = scale * m_grid[:, None, None] * freqs[None, :, None]
-    phase = np.stack([sens * (1.0 + q), sens * p]).reshape(2, -1)
+    phase = _full_phase(geometry, config, position)
     e = rows.ravel() * np.exp(-1j * (np.array(velocity) @ phase))
     s = complex(e.sum())
     weighted = phase * e
@@ -622,3 +627,46 @@ class TestDerivatives:
         )
         error = np.abs(np.array(hess) - expected).max()
         assert error <= 1e-14 * np.abs(np.diag(expected)).max()
+
+
+_SPAN = st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 10.0)).map(lambda low_width: (low_width[0], sum(low_width)))
+
+
+class TestCoarseStatistic:
+    """``MatchedFilter._statistic``, folded by the mirror symmetry of the grid and of the symbol
+    index, against the full 2-D phase: one ``exp`` per grid cell and cube sample."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        grid_points=st.integers(3, 42),
+        num_symbols=st.sampled_from([1, 2, 7, 14]),
+        num_subcarriers=st.integers(1, 3),
+        num_elements=st.integers(1, 12),
+        angle=st.one_of(st.just(math.pi / 2), st.just(-math.pi / 2), st.floats(-1.4, 1.4)),
+        spans=st.one_of(st.just(((-1.0, 5.0), (-8.0, 3.0))), st.tuples(_SPAN, _SPAN)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_folded_grid_matches_the_full_phase(
+        self, grid_points, num_symbols, num_subcarriers, num_elements, angle, spans, seed
+    ):
+        geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
+        wf = make_waveform(
+            carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
+        )
+        search = _search(*spans, grid_points=grid_points)
+        finder = MatchedFilter(geom, wf, 0.8, angle, search)
+        shape = (num_symbols, num_subcarriers, num_elements)
+        data = waveform._unit_noise(shape, np.random.default_rng(seed)).ravel()
+        got = finder._statistic(data)
+
+        phase = _full_phase(geom, wf, TargetState(0.8, angle))
+        radial, transverse = (np.linspace(*span, grid_points) for span in spans)
+        kernel = np.exp(-1j * (radial[:, None, None] * phase[0] + transverse[None, :, None] * phase[1]))
+        expected = np.sum(kernel * data, axis=-1)
+
+        assert got.shape == expected.shape == (grid_points, grid_points)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.argmax(np.abs(got)) == np.argmax(np.abs(expected))
+        if abs(angle) == math.pi / 2:
+            # End-fire: no transverse phase, so no transverse curvature for the search to see.
+            assert np.array_equal(got, np.repeat(got[:, :1], grid_points, axis=1))
