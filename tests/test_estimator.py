@@ -14,6 +14,7 @@ from nfvel import (
     ChannelNoise,
     MatchedFilter,
     MlSearchConfig,
+    MonteCarloReport,
     ObservationCube,
     SPEED_OF_LIGHT,
     Scenario,
@@ -31,7 +32,7 @@ from nfvel import (
     transverse_projection_coeffs,
 )
 
-from nfvel import waveform
+from nfvel import estimator, waveform
 from nfvel.experiments import ScenarioConfig
 
 from conftest import make_waveform
@@ -457,6 +458,38 @@ class TestSharedNoise:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             monte_carlo_reports(scenario, [], trials=100, seed=-1)
 
+    @pytest.mark.parametrize("block", [None, 1, 118], ids=["default block", "block of 1", "block past trials"])
+    @pytest.mark.parametrize("scene", ["end-fire", "odd M and K"])
+    def test_blocked_trials_equal_estimates_of_each_noisy_cube(self, monkeypatch, scene, block):
+        # 117 trials are not a multiple of the default block, so the last block is short.
+        if block is not None:
+            monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
+        scenario = _shared_scenario(**_SHARED_SCENES[scene])
+        snrs = _linear((-20.0, 10.0))
+        reports = monte_carlo_reports(scenario, snrs, trials=117, seed=6)
+        for snr, report in zip(snrs, reports):
+            np.testing.assert_equal(astuple(report), astuple(_one_cube_at_a_time(scenario, snr, 117, 6)))
+
+
+def _one_cube_at_a_time(scenario, snr, trials, seed):
+    """:func:`monte_carlo_mse`'s report, from ``MatchedFilter.estimate`` on each trial's :func:`add_noise` cube."""
+    target, geom, wf = scenario.target, scenario.geometry, scenario.waveform
+    unit = dataclasses.replace(wf, total_power=float(wf.num_subcarriers))  # a unit-magnitude clean cube
+    clean = _clean_cube(target, geom, unit, snr)
+    finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
+    truth = (target.radial_velocity, target.transverse_velocity)
+    errors = np.empty((2, trials))
+    for trial in range(trials):
+        est = finder.estimate(add_noise(clean, np.random.SeedSequence([seed, trial])).samples)
+        errors[:, trial] = [(v - t) ** 2 for v, t in zip((est.radial, est.transverse), truth)]
+    found = ~np.isnan(errors)
+    mse = [float(np.mean(e[f])) if f.any() else math.nan for e, f in zip(errors, found)]
+    bound = crlb_from_fisher(fisher_info_closed_form(target, geom, wf, snr))
+    crlb = [bound.radial, bound.transverse]
+    ratio = [m / c if math.isfinite(c) and c > 0.0 else math.nan for m, c in zip(mse, crlb)]
+    degenerate = int((~found).any(axis=0).sum())
+    return MonteCarloReport(trials, degenerate, *mse, *crlb, *ratio, seed)
+
 
 class TestNewtonStep:
     """``MatchedFilter._step`` on given derivatives, from the centre of spans
@@ -632,36 +665,44 @@ class TestDerivatives:
 _SPAN = st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 10.0)).map(lambda low_width: (low_width[0], sum(low_width)))
 
 
+_COARSE_CASES = dict(
+    grid_points=st.integers(3, 42),
+    num_symbols=st.sampled_from([1, 2, 7, 14]),
+    num_subcarriers=st.integers(1, 3),
+    num_elements=st.integers(1, 12),
+    angle=st.one_of(st.just(math.pi / 2), st.just(-math.pi / 2), st.floats(-1.4, 1.4)),
+    spans=st.one_of(st.just(((-1.0, 5.0), (-8.0, 3.0))), st.tuples(_SPAN, _SPAN)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _coarse_case(grid_points, num_symbols, num_subcarriers, num_elements, angle, spans):
+    """A filter at 0.8 m and ``angle``, its cube shape, and the full 2-D phase kernel of its grid, ``(G, G, X)``."""
+    geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
+    wf = make_waveform(
+        carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
+    )
+    finder = MatchedFilter(geom, wf, 0.8, angle, _search(*spans, grid_points=grid_points))
+    phase = _full_phase(geom, wf, TargetState(0.8, angle))
+    radial, transverse = (np.linspace(*span, grid_points) for span in spans)
+    kernel = np.exp(-1j * (radial[:, None, None] * phase[0] + transverse[None, :, None] * phase[1]))
+    return finder, (num_symbols, num_subcarriers, num_elements), kernel
+
+
 class TestCoarseStatistic:
     """``MatchedFilter._statistic``, folded by the mirror symmetry of the grid and of the symbol
     index, against the full 2-D phase: one ``exp`` per grid cell and cube sample."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        grid_points=st.integers(3, 42),
-        num_symbols=st.sampled_from([1, 2, 7, 14]),
-        num_subcarriers=st.integers(1, 3),
-        num_elements=st.integers(1, 12),
-        angle=st.one_of(st.just(math.pi / 2), st.just(-math.pi / 2), st.floats(-1.4, 1.4)),
-        spans=st.one_of(st.just(((-1.0, 5.0), (-8.0, 3.0))), st.tuples(_SPAN, _SPAN)),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**_COARSE_CASES)
     def test_folded_grid_matches_the_full_phase(
         self, grid_points, num_symbols, num_subcarriers, num_elements, angle, spans, seed
     ):
-        geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
-        wf = make_waveform(
-            carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
+        finder, shape, kernel = _coarse_case(
+            grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
         )
-        search = _search(*spans, grid_points=grid_points)
-        finder = MatchedFilter(geom, wf, 0.8, angle, search)
-        shape = (num_symbols, num_subcarriers, num_elements)
         data = waveform._unit_noise(shape, np.random.default_rng(seed)).ravel()
         got = finder._statistic(data)
-
-        phase = _full_phase(geom, wf, TargetState(0.8, angle))
-        radial, transverse = (np.linspace(*span, grid_points) for span in spans)
-        kernel = np.exp(-1j * (radial[:, None, None] * phase[0] + transverse[None, :, None] * phase[1]))
         expected = np.sum(kernel * data, axis=-1)
 
         assert got.shape == expected.shape == (grid_points, grid_points)
@@ -670,3 +711,22 @@ class TestCoarseStatistic:
         if abs(angle) == math.pi / 2:
             # End-fire: no transverse phase, so no transverse curvature for the search to see.
             assert np.array_equal(got, np.repeat(got[:, :1], grid_points, axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 5), **_COARSE_CASES)
+    def test_each_cube_of_a_stack_matches_its_one_cube_call(
+        self, count, grid_points, num_symbols, num_subcarriers, num_elements, angle, spans, seed
+    ):
+        finder, shape, kernel = _coarse_case(
+            grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
+        )
+        stack = waveform._unit_noise((count,) + shape, np.random.default_rng(seed)).reshape(count, -1)
+        got = finder._statistic(stack)
+
+        assert got.shape == (count, grid_points, grid_points)
+        for data, grid in zip(stack, got):
+            for expected in (finder._statistic(data), np.sum(kernel * data, axis=-1)):
+                assert np.abs(grid - expected).max() <= 1e-12 * np.abs(expected).max()
+                assert np.argmax(np.abs(grid)) == np.argmax(np.abs(expected))
+            if abs(angle) == math.pi / 2:
+                assert np.array_equal(grid, np.repeat(grid[:, :1], grid_points, axis=1))
