@@ -8,18 +8,20 @@ pair maximises the magnitude of the matched-filter output
 which is invariant to any common complex gain on the data.  The search runs a
 coarse grid, then joint Newton steps on the analytic gradient and Hessian of
 L, which carry the radial/transverse coupling.  One search path serves a
-single cube and every Monte Carlo trial.  It scales the samples by the power
-of two that takes their largest magnitude into [0.5, 1), so the data's
-absolute power does not move its result either.  An axis along which the
-statistic shows no curvature at the peak (end-fire targets leave the
-transverse component unobservable) is flagged unidentifiable instead.
+single cube, each cube of a stack and every Monte Carlo trial.  It scales
+the samples by the power of two that takes their largest magnitude into
+[0.5, 1), so the data's absolute power does not move its result either.  An
+axis along which the statistic shows no curvature at the peak (end-fire
+targets leave the transverse component unobservable) is flagged
+unidentifiable instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,9 +65,10 @@ _CURVATURE_FLOOR = 1e-12
 # Newton refinement gives up after this many steps even if it is still moving.
 _MAX_NEWTON_STEPS = 30
 
-# Monte Carlo trials whose coarse grids one _statistic call forms.  A call builds its table rows
-# once, so a larger block runs faster, but each cube adds about 92 KB to what the call holds at
-# the default scene; at 9 a default run's allocation peak stays at 10.12 MB.
+# Cubes whose coarse grids one _statistic call forms.  A call builds its table rows once, so a
+# larger block runs faster, but each cube adds about 75 KB to what the call holds at the default
+# scene (its copy in the block, its folded columns and its grid); at 9 a default Monte Carlo
+# run's allocation peak is 9.97 MB.
 _TRIAL_BLOCK = 9
 
 
@@ -89,6 +92,8 @@ class MlSearchConfig:
         for name, span in (("radial_span", self.radial_span), ("transverse_span", self.transverse_span)):
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
+            if not math.isfinite(float(span[1]) - float(span[0])):
+                raise ValueError(f"{name} {span!r} is wider than the float range")
             object.__setattr__(self, name, tuple(span))  # a frozen config hashes
         _require_count(3, grid_points=self.grid_points)
         _require_positive(tolerance=self.tolerance)
@@ -161,6 +166,7 @@ class MatchedFilter:
         # Conjugate of the model's delay phase; applying it to the data
         # leaves only the velocity-dependent phase to search over.
         self._delay_comp = np.exp(2j * math.pi * freqs[:, None] * delays[None, :])
+        self._shape = (config.num_symbols,) + self._delay_comp.shape  # (M, N, K)
 
         # Rows: the phase per unit radial and per unit transverse velocity, at m = 1.
         self._psi = psi = _phase_rates(position, geometry, config).reshape(2, -1)
@@ -197,21 +203,51 @@ class MatchedFilter:
         pivot = min(max(index, 1), grid_values.size - 2)
         return grid_values[pivot - 1] - 2.0 * grid_values[pivot] + grid_values[pivot + 1]
 
-    def estimate(self, samples: np.ndarray) -> VelocityEstimate:
-        """ML estimate from the samples of any cube taken at this filter's position."""
-        data = self._compensate(samples)
-        return self._search(data, self._statistic(data))
+    def estimate(self, samples: np.ndarray) -> VelocityEstimate | list[VelocityEstimate]:
+        """ML estimate from the samples of a cube ``(M, N, K)`` taken at this filter's position.
+
+        A stack of cubes ``(..., M, N, K)`` gives a list of their estimates in C order, each equal
+        to the estimate of that cube alone.  The stack's coarse grids are formed several cubes per
+        call, which costs less per cube than one call per cube.
+        """
+        samples = np.asarray(samples)
+        if samples.shape[-3:] != self._shape:
+            raise ValueError(f"samples must have shape (..., M, N, K) with (M, N, K) = {self._shape}, got {samples.shape}")
+        cubes = samples.reshape((-1,) + self._shape)
+        estimates = [self._search(cube, statistic) for cube, statistic in self._with_statistics(cubes)]
+        return estimates[0] if samples.ndim == 3 else estimates
+
+    def _with_statistics(self, cubes: Iterable[np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each of ``cubes``, ``(M, N, K)``, with its :meth:`_statistic`, formed ``_TRIAL_BLOCK`` cubes per call.
+
+        The cubes are copied into one block that the next block overwrites, so a cube yielded is
+        read before the next one is asked for.  Each grid is yielded as a copy, so one that the
+        caller still holds does not keep its whole block's grids while the next block's are formed.
+        """
+        cubes = iter(cubes)
+        block = np.empty((_TRIAL_BLOCK,) + self._shape, complex)
+        while True:
+            count = 0
+            for cube in itertools.islice(cubes, _TRIAL_BLOCK):
+                block[count] = cube
+                count += 1
+            if not count:
+                return
+            filled = block[:count]
+            yield from ((cube, grid.copy()) for cube, grid in zip(filled, self._statistic(filled)))
 
     def _compensate(self, samples: np.ndarray) -> np.ndarray:
-        """The samples of a cube or a stack of cubes, ``(..., M, N, K)``, less the model's delay phase, ``(..., X)``."""
-        return (samples * self._delay_comp).reshape(samples.shape[:-3] + (-1,))
+        """The samples of a cube or a stack of cubes, ``(..., M, N, K)``, less the model's delay
+        phase, as symbol rows ``(..., M, N * K)``."""
+        return (samples * self._delay_comp).reshape(samples.shape[:-2] + (-1,))
 
-    def _statistic(self, data: np.ndarray) -> np.ndarray:
-        """Matched-filter output on the coarse grid of each cube in ``data``, ``(..., X)`` to ``(..., G, G)``.
+    def _statistic(self, samples: np.ndarray) -> np.ndarray:
+        """Matched-filter output on the coarse grid of each cube in ``samples``, ``(..., M, N, K)`` to ``(..., G, G)``.
 
-        ``S[i, j] = sum(d * exp(-i * m * (v_i psi_r + w_j psi_t)))``, linear in ``d`` and searched as
-        ``|.|**2``.  With each axis's centre taken off the data and rows ``m``, ``-m`` paired as
-        ``e = d_m + d_-m``, ``o = d_m - d_-m``, the kernel's cos is even and its sin odd in ``m`` and in
+        ``S[i, j] = sum(d * exp(-i * m * (v_i psi_r + w_j psi_t)))`` over the samples ``d`` less the
+        model's delay phase, linear in ``d`` and searched as ``|.|**2``.  With each axis's centre
+        taken off the data and rows ``m``, ``-m`` paired as ``e = d_m + d_-m``,
+        ``o = d_m - d_-m``, the kernel's cos is even and its sin odd in ``m`` and in
         each offset, so four sums over ``m >= 0`` and the upper half offsets give every quadrant (signs
         ``s_r``, ``s_t``): ``A - s_r s_t B - i (s_r P + s_t Q)``, with ``A = sum(e C_r C_t)``,
         ``B = sum(e S_r S_t)``, ``P = sum(o S_r C_t)`` and ``Q = sum(o C_r S_t)``.
@@ -220,11 +256,11 @@ class MatchedFilter:
         product views as complex.  For each transverse offset ``j``, the data-free rows
         ``[C_r C_t[j]; S_r S_t[j]]``, then ``[C_r S_t[j]; S_r C_t[j]]``, take one reused buffer, and
         their real products with the columns give column ``j`` of ``A``, ``B``, ``-i Q`` and ``-i P``
-        for every cube.  The rows cost as much for one cube as for many, so a caller with many cubes
-        passes a stack.  The radial offsets are the rows: transverse offsets with equal tables
+        for every cube.  The rows cost as much for one cube as for many, so :meth:`_with_statistics`
+        passes blocks of cubes.  The radial offsets are the rows: transverse offsets with equal tables
         (end-fire) make equal calls and so give exactly equal columns, however BLAS splits a product.
         """
-        cubes = data.reshape((-1,) + self._centring.shape)
+        cubes = self._compensate(samples).reshape((-1,) + self._centring.shape)
         count = len(cubes)
         grid = self._radial_grid.size
         tables = self._radial_half  # (cos/sin, H, M_h * N * K)
@@ -238,7 +274,7 @@ class MatchedFilter:
         np.subtract(e.imag, mirrored.imag, out=o.real)
         np.subtract(mirrored.real, e.real, out=o.imag)
         e += mirrored
-        del mirrored  # before the product buffers: a block's peak is what it holds at once
+        del cubes, mirrored  # before the product buffers: a block's peak is what it holds at once
         columns = columns.reshape(2, width, 2 * count)
 
         rows = np.empty((2, half, width))
@@ -258,18 +294,20 @@ class MatchedFilter:
             np.add(sum_e, diff_o, out=out[:, bottom, top_j].T)
             np.subtract(sum_e, diff_o, out=out[:, top, bottom_j].T)
             np.subtract(diff_e, sum_o, out=out[:, bottom, bottom_j].T)
-        return out.reshape(data.shape[:-1] + (grid, grid))
+        return out.reshape(samples.shape[:-3] + (grid, grid))
 
-    def _search(self, data: np.ndarray, statistic: np.ndarray) -> VelocityEstimate:
-        """Peak pick, identifiability test and Newton refinement of ``data`` from ``_statistic(data)``.
+    def _search(self, samples: np.ndarray, statistic: np.ndarray) -> VelocityEstimate:
+        """Peak pick, identifiability test and Newton refinement of a cube ``(M, N, K)`` from its ``_statistic``.
 
-        Both are first scaled by the power of two that takes the largest sample
-        magnitude into [0.5, 1).  The search is exact under a power-of-two gain,
-        so the data's absolute power does not move the estimate, and a caller may
-        pass any statistic that equals ``_statistic(data)`` by linearity.
+        The cube is compensated here, like the statistic's own input.  The compensated
+        samples and the statistic are first scaled by the power of two that takes the
+        largest compensated sample magnitude into [0.5, 1).  The search is exact under a
+        power-of-two gain, so the data's absolute power does not move the estimate, and a
+        caller may pass any statistic that equals ``_statistic(samples)`` by linearity.
         """
-        scale = _unit_scale(np.abs(data).max())
-        data = data * scale
+        rows = self._compensate(samples)
+        scale = _unit_scale(np.abs(rows).max())
+        rows *= scale
         coarse = np.abs(statistic * scale) ** 2
         i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
         peak = coarse[i0, j0]
@@ -283,7 +321,7 @@ class MatchedFilter:
         # An axis whose coarse cell is already below the tolerance is not refined.
         free = [ok and cell >= self.search.tolerance for ok, cell in zip(identifiable, self._cell)]
         if any(free):
-            velocity = self._newton(data.reshape(len(self._powers[0]), -1), velocity, free)
+            velocity = self._newton(rows, velocity, free)
         radial, transverse = (v if ok else math.nan for v, ok in zip(velocity, identifiable))
         return VelocityEstimate(radial, transverse, *identifiable)
 
@@ -356,7 +394,8 @@ def ml_estimate(
     the identifiable axes jointly by Newton steps until a step moves no axis
     by ``search.tolerance``.  Each call builds the :class:`MatchedFilter`
     tables; a caller that estimates many cubes at one position holds one
-    filter and calls its ``estimate``.
+    filter and passes them to its ``estimate`` as one stack, whose coarse
+    grids are formed several cubes per call.
     """
     return MatchedFilter(cube.geometry, cube.config, distance, angle, search).estimate(cube.samples)
 
@@ -384,11 +423,11 @@ def monte_carlo_reports(
     :func:`add_noise` returns for that generator.  Each report therefore
     equals the one-SNR call, and the reports are correlated with one another.
     The coarse matched-filter statistic is linear in the samples, so it is
-    formed once for the clean cube and once per block of trials for their
-    ``u``: one call over a stack of up to ``_TRIAL_BLOCK`` cubes, each drawn
-    from its own generator.  One :class:`MatchedFilter` serves every SNR and
-    trial, through the search its ``estimate`` runs, in trial order, scaled by
-    the largest sample magnitude of each SNR's cube.  The bounds are those of
+    formed once for the clean cube and once for each trial's ``u``, in the
+    blocks of cubes a stacked ``estimate`` forms its grids in.  One
+    :class:`MatchedFilter` serves every SNR and trial, through the search its
+    ``estimate`` runs, in trial order, scaled by the largest sample magnitude
+    of each SNR's cube.  The bounds are those of
     :func:`~nfvel.bounds.closed_form_bounds` at each SNR as given.
     """
     _require_count(100, trials=trials)  # fewer trials give no usable MSE
@@ -411,25 +450,18 @@ def monte_carlo_reports(
     bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
     clean = synthesize_noise_free(target, geometry, unit_config, noises[0]).samples
     finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
-    clean_statistic = finder._statistic(finder._compensate(clean))
+    clean_statistic = next(finder._with_statistics([clean]))[1]
     sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
+    units = (_unit_noise(clean.shape, np.random.SeedSequence([seed, trial])) for trial in range(trials))
 
     # Squared error per SNR, axis (radial, transverse) and trial; NaN where
     # the axis was not identified.
     sq_err = np.empty((len(noises), 2, trials))
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = range(start, min(start + _TRIAL_BLOCK, trials))
-        units = np.empty((len(block),) + clean.shape, complex)
-        for unit, trial in zip(units, block):
-            unit[...] = _unit_noise(clean.shape, np.random.SeedSequence([seed, trial]))
-        for trial, unit, unit_statistic in zip(block, units, finder._statistic(finder._compensate(units))):
-            for row, sigma in enumerate(sigmas):
-                est = finder._search(
-                    finder._compensate(clean + sigma * unit), clean_statistic + sigma * unit_statistic
-                )
-                sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
-                sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
-        del units, unit, unit_statistic  # a block's cubes and grids go before the next block's are drawn
+    for trial, (unit, unit_statistic) in enumerate(finder._with_statistics(units)):
+        for row, sigma in enumerate(sigmas):
+            est = finder._search(clean + sigma * unit, clean_statistic + sigma * unit_statistic)
+            sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
+            sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
 
     identified = ~np.isnan(sq_err)
     found = identified.sum(axis=2)

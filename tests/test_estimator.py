@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -290,8 +291,8 @@ class TestMonteCarlo:
         scenario, errors = _mc_scenario(), []
         search = MatchedFilter._search
 
-        def miss_every_third(finder, data, statistic):
-            estimate = search(finder, data, statistic)
+        def miss_every_third(finder, samples, statistic):
+            estimate = search(finder, samples, statistic)
             if len(errors) % 3 == 0:
                 estimate = dataclasses.replace(estimate, transverse=math.nan, transverse_identifiable=False)
             errors.append((estimate.transverse - scenario.target.transverse_velocity) ** 2)
@@ -325,16 +326,12 @@ class TestMonteCarlo:
         )
         clean = synthesize_noise_free(target, geom, wf, noise)
         finder = MatchedFilter(geom, wf, target.distance, target.angle, search)
-        trials = 400
-        errors = np.empty((trials, 2))
-        for trial in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence([314, trial]))
-            est = finder.estimate(add_noise(clean, rng).samples)
-            assert est.radial_identifiable and est.transverse_identifiable
-            errors[trial] = (
-                est.radial - target.radial_velocity,
-                est.transverse - target.transverse_velocity,
-            )
+        seeds = (np.random.SeedSequence([314, trial]) for trial in range(400))
+        estimates = finder.estimate(np.stack([add_noise(clean, np.random.default_rng(s)).samples for s in seeds]))
+        assert all(est.radial_identifiable and est.transverse_identifiable for est in estimates)
+        errors = [
+            (est.radial - target.radial_velocity, est.transverse - target.transverse_velocity) for est in estimates
+        ]
         bound = crlb_from_fisher(fisher_info_closed_form(target, geom, wf, snr))
         bias_r, bias_t = np.mean(errors, axis=0)
         assert abs(bias_r) < 0.1 * math.sqrt(bound.radial)
@@ -408,6 +405,48 @@ _SHARED_SCENES = {
 }
 
 
+class TestStackedEstimate:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scene=st.sampled_from(sorted(_SHARED_SCENES)),
+        leading=st.one_of(
+            st.integers(1, 5).map(lambda count: (count,)),
+            st.just((estimator._TRIAL_BLOCK + 1,)),
+            st.just((2, 3)),
+        ),
+        snr_db=st.sampled_from([-20.0, 0.0, 20.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_estimate_of_a_stack_equals_its_one_cube_call(self, scene, leading, snr_db, seed):
+        scenario = _shared_scenario(**_SHARED_SCENES[scene])
+        target, geom, wf = scenario.target, scenario.geometry, scenario.waveform
+        clean = _clean_cube(target, geom, wf, snr=10.0 ** (snr_db / 10.0))
+        sigma = math.sqrt(clean.noise.noise_variance / 2.0)
+        stack = clean.samples + sigma * waveform._unit_noise(leading + clean.samples.shape, seed)
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
+        estimates = finder.estimate(stack)
+        assert len(estimates) == math.prod(leading)
+        for index, est in zip(np.ndindex(leading), estimates):
+            # assert_equal treats NaN (an unidentifiable axis) as equal to NaN.
+            np.testing.assert_equal(astuple(est), astuple(finder.estimate(stack[index])))
+
+    @pytest.mark.parametrize("shape", [(16, 1, 9), (8, 1, 9, 1), (8, 9), ()])
+    def test_samples_of_another_shape_are_rejected(self, shape):
+        geom, wf, target = _small_scene()
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, _search())
+        with pytest.raises(
+            ValueError,
+            match=rf"^samples must have shape \(\.\.\., M, N, K\) with \(M, N, K\) = \(8, 1, 9\), got {re.escape(str(shape))}$",
+        ):
+            finder.estimate(np.zeros(shape, complex))
+
+    def test_empty_stack_gives_no_estimates(self):
+        geom, wf, target = _small_scene()
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, _search())
+        assert finder.estimate(np.zeros((0, 8, 1, 9), complex)) == []
+        assert finder.estimate(np.zeros((2, 0, 8, 1, 9), complex)) == []
+
+
 class TestSharedNoise:
     @pytest.mark.parametrize("scene", sorted(_SHARED_SCENES))
     def test_shared_grid_estimates_equal_estimate_on_the_noisy_cube(self, scene):
@@ -416,20 +455,19 @@ class TestSharedNoise:
         noises = [ChannelNoise.from_snr(wf, snr) for snr in _linear(range(-30, 21, 10))]
         finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
         clean = synthesize_noise_free(target, geom, wf, noises[0])
-        clean_statistic = finder._statistic(finder._compensate(clean.samples))
+        clean_statistic = finder._statistic(clean.samples)
         # Each level at its own power of two: the search's own scale takes it out.
         scales = [2.0 ** (60 * row - 150) for row in range(len(noises))]
         flags = set()
         for trial in range(30):
             seeds = np.random.SeedSequence([11, trial])
             unit = waveform._unit_noise(clean.samples.shape, np.random.default_rng(seeds))
-            unit_statistic = finder._statistic(finder._compensate(unit))
+            unit_statistic = finder._statistic(unit)
             for noise, scale in zip(noises, scales):
                 sigma = math.sqrt(noise.noise_variance / 2.0) * scale
                 # The coarse grid by linearity, from one product for the clean cube and one for the draw.
                 est = finder._search(
-                    finder._compensate(clean.samples * scale + sigma * unit),
-                    clean_statistic * scale + sigma * unit_statistic,
+                    clean.samples * scale + sigma * unit, clean_statistic * scale + sigma * unit_statistic
                 )
                 cube = synthesize_noise_free(target, geom, wf, noise)
                 noisy = add_noise(cube, np.random.SeedSequence([11, trial]))
@@ -701,9 +739,9 @@ class TestCoarseStatistic:
         finder, shape, kernel = _coarse_case(
             grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
         )
-        data = waveform._unit_noise(shape, np.random.default_rng(seed)).ravel()
-        got = finder._statistic(data)
-        expected = np.sum(kernel * data, axis=-1)
+        samples = waveform._unit_noise(shape, np.random.default_rng(seed))
+        got = finder._statistic(samples)
+        expected = np.sum(kernel * finder._compensate(samples).ravel(), axis=-1)
 
         assert got.shape == expected.shape == (grid_points, grid_points)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -720,12 +758,13 @@ class TestCoarseStatistic:
         finder, shape, kernel = _coarse_case(
             grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
         )
-        stack = waveform._unit_noise((count,) + shape, np.random.default_rng(seed)).reshape(count, -1)
+        stack = waveform._unit_noise((count,) + shape, np.random.default_rng(seed))
         got = finder._statistic(stack)
 
         assert got.shape == (count, grid_points, grid_points)
-        for data, grid in zip(stack, got):
-            for expected in (finder._statistic(data), np.sum(kernel * data, axis=-1)):
+        for samples, grid in zip(stack, got):
+            data = finder._compensate(samples).ravel()
+            for expected in (finder._statistic(samples), np.sum(kernel * data, axis=-1)):
                 assert np.abs(grid - expected).max() <= 1e-12 * np.abs(expected).max()
                 assert np.argmax(np.abs(grid)) == np.argmax(np.abs(expected))
             if abs(angle) == math.pi / 2:

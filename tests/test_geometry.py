@@ -608,6 +608,15 @@ FLOAT_RANGE_INPUTS["transverse_info_boresight-2e+154"] = (
     "distance",
     lambda: transverse_info_boresight(2e154, _ARRAY, make_waveform(), 1.0),
 )
+# A search span with an infinite end, or whose width overflows, would reach the grid's arithmetic.
+for _span in ("radial_span", "transverse_span"):
+    for _bad in ((0.0, math.inf), (-1e308, 1e308)):
+        FLOAT_RANGE_INPUTS[f"MlSearchConfig-{_span}-{_bad[1]:g}"] = (
+            _span,
+            lambda key=_span, bad=_bad: MlSearchConfig(
+                **{"radial_span": (0.0, 1.0), "transverse_span": (0.0, 1.0), key: bad}
+            ),
+        )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
