@@ -32,6 +32,7 @@ from .geometry import (
     _require_count,
     _require_positive,
     _row_blocks,
+    _row_terms,
     _trig,
     element_distances,
     symmetric_index_grid,
@@ -206,7 +207,10 @@ def closed_form_bounds(
         2K + 2 (d sum u - sin sum x u) - sum p^2,   cos^2 sum x^2 u^2   and
         cos (sum x u + d sum x u^2 - sin sum x^2 u^2),
 
-    four moments of ``u``, each a pairwise sum along the elements.  All P matrices are
+    four moments of ``u``, each a pairwise sum along the elements.  Points go in
+    blocks of up to 4096: each block prepares its rows once and reuses two
+    ``(rows, K)`` buffers over its chunks of about 2**14 element values, and forms
+    its entries from the moment sums once, in place.  All P matrices are
     inverted in blocks of rows, by the inverse :func:`crlb_from_fisher` applies
     to one matrix, so rows match the one-point functions bit for bit.  The root
     bounds are taken before the inverse's power-of-two scale is undone, so they
@@ -222,43 +226,77 @@ def closed_form_bounds(
     _require_positive(snr=snr)
     # Validation comes first: math.sin raises its own error for an infinite angle.
     _check_rows(distances, angles)
-    trig = _trig(angles)
-    weight_total = np.empty(distances.size)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
     # An overflow leaves its row with no finite determinant, which _crlb rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        # The SNR factor stays fourth in the weight product; moving it would
-        # change the rounding of published values.
-        head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * config.num_symbols
-        for rows in _row_chunks(distances.size, config.num_subcarriers):
-            weights = head * snr[rows, None] * (config.num_symbols**2 - 1) * config.symbol_time**2
-            weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
-        for rows in _row_chunks(distances.size, geometry.num_elements):
-            d, (sin, cos) = distances[rows], trig[:, rows]
-            u, degenerate[rows] = element_distances((d, angles[rows]), geometry, trig=trig[:, rows])
-            # The docstring's four moments, each product formed in place.
-            np.divide(1.0, u, out=u)
-            x_u = geometry.element_x_positions * u
-            sum_u, sum_x_u = u.sum(axis=1), x_u.sum(axis=1)
-            u *= x_u
-            sum_x_u2 = u.sum(axis=1)
-            u *= geometry.element_x_positions
-            sum_x2_u2 = u.sum(axis=1)
-            transverse = cos * cos * sum_x2_u2
-            radial = 2.0 * geometry.num_elements + 2.0 * (d * sum_u - sin * sum_x_u) - transverse
-            cross = cos * (sum_x_u + d * sum_x_u2 - sin * sum_x2_u2)
-            entries[:, rows] = weight_total[rows] * np.stack((radial, transverse, cross))
-            # One chunk's block at a time, and no view left to keep trig alive past the loop.
-            del u, x_u, sin, cos
+        for rows in _row_blocks(distances.size):
+            block = distances[rows], angles[rows], snr[rows]
+            _block_entries(entries[:, rows], degenerate[rows], *block, geometry, config)
     entries[:, degenerate] = 0.0
-    del trig, weight_total  # before the inverse's blocks: the two loops' peaks stay apart
     # Variance bounds, then root bounds, radial before transverse.
     bounds = np.empty((4, distances.size))
     singular = np.empty(distances.size, dtype=bool)
     for rows in _row_blocks(distances.size):
         bounds[:2, rows], bounds[2:, rows], singular[rows] = _crlb(*entries[:, rows])
     return BoundRows(*entries, *bounds, singular, degenerate)
+
+
+def _block_entries(
+    entries, degenerate, distances, angles, snr, geometry: ArrayGeometry, config: WaveformConfig
+) -> None:
+    """Fill the ``(3, P)`` entries and ``(P,)`` degenerate flags of one block of points.
+
+    Each row's sine, cosine and terms are formed once, before the two ``(rows, K)``
+    buffers that every chunk of about ``_CHUNK_ELEMENTS`` element values reuses are
+    live.  Three of the four moments of :func:`closed_form_bounds` are summed into
+    ``entries`` and the last into a spare row, and the entries are then formed in
+    place, each in that docstring's order of operations, so that every bit is the
+    one-chunk-at-a-time value.
+    """
+    x, count, trig = geometry.element_x_positions, distances.size, _trig(angles)
+    terms = _row_terms(distances, trig, geometry)
+    sum_u, sum_x_u, sum_x_u2 = entries
+    sum_x2_u2 = np.empty(count)
+    buffers = np.empty((2, min(count, max(1, _CHUNK_ELEMENTS // x.size)), x.size))
+    for rows in _row_chunks(count, x.size):
+        u, x_u = buffers[:, : min(rows.stop, count) - rows.start]
+        chunk_terms = [None if t is None else t[rows] for t in terms]
+        degenerate[rows] = element_distances(None, geometry, terms=chunk_terms, out=u)[1]
+        # Each product formed in place.
+        np.divide(1.0, u, out=u)
+        np.multiply(x, u, out=x_u)
+        u.sum(axis=1, out=sum_u[rows])
+        x_u.sum(axis=1, out=sum_x_u[rows])
+        u *= x_u
+        u.sum(axis=1, out=sum_x_u2[rows])
+        u *= x
+        u.sum(axis=1, out=sum_x2_u2[rows])
+    del buffers, u, x_u, terms  # before the weights' (rows, N) temporaries
+    sin, cos = trig
+    sin_x2_u2 = sin * sum_x2_u2
+    cross = sum_x_u2
+    cross *= distances
+    cross += sum_x_u
+    cross -= sin_x2_u2
+    cross *= cos
+    radial = sum_u
+    radial *= distances
+    radial -= np.multiply(sin, sum_x_u, out=sin_x2_u2)
+    radial *= 2.0
+    radial += 2.0 * geometry.num_elements
+    transverse = np.multiply(cos, cos, out=sum_x_u)
+    transverse *= sum_x2_u2
+    radial -= transverse
+    # The spare row then takes each row's weight summed over the subcarriers.  The SNR
+    # factor stays fourth in the weight product; moving it would change the rounding of
+    # published values.
+    weight_total = sum_x2_u2
+    head = 2.0 * math.pi**2 * subcarrier_frequencies(config) ** 2 * config.num_symbols
+    for rows in _row_chunks(count, config.num_subcarriers):
+        weights = head * snr[rows, None] * (config.num_symbols**2 - 1) * config.symbol_time**2
+        weight_total[rows] = np.sum(weights / (3.0 * SPEED_OF_LIGHT**2), axis=1)
+    entries *= weight_total
 
 
 def fisher_info_closed_form(

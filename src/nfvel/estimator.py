@@ -92,7 +92,11 @@ class MlSearchConfig:
         for name, span in (("radial_span", self.radial_span), ("transverse_span", self.transverse_span)):
             if not span[1] > span[0]:
                 raise ValueError(f"{name} must be increasing, got {span!r}")
-            if not math.isfinite(float(span[1]) - float(span[0])):
+            try:
+                width = float(span[1]) - float(span[0])
+            except OverflowError:  # an int end past the float range
+                width = math.inf
+            if not math.isfinite(width):
                 raise ValueError(f"{name} {span!r} is wider than the float range")
             object.__setattr__(self, name, tuple(span))  # a frozen config hashes
         _require_count(3, grid_points=self.grid_points)

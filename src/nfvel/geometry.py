@@ -219,7 +219,29 @@ def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
         TargetState(float(distances[row]) or 1.0, float(angles[row]))
 
 
-def element_distances(target, geometry: ArrayGeometry, *, trig=None):
+def _row_terms(distances: np.ndarray, trig: np.ndarray, geometry: ArrayGeometry) -> tuple:
+    """Per-row terms of :func:`element_distances` for checked ``(P,)`` distances and their ``(2, P)`` ``trig``.
+
+    Gives ``(along, across, shift, floor)``: ``d*sin(theta)`` and ``(d*cos(theta))**2`` as
+    ``(P, 1)`` columns, the ``(P, 1)`` power-of-two exponents the lengths are taken in, or
+    None when no row needs one, and the ``(P,)`` coincidence floor ``1e-12 * max(d, aperture)``.
+    A row at the centre or at an infinite distance is NaN, which flags it.  A row past 2**+-400 m
+    takes its lengths in units of a power of two near the larger of d and the aperture, so
+    its squares stay normal; a power of two changes no bit.
+    """
+    given = distances.reshape(-1, 1)
+    d = np.where((given > _COINCIDENCE_RTOL * geometry.aperture) & (given < math.inf), given, math.nan)
+    lengths = np.maximum(d, geometry.aperture)
+    shift = np.frexp(lengths)[1]
+    shift[np.abs(shift) <= 400] = 0
+    if shift.any():
+        d = np.ldexp(d, -shift)
+    else:
+        shift = None
+    return d * trig[0][:, None], np.square(d * trig[1][:, None]), shift, _COINCIDENCE_RTOL * lengths[:, 0]
+
+
+def element_distances(target, geometry: ArrayGeometry, *, terms=None, out=None):
     """Distance from the target to every array element.
 
     Implements ``d_k = sqrt((x_k - d*sin(theta))**2 + (d*cos(theta))**2)`` for
@@ -229,8 +251,10 @@ def element_distances(target, geometry: ArrayGeometry, *, trig=None):
     ``(distances, angles)`` of P rows gives the ``(P, K)`` block, each row
     bit-identical to a one-target call, and a ``(P,)`` mask of degenerate rows;
     a row that :class:`TargetState` rejects raises its ``ValueError``, unless
-    its distance is 0.  A caller that has checked the rows and holds their sines
-    and cosines already may pass them as the ``(2, P)`` array ``trig``.
+    its distance is 0.  A caller that has checked its rows may form their
+    per-row terms once with ``_row_terms`` and pass them, or any row slice of
+    them, as ``terms`` in place of a target (``target`` None); ``out`` is a
+    ``(P, K)`` float array the block is written to, so that a caller can reuse it.
 
     A row is degenerate when its smallest distance is not above
     ``1e-12 * max(d, aperture)``: on an element, or with ``d <= 1e-12 * aperture``,
@@ -238,29 +262,31 @@ def element_distances(target, geometry: ArrayGeometry, *, trig=None):
     :class:`DegenerateGeometryError`; a pair flags the row and fills it with ones.
     """
     single = isinstance(target, TargetState)
-    distance_list, angle_list = ([target.distance], [target.angle]) if single else target
-    given = np.asarray(distance_list, dtype=float).reshape(-1, 1)
-    if trig is None:
+    if terms is None:
+        distance_list, angle_list = ([target.distance], [target.angle]) if single else target
+        given = np.asarray(distance_list, dtype=float).reshape(-1)
         angles = np.asarray(angle_list, dtype=float).reshape(-1)
-        _check_rows(given[:, 0], angles)
-        trig = _trig(angles)
-    # A row at the centre or at an infinite distance is NaN, which flags it.  A row past 2**+-400 m
-    # takes its lengths in units of a power of two near the larger of d and the aperture, so
-    # its squares stay normal; a power of two changes no bit.
-    d = np.where((given > _COINCIDENCE_RTOL * geometry.aperture) & (given < math.inf), given, math.nan)
-    lengths = np.maximum(d, geometry.aperture)
-    shift = np.frexp(lengths)[1]
-    shift[np.abs(shift) <= 400] = 0
-    x, scaled = geometry.element_x_positions, shift.any()
-    if scaled:
-        x, d = np.ldexp(x, -shift), np.ldexp(d, -shift)
-    distances = x - d * trig[0][:, None]
+        _check_rows(given, angles)
+        terms = _row_terms(given, _trig(angles), geometry)
+    along, across, shift, floor = terms
+    x = geometry.element_x_positions
+    distances = np.empty((len(along), x.size)) if out is None else out
+    if shift is None and len(along) == 1:
+        np.subtract(x, along, out=distances)
+    else:
+        # Over several rows a ufunc that broadcasts both its inputs buffers both: the
+        # positions go into place first, which is faster and buffers one.
+        if shift is None:
+            np.copyto(distances, x)
+        else:
+            np.ldexp(x, -shift, out=distances)
+        distances -= along
     distances *= distances
-    distances += np.square(d * trig[1][:, None])
+    distances += across
     np.sqrt(distances, out=distances)
-    if scaled:
+    if shift is not None:
         np.ldexp(distances, shift, out=distances)
-    degenerate = ~(distances.min(axis=1) > _COINCIDENCE_RTOL * lengths[:, 0])
+    degenerate = ~(distances.min(axis=1) > floor)
     if degenerate.any():
         if single:
             raise DegenerateGeometryError()

@@ -34,7 +34,7 @@ from nfvel import (
 )
 from nfvel.bounds import _CHUNK_ELEMENTS, _SINGULAR_RTOL, _crlb
 from nfvel.constants import SPEED_OF_LIGHT
-from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle
+from nfvel.geometry import _COINCIDENCE_RTOL, _POINT_BLOCK, _cos_angle
 from nfvel.waveform import subcarrier_frequencies
 
 from conftest import array_line_rows, make_waveform
@@ -767,11 +767,35 @@ class TestBatchKernel:
             st.sampled_from(x[x != 0.0].tolist()).map(
                 lambda x_k: (abs(x_k), math.copysign(math.pi / 2, x_k))
             ),
+            # Past 2**400 m, where the lengths are scaled, in the chunks and blocks of unscaled rows.
+            st.tuples(st.floats(1e121, 1e300), _ANGLES),
         )
         rows = data.draw(st.lists(row, min_size=count, max_size=count), label="rows")
         snrs = data.draw(st.lists(st.floats(0.01, 1e4), min_size=count, max_size=count))
         distances, angles = [d for d, _ in rows], [a for _, a in rows]
+        self._assert_rows_match_one_point_calls(distances, angles, geom, wf, snrs)
 
+    def test_batch_across_point_blocks_matches_one_point_calls(self):
+        # Four rows past one point block at K=101 (162 rows a chunk): regular, far (scaled),
+        # centre and on-element rows take turns, so that each kind sits on both sides of the
+        # block boundary and in the short chunks at each block's end.
+        geom, wf = ArrayGeometry(101, 0.01), make_waveform(num_subcarriers=2)
+        count = _POINT_BLOCK + 4
+        rng = np.random.default_rng(32)
+        kinds = np.arange(count) % 4
+        distances = np.select(
+            [kinds == 0, kinds == 1, kinds == 2],
+            [rng.uniform(0.05, 200.0, count), 10.0 ** rng.uniform(121.0, 300.0, count), 1e-300],
+            geom.element_x_positions[-1],
+        )
+        angles = np.where(kinds == 3, math.pi / 2, rng.uniform(-math.pi / 2, math.pi / 2, count))
+        snrs = rng.uniform(0.01, 1e4, count)
+        rows = distances.tolist(), angles.tolist(), geom, wf, snrs.tolist()
+        batch = self._assert_rows_match_one_point_calls(*rows)
+        assert batch.degenerate.tolist() == (kinds >= 2).tolist()
+
+    @staticmethod
+    def _assert_rows_match_one_point_calls(distances, angles, geom, wf, snrs):
         batch = closed_form_bounds(distances, angles, geom, wf, snrs)
         for i, (d, angle, snr) in enumerate(zip(distances, angles, snrs)):
             got = [batch.j_rr[i], batch.j_tt[i], batch.j_rt[i], batch.radial[i], batch.transverse[i]]
@@ -784,6 +808,7 @@ class TestBatchKernel:
             crlb = crlb_from_fisher(one)
             assert _bits(got) == _bits([one.j_rr, one.j_tt, one.j_rt, crlb.radial, crlb.transverse])
             assert batch.singular[i] == crlb.singular
+        return batch
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -818,20 +843,36 @@ class TestBatchKernel:
         assert math.isinf(batch.transverse[0]) and not batch.singular[0]
         assert batch.root_transverse[0] == pytest.approx(3.068e154, rel=1e-3)
 
-    def test_peak_memory_stays_a_few_chunks(self):
-        # 64 rows at K=16384 are 64 one-row chunks, so the peak is a few (1, K)
-        # temporaries, about 0.9 MiB, however many rows a batch has.
-        geom = ArrayGeometry(16384, 0.005)
+    @staticmethod
+    def _peak_bytes(num_elements, points):
+        """The ``tracemalloc`` peak of one kernel call on ``points`` rows at 0.3 rad, 0.5-50 m."""
+        geom = ArrayGeometry(num_elements, 0.005)
         wf = make_waveform()
-        distances, angles = np.geomspace(0.5, 50.0, 64).tolist(), [0.3] * 64
+        distances, angles = np.geomspace(0.5, 50.0, points).tolist(), [0.3] * points
         closed_form_bounds(distances, angles, geom, wf, 1.0)  # caches the element positions
         tracemalloc.start()
         try:
             closed_form_bounds(distances, angles, geom, wf, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1 << 20
+
+    def test_peak_memory_stays_a_few_chunks(self):
+        # 64 rows at K=16384 are 64 one-row chunks, so the peak is a few (1, K)
+        # temporaries, about 0.9 MiB, however many rows a batch has.
+        assert self._peak_bytes(16384, 64) <= 1 << 20
+
+    @pytest.mark.parametrize(
+        "num_elements, points, before",
+        [(16384, 64, 272_832), (2048, 4097, 754_582)],
+        ids=["one-row-chunks", "two-point-blocks"],
+    )
+    def test_peak_memory_stays_within_16_kib_of_one_call_per_chunk(self, num_elements, points, before):
+        # ``before`` is this peak when each chunk made its own (rows, K) arrays and
+        # prepared its rows inside its element_distances call.  Each block's terms,
+        # spare row and two reused buffers may add 16 KiB to it; taking a block's sines
+        # and cosines while its buffers are live reads 824 753 B on two point blocks.
+        assert self._peak_bytes(num_elements, points) <= before + 16 * 1024
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_rows_raise_or_are_flagged(self):

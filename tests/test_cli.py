@@ -829,11 +829,13 @@ WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 def test_ci_smoke_step_runs_every_subcommand():
-    """CI's installed-script step runs ``nfvel --help`` and each subcommand once, on one line each."""
+    """CI's installed-script step runs ``nfvel --help`` and each subcommand once, on one line each,
+    and fig2 once more at the paper's 16384 elements, one row per kernel chunk."""
     step = WORKFLOW.read_text(encoding="utf-8").split("- name: Installed nfvel script\n", 1)[1]
     lines = step.split("- name: ", 1)[0].splitlines()
-    runs = [line.split()[1] for line in lines if line.lstrip().startswith("nfvel ")]
-    assert sorted(runs) == sorted(["--help", *_commands()])
+    runs = [line.split()[1:] for line in lines if line.lstrip().startswith("nfvel ")]
+    assert sorted(argv[0] for argv in runs) == sorted(["--help", "fig2", *_commands()])
+    assert sum("num_elements=16384" in argv for argv in runs if argv[0] == "fig2") == 1
 
 
 def test_readme_examples_run(tmp_path, capsys, monkeypatch):

@@ -293,7 +293,8 @@ def _one_target_distances(distance, angle, geometry):
 
 @st.composite
 def _block_rows(draw):
-    """A geometry and (distance, angle) rows: regular, end-fire, on or next to an element, at or near the centre."""
+    """A geometry and (distance, angle) rows: regular, end-fire, on or next to an element, at or near the centre,
+    and past 2**400 m, whose lengths are scaled."""
     k = draw(st.sampled_from([1, 2, 101, 2048, 16385]), label="K")
     geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing"))
     # Up to two bound-kernel chunks and one row, so that batches at K=2048
@@ -310,6 +311,7 @@ def _block_rows(draw):
         # At the centre, and within 1e-12 aperture of it.
         st.sampled_from([0.0, 1e-300, 1e-14 * geometry.aperture or 1e-300]).map(lambda d: (d, 0.3)),
         array_line_rows(geometry),
+        st.tuples(st.floats(1e121, 1e300), st.floats(-math.pi / 2, math.pi / 2)),
     )
     rows = draw(st.lists(row, min_size=count, max_size=count), label="rows")
     return geometry, [d for d, _ in rows], [a for _, a in rows]
@@ -608,10 +610,16 @@ FLOAT_RANGE_INPUTS["transverse_info_boresight-2e+154"] = (
     "distance",
     lambda: transverse_info_boresight(2e154, _ARRAY, make_waveform(), 1.0),
 )
-# A search span with an infinite end, or whose width overflows, would reach the grid's arithmetic.
+# A search span with an infinite end, or whose width overflows, would reach the grid's arithmetic;
+# an int end past the float range has no float at all.
 for _span in ("radial_span", "transverse_span"):
-    for _bad in ((0.0, math.inf), (-1e308, 1e308)):
-        FLOAT_RANGE_INPUTS[f"MlSearchConfig-{_span}-{_bad[1]:g}"] = (
+    for _name, _bad in (
+        ("inf", (0.0, math.inf)),
+        ("1e+308", (-1e308, 1e308)),
+        ("10**400", (0, 10**400)),
+        ("-10**400", (-(10**400), 0)),
+    ):
+        FLOAT_RANGE_INPUTS[f"MlSearchConfig-{_span}-{_name}"] = (
             _span,
             lambda key=_span, bad=_bad: MlSearchConfig(
                 **{"radial_span": (0.0, 1.0), "transverse_span": (0.0, 1.0), key: bad}
