@@ -66,9 +66,9 @@ _CURVATURE_FLOOR = 1e-12
 _MAX_NEWTON_STEPS = 30
 
 # Cubes whose coarse grids one _statistic call forms.  A call builds its table rows once, so a
-# larger block runs faster, but each cube adds about 75 KB to what the call holds at the default
-# scene (its copy in the block, its folded columns and its grid); at 9 a default Monte Carlo
-# run's allocation peak is 9.97 MB.
+# larger block runs faster, but each cube adds about 70 KB to what the call holds at the default
+# scene: its copy in the block and, while the block is folded, its compensated copy and folded
+# columns.  Its (41, 5) grid is 3.3 KB (27 KB at 41 x 41).
 _TRIAL_BLOCK = 9
 
 
@@ -78,7 +78,8 @@ class MlSearchConfig:
 
     The spans must bracket the true velocities; the radial span must be narrower
     than the Doppler ambiguity interval ``c / (2 * f_c * T_sym)`` so the grid
-    sees a single peak.  The coarse grid has ``grid_points`` values per axis.
+    sees a single peak.  Each axis of the coarse grid steps by half its mainlobe's half-power
+    half-width, with an odd count of at least 3 and at most ``grid_points``.
     Refinement stops once a Newton step moves no axis by ``tolerance`` (m/s);
     an axis whose grid cell is below it stays on the grid.
     """
@@ -179,27 +180,37 @@ class MatchedFilter:
         self._powers = np.array([m_grid, m_grid**2])
         self._weights = np.stack([*psi, *psi[[0, 0, 1]] * psi[[0, 1, 1]]], 1).astype(complex)
 
-        grid_points = search.grid_points
-        self._radial_grid = np.linspace(*search.radial_span, grid_points)
-        self._transverse_grid = np.linspace(*search.transverse_span, grid_points)
+        # Each axis's coarse step is half its mainlobe's half-power half-width.  Near the truth the
+        # clean statistic falls off as 1 - c_a * offset**2, with c_a = sum((m psi_a)**2) / X (its
+        # Hessian is -X sigma**2 J); Python floats sum c_a, so no BLAS rounding moves a count.
+        spans = [(float(low), float(high)) for low, high in (search.radial_span, search.transverse_span)]
+        mean_m2 = math.fsum((m_grid**2).tolist()) / config.num_symbols
+        counts = [
+            _axis_points(high - low, mean_m2 * math.fsum((rates**2).tolist()) / rates.size, search.grid_points)
+            for (low, high), rates in zip(spans, psi)
+        ]
+        self._radial_grid, self._transverse_grid = (np.linspace(*span, count) for span, count in zip(spans, counts))
         self._cell = [float(grid[1] - grid[0]) for grid in (self._radial_grid, self._transverse_grid)]
 
         # The coarse grid, folded (see _statistic): with each axis's centre phase taken off
         # the data, the offsets on each axis and the symbol index m are mirrored about 0.
         # Each axis's table holds cos and sin of the phase on the upper half of its offsets
         # and m >= 0, shaped (cos/sin, H, M_h * N * K); row `first` holds the least m >= 0.
-        spans = np.array([search.radial_span, search.transverse_span], float)
-        self._lower, self._upper = spans.T.tolist()
-        half, first = -(-grid_points // 2), config.num_symbols // 2
-        step = np.diff(spans) / (grid_points - 1)
-        offsets = step * (np.arange(grid_points - half, grid_points) - (grid_points - 1) / 2.0)
-        self._centring = np.exp(-1j * m_grid[:, None] * (spans.mean(axis=1) @ psi))
+        # Its quadrants are the grid indices of those offsets, upward and mirrored downward.
+        self._lower, self._upper = zip(*spans)
+        first = config.num_symbols // 2
+        self._centring = np.exp(-1j * m_grid[:, None] * (np.array(spans).mean(axis=1) @ psi))
         if config.num_symbols % 2:
             self._centring[first] *= 0.5  # m = 0 pairs with itself
         self._fold = (slice(first, None), slice((config.num_symbols - 1) // 2, None, -1))
-        angles = (offsets[:, :, None, None] * (m_grid[first:, None] * psi[:, None, None, :])).reshape(2, half, -1)
-        self._radial_half, self._transverse_half = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        self._quadrants = (slice(grid_points - half, None), slice(half - 1, None, -1))
+        tables, self._quadrants = [], []
+        for (low, high), count, rates in zip(spans, counts, psi):
+            half = -(-count // 2)
+            offsets = (high - low) / (count - 1) * (np.arange(count - half, count) - (count - 1) / 2.0)
+            angles = (offsets[:, None, None] * (m_grid[first:, None] * rates)).reshape(half, -1)
+            tables.append(np.stack([np.cos(angles), np.sin(angles)]))
+            self._quadrants.append((slice(count - half, None), slice(half - 1, None, -1)))
+        self._radial_half, self._transverse_half = tables
 
     @staticmethod
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
@@ -246,10 +257,11 @@ class MatchedFilter:
         return (samples * self._delay_comp).reshape(samples.shape[:-2] + (-1,))
 
     def _statistic(self, samples: np.ndarray) -> np.ndarray:
-        """Matched-filter output on the coarse grid of each cube in ``samples``, ``(..., M, N, K)`` to ``(..., G, G)``.
+        """Matched-filter output on the coarse grid of each cube in ``samples``, ``(..., M, N, K)`` to ``(..., G_r, G_t)``.
 
         ``S[i, j] = sum(d * exp(-i * m * (v_i psi_r + w_j psi_t)))`` over the samples ``d`` less the
-        model's delay phase, linear in ``d`` and searched as ``|.|**2``.  With each axis's centre
+        model's delay phase, on radial and transverse grids ``v`` and ``w`` of ``G_r`` and ``G_t``
+        points, linear in ``d`` and searched as ``|.|**2``.  With each axis's centre
         taken off the data and rows ``m``, ``-m`` paired as ``e = d_m + d_-m``,
         ``o = d_m - d_-m``, the kernel's cos is even and its sin odd in ``m`` and in
         each offset, so four sums over ``m >= 0`` and the upper half offsets give every quadrant (signs
@@ -257,8 +269,9 @@ class MatchedFilter:
         ``B = sum(e S_r S_t)``, ``P = sum(o S_r C_t)`` and ``Q = sum(o C_r S_t)``.
 
         The whole stack is folded once into real columns ``[e, -i o]``, re/im interleaved so that a
-        product views as complex.  For each transverse offset ``j``, the data-free rows
-        ``[C_r C_t[j]; S_r S_t[j]]``, then ``[C_r S_t[j]; S_r C_t[j]]``, take one reused buffer, and
+        product views as complex.  For each of the ``ceil(G_t / 2)`` upper transverse offsets ``j``,
+        the data-free rows ``[C_r C_t[j]; S_r S_t[j]]``, then ``[C_r S_t[j]; S_r C_t[j]]``, each half
+        over the ``ceil(G_r / 2)`` upper radial offsets, take one reused buffer, and
         their real products with the columns give column ``j`` of ``A``, ``B``, ``-i Q`` and ``-i P``
         for every cube.  The rows cost as much for one cube as for many, so :meth:`_with_statistics`
         passes blocks of cubes.  The radial offsets are the rows: transverse offsets with equal tables
@@ -266,8 +279,8 @@ class MatchedFilter:
         """
         cubes = self._compensate(samples).reshape((-1,) + self._centring.shape)
         count = len(cubes)
-        grid = self._radial_grid.size
-        tables = self._radial_half  # (cos/sin, H, M_h * N * K)
+        grid = (self._radial_grid.size, self._transverse_grid.size)
+        tables = self._radial_half  # (cos/sin, H_r, M_h * N * K)
         half, width = tables.shape[1:]
         upper, lower = self._fold
         # [e, -i o] as (e/o, M_h * N * K, cube, re/im), each part written through a (cube, M_h, N * K) view.
@@ -286,9 +299,10 @@ class MatchedFilter:
         sums = np.empty((2, 2 * half, 2 * count))  # per offset j: rows @ columns, for e and for -i o
         first, second = sums.view(complex).reshape(2, 2, half, count).transpose(1, 0, 2, 3)  # [A, -i Q], [B, -i P]
         (diff_e, diff_o), (sum_e, sum_o) = combined = np.empty((2, 2, half, count), complex)
-        top, bottom = self._quadrants
-        out = np.empty((count, grid, grid), complex)
-        for j, (top_j, bottom_j) in enumerate(zip(range(grid - half, grid), range(half - 1, -1, -1))):
+        (top, bottom), (top_t, bottom_t) = self._quadrants
+        out = np.empty((count,) + grid, complex)
+        columns_t = range(grid[1])
+        for j, (top_j, bottom_j) in enumerate(zip(columns_t[top_t], columns_t[bottom_t])):
             for part, pair in enumerate((self._transverse_half[:, j], self._transverse_half[::-1, j])):
                 np.multiply(tables, pair[:, None, :], out=rows)
                 np.matmul(products, columns[part], out=sums[part])
@@ -298,7 +312,7 @@ class MatchedFilter:
             np.add(sum_e, diff_o, out=out[:, bottom, top_j].T)
             np.subtract(sum_e, diff_o, out=out[:, top, bottom_j].T)
             np.subtract(diff_e, sum_o, out=out[:, bottom, bottom_j].T)
-        return out.reshape(samples.shape[:-3] + (grid, grid))
+        return out.reshape(samples.shape[:-3] + grid)
 
     def _search(self, samples: np.ndarray, statistic: np.ndarray) -> VelocityEstimate:
         """Peak pick, identifiability test and Newton refinement of a cube ``(M, N, K)`` from its ``_statistic``.
@@ -382,6 +396,20 @@ class MatchedFilter:
             min(max(v + min(max(s, -c), c), low), high)
             for v, s, c, low, high in zip(velocity, step, self._cell, self._lower, self._upper)
         ]
+
+
+def _axis_points(width: float, curvature: float, cap: int) -> int:
+    """Coarse grid points on a search axis ``width`` wide, along which the clean statistic falls off as
+    ``1 - curvature * offset**2``.
+
+    The mainlobe's half-power half-width is ``1 / sqrt(2 * curvature)``, and the step is half of it.
+    The count is odd, so the window centre is a point, and 3 to ``cap``; a flat axis takes 3.
+    """
+    steps = width * math.sqrt(8.0 * curvature)
+    if not steps < cap:
+        return cap
+    count = math.ceil(steps) + 1
+    return min(max(count + 1 - count % 2, 3), cap)
 
 
 def _unit_scale(magnitude: float) -> float:

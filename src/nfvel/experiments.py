@@ -254,7 +254,8 @@ def run_radial_vs_distance(
     for aperture, geometry in zip(apertures, geometries):
         bounds = _grid_bounds("d_min and d_max", distances, np.zeros(points), geometry, wf, config.snr)
         approx = radial_info_boresight(distances, geometry, wf, config.snr)
-        groups.append((distances, aperture, bounds.root_radial, _root_inverse(approx), root_far_field))
+        # A copy: the row view would keep all of the kernel's bound rows for the whole table.
+        groups.append((distances, aperture, bounds.root_radial.copy(), _root_inverse(approx), root_far_field))
 
     return _table(
         "radial-vs-distance",
@@ -294,7 +295,8 @@ def run_transverse_vs_distance(
             angle = np.full(points, angle_deg / 180.0 * math.pi)
             bounds = _grid_bounds("d_min and d_max", distances, angle, geometry, wf, config.snr)
             root_jtt = _root_inverse(bounds.j_tt)
-            groups.append((distances, angle_deg, aperture, bounds.root_transverse, root_jtt))
+            # A copy, as in fig1.
+            groups.append((distances, angle_deg, aperture, bounds.root_transverse.copy(), root_jtt))
 
     return _table(
         "transverse-vs-distance",

@@ -1,9 +1,11 @@
 """Tests for the matched-filter ML estimator and its Monte Carlo harness."""
 
 import dataclasses
+import functools
 import math
 import re
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -632,6 +634,14 @@ def _scene_filter(config: ScenarioConfig):
     return geom, wf, target, MatchedFilter(geom, wf, target.distance, target.angle, search)
 
 
+# The Monte Carlo golden cases' scenes.
+_GOLDEN_SCENES = {
+    "default": dict(),
+    "golden-offboresight": dict(num_symbols=15, num_subcarriers=2, num_elements=31, angle=math.radians(40.0)),
+    "golden-endfire": dict(angle=math.radians(90.0)),
+}
+
+
 class TestDerivatives:
     """``MatchedFilter._derivatives``: the separable phase against the full one."""
 
@@ -677,8 +687,7 @@ class TestDerivatives:
             dict(distance=0.3, angle=math.radians(60.0)),
             dict(num_elements=64, distance=2.0),
             dict(distance=10.0, angle=math.radians(80.0)),
-            # The off-boresight golden case.
-            dict(num_symbols=15, num_subcarriers=2, num_elements=31, angle=math.radians(40.0)),
+            _GOLDEN_SCENES["golden-offboresight"],
         ],
         ids=["10m-0deg", "5cm-0deg", "30cm-60deg", "K64-2m", "10m-80deg", "golden-offboresight"],
     )
@@ -704,7 +713,8 @@ _SPAN = st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 10.0)).map(lambda low_
 
 
 _COARSE_CASES = dict(
-    grid_points=st.integers(3, 42),
+    # Forced per axis: on these scenes the mainlobes would give 3 points on most axes.
+    counts=st.tuples(st.integers(3, 42), st.integers(3, 42)),
     num_symbols=st.sampled_from([1, 2, 7, 14]),
     num_subcarriers=st.integers(1, 3),
     num_elements=st.integers(1, 12),
@@ -714,15 +724,24 @@ _COARSE_CASES = dict(
 )
 
 
-def _coarse_case(grid_points, num_symbols, num_subcarriers, num_elements, angle, spans):
-    """A filter at 0.8 m and ``angle``, its cube shape, and the full 2-D phase kernel of its grid, ``(G, G, X)``."""
+def _forced_filter(geom, wf, distance, angle, search, counts):
+    """A filter whose coarse grid has ``counts`` points per axis, whatever its mainlobes."""
+    with mock.patch.object(estimator, "_axis_points", side_effect=counts):
+        finder = MatchedFilter(geom, wf, distance, angle, search)
+    assert (finder._radial_grid.size, finder._transverse_grid.size) == counts
+    return finder
+
+
+def _coarse_case(counts, num_symbols, num_subcarriers, num_elements, angle, spans):
+    """A filter at 0.8 m and ``angle`` with ``counts`` grid points, its cube shape, and the full
+    2-D phase kernel of its grid, ``(G_r, G_t, X)``."""
     geom = ArrayGeometry(num_elements=num_elements, spacing=0.02)
     wf = make_waveform(
         carrier=6e9, num_subcarriers=num_subcarriers, num_symbols=num_symbols, symbol_time=2e-4
     )
-    finder = MatchedFilter(geom, wf, 0.8, angle, _search(*spans, grid_points=grid_points))
+    finder = _forced_filter(geom, wf, 0.8, angle, _search(*spans), counts)
     phase = _full_phase(geom, wf, TargetState(0.8, angle))
-    radial, transverse = (np.linspace(*span, grid_points) for span in spans)
+    radial, transverse = finder._radial_grid, finder._transverse_grid
     kernel = np.exp(-1j * (radial[:, None, None] * phase[0] + transverse[None, :, None] * phase[1]))
     return finder, (num_symbols, num_subcarriers, num_elements), kernel
 
@@ -734,38 +753,125 @@ class TestCoarseStatistic:
     @settings(max_examples=80, deadline=None)
     @given(**_COARSE_CASES)
     def test_folded_grid_matches_the_full_phase(
-        self, grid_points, num_symbols, num_subcarriers, num_elements, angle, spans, seed
+        self, counts, num_symbols, num_subcarriers, num_elements, angle, spans, seed
     ):
         finder, shape, kernel = _coarse_case(
-            grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
+            counts, num_symbols, num_subcarriers, num_elements, angle, spans
         )
         samples = waveform._unit_noise(shape, np.random.default_rng(seed))
         got = finder._statistic(samples)
         expected = np.sum(kernel * finder._compensate(samples).ravel(), axis=-1)
 
-        assert got.shape == expected.shape == (grid_points, grid_points)
+        assert got.shape == expected.shape == counts
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         assert np.argmax(np.abs(got)) == np.argmax(np.abs(expected))
         if abs(angle) == math.pi / 2:
             # End-fire: no transverse phase, so no transverse curvature for the search to see.
-            assert np.array_equal(got, np.repeat(got[:, :1], grid_points, axis=1))
+            assert np.array_equal(got, np.repeat(got[:, :1], got.shape[1], axis=1))
 
     @settings(max_examples=60, deadline=None)
     @given(count=st.integers(1, 5), **_COARSE_CASES)
     def test_each_cube_of_a_stack_matches_its_one_cube_call(
-        self, count, grid_points, num_symbols, num_subcarriers, num_elements, angle, spans, seed
+        self, count, counts, num_symbols, num_subcarriers, num_elements, angle, spans, seed
     ):
         finder, shape, kernel = _coarse_case(
-            grid_points, num_symbols, num_subcarriers, num_elements, angle, spans
+            counts, num_symbols, num_subcarriers, num_elements, angle, spans
         )
         stack = waveform._unit_noise((count,) + shape, np.random.default_rng(seed))
         got = finder._statistic(stack)
 
-        assert got.shape == (count, grid_points, grid_points)
+        assert got.shape == (count,) + counts
         for samples, grid in zip(stack, got):
             data = finder._compensate(samples).ravel()
             for expected in (finder._statistic(samples), np.sum(kernel * data, axis=-1)):
                 assert np.abs(grid - expected).max() <= 1e-12 * np.abs(expected).max()
                 assert np.argmax(np.abs(grid)) == np.argmax(np.abs(expected))
             if abs(angle) == math.pi / 2:
-                assert np.array_equal(grid, np.repeat(grid[:, :1], grid_points, axis=1))
+                assert np.array_equal(grid, np.repeat(grid[:, :1], grid.shape[1], axis=1))
+
+    @pytest.mark.parametrize(
+        ("scene", "grid_points", "counts"),
+        [
+            (_GOLDEN_SCENES["default"], 41, (41, 5)),
+            (_GOLDEN_SCENES["golden-offboresight"], 41, (41, 3)),
+            (_GOLDEN_SCENES["golden-endfire"], 41, (41, 3)),
+            (dict(num_elements=64, distance=2.0), 41, (41, 13)),
+            (dict(distance=0.05), 41, (35, 41)),
+            (dict(num_symbols=1), 41, (3, 3)),  # one symbol: no Doppler phase on either axis
+            (dict(), 21, (21, 5)),
+        ],
+        ids=["default", "golden-offboresight", "golden-endfire", "K64-2m", "5cm", "one-symbol", "cap-21"],
+    )
+    def test_each_axis_takes_its_count_from_its_mainlobe(self, scene, grid_points, counts):
+        # A step of half the half-power half-width, odd, from 3 up to grid_points.
+        geom, wf, target, default = _scene_filter(ScenarioConfig(**scene))
+        search = dataclasses.replace(default.search, grid_points=grid_points)
+        finder = MatchedFilter(geom, wf, target.distance, target.angle, search)
+        assert (finder._radial_grid.size, finder._transverse_grid.size) == counts
+
+
+# A reference grid forced dense on both axes: its radial step is 4x finer than the 41-point cap's, and its
+# transverse step 10x finer than the default scene's own (20x the golden off-boresight and end-fire scenes').
+_REFERENCE_COUNTS = (161, 41)
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_estimates(scene, snr_db, counts=None, trials=300, seed=0):
+    """Estimates ``(trials, 2)`` of Monte Carlo trials ``0 .. trials - 1`` on a golden scene at ``snr_db``,
+    and each axis's mainlobe half-power half-width.
+
+    The cubes are those :func:`monte_carlo_reports` searches, estimated by one stacked ``estimate`` on
+    the default search, whose coarse grid has the filter's own counts or ``counts`` points per axis.
+    """
+    geom, wf, target, finder = _scene_filter(ScenarioConfig(**_GOLDEN_SCENES[scene]))
+    if counts is not None:
+        finder = _forced_filter(geom, wf, target.distance, target.angle, finder.search, counts)
+    unit = dataclasses.replace(wf, total_power=float(wf.num_subcarriers))  # a unit-magnitude clean cube
+    clean = _clean_cube(target, geom, unit, 10.0 ** (snr_db / 10.0))
+    sigma = math.sqrt(clean.noise.noise_variance / 2.0)
+    draws = [waveform._unit_noise(clean.samples.shape, np.random.SeedSequence([seed, t])) for t in range(trials)]
+    estimates = finder.estimate(clean.samples + sigma * np.stack(draws))
+    # |S|^2 of the clean cube falls to half its peak at sqrt(X / (2 sum((m psi_a)^2))) from the truth.
+    m_grid = symmetric_index_grid(wf.num_symbols)
+    half_widths = [
+        math.sqrt(clean.samples.size / (2.0 * np.sum((m_grid[:, None] * rates) ** 2))) if rates.any() else math.inf
+        for rates in finder._psi
+    ]
+    return np.array([[est.radial, est.transverse] for est in estimates]), np.array(half_widths)
+
+
+def _search_failures(scene, snr_db, counts=None):
+    """Trials whose estimate lies more than a tenth of a half-width from the reference grid's on an axis,
+    or identifies an axis that the reference's does not, or the other way round."""
+    estimates, half_widths = _trial_estimates(scene, snr_db, counts)
+    reference, _ = _trial_estimates(scene, snr_db, _REFERENCE_COUNTS)
+    apart = np.abs(estimates - reference) > half_widths / 10.0
+    return int((apart | (np.isnan(estimates) != np.isnan(reference))).any(axis=1).sum())
+
+
+class TestSearchCheck:
+    """The coarse grid only has to start Newton in the basin of the statistic's global peak.  Each
+    trial is rerun, with the same Newton, from a reference grid dense on both axes; a trial whose
+    estimate differs is a search failure, not an ML outlier.  A denser grid is a stronger check,
+    not a proof that the global peak was found."""
+
+    @pytest.mark.parametrize("snr_db", [-20.0, -15.0])
+    @pytest.mark.parametrize("scene", sorted(_GOLDEN_SCENES))
+    def test_mainlobe_grid_finds_the_reference_peak(self, scene, snr_db):
+        assert _search_failures(scene, snr_db) == 0
+
+    @pytest.mark.parametrize("scene", sorted(_GOLDEN_SCENES))
+    def test_mainlobe_grid_fails_no_more_often_than_the_square_grid_deep_in_the_threshold(self, scene):
+        assert _search_failures(scene, -30.0) <= _search_failures(scene, -30.0, (41, 41))
+
+    def test_a_grid_too_coarse_for_the_radial_mainlobe_fails(self):
+        # The check can fail: 15 radial points step 1.6 radial half-widths, where the rule steps 0.5.
+        assert _search_failures("default", -20.0, (15, 5)) >= 1
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0])
+    @pytest.mark.parametrize(("scene", "seed"), [("default", 3), ("golden-offboresight", 5)])
+    def test_golden_trials_equal_the_square_grids_above_the_threshold(self, scene, seed, snr_db):
+        # The golden runs' draws: 100 trials at their seeds.
+        estimates, _ = _trial_estimates(scene, snr_db, trials=100, seed=seed)
+        square, _ = _trial_estimates(scene, snr_db, (41, 41), trials=100, seed=seed)
+        np.testing.assert_allclose(estimates, square, rtol=0.0, atol=1e-9)
