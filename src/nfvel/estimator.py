@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import closed_form_bounds
+from .bounds import BoundRows, closed_form_bounds
 from .constants import SPEED_OF_LIGHT
 from .geometry import (
     ArrayGeometry,
@@ -448,26 +448,16 @@ def monte_carlo_reports(
 ) -> list[MonteCarloReport]:
     """One :func:`monte_carlo_mse` report per linear SNR, all from the same noise draws.
 
-    The trials run in units of the noise, a unit-magnitude clean cube and the
-    floor ``1/snr``, so the waveform's ``total_power`` does not move a report.
-    Trial ``t`` draws one unit noise cube ``u`` from a generator seeded by
-    ``(seed, t)``, and each SNR estimates from ``clean + sigma * u``: the cube
-    :func:`add_noise` returns for that generator.  Each report therefore
-    equals the one-SNR call, and the reports are correlated with one another.
-    The coarse matched-filter statistic is linear in the samples, so it is
-    formed once for the clean cube and once for each trial's ``u``, in the
-    blocks of cubes a stacked ``estimate`` forms its grids in.  One
-    :class:`MatchedFilter` serves every SNR and trial, through the search its
-    ``estimate`` runs, in trial order, scaled by the largest sample magnitude
-    of each SNR's cube.  The bounds are those of
-    :func:`~nfvel.bounds.closed_form_bounds` at each SNR as given.
+    The trials run on a unit-magnitude clean cube at the floor ``1/snr``, so the waveform's
+    ``total_power`` does not move a report.  Every SNR scales the same draws, so each report
+    equals its one-SNR call and the reports are correlated with one another.  The bounds are
+    those of :func:`~nfvel.bounds.closed_form_bounds` at each SNR as given.
     """
     _require_count(100, trials=trials)  # fewer trials give no usable MSE
     _require_count(0, None, seed=seed)
     if not snrs:
         return []
-    target, search = scenario.target, scenario.search
-    geometry, config = scenario.geometry, scenario.waveform
+    target, search, config = scenario.target, scenario.search, scenario.waveform
     if not (search.radial_span[0] <= target.radial_velocity <= search.radial_span[1]):
         raise ValueError("radial search span does not contain the true velocity")
     if not (search.transverse_span[0] <= target.transverse_velocity <= search.transverse_span[1]):
@@ -476,39 +466,48 @@ def monte_carlo_reports(
     # One watt per subcarrier gives the unit-magnitude cube and the floor 1/snr; the copy's warnings would repeat.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        unit_config = replace(config, total_power=float(config.num_subcarriers))
-    noises = [ChannelNoise.from_snr(unit_config, snr) for snr in snrs]
+        unit = replace(scenario, waveform=replace(config, total_power=float(config.num_subcarriers)))
+    noises = [ChannelNoise.from_snr(unit.waveform, snr) for snr in snrs]
     count = len(snrs)
-    bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, geometry, config, snrs)
-    clean = synthesize_noise_free(target, geometry, unit_config, noises[0]).samples
-    finder = MatchedFilter(geometry, config, target.distance, target.angle, search)
-    clean_statistic = next(finder._with_statistics([clean]))[1]
+    bounds = closed_form_bounds([target.distance] * count, [target.angle] * count, scenario.geometry, config, snrs)
+    estimates = _trial_estimates(unit, noises, trials, seed)
+    return _reports(estimates, (target.radial_velocity, target.transverse_velocity), bounds, seed)
+
+
+def _trial_estimates(scenario: Scenario, noises: Sequence[ChannelNoise], trials: int, seed: int) -> np.ndarray:
+    """Estimates ``(rows, 2, trials)``, radial then transverse, of the trials at each of ``noises``; NaN
+    where a trial did not identify the axis.
+
+    Trial ``t`` draws a unit noise cube ``u`` seeded by ``(seed, t)``, and row ``r`` searches the clean
+    cube plus ``sigma_r * u``, the cube :func:`add_noise` returns for that seed.  The coarse statistic
+    is linear, so it is formed once for the clean cube and once per ``u``, in ``estimate``'s blocks.
+    """
+    target, geometry = scenario.target, scenario.geometry
+    clean = synthesize_noise_free(target, geometry, scenario.waveform, noises[0]).samples
+    finder = MatchedFilter(geometry, scenario.waveform, target.distance, target.angle, scenario.search)
+    clean_statistic = finder._statistic(clean)
     sigmas = [math.sqrt(noise.noise_variance / 2.0) for noise in noises]
     units = (_unit_noise(clean.shape, np.random.SeedSequence([seed, trial])) for trial in range(trials))
-
-    # Squared error per SNR, axis (radial, transverse) and trial; NaN where
-    # the axis was not identified.
-    sq_err = np.empty((len(noises), 2, trials))
+    estimates = np.empty((len(noises), 2, trials))
     for trial, (unit, unit_statistic) in enumerate(finder._with_statistics(units)):
         for row, sigma in enumerate(sigmas):
             est = finder._search(clean + sigma * unit, clean_statistic + sigma * unit_statistic)
-            sq_err[row, 0, trial] = (est.radial - target.radial_velocity) ** 2
-            sq_err[row, 1, trial] = (est.transverse - target.transverse_velocity) ** 2
+            estimates[row, :, trial] = est.radial, est.transverse
+    return estimates
 
-    identified = ~np.isnan(sq_err)
-    found = identified.sum(axis=2)
-    # NaN where a trial missed the axis.  A partly identified axis averages the
-    # trials that found it: summed with zeros in their place, it would round otherwise.
-    mse = sq_err.sum(axis=2) / trials
-    for row, axis in np.argwhere((found > 0) & (found < trials)):
-        mse[row, axis] = np.mean(sq_err[row, axis][identified[row, axis]])
+
+def _reports(estimates: np.ndarray, truth: Sequence[float], bounds: BoundRows, seed: int) -> list[MonteCarloReport]:
+    """The report of each row of trial ``estimates`` ``(rows, 2, trials)`` of ``truth``, against that
+    row of ``bounds``.  An axis's MSE is the mean over the trials that identified it, NaN if none did."""
+    identified = ~np.isnan(estimates)
+    mse = np.full(estimates.shape[:2], math.nan)
+    for row, axis in np.argwhere(identified.any(axis=2)):
+        # Python's ** squares each error, which rounds otherwise than numpy's square on some values.
+        found = estimates[row, axis][identified[row, axis]].tolist()
+        mse[row, axis] = np.mean([(v - truth[axis]) ** 2 for v in found])
     crlb = np.stack([bounds.radial, bounds.transverse], axis=1)
     # A ratio is NaN where the MSE is or where the bound is infinite.
     ratio = np.divide(mse, crlb, out=np.full_like(mse, math.nan), where=np.isfinite(crlb) & (crlb > 0.0))
     degenerate = (~identified).any(axis=1).sum(axis=1)
-    return [
-        MonteCarloReport(trials, degenerate_trials, *mse_row, *crlb_row, *ratio_row, seed)
-        for degenerate_trials, mse_row, crlb_row, ratio_row in zip(
-            degenerate.tolist(), mse.tolist(), crlb.tolist(), ratio.tolist()
-        )
-    ]
+    rows = zip(degenerate.tolist(), mse.tolist(), crlb.tolist(), ratio.tolist())
+    return [MonteCarloReport(estimates.shape[2], flagged, *m, *c, *r, seed) for flagged, m, c, r in rows]

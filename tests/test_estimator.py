@@ -23,6 +23,7 @@ from nfvel import (
     Scenario,
     TargetState,
     add_noise,
+    closed_form_bounds,
     crlb_from_fisher,
     fisher_info_closed_form,
     ml_estimate,
@@ -224,6 +225,13 @@ def _mc_scenario(angle=0.0, transverse_truth=-3.0):
     )
 
 
+def _bounds(scenario, snrs):
+    """The bound rows :func:`monte_carlo_reports` reports at ``snrs``."""
+    target, count = scenario.target, len(snrs)
+    distances, angles = [target.distance] * count, [target.angle] * count
+    return closed_form_bounds(distances, angles, scenario.geometry, scenario.waveform, snrs)
+
+
 class TestMonteCarlo:
     def test_same_seed_reproduces_report(self):
         scenario = _mc_scenario()
@@ -287,25 +295,30 @@ class TestMonteCarlo:
         assert math.isinf(report.crlb_transverse)
         assert math.isfinite(report.mse_radial)
 
-    def test_partly_identified_axis_averages_the_trials_that_found_it(self, monkeypatch):
+    def test_partly_identified_axis_averages_the_trials_that_found_it(self):
         # Every third trial misses the transverse axis.  Its MSE is the mean over the other
         # trials, which rounds otherwise than a sum with zeros in place of the misses.
-        scenario, errors = _mc_scenario(), []
-        search = MatchedFilter._search
-
-        def miss_every_third(finder, samples, statistic):
-            estimate = search(finder, samples, statistic)
-            if len(errors) % 3 == 0:
-                estimate = dataclasses.replace(estimate, transverse=math.nan, transverse_identifiable=False)
-            errors.append((estimate.transverse - scenario.target.transverse_velocity) ** 2)
-            return estimate
-
-        monkeypatch.setattr(MatchedFilter, "_search", miss_every_third)
-        report = monte_carlo_mse(scenario, _MC_SNR, trials=100, seed=4)
-        found = np.array([error for error in errors if not math.isnan(error)])
+        scenario = _mc_scenario()
+        truth = (scenario.target.radial_velocity, scenario.target.transverse_velocity)
+        estimates = _library_trials(scenario, [_MC_SNR], trials=100, seed=4)
+        estimates[0, 1, ::3] = math.nan
+        (report,) = estimator._reports(estimates, truth, _bounds(scenario, [_MC_SNR]), seed=4)
+        found = np.array([(v - truth[1]) ** 2 for v in estimates[0, 1].tolist() if not math.isnan(v)])
         assert (report.degenerate_trials, found.size) == (34, 66)
         assert report.mse_transverse == float(np.mean(found))
         assert report.ratio_transverse == report.mse_transverse / report.crlb_transverse
+
+    def test_squared_errors_are_python_float_squares(self):
+        # With glibc 2.36, Python's ** (libm's pow) squares this error to 1.6819895542397528e-06, and
+        # numpy's square, the product, to ...526e-06: the trials square their errors with **.
+        # The truth is (0, 0), so each estimate is its error.
+        error = 0.001296915399800524
+        estimates = np.full((1, 2, 100), math.nan)
+        estimates[0, 0] = error  # every trial, so the MSE is a mean of 100 squares
+        estimates[0, 1, 0] = error  # one trial, so the MSE is its square
+        (report,) = estimator._reports(estimates, (0.0, 0.0), _bounds(_mc_scenario(), [_MC_SNR]), seed=0)
+        assert report.mse_radial == float(np.mean([error**2] * 100))
+        assert report.mse_transverse == error**2
 
     def test_estimator_is_unbiased_at_high_snr(self):
         # the empirical mean error must be statistically indistinguishable
@@ -499,36 +512,60 @@ class TestSharedNoise:
             monte_carlo_reports(scenario, [], trials=100, seed=-1)
 
     @pytest.mark.parametrize("block", [None, 1, 118], ids=["default block", "block of 1", "block past trials"])
-    @pytest.mark.parametrize("scene", ["end-fire", "odd M and K"])
-    def test_blocked_trials_equal_estimates_of_each_noisy_cube(self, monkeypatch, scene, block):
-        # 117 trials are not a multiple of the default block, so the last block is short.
+    @pytest.mark.parametrize(
+        ("scene", "snrs_db", "trials", "seed"),
+        [
+            ("end-fire", (-20.0, 10.0), 117, 6),
+            ("odd M and K", (-20.0, 10.0), 117, 6),
+            # The golden Monte Carlo files' scenes, SNRs and seeds.
+            ("default", (0.0, 10.0), 100, 3),
+            ("golden-offboresight", (-30.0, 0.0, 20.0), 100, 5),
+            ("golden-endfire", (-10.0, 20.0), 100, 2),
+        ],
+        ids=["end-fire", "odd M and K", "default", "golden-offboresight", "golden-endfire"],
+    )
+    def test_blocked_trials_equal_estimates_of_each_noisy_cube(self, monkeypatch, scene, snrs_db, trials, seed, block):
+        # Neither 117 nor 100 trials are a multiple of the default block, so the last block is short.
         if block is not None:
             monkeypatch.setattr(estimator, "_TRIAL_BLOCK", block)
-        scenario = _shared_scenario(**_SHARED_SCENES[scene])
-        snrs = _linear((-20.0, 10.0))
-        reports = monte_carlo_reports(scenario, snrs, trials=117, seed=6)
-        for snr, report in zip(snrs, reports):
-            np.testing.assert_equal(astuple(report), astuple(_one_cube_at_a_time(scenario, snr, 117, 6)))
+        scenario = _shared_scenario(**_SHARED_SCENES[scene]) if scene in _SHARED_SCENES else _golden_scenario(scene)
+        snrs = _linear(snrs_db)
+        reports = monte_carlo_reports(scenario, snrs, trials, seed)
+        for snr, estimates, report in zip(snrs, _library_trials(scenario, snrs, trials, seed), reports):
+            one_report, one_estimates = _one_cube_at_a_time(scenario, snr, trials, seed)
+            # assert_equal treats NaN (an unidentified axis) as equal to NaN.
+            np.testing.assert_equal(estimates, one_estimates)
+            np.testing.assert_equal(astuple(report), astuple(one_report))
+
+
+def _library_trials(scenario, snrs, trials, seed):
+    """The per-trial estimates ``(rows, 2, trials)`` of :func:`monte_carlo_reports`: its trial loop on
+    the unit-magnitude clean cube at each floor ``1/snr``."""
+    wf = scenario.waveform
+    unit = dataclasses.replace(scenario, waveform=dataclasses.replace(wf, total_power=float(wf.num_subcarriers)))
+    return estimator._trial_estimates(unit, [ChannelNoise.from_snr(unit.waveform, snr) for snr in snrs], trials, seed)
 
 
 def _one_cube_at_a_time(scenario, snr, trials, seed):
-    """:func:`monte_carlo_mse`'s report, from ``MatchedFilter.estimate`` on each trial's :func:`add_noise` cube."""
+    """:func:`monte_carlo_mse`'s report and the trials' estimates ``(2, trials)``, from
+    ``MatchedFilter.estimate`` on each trial's :func:`add_noise` cube."""
     target, geom, wf = scenario.target, scenario.geometry, scenario.waveform
     unit = dataclasses.replace(wf, total_power=float(wf.num_subcarriers))  # a unit-magnitude clean cube
     clean = _clean_cube(target, geom, unit, snr)
     finder = MatchedFilter(geom, wf, target.distance, target.angle, scenario.search)
     truth = (target.radial_velocity, target.transverse_velocity)
-    errors = np.empty((2, trials))
+    estimates = np.empty((2, trials))
     for trial in range(trials):
         est = finder.estimate(add_noise(clean, np.random.SeedSequence([seed, trial])).samples)
-        errors[:, trial] = [(v - t) ** 2 for v, t in zip((est.radial, est.transverse), truth)]
+        estimates[:, trial] = est.radial, est.transverse
+    errors = np.array([[(v - t) ** 2 for v in axis] for axis, t in zip(estimates.tolist(), truth)])
     found = ~np.isnan(errors)
     mse = [float(np.mean(e[f])) if f.any() else math.nan for e, f in zip(errors, found)]
     bound = crlb_from_fisher(fisher_info_closed_form(target, geom, wf, snr))
     crlb = [bound.radial, bound.transverse]
     ratio = [m / c if math.isfinite(c) and c > 0.0 else math.nan for m, c in zip(mse, crlb)]
     degenerate = int((~found).any(axis=0).sum())
-    return MonteCarloReport(trials, degenerate, *mse, *crlb, *ratio, seed)
+    return MonteCarloReport(trials, degenerate, *mse, *crlb, *ratio, seed), estimates
 
 
 class TestNewtonStep:
@@ -640,6 +677,12 @@ _GOLDEN_SCENES = {
     "golden-offboresight": dict(num_symbols=15, num_subcarriers=2, num_elements=31, angle=math.radians(40.0)),
     "golden-endfire": dict(angle=math.radians(90.0)),
 }
+
+
+def _golden_scenario(scene):
+    """The Monte Carlo scenario of the golden scene ``scene``, with the default search."""
+    geom, wf, target, finder = _scene_filter(ScenarioConfig(**_GOLDEN_SCENES[scene]))
+    return Scenario(target, geom, wf, finder.search)
 
 
 class TestDerivatives:
@@ -820,24 +863,21 @@ def _trial_estimates(scene, snr_db, counts=None, trials=300, seed=0):
     """Estimates ``(trials, 2)`` of Monte Carlo trials ``0 .. trials - 1`` on a golden scene at ``snr_db``,
     and each axis's mainlobe half-power half-width.
 
-    The cubes are those :func:`monte_carlo_reports` searches, estimated by one stacked ``estimate`` on
-    the default search, whose coarse grid has the filter's own counts or ``counts`` points per axis.
+    The estimates are those of the library's trial loop, whose coarse grid has the filter's own counts
+    or ``counts`` points per axis.
     """
     geom, wf, target, finder = _scene_filter(ScenarioConfig(**_GOLDEN_SCENES[scene]))
-    if counts is not None:
-        finder = _forced_filter(geom, wf, target.distance, target.angle, finder.search, counts)
-    unit = dataclasses.replace(wf, total_power=float(wf.num_subcarriers))  # a unit-magnitude clean cube
-    clean = _clean_cube(target, geom, unit, 10.0 ** (snr_db / 10.0))
-    sigma = math.sqrt(clean.noise.noise_variance / 2.0)
-    draws = [waveform._unit_noise(clean.samples.shape, np.random.SeedSequence([seed, t])) for t in range(trials)]
-    estimates = finder.estimate(clean.samples + sigma * np.stack(draws))
+    scenario, snr = Scenario(target, geom, wf, finder.search), 10.0 ** (snr_db / 10.0)
+    # Forced counts stand in for the mainlobe rule's two calls while the trial loop builds its filter.
+    with mock.patch.object(estimator, "_axis_points", side_effect=counts or estimator._axis_points):
+        (estimates,) = _library_trials(scenario, [snr], trials, seed)
     # |S|^2 of the clean cube falls to half its peak at sqrt(X / (2 sum((m psi_a)^2))) from the truth.
-    m_grid = symmetric_index_grid(wf.num_symbols)
+    m_grid, size = symmetric_index_grid(wf.num_symbols), math.prod(finder._shape)
     half_widths = [
-        math.sqrt(clean.samples.size / (2.0 * np.sum((m_grid[:, None] * rates) ** 2))) if rates.any() else math.inf
+        math.sqrt(size / (2.0 * np.sum((m_grid[:, None] * rates) ** 2))) if rates.any() else math.inf
         for rates in finder._psi
     ]
-    return np.array([[est.radial, est.transverse] for est in estimates]), np.array(half_widths)
+    return estimates.T, np.array(half_widths)
 
 
 def _search_failures(scene, snr_db, counts=None):
