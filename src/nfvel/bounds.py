@@ -224,7 +224,7 @@ def closed_form_bounds(
     angles = np.asarray(angles, dtype=float).reshape(-1)
     snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
     _require_positive(snr=snr)
-    # Validation comes first: math.sin raises its own error for an infinite angle.
+    # Validation comes first: np.sin of an infinite angle warns and gives NaN.
     _check_rows(distances, angles)
     entries = np.empty((3, distances.size))
     degenerate = np.empty(distances.size, dtype=bool)
@@ -263,14 +263,22 @@ def _block_entries(
         u, x_u = buffers[:, : min(rows.stop, count) - rows.start]
         chunk_terms = [None if t is None else t[rows] for t in terms]
         degenerate[rows] = element_distances(None, geometry, terms=chunk_terms, out=u)[1]
-        # Each product formed in place.
+        # Each product formed in place.  Over several rows a product that broadcasts the
+        # positions buffers them, so they go into the spare buffer first.
+        several = len(u) > 1
         np.divide(1.0, u, out=u)
-        np.multiply(x, u, out=x_u)
+        if several:
+            np.copyto(x_u, x)
+            x_u *= u
+        else:
+            np.multiply(x, u, out=x_u)
         u.sum(axis=1, out=sum_u[rows])
         x_u.sum(axis=1, out=sum_x_u[rows])
         u *= x_u
         u.sum(axis=1, out=sum_x_u2[rows])
-        u *= x
+        if several:
+            np.copyto(x_u, x)
+        u *= x_u if several else x
         u.sum(axis=1, out=sum_x2_u2[rows])
     del buffers, u, x_u, terms  # before the weights' (rows, N) temporaries
     sin, cos = trig

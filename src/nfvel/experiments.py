@@ -428,8 +428,9 @@ def run_planar_map(
             f"the link-budget snr, up to {peak!r} on this map, takes the information matrix "
             f"past the float range: check {budget}"
         ) from None
-    root_vt, degenerate = bounds.root_transverse, bounds.singular
-    del bounds  # the kernel's other columns, before the SNR's
+    # A copy, as in fig1: the row view would keep all four bound rows through the render.
+    root_vt, degenerate = bounds.root_transverse.copy(), bounds.singular
+    del bounds  # the kernel's other rows, before the SNR's
     snr_db = 10.0 * _per_point(math.log10, snr)
     angle_deg = np.degrees(angle, out=angle)
     angle_deg[distance == 0.0] = 0.0  # the centre reads angle 0, also where x is -0.0

@@ -1,6 +1,10 @@
 """Shared builders for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -76,3 +80,44 @@ def array_line_rows(geometry: ArrayGeometry):
     ).map(
         lambda t: (abs(t[0]) * (1.0 + t[1] * 2.0**-52), math.copysign(math.pi / 2 - t[2], t[0]))
     )
+
+
+def avx512_targets() -> list[str]:
+    """numpy's AVX-512 dispatch targets that the running CPU supports, as ``NPY_DISABLE_CPU_FEATURES`` names them.
+
+    The names come from ``__cpu_dispatch__``, because numpy refuses a name it does not know.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return []
+    return [
+        name
+        for name in umath.__cpu_dispatch__
+        if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)
+    ]
+
+
+def run_without_avx512(code: str) -> str:
+    """Standard output of Python ``code`` run in a child process whose numpy leaves out its AVX-512 targets.
+
+    It stands in for a host without AVX-512.  The child imports ``nfvel`` and these test
+    modules from this checkout, and checks first that every target is off.  The calling
+    test skips, and says why, where numpy dispatches to no AVX-512 target.
+    """
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy here dispatches to no AVX-512 target (or has no numpy._core), so none can be turned off")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets), "PYTHONPATH": path}
+    check = (
+        "from numpy._core import _multiarray_umath as umath\n"
+        f"if any(umath.__cpu_features__[name] for name in {targets!r}):\n"
+        "    raise SystemExit('numpy kept an AVX-512 target on')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", check + code], env=env, capture_output=True, text=True, timeout=300, check=False
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout

@@ -828,14 +828,21 @@ README = Path(__file__).parents[1] / "README.md"
 WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 
-def test_ci_smoke_step_runs_every_subcommand():
+def test_ci_smoke_step_runs_every_subcommand(tmp_path):
     """CI's installed-script step runs ``nfvel --help`` and each subcommand once, on one line each,
-    and fig2 once more at the paper's 16384 elements, one row per kernel chunk."""
+    fig2 once more at the paper's 16384 elements, one row per kernel chunk, and fig4 once more
+    on a map whose first row, along the array line and through its centre, reads degenerate."""
     step = WORKFLOW.read_text(encoding="utf-8").split("- name: Installed nfvel script\n", 1)[1]
     lines = step.split("- name: ", 1)[0].splitlines()
     runs = [line.split()[1:] for line in lines if line.lstrip().startswith("nfvel ")]
-    assert sorted(argv[0] for argv in runs) == sorted(["--help", "fig2", *_commands()])
+    assert sorted(argv[0] for argv in runs) == sorted(["--help", "fig2", "fig4", *_commands()])
     assert sum("num_elements=16384" in argv for argv in runs if argv[0] == "fig2") == 1
+    (line,) = [argv for argv in runs if argv[0] == "fig4" and "y_min=-0.1" in argv]
+    out = tmp_path / "fig4_line.csv"
+    assert main([*line[: line.index("--out")], "--out", str(out)]) == 0
+    with out.open(encoding="utf-8") as handle:
+        rows = list(csv.DictReader(text for text in handle if not text.startswith("#")))
+    assert [float(row["y_m"]) for row in rows if row["degenerate"] != "0"] == [0.0] * 21
 
 
 def test_readme_examples_run(tmp_path, capsys, monkeypatch):
