@@ -110,6 +110,19 @@ class BoundRows:
     degenerate: np.ndarray
 
 
+def _positions(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """The ``(K,)`` positions ``x`` as an operand of a product over a ``(rows, K)`` chunk.
+
+    A ufunc that broadcasts ``x`` over several rows copies it through numpy's iteration
+    buffer, which is slower than copying it into the chunk's ``spare`` buffer first; over
+    one row it broadcasts unbuffered, and ``x`` itself is faster.
+    """
+    if len(spare) == 1:
+        return x
+    np.copyto(spare, x)
+    return spare
+
+
 def _row_chunks(count: int, width: int):
     """Slices of at most ``_CHUNK_ELEMENTS // width`` rows covering ``range(count)``."""
     return _row_blocks(count, max(1, _CHUNK_ELEMENTS // max(width, 1)))
@@ -263,22 +276,14 @@ def _block_entries(
         u, x_u = buffers[:, : min(rows.stop, count) - rows.start]
         chunk_terms = [None if t is None else t[rows] for t in terms]
         degenerate[rows] = element_distances(None, geometry, terms=chunk_terms, out=u)[1]
-        # Each product formed in place.  Over several rows a product that broadcasts the
-        # positions buffers them, so they go into the spare buffer first.
-        several = len(u) > 1
+        # Each product formed in place.
         np.divide(1.0, u, out=u)
-        if several:
-            np.copyto(x_u, x)
-            x_u *= u
-        else:
-            np.multiply(x, u, out=x_u)
+        np.multiply(_positions(x, x_u), u, out=x_u)
         u.sum(axis=1, out=sum_u[rows])
         x_u.sum(axis=1, out=sum_x_u[rows])
         u *= x_u
         u.sum(axis=1, out=sum_x_u2[rows])
-        if several:
-            np.copyto(x_u, x)
-        u *= x_u if several else x
+        u *= _positions(x, x_u)
         u.sum(axis=1, out=sum_x2_u2[rows])
     del buffers, u, x_u, terms  # before the weights' (rows, N) temporaries
     sin, cos = trig

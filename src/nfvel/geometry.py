@@ -114,9 +114,10 @@ def _cos_angle(angle: float) -> float:
 def _trig(angles: np.ndarray) -> np.ndarray:
     """``(2, P)`` sines and cosines of checked angles, the cosine as ``_cos_angle`` takes it.
 
-    numpy's float64 ``sin`` calls the C library's ``sin`` per value, as ``math.sin`` does,
-    so the published values keep their bits; a test holds it to ``math.sin`` on
-    ``[-pi/2, pi/2]``, with numpy's AVX-512 targets and without them.
+    With numpy 2.4.6, the floor in ``pyproject.toml``, float64 ``sin`` calls the C library's
+    ``sin`` per value, as ``math.sin`` does, so the published values keep their bits.  For any
+    other numpy, ``TestSines`` is the check: it holds this to ``math.sin`` on ``[-pi/2, pi/2]``,
+    with numpy's AVX-512 targets and without them.
     """
     return np.sin(np.stack((angles, math.pi / 2.0 - np.abs(angles))))
 
@@ -226,12 +227,12 @@ def _check_rows(distances: np.ndarray, angles: np.ndarray) -> None:
 def _row_terms(distances: np.ndarray, trig: np.ndarray, geometry: ArrayGeometry) -> tuple:
     """Per-row terms of :func:`element_distances` for checked ``(P,)`` distances and their ``(2, P)`` ``trig``.
 
-    Gives ``(along, across, shift, degenerate)``: ``d*sin(theta)`` and ``(d*cos(theta))**2`` as
+    Gives ``(along, across, shift, floor)``: ``d*sin(theta)`` and ``(d*cos(theta))**2`` as
     ``(P, 1)`` columns, the ``(P, 1)`` power-of-two exponents the lengths are taken in, or
-    None when no row needs one, and the ``(P,)`` mask of degenerate rows.  A row at the centre
-    or at an infinite distance is NaN, which flags it.  A row past 2**+-400 m takes its lengths
-    in units of a power of two near the larger of d and the aperture, so its squares stay
-    normal; a power of two changes no bit.
+    None when no row needs one, and the ``(P,)`` coincidence floor ``1e-12 * max(d, aperture)``.
+    A row at the centre or at an infinite distance is NaN, which flags it.  A row past 2**+-400 m
+    takes its lengths in units of a power of two near the larger of d and the aperture, so
+    its squares stay normal; a power of two changes no bit.
     """
     given = distances.reshape(-1, 1)
     d = np.where((given > _COINCIDENCE_RTOL * geometry.aperture) & (given < math.inf), given, math.nan)
@@ -242,34 +243,7 @@ def _row_terms(distances: np.ndarray, trig: np.ndarray, geometry: ArrayGeometry)
         d = np.ldexp(d, -shift)
     else:
         shift = None
-    along, across = d * trig[0][:, None], np.square(d * trig[1][:, None])
-    nearest = _nearest_lengths(geometry.element_x_positions, along, across, shift)
-    return along, across, shift, ~(nearest > _COINCIDENCE_RTOL * lengths[:, 0])
-
-
-def _nearest_lengths(x: np.ndarray, along: np.ndarray, across: np.ndarray, shift) -> np.ndarray:
-    """Each row's smallest element distance, as :func:`element_distances` rounds it.
-
-    Every step of a length (subtract, square, add, root, scale) is monotone in
-    ``|x_k - along|``, so the row's smallest is that of one of the two elements around
-    ``along`` in the positions the row subtracts from.
-    """
-    after = np.searchsorted(x, along[:, 0])
-    if shift is not None:
-        for exponent in set(shift[:, 0].tolist()):
-            rows = shift[:, 0] == exponent
-            after[rows] = np.searchsorted(np.ldexp(x, -exponent), along[rows, 0])
-    above = np.minimum(after, x.size - 1)
-    lengths = x[np.stack((np.maximum(above - 1, 0), above))]
-    if shift is not None:
-        np.ldexp(lengths, -shift.T, out=lengths)
-    lengths -= along.T
-    lengths *= lengths
-    lengths += across.T
-    np.sqrt(lengths, out=lengths)
-    if shift is not None:
-        np.ldexp(lengths, shift.T, out=lengths)
-    return np.minimum(*lengths)
+    return d * trig[0][:, None], np.square(d * trig[1][:, None]), shift, _COINCIDENCE_RTOL * lengths[:, 0]
 
 
 def element_distances(target, geometry: ArrayGeometry, *, terms=None, out=None):
@@ -289,9 +263,7 @@ def element_distances(target, geometry: ArrayGeometry, *, terms=None, out=None):
 
     A row is degenerate when its smallest distance is not above
     ``1e-12 * max(d, aperture)``: on an element, or with ``d <= 1e-12 * aperture``,
-    0 included, or infinite (evaluated at NaN).  The terms carry that mask, which
-    ``_row_terms`` takes from the two elements around ``d*sin(theta)``, so a call takes
-    no minimum over its block.  A degenerate :class:`TargetState` raises
+    0 included, or infinite (evaluated at NaN).  A degenerate :class:`TargetState` raises
     :class:`DegenerateGeometryError`; a pair flags the row and fills it with ones.
     """
     single = isinstance(target, TargetState)
@@ -301,7 +273,7 @@ def element_distances(target, geometry: ArrayGeometry, *, terms=None, out=None):
         angles = np.asarray(angle_list, dtype=float).reshape(-1)
         _check_rows(given, angles)
         terms = _row_terms(given, _trig(angles), geometry)
-    along, across, shift, degenerate = terms
+    along, across, shift, floor = terms
     x = geometry.element_x_positions
     distances = np.empty((len(along), x.size)) if out is None else out
     if shift is None and len(along) == 1:
@@ -319,6 +291,7 @@ def element_distances(target, geometry: ArrayGeometry, *, terms=None, out=None):
     np.sqrt(distances, out=distances)
     if shift is not None:
         np.ldexp(distances, shift, out=distances)
+    degenerate = ~(distances.min(axis=1) > floor)
     if degenerate.any():
         if single:
             raise DegenerateGeometryError()

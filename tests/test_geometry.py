@@ -40,7 +40,7 @@ from nfvel import cli
 from nfvel.bounds import _CHUNK_ELEMENTS, _boresight_weight, _row_chunks
 from nfvel.estimator import Scenario, monte_carlo_reports
 from nfvel.experiments import ScenarioConfig, run_planar_map, run_sweep, run_transverse_vs_distance
-from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle, _row_terms, _trig
+from nfvel.geometry import _COINCIDENCE_RTOL, _cos_angle, _trig
 
 from conftest import array_line_rows, cartesian_los_speeds, make_waveform, run_without_avx512
 
@@ -420,50 +420,6 @@ class TestDistanceBlock:
                     element_distances((distances, angles), geometry)
                 with pytest.raises(ValueError, match=message):
                     closed_form_bounds(distances, angles, geometry, make_waveform(), 1.0)
-
-
-@st.composite
-def _flag_rows(draw):
-    """A geometry at 1 or 2**+-600 m scale and (distance, angle) rows whose nearest element decides
-    their flag: on an element or beside one by about the coincidence floor, end-fire at either sign,
-    at the centre, at distance 0 or infinity, anywhere, and past 2**400 m."""
-    k = draw(st.one_of(st.sampled_from([1, 2, 2048]), st.integers(3, 300)), label="K")
-    scale = draw(st.sampled_from([1.0, 2.0**-600, 2.0**600]), label="scale")
-    geometry = ArrayGeometry(k, draw(st.floats(0.002, 0.08), label="spacing") * scale)
-    reach = max(geometry.aperture, geometry.spacing)
-    # Offsets on both sides of the floor 1e-12 * max(d, aperture), and 1e-13 beside an element.
-    offset = st.sampled_from([0.0, 1e-13, 9e-13, 1.1e-12, 1e-11]).map(lambda r: r * reach)
-    along = st.builds(
-        lambda x_k, sign, dx: x_k + sign * dx,
-        st.sampled_from(geometry.element_x_positions.tolist()),
-        st.sampled_from([-1.0, 1.0]),
-        offset,
-    )
-    row = st.one_of(
-        st.tuples(along, offset).map(lambda xy: (math.hypot(*xy), math.atan2(*xy))),
-        st.tuples(st.floats(1e-3, 500.0).map(lambda d: d * scale), st.floats(-math.pi / 2, math.pi / 2)),
-        st.tuples(st.floats(1e-3, 500.0).map(lambda d: d * scale), st.sampled_from([-math.pi / 2, math.pi / 2])),
-        st.tuples(st.sampled_from([0.0, 1e-14 * geometry.aperture, math.inf]), st.floats(-math.pi / 2, math.pi / 2)),
-        st.tuples(st.floats(1e121, 1e300), st.floats(-math.pi / 2, math.pi / 2)),
-    )
-    rows = draw(st.lists(row, min_size=1, max_size=40), label="rows")
-    return geometry, np.array([d for d, _ in rows]), np.array([a for _, a in rows])
-
-
-class TestDegenerateFlag:
-    @settings(max_examples=200, deadline=None)
-    @given(case=_flag_rows())
-    def test_two_elements_around_the_row_give_its_smallest_distance(self, case):
-        geometry, distances, angles = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            along, across, shift, degenerate = _row_terms(distances, _trig(angles), geometry)
-            # With no row flagged, the call fills none: the block holds every length as the kernel rounds it.
-            block, _ = element_distances(
-                None, geometry, terms=(along, across, shift, np.zeros_like(degenerate))
-            )
-        floor = _COINCIDENCE_RTOL * np.maximum(distances, geometry.aperture)
-        assert np.array_equal(degenerate, ~(block.min(axis=1) > floor))
 
 
 def _sine_mismatches() -> list[float]:
