@@ -28,7 +28,7 @@ from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
 from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
 from .geometry import (
     _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _check_angles, _per_point, _require_count,
-    _require_positive,
+    _require_positive, _row_blocks,
 )
 from .table import CsvTable, format_cell
 from .waveform import WaveformConfig, _float_power, snr_from_link_budget
@@ -411,9 +411,14 @@ def run_planar_map(
             f"the link-budget snr underflows to 0 on a map reaching {float(distance.max())!r} m: narrow it "
             f"(x_min, x_max, y_min, y_max) or check {budget}"
         )
+    # One kernel call per point block, so that the map holds whole only the two bound columns
+    # it keeps.  Degenerate rows, the array centre among them, come back singular with infinite bounds.
+    root_vt, degenerate = np.empty(distance.size), np.empty(distance.size, bool)
     try:
-        # Degenerate rows, the array centre among them, come back singular with infinite bounds.
-        bounds = closed_form_bounds(distance, angle, geometry, wf, snr)
+        for rows in _row_blocks(distance.size):
+            bounds = closed_form_bounds(distance[rows], angle[rows], geometry, wf, snr[rows])
+            root_vt[rows], degenerate[rows] = bounds.root_transverse, bounds.singular
+            del bounds  # the block's other rows, before the next block's
     except ValueError:  # the rows lie in front of the array: only the information can fail
         # Off the centre, where distance**4 underflows, the snr is inf by the extent's fault, not the budget's.
         off_centre = distance > _COINCIDENCE_RTOL * geometry.aperture
@@ -428,10 +433,8 @@ def run_planar_map(
             f"the link-budget snr, up to {peak!r} on this map, takes the information matrix "
             f"past the float range: check {budget}"
         ) from None
-    # A copy, as in fig1: the row view would keep all four bound rows through the render.
-    root_vt, degenerate = bounds.root_transverse.copy(), bounds.singular
-    del bounds  # the kernel's other rows, before the SNR's
-    snr_db = 10.0 * _per_point(math.log10, snr)
+    snr_db = _per_point(math.log10, snr, out=snr)
+    snr_db *= 10.0
     angle_deg = np.degrees(angle, out=angle)
     angle_deg[distance == 0.0] = 0.0  # the centre reads angle 0, also where x is -0.0
 

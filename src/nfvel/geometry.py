@@ -78,20 +78,22 @@ def _row_blocks(count: int, step: int = _POINT_BLOCK):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _per_point(function, *arrays) -> np.ndarray:
+def _per_point(function, *arrays, out=None) -> np.ndarray:
     """``function`` of the Python numbers at each index of equal-shape arrays, as a float array.
 
     ``math`` functions round as published values pin, where numpy's vectorised
     forms may differ in the last bit.  The numbers are listed one block at a time,
     so a call holds one block's Python objects however many points it has.
     Entries keep their type, so a list's int past the float range stays a Python int.
+    ``out``, a contiguous float array of the same shape, takes the values; it may be
+    one of the inputs, since each block is listed before it is written.
     """
     flat = [np.asarray(a).reshape(-1) for a in arrays]
-    out = np.empty(flat[0].size)
-    for rows in _row_blocks(out.size):
+    result = np.empty(flat[0].size) if out is None else out.reshape(-1)
+    for rows in _row_blocks(result.size):
         block = [a[rows].tolist() for a in flat]
-        out[rows] = np.fromiter(map(function, *block), float, len(block[0]))
-    return out.reshape(np.shape(arrays[0]))
+        result[rows] = np.fromiter(map(function, *block), float, len(block[0]))
+    return result.reshape(np.shape(arrays[0]))
 
 
 def symmetric_index_grid(count: int) -> np.ndarray:

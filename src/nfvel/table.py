@@ -16,16 +16,18 @@ import math
 import os
 import shutil
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 __all__ = ["CsvTable", "format_cell"]
 
-# Cells formatted at once: one block's byte slots, not the whole table's, set
-# the peak memory of rendering or writing a table.
-_RENDER_CELLS = 2**13
+# Cells formatted at once: one block's work arrays, allocated once per table and
+# reused by every block, and its bytes set the peak memory of rendering or writing a
+# table.  At 2**12 cells a block's bytes stay under the C allocator's default 128 KiB
+# mmap threshold and come from the heap: a fresh write of the default fig4 map takes
+# 23 minor page faults, against 236 at 2**13 cells.
+_RENDER_CELLS = 2**12
 # 10**k for 0 <= k <= 22, all exact doubles; 10**23 is not.
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])
 # The float kernel fills a cell's 20 bytes as five 4-byte words: "\0-" and
@@ -35,6 +37,8 @@ _LEADS = np.array([list(b"\0-%d." % d) for d in range(10)], np.uint8).view(np.ui
 _FOUR_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
 _FOUR_DIGITS = _FOUR_DIGITS.view(np.uint32).ravel()
 _EXPONENTS = np.array([list(b"e%+03d" % e) for e in range(-10, 36)], np.uint8).view(np.uint32).ravel()
+# The bytes of a kernel cell the CSV keeps, but for the sign's, which only a negative value keeps.
+_FLOAT_KEEP = np.arange(20) >= 2
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,7 @@ class CsvTable:
         # A column that holds only Python floats is formatted as a float array.
         data = [c if isinstance(c, np.ndarray) or set(map(type, c)) != {float} else np.array(c) for c in self.data]
         step = max(1, _RENDER_CELLS // max(len(data), 1))
-        for i in range(0, lengths[0], step):
-            yield _block_bytes([c[i : i + step] for c in data])
+        yield from _block_lines(data, lengths[0], step)
 
 
 def format_cell(value) -> str:
@@ -132,41 +135,53 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _block_bytes(columns: list) -> bytes:
-    """The UTF-8 CSV lines of one block of columns, each ending in a newline."""
-    # The cells' own slots are freed once _block_slots returns, before the bytes are gathered.
-    data, kept = _block_slots(columns)
-    return data[kept].tobytes()
+def _block_lines(columns: list, count: int, step: int):
+    """The UTF-8 CSV lines of ``count`` rows of ``columns``, ``step`` rows per piece, each ending in a newline.
 
-
-def _block_slots(columns: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, width) byte slots of one block of CSV lines, and the mask of the bytes kept.
-
-    The columns of one kind are formatted together: float arrays by the ``%.12e``
-    kernel, bool arrays as ``1``/``0``, any other by :func:`format_cell`.
+    Float arrays go through :func:`_float_cells`, bool arrays become ``1``/``0``, and
+    any other column goes through :func:`format_cell`.  A block is assembled in a
+    ``(rows, width)`` byte matrix, a slot per cell and a byte per separator, with a
+    mask of the bytes kept.  The matrix, its mask and the float kernel's arrays serve
+    every block, so only the block's bytes and the texts of :func:`format_cell` are
+    allocated per block.
     """
-    count = len(columns[0])
     kinds = [c.dtype.kind if isinstance(c, np.ndarray) else "O" for c in columns]
-    slots = [None] * len(columns)
-    for kind in dict.fromkeys(kinds):
-        indices = [i for i, k in enumerate(kinds) if k == kind]
-        group = [columns[i] for i in indices]
-        if kind == "f":
-            parts = _float_slots(np.array(group, np.float64))
-        elif kind == "b":
-            digits = np.array(group, np.uint8)[..., None] + ord("0")
-            parts = digits, np.ones(digits.shape, bool)
-        else:
-            texts = list(map(format_cell, chain.from_iterable(group)))
-            parts = [part.reshape(len(group), count, part.shape[1]) for part in _text_slots(texts)]
-        for index, cells, keep in zip(indices, *parts):
-            slots[index] = cells, keep
-
-    ends = [np.full((count, 1), ord(end), np.uint8) for end in "," * (len(columns) - 1) + "\n"]
-    always = np.ones((count, 1), bool)
-    data = np.concatenate([part for (cells, _), end in zip(slots, ends) for part in (cells, end)], axis=1)
-    kept = np.concatenate([part for _, keep in slots for part in (keep, always)], axis=1)
-    return data, kept
+    floats = [i for i, kind in enumerate(kinds) if kind == "f"]
+    rows = min(step, count)
+    cells = len(floats) * rows
+    # The float kernel's proof arrays, digits, flags and exponents, and each cell's five 4-byte words.
+    work = (
+        np.empty((3, cells)),
+        np.empty((2, cells), np.int64),
+        np.empty((2, cells), bool),
+        np.empty(cells, np.int8),
+        np.empty((cells, 5), np.uint32),
+    )
+    layout = None
+    for first in range(0, count, step):
+        block = [c[first : first + step] for c in columns]
+        texts = {i: _text_slots(list(map(format_cell, c))) for i, c in enumerate(block) if kinds[i] not in "fb"}
+        widths = [texts[i][0].shape[1] if i in texts else 20 if kind == "f" else 1 for i, kind in enumerate(kinds)]
+        if widths != layout:
+            # A slot of each width and its separator; a float slot keeps the kernel's bytes.
+            layout, ends = widths, np.cumsum(np.add(widths, 1))
+            starts = ends - widths - 1
+            matrix = np.empty((rows, ends[-1]), np.uint8)
+            mask = np.ones(matrix.shape, bool)
+            matrix[:, ends - 1] = ord(",")
+            matrix[:, -1] = ord("\n")
+            for start in starts[floats].tolist():
+                mask[:, start : start + 20] = _FLOAT_KEEP
+        data, kept = matrix[: len(block[0])], mask[: len(block[0])]
+        for i, kind in enumerate(kinds):
+            if kind == "b":
+                np.add(block[i].view(np.uint8), ord("0"), out=data[:, starts[i]])
+            elif i in texts:
+                data[:, starts[i] : starts[i] + widths[i]], kept[:, starts[i] : starts[i] + widths[i]] = texts[i]
+        fallback = _float_cells([block[i] for i in floats], starts[floats], data, kept, work) if floats else None
+        yield data[kept].tobytes()
+        if fallback is not None:
+            kept[fallback] = _FLOAT_KEEP
 
 
 def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +196,36 @@ def _text_slots(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return data[(np.cumsum(lengths) - lengths)[:, None] + columns], columns < lengths[:, None]
 
 
-def _float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``'%.12e' % v`` of (columns, rows) floats in (columns, rows, width) slots, and the mask of the bytes kept.
+def _float_cells(columns: list, starts: np.ndarray, data: np.ndarray, kept: np.ndarray, work: tuple):
+    """Write the cells of float ``columns`` into their 20-byte slots from ``starts`` in ``data`` and ``kept``.
+
+    Gives the ``kept`` index of the slots that :func:`format_cell` filled, whose masks
+    the caller restores to the kernel's after the block, or None.
+    """
+    size = len(columns[0])
+    magnitude = work[0][0, : len(columns) * size]
+    for row, column, start in zip(magnitude.reshape(-1, size), columns, starts.tolist()):
+        np.abs(column, out=row)
+        np.less(column, 0.0, out=kept[:, start + 1])
+    words, fallback = _float_words(magnitude, *work)
+    for cells, start in zip(words.view(np.uint8).reshape(-1, size, 20), starts.tolist()):
+        data[:, start : start + 20] = cells
+    if not fallback.size:
+        return None
+    column, row = np.divmod(fallback, size)
+    texts, keep = _text_slots([format_cell(columns[j][r]) for j, r in zip(column.tolist(), row.tolist())])
+    slots = row[:, None], starts[column][:, None] + np.arange(20)
+    data[slots[0], slots[1][:, : texts.shape[1]]] = texts
+    kept[slots] = False
+    kept[slots[0], slots[1][:, : texts.shape[1]]] = keep
+    return slots
+
+
+def _float_words(magnitude: np.ndarray, real, ints, flags, exponent, words) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(cells, 5)`` words of ``'%.12e' % v`` of the cells it proves, and the indices of the rest.
+
+    ``magnitude`` holds each cell's ``|v|``, as the first row of ``real``, and the
+    kernel overwrites it; the other arrays are its work arrays, of at least as many cells.
 
     The kernel writes a cell only where it can prove the digits.  With
     ``p = floor(log10|v|) - 12`` and ``|p| <= 22``, the power ``10**|p|`` is
@@ -191,42 +234,49 @@ def _float_slots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Where it lies in ``[1e12, 1e13)`` and more than 0.004 from every
     half-integer, its nearest integer holds the 13 digits printf rounds to.
     Every other cell, such as a zero, a subnormal, a non-finite value or a
-    near-tie, goes through :func:`format_cell`.
+    near-tie, goes through :func:`format_cell`, and its words hold no cell.
+    The words hold the cell from its second byte, the sign, which the mask
+    keeps for a negative value; a cell of ``format_cell`` is at most 20 bytes.
     """
-    signed = values.ravel()
-    magnitude = np.abs(signed)
+    n = magnitude.size
+    p, scaled = real[1:, :n]
+    index, digits = ints[:, :n]
+    proven, mask = flags[:, :n]
+    exponent, words = exponent[:n], words[:n]
     with np.errstate(divide="ignore"):
-        p = np.floor(np.log10(magnitude)) - 12.0
-    proven = np.abs(p) <= 22.0
-    p = np.where(proven, p, 0.0).astype(np.int64)
-    magnitude[~proven] = 1e12
-    power = _POWERS_OF_TEN[np.abs(p)]
-    scaled = np.where(p > 0, magnitude / power, magnitude * power)
-    whole = np.rint(scaled)
-    proven &= (scaled >= 1e12) & (scaled < 1e13) & (np.abs(scaled - whole) < 0.496)
-    digits = np.where(proven, whole, 1e12).astype(np.int64)
+        np.log10(magnitude, out=p)
+    np.floor(p, out=p)
+    p -= 12.0
+    np.less_equal(np.abs(p, out=scaled), 22.0, out=proven)
+    np.logical_not(proven, out=mask)
+    np.copyto(p, 0.0, where=mask)
+    np.copyto(exponent, p, casting="unsafe")
+    np.copyto(magnitude, 1e12, where=mask)
+    # exponent holds p from here, and p's row takes the power of ten.
+    power = np.take(_POWERS_OF_TEN, np.abs(exponent, out=index), out=p, mode="clip")
+    np.greater(exponent, 0, out=mask)
+    np.divide(magnitude, power, out=scaled, where=mask)
+    np.logical_not(mask, out=mask)
+    np.multiply(magnitude, power, out=scaled, where=mask)
+    whole = np.rint(scaled, out=magnitude)
+    proven &= np.greater_equal(scaled, 1e12, out=mask)
+    proven &= np.less(scaled, 1e13, out=mask)
+    proven &= np.less(np.abs(np.subtract(scaled, whole, out=power), out=power), 0.496, out=mask)
+    np.logical_not(proven, out=mask)
+    np.copyto(whole, 1e12, where=mask)
+    np.copyto(digits, whole, casting="unsafe")
+    fallback = np.flatnonzero(mask)
     # A rounding carry to 10**13 prints as 1.000000000000 with the exponent raised.
-    carry = digits == 10**13
-    digits[carry] = 10**12
-    fallback = np.flatnonzero(~proven).tolist()
-    width = 20
-    if fallback:
-        cells, kept = _text_slots(list(map(format_cell, signed[fallback].tolist())))
-        width = max(width, cells.shape[1])
-
-    words = np.zeros((signed.size, -(-width // 4)), np.uint32)
-    words[:, 0] = _LEADS[digits // 10**12]
-    digits %= 10**12
-    words[:, 1] = _FOUR_DIGITS[digits // 10**8]
-    words[:, 2] = _FOUR_DIGITS[digits // 10**4 % 10**4]
-    words[:, 3] = _FOUR_DIGITS[digits % 10**4]
-    words[:, 4] = _EXPONENTS[p + carry + 22]
-    slots = words.view(np.uint8)
-    keep = np.zeros(slots.shape, bool)
-    keep[:, 1] = signed < 0.0
-    keep[:, 2:20] = True
-    if fallback:
-        slots[fallback, : cells.shape[1]] = cells
-        keep[fallback] = False
-        keep[fallback, : cells.shape[1]] = kept
-    return slots.reshape(*values.shape, -1), keep.reshape(*values.shape, -1)
+    carry = np.equal(digits, 10**13, out=mask)
+    np.copyto(digits, 10**12, where=carry)
+    exponent += carry
+    exponent += 22
+    np.take(_EXPONENTS, exponent, out=words[:, 4], mode="clip")
+    # The leading digit, then three groups of four, each split off by subtraction.
+    for column, table, scale in ((0, _LEADS, 10**12), (1, _FOUR_DIGITS, 10**8), (2, _FOUR_DIGITS, 10**4)):
+        np.floor_divide(digits, scale, out=index)
+        np.take(table, index, out=words[:, column], mode="clip")
+        index *= scale
+        digits -= index
+    np.take(_FOUR_DIGITS, digits, out=words[:, 3], mode="clip")
+    return words, fallback

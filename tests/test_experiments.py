@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from nfvel.experiments import (
     run_sweep,
     run_transverse_vs_distance,
 )
+from nfvel.geometry import _row_blocks
 from nfvel.table import _RENDER_CELLS
 
 BASE_APERTURE_28GHZ = 100 * 299792458.0 / (2 * 28e9)  # 101-element half-wave array
@@ -67,6 +69,18 @@ _FLOAT64 = st.one_of(
         st.integers(10**12, 10**13 - 1),
         st.integers(-40, 30),
         st.integers(-2, 2),
+    ),
+)
+
+# Float64 cells the render kernel hands to format_cell: zeros, infinities, subnormals,
+# negatives of each, and near-ties at the thirteenth digit.
+_FALLBACK = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, -sys.float_info.min / 3]),
+    st.builds(
+        lambda digits, exponent, sign: sign * float(f"{digits}.5e{exponent}"),
+        st.integers(10**12, 10**13 - 1),
+        st.integers(-40, 30),
+        st.sampled_from([1.0, -1.0]),
     ),
 )
 
@@ -232,6 +246,32 @@ class TestCsvTable:
         with pytest.raises(ValueError, match="NaN reached an output cell"):
             table.render()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fallbacks=st.lists(st.lists(_FALLBACK, min_size=1, max_size=4), min_size=1, max_size=6),
+        texts=st.lists(st.sampled_from(["", "a", "abcdef", "é"]), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_reused_block_buffers_carry_nothing_between_blocks(self, fallbacks, texts, data):
+        # Blocks of four rows of three float columns, a bool column and a text column whose
+        # width moves from block to block; every other block holds fallback cells among
+        # plain ones, at positions that the next block fills with plain cells.
+        plain = [1.25, -3.5e7, 6.02214076e23, -1.602176634e-19]
+        floats = []
+        for cells in fallbacks:
+            block = plain * 3
+            for cell in cells:
+                block[data.draw(st.integers(0, len(block) - 1), label="at")] = cell
+            floats += block + plain[::-1] * 3
+        columns = np.array(floats).reshape(-1, 3).T
+        count = columns.shape[1]
+        flags = np.arange(count) % 3 == 0
+        words = (texts * count)[:count]
+        csv = CsvTable("blocks", ("a", "b", "c", "flag", "text"), (*columns, flags, words), {})
+        expected = [",".join(map(format_cell, row)) for row in csv.rows]
+        with mock.patch("nfvel.table._RENDER_CELLS", 20):
+            assert csv.render().splitlines()[2:] == expected
+
     def test_numpy_bool_cell_is_one_or_zero(self):
         assert (format_cell(np.True_), format_cell(np.False_)) == ("1", "0")
         table = CsvTable("t", ("a", "b"), ((1.5,), (np.True_,)), {})
@@ -375,8 +415,9 @@ class TestStreamedWrite:
         assert large <= small + block
 
     def test_planar_map_peak_per_row(self, tmp_path):
-        # 401 x 201 points.  The kernel holds about a dozen floats per row at its
-        # peak, 108 bytes in all when measured; the whole-text render took 305.
+        # 401 x 201 points.  The map keeps five float columns and the bound and flag
+        # columns, 49 bytes per row, while the kernel and the render each hold one
+        # block of work: 57.2 bytes per row in all when measured.
         run_planar_map(ScenarioConfig(), x_points=3, y_points=2)  # caches the element positions
         tracemalloc.start()
         try:
@@ -384,7 +425,7 @@ class TestStreamedWrite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 144 * 401 * 201
+        assert peak <= 64 * 401 * 201
 
 
 class TestScenarioConfig:
@@ -580,6 +621,21 @@ class TestPlanarMap:
             (centre,) = [dict(zip(table.columns, row)) for row in table.rows if row[2] == 0.0]
             assert math.copysign(1.0, centre["angle_deg"]) == 1.0 and centre["angle_deg"] == 0.0
             assert (centre["snr_db"], centre["root_crlb_vt"], centre["degenerate"]) == (math.inf, math.inf, True)
+
+    def test_bytes_do_not_depend_on_the_kernel_block_split(self, monkeypatch):
+        # The first y row, at 0, runs along the array line and through the centre, so its
+        # 101 degenerate rows fall in three blocks of 37 points; 707 points end mid-block.
+        def run():
+            return run_planar_map(
+                ScenarioConfig(), x_min=-1.0, x_max=1.0, x_points=101, y_min=-0.25, y_max=1.5, y_points=7
+            )
+
+        default = run()
+        monkeypatch.setattr(experiments, "_row_blocks", lambda count: _row_blocks(count, 37))
+        split = run()
+        flagged = np.flatnonzero([row[6] for row in split.rows])
+        assert len(flagged) >= 101 and len(set(flagged // 37)) >= 3
+        assert split.render() == default.render()
 
     def test_nan_bound_reaches_format_cell(self, monkeypatch):
         # The CSV contract never carries NaN: a NaN bound must not print as inf.

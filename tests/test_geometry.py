@@ -165,6 +165,25 @@ class TestElementDistances:
         with pytest.raises(DegenerateGeometryError, match=_ON_ELEMENT):
             distance_to_element(target, geom, 10.0)
 
+    def test_coincidence_floor_flags_a_row_at_it_and_not_one_ulp_beyond(self):
+        # 1e-12 * aperture is exactly 2**-40, and so is the distance from an end-fire
+        # target 2**-40 past the end element to that element: the row sits on the floor
+        # 1e-12 * max(d, aperture), which flags it; one ulp farther out it is above.
+        aperture = 0.9094947017729282
+        assert _COINCIDENCE_RTOL * aperture == 2.0**-40
+        geom = ArrayGeometry(3, aperture / 2)
+        end = float(geom.element_x_positions[-1])
+        at_floor = end + 2.0**-40
+        beyond = math.nextafter(at_floor, math.inf)
+        distances, degenerate = element_distances(([at_floor, beyond], [math.pi / 2] * 2), geom)
+        assert degenerate.tolist() == [True, False]
+        assert distances[1, -1] == beyond - end > 2.0**-40
+        with pytest.raises(DegenerateGeometryError, match=_ON_ELEMENT):
+            element_distances(TargetState(at_floor, math.pi / 2), geom)
+        assert element_distances(TargetState(beyond, math.pi / 2), geom)[-1] == beyond - end
+        rows = closed_form_bounds([at_floor, beyond], [math.pi / 2] * 2, geom, make_waveform(), 1.0)
+        assert rows.degenerate.tolist() == [True, False]
+
     def test_triangle_inequality_and_positivity(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
