@@ -345,13 +345,20 @@ def radial_crlb_far_field(config: WaveformConfig, num_elements: int, snr: float)
     """Radial velocity bound when every element sees the same line of sight.
 
     ``3*c^2 / (8*pi^2*f_c^2*M*N*K*snr*(M^2-1)*T_sym^2)``; infinite for a
-    single symbol, since one pulse carries no Doppler information.
+    single symbol, since one pulse carries no Doppler information.  A ``ValueError``
+    names ``snr`` and ``carrier`` when the information is so small that the bound overflows.
     """
     _require_positive(snr=snr)
     _require_count(1, num_elements=num_elements)
     if config.num_symbols == 1:
         return math.inf
-    return 1.0 / (4.0 * num_elements * _boresight_weight(config, snr))
+    info = 4.0 * num_elements * _boresight_weight(config, snr)
+    bound = 1.0 / info if info > 0.0 else math.inf
+    if not bound < math.inf:
+        raise ValueError(
+            f"snr {snr!r} and carrier {config.carrier!r} take the far-field radial bound past the float range"
+        )
+    return bound
 
 
 def _boresight_weight(config: WaveformConfig, snr: float) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -64,6 +65,9 @@ _CURVATURE_FLOOR = 1e-12
 
 # Newton refinement gives up after this many steps even if it is still moving.
 _MAX_NEWTON_STEPS = 30
+
+# The least normal float: the curvature floor's scale when the peak is zero.
+_TINY = sys.float_info.min
 
 # Cubes whose coarse grids one _statistic call forms.  A call builds its table rows once, so a
 # larger block runs faster, but each cube adds about 70 KB to what the call holds at the default
@@ -216,7 +220,7 @@ class MatchedFilter:
     def _axis_curvature(grid_values: np.ndarray, index: int) -> float:
         """Three-point curvature along one axis, clamped interior."""
         pivot = min(max(index, 1), grid_values.size - 2)
-        return grid_values[pivot - 1] - 2.0 * grid_values[pivot] + grid_values[pivot + 1]
+        return grid_values.item(pivot - 1) - 2.0 * grid_values.item(pivot) + grid_values.item(pivot + 1)
 
     def estimate(self, samples: np.ndarray) -> VelocityEstimate | list[VelocityEstimate]:
         """ML estimate from the samples of a cube ``(M, N, K)`` taken at this filter's position.
@@ -327,75 +331,88 @@ class MatchedFilter:
         scale = _unit_scale(np.abs(rows).max())
         rows *= scale
         coarse = np.abs(statistic * scale) ** 2
-        i0, j0 = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
-        peak = coarse[i0, j0]
-        floor = _CURVATURE_FLOOR * max(peak, np.finfo(float).tiny)
+        peak = int(coarse.argmax())
+        i0, j0 = divmod(peak, coarse.shape[1])
+        floor = _CURVATURE_FLOOR * max(coarse.item(peak), _TINY)
+        radial_ok = abs(self._axis_curvature(coarse[:, j0], i0)) > floor
+        transverse_ok = abs(self._axis_curvature(coarse[i0], j0)) > floor
 
-        curv_r = self._axis_curvature(coarse[:, j0], int(i0))
-        curv_t = self._axis_curvature(coarse[i0, :], int(j0))
-        identifiable = [bool(abs(curv_r) > floor), bool(abs(curv_t) > floor)]
-
-        velocity = [float(self._radial_grid[i0]), float(self._transverse_grid[j0])]
+        v_r, v_t = self._radial_grid.item(i0), self._transverse_grid.item(j0)
         # An axis whose coarse cell is already below the tolerance is not refined.
-        free = [ok and cell >= self.search.tolerance for ok, cell in zip(identifiable, self._cell)]
-        if any(free):
-            velocity = self._newton(rows, velocity, free)
-        radial, transverse = (v if ok else math.nan for v, ok in zip(velocity, identifiable))
-        return VelocityEstimate(radial, transverse, *identifiable)
+        tolerance = self.search.tolerance
+        free = (radial_ok and self._cell[0] >= tolerance, transverse_ok and self._cell[1] >= tolerance)
+        if free[0] or free[1]:
+            v_r, v_t = self._newton(rows, v_r, v_t, free)
+        return VelocityEstimate(
+            v_r if radial_ok else math.nan, v_t if transverse_ok else math.nan, radial_ok, transverse_ok
+        )
 
-    def _newton(self, rows: np.ndarray, velocity: list[float], free: list[bool]) -> list[float]:
-        """Joint Newton ascent of ``|S|^2`` from ``velocity``, on :meth:`_derivatives` of ``rows``."""
+    def _newton(self, rows: np.ndarray, v_r: float, v_t: float, free: tuple[bool, bool]) -> tuple[float, float]:
+        """Joint Newton ascent of ``|S|^2`` from ``(v_r, v_t)``, on :meth:`_derivatives` of ``rows``."""
+        tolerance = self.search.tolerance
         for _ in range(_MAX_NEWTON_STEPS):
-            moved = self._step(velocity, *self._derivatives(rows, velocity)[1:], free)
-            if all(abs(m - v) < self.search.tolerance for m, v in zip(moved, velocity)):
-                return moved
-            velocity = moved
-        return velocity
+            _, grad, hess = self._derivatives(rows, v_r, v_t)
+            m_r, m_t = self._step(v_r, v_t, grad, hess, free)
+            if abs(m_r - v_r) < tolerance and abs(m_t - v_t) < tolerance:
+                return m_r, m_t
+            v_r, v_t = m_r, m_t
+        return v_r, v_t
 
-    def _derivatives(self, rows: np.ndarray, velocity: list[float]) -> tuple[complex, list, list]:
-        """``S = sum(rows * exp(-i * m * theta))``, ``theta = velocity @ psi``, and ``|S|^2``'s derivatives.
+    def _derivatives(
+        self, rows: np.ndarray, v_r: float, v_t: float
+    ) -> tuple[complex, tuple[float, float], tuple[float, float, float, float]]:
+        """``S = sum(rows * exp(-i * m * theta))``, ``theta = (v_r, v_t) @ psi``, and ``|S|^2``'s gradient
+        ``(g_r, g_t)`` and Hessian ``(h_rr, h_rt, h_tr, h_tt)``.
 
         ``psi`` is the phase per unit velocity at ``m = 1``.  In ``E = rows * factor``, (M, N*K), the factor
         is ``exp(-i * m_0 * theta)`` times powers of ``exp(-i * theta)``: two ``exp`` over N*K values and a
         cumulative product, rounding differently from a direct ``exp``.  Phase sums: ``(m**p @ E) @ w``.
+        The Hessian is exactly symmetric: ``conj(f_t) * f_r`` rounds as ``conj(f_r) * f_t`` does.
         """
-        e = np.exp(self._starts * (np.array(velocity) @ self._psi))[self._factor_rows]
+        e = np.exp(self._starts * (np.array((v_r, v_t)) @ self._psi))[self._factor_rows]
         np.cumprod(e, axis=0, out=e)
         e *= rows
         s = complex(e.sum())
         sums = (self._powers @ e.view(float)).view(complex) @ self._weights
-        (*first, _, _, _), (_, _, w_rr, w_rt, w_tt) = sums.tolist()
+        (f_r, f_t, _, _, _), (_, _, w_rr, w_rt, w_tt) = sums.tolist()
         s_conj = s.conjugate()
-        grad = [2.0 * (s_conj * f).imag for f in first]
-        hess = [[2.0 * (f_i.conjugate() * f_j - s_conj * w).real for f_j, w in zip(first, row)]
-                for f_i, row in zip(first, ((w_rr, w_rt), (w_rt, w_tt)))]
-        return s, grad, hess
+        h_rt = 2.0 * (f_r.conjugate() * f_t - s_conj * w_rt).real
+        return s, (2.0 * (s_conj * f_r).imag, 2.0 * (s_conj * f_t).imag), (
+            2.0 * (f_r.conjugate() * f_r - s_conj * w_rr).real,
+            h_rt,
+            h_rt,
+            2.0 * (f_t.conjugate() * f_t - s_conj * w_tt).real,
+        )
 
-    def _step(self, velocity: list[float], grad: list, hess: list, free: list[bool]) -> list[float]:
-        """One ascent step from ``velocity``, by at most a cell per axis and inside the spans.
+    def _step(
+        self,
+        v_r: float,
+        v_t: float,
+        grad: tuple[float, float],
+        hess: tuple[float, float, float, float],
+        free: tuple[bool, bool],
+    ) -> tuple[float, float]:
+        """One ascent step from ``(v_r, v_t)``, by at most a cell per axis and inside the spans.
 
         An axis that is not free, or that its gradient presses against the span,
         is held: no gradient, a -1 diagonal and no coupling.  Where the Hessian is
         negative definite the step is Newton's, else half a cell up the gradient.
         """
-        (g_r, g_t), ((h_rr, h_rt), (h_tr, h_tt)) = grad, hess
-        held = [
-            not ok or (v >= high if g > 0.0 else v <= low)
-            for ok, v, g, low, high in zip(free, velocity, grad, self._lower, self._upper)
-        ]
-        if held[0]:
+        (g_r, g_t), (h_rr, h_rt, h_tr, h_tt) = grad, hess
+        (low_r, low_t), (high_r, high_t), (cell_r, cell_t) = self._lower, self._upper, self._cell
+        if not free[0] or (v_r >= high_r if g_r > 0.0 else v_r <= low_r):
             g_r, h_rr, h_rt, h_tr = 0.0, -1.0, -0.0, -0.0
-        if held[1]:
+        if not free[1] or (v_t >= high_t if g_t > 0.0 else v_t <= low_t):
             g_t, h_tt, h_rt, h_tr = 0.0, -1.0, -0.0, -0.0
         if h_rr < 0.0 and h_rr * h_tt > h_rt**2:
             det = h_rr * h_tt - h_rt * h_tr
-            step = [(h_rt * g_t - h_tt * g_r) / det, (h_tr * g_r - h_rr * g_t) / det]
+            s_r, s_t = (h_rt * g_t - h_tt * g_r) / det, (h_tr * g_r - h_rr * g_t) / det
         else:
-            step = [0.5 * c * ((g > 0.0) - (g < 0.0)) for c, g in zip(self._cell, (g_r, g_t))]
-        return [
-            min(max(v + min(max(s, -c), c), low), high)
-            for v, s, c, low, high in zip(velocity, step, self._cell, self._lower, self._upper)
-        ]
+            s_r, s_t = 0.5 * cell_r * ((g_r > 0.0) - (g_r < 0.0)), 0.5 * cell_t * ((g_t > 0.0) - (g_t < 0.0))
+        return (
+            min(max(v_r + min(max(s_r, -cell_r), cell_r), low_r), high_r),
+            min(max(v_t + min(max(s_t, -cell_t), cell_t), low_t), high_t),
+        )
 
 
 def _axis_points(width: float, curvature: float, cap: int) -> int:

@@ -190,8 +190,14 @@ def subcarrier_frequencies(config: WaveformConfig) -> np.ndarray:
 
 
 def round_trip_delays(target: TargetState, geometry: ArrayGeometry) -> np.ndarray:
-    """Two-way delay ``(d + d_k)/c`` seen by each element, seconds."""
-    return (target.distance + element_distances(target, geometry)) / SPEED_OF_LIGHT
+    """Two-way delay ``(d + d_k)/c`` seen by each element, seconds.
+
+    A ``ValueError`` names a distance whose longest round trip ``d + d_k`` leaves the float range.
+    """
+    distances = element_distances(target, geometry)
+    if not float(target.distance) + float(distances.max()) < math.inf:  # Python floats overflow without a warning
+        raise ValueError(f"distance {target.distance!r} puts the round trip d + d_k past the float range")
+    return (target.distance + distances) / SPEED_OF_LIGHT
 
 
 def doppler_shifts(

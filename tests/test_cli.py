@@ -121,6 +121,12 @@ OUT_OF_RANGE_SETTINGS = [
     # The wavelength squared underflows in the link budget.
     ("fig4 carrier=1e300 x_points=3 y_points=2", "carrier 1e+300 squares past the float range"),
     ("crlb symbol_time=1e200", "symbol_time 1e+200 squares past the float range"),
+    # A distance whose round trip d + d_k overflows, and a far-field information that underflows to 0.
+    ("snr_list=10 distance=1.7e308", "distance 1.7e+308 puts the round trip d + d_k past the float range"),
+    (
+        "sweep variable=distance start=1 stop=10 points=4 carrier=1e-12 snr=1e-310 num_elements=1",
+        "snr 1e-310 and carrier 1e-12 take the far-field radial bound past the float range",
+    ),
     # A count below its floor: an empty grid, a sweep of one point, too few trials for an MSE,
     # too coarse a search grid, one element where the figure varies the aperture.
     ("fig1 points=0", "points must be an integer >= 1, got 0"),
@@ -830,13 +836,15 @@ WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 def test_ci_smoke_step_runs_every_subcommand(tmp_path):
     """CI's installed-script step runs ``nfvel --help`` and each subcommand once, on one line each,
-    fig2 once more at the paper's 16384 elements, one row per kernel chunk, and fig4 once more
-    on a map whose first row, along the array line and through its centre, reads degenerate."""
+    fig2 once more at the paper's 16384 elements, one row per kernel chunk, fig4 once more
+    on a map whose first row, along the array line and through its centre, reads degenerate,
+    and montecarlo at the benchmark's threshold and asymptotic SNRs."""
     step = WORKFLOW.read_text(encoding="utf-8").split("- name: Installed nfvel script\n", 1)[1]
     lines = step.split("- name: ", 1)[0].splitlines()
     runs = [line.split()[1:] for line in lines if line.lstrip().startswith("nfvel ")]
     assert sorted(argv[0] for argv in runs) == sorted(["--help", "fig2", "fig4", *_commands()])
     assert sum("num_elements=16384" in argv for argv in runs if argv[0] == "fig2") == 1
+    assert [argv for argv in runs if argv[0] == "montecarlo" and "--snr-list=-20,10" in argv]
     (line,) = [argv for argv in runs if argv[0] == "fig4" and "y_min=-0.1" in argv]
     out = tmp_path / "fig4_line.csv"
     assert main([*line[: line.index("--out")], "--out", str(out)]) == 0

@@ -585,13 +585,14 @@ class TestNewtonStep:
         target=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
     )
     def test_explicit_solve_matches_linalg(self, scale, diagonal, rho, skew, target):
-        # A negative-definite Hessian, not exactly symmetric (as the computed
-        # one is not), and a gradient whose Newton step stays inside one cell.
+        # A negative-definite Hessian, not exactly symmetric (the step takes all
+        # four entries, though _derivatives' are), and a gradient whose Newton
+        # step stays inside one cell.
         h_rr, h_tt = (-(10.0**scale) * d for d in diagonal)
         h_rt = rho * math.sqrt(h_rr * h_tt)
         hess = np.array([[h_rr, h_rt], [h_rt * (1.0 + skew), h_tt]])
         grad = -hess @ (np.array(target) * self.cell)
-        step = np.array(self.finder._step([0.0, 0.0], grad.tolist(), hess.tolist(), [True, True]))
+        step = np.array(self.finder._step(0.0, 0.0, tuple(grad.tolist()), tuple(hess.ravel().tolist()), (True, True)))
         expected = np.linalg.solve(hess, -grad)
         assert np.linalg.norm(step - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -620,7 +621,7 @@ class TestNewtonStep:
                 velocity[0], grad[0] = -1.0, -abs(g_held) - 1.0  # pressed against -1
         if case.endswith("not free"):
             free[held] = False
-        moved = self.finder._step(velocity, grad, hess, free)
+        moved = self.finder._step(*velocity, tuple(grad), (*hess[0], *hess[1]), tuple(free))
         assert moved[held] == velocity[held]
         cell = self.cell[moving]
         assert moved[moving] == min(max(-g / h, -cell), cell)
@@ -711,7 +712,8 @@ class TestDerivatives:
         rows = finder._compensate(cube.samples).reshape(num_symbols, -1)
         spans = (finder.search.radial_span, finder.search.transverse_span)
         velocity = [low + u * (high - low) for u, (low, high) in zip(where, spans)]
-        got = finder._derivatives(rows, velocity)
+        s, grad, hess = finder._derivatives(rows, *velocity)
+        got = s, grad, np.reshape(hess, (2, 2))
         *expected, terms = _full_phase_derivatives(geom, wf, target, rows, velocity)
         # Each result is held to the size of its terms, not to its largest
         # entry: both routes round a phase of up to |m| * theta ~ 2e3 rad to
@@ -743,12 +745,12 @@ class TestDerivatives:
         clean = synthesize_noise_free(target, geom, wf, noise).samples
         rows = finder._compensate(clean).reshape(wf.num_symbols, -1)
         truth = [target.radial_velocity, target.transverse_velocity]
-        _, _, hess = finder._derivatives(rows, truth)
+        _, _, hess = finder._derivatives(rows, *truth)
         info = fisher_info_closed_form(target, geom, wf, noise.snr(wf))
         expected = -rows.size * noise.noise_variance * np.array(
             [[info.j_rr, info.j_rt], [info.j_rt, info.j_tt]]
         )
-        error = np.abs(np.array(hess) - expected).max()
+        error = np.abs(np.reshape(hess, (2, 2)) - expected).max()
         assert error <= 1e-14 * np.abs(np.diag(expected)).max()
 
 
@@ -915,3 +917,29 @@ class TestSearchCheck:
         estimates, _ = _trial_estimates(scene, snr_db, trials=100, seed=seed)
         square, _ = _trial_estimates(scene, snr_db, (41, 41), trials=100, seed=seed)
         np.testing.assert_allclose(estimates, square, rtol=0.0, atol=1e-9)
+
+
+class TestStepCap:
+    """Newton stops after 30 steps (``_MAX_NEWTON_STEPS``) even if it is still moving.  On the golden
+    off-boresight run (100 trials, seed 5) two searches at -30 dB reach that cap, and no search at
+    0 or 20 dB takes more than 3 steps."""
+
+    def test_step_counts_of_the_golden_offboresight_run(self):
+        steps = []  # one count per search, in the trial loop's order: each trial's SNRs in turn
+        search, step = MatchedFilter._search, MatchedFilter._step
+
+        def counted_search(finder, *args):
+            steps.append(0)
+            return search(finder, *args)
+
+        def counted_step(finder, *args):
+            steps[-1] += 1
+            return step(finder, *args)
+
+        scenario = _golden_scenario("golden-offboresight")
+        with mock.patch.object(MatchedFilter, "_search", counted_search), \
+                mock.patch.object(MatchedFilter, "_step", counted_step):
+            _library_trials(scenario, _linear([-30.0, 0.0, 20.0]), 100, 5)
+        per_snr = np.array(steps).reshape(100, 3).T
+        assert np.flatnonzero(per_snr[0] == 30).tolist() == [14, 45]
+        assert [per_snr[1].max(), per_snr[2].max()] == [3, 2]
