@@ -235,8 +235,8 @@ def closed_form_bounds(
     """
     distances = np.asarray(distances, dtype=float).reshape(-1)
     angles = np.asarray(angles, dtype=float).reshape(-1)
+    _require_positive(snr=snr)  # as given: the broadcast copy would print as an array
     snr = np.broadcast_to(np.asarray(snr, dtype=float), distances.shape)
-    _require_positive(snr=snr)
     # Validation comes first: np.sin of an infinite angle warns and gives NaN.
     _check_rows(distances, angles)
     entries = np.empty((3, distances.size))

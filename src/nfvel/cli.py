@@ -6,13 +6,15 @@ Configuration comes from an optional ``key = value`` file (``--config``),
 overridden by repeatable ``--set key=value`` flags and the dedicated flags
 (``--seed``, ``montecarlo``'s ``--trials``/``--snr-list``, ``sweep``'s
 ``--var``/``--min``/``--max``/``--points``/``--log``), which set keys of their
-own, and ``--out``.  Scenario keys apply to every subcommand; any other key
-must be a parameter of its runner.
-Frequencies accept ``GHz``, ``MHz``, ``kHz`` and ``Hz`` suffixes; powers
-accept ``dBm`` or watts; ratio quantities (snr, gains, noise figure) accept
-``dB``/``dBi`` or a bare linear value; durations accept ``s``, ``ms``, ``us``.  Angles are always degrees on
-the way in and out.  Exit codes: 0 success, 1 invalid configuration, 2 I/O
-failure.
+own, and ``--out``.  Scenario keys, the fields of ``ScenarioConfig``, apply to
+every subcommand; any other key must be a parameter of its runner.  Ten keys
+carry a unit: frequencies (``carrier``, ``subcarrier_spacing`` and each entry of
+``carriers``) accept ``GHz``, ``MHz``, ``kHz`` and ``Hz``; ``symbol_time``
+accepts ``s``, ``ms`` and ``us``; ``tx_power`` accepts ``dBm``, ``mW`` or ``W``;
+the ratios ``snr``, ``noise_figure``, ``tx_gain`` and ``rx_gain`` accept
+``dB``/``dBi`` or a bare linear value; ``angle`` is in degrees, on the way in and
+out.  Every other key is parsed by its annotated type.  Exit codes: 0 success,
+1 invalid configuration, 2 I/O failure.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import inspect
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .experiments import (
     ScenarioConfig,
@@ -47,7 +49,7 @@ class ConfigError(ValueError):
     """A configuration key, value or combination the toolkit cannot accept."""
 
 
-_NUMBER_WITH_UNIT = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+_NUMBER_WITH_UNIT = re.compile(r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
 # Unit suffixes per kind, in lower case: unit -> (scale, decibel).  A value x
 # with a decibel unit reads 10**(x/10) * scale, any other x * scale.
@@ -116,64 +118,84 @@ def _parse_list(text: str, key: str, item: Callable[[str, str], float]) -> list[
     return [item(part, key) for part in parts]
 
 
-# Scenario keys feed ScenarioConfig; experiment keys are arguments of the
-# subcommand's runner (see _dispatch).
-_SCENARIO_KEYS: dict[str, Callable[[str, str], object]] = {
+def _commands() -> dict[str, tuple[str, Callable, str | None]]:
+    """Subcommand -> (help text, runner, default output file or None for stdout).
+
+    The file name is formatted with the runner's keyword arguments.  Built
+    per call, so a wrapper rebound on a runner's name here is honoured.
+    """
+    return {
+        "crlb": ("bounds for a single scenario", run_single, None),
+        "sweep": ("sweep one variable to CSV", run_sweep, "sweep_{variable}.csv"),
+        "fig1": (
+            "radial bound vs distance per aperture",
+            run_radial_vs_distance,
+            "fig1_radial_vs_distance.csv",
+        ),
+        "fig2": (
+            "transverse bound vs distance per angle and aperture",
+            run_transverse_vs_distance,
+            "fig2_transverse_vs_distance.csv",
+        ),
+        "fig3": (
+            "carrier comparison with half-wavelength arrays",
+            run_carrier_comparison,
+            "fig3_carrier_comparison.csv",
+        ),
+        "fig4": ("planar map of the transverse bound", run_planar_map, "fig4_planar_map.csv"),
+        "montecarlo": ("estimator MSE vs the bounds", run_montecarlo, "montecarlo.csv"),
+    }
+
+
+# The keys whose values carry a unit, each with its parser.  Every other key is a
+# ScenarioConfig field (a scenario key) or a parameter of a runner in _commands
+# (an experiment key, see _dispatch), parsed by its annotated type.
+_UNIT_KEYS: dict[str, Callable[[str, str], object]] = {
     "carrier": _parse_frequency,
-    "num_elements": _parse_int,
-    "spacing": _parse_float,
-    "aperture": _parse_float,
-    "num_subcarriers": _parse_int,
     "subcarrier_spacing": _parse_frequency,
-    "num_symbols": _parse_int,
+    "carriers": lambda text, key: _parse_list(text, key, _parse_frequency),
     "symbol_time": _parse_time,
-    "snr": _parse_ratio,
-    "distance": _parse_float,
-    "angle": _parse_degrees,
-    "radial_velocity": _parse_float,
-    "transverse_velocity": _parse_float,
     "tx_power": _parse_power,
+    "snr": _parse_ratio,
     "noise_figure": _parse_ratio,
-    "radar_cross_section": _parse_float,
     "tx_gain": _parse_ratio,
     "rx_gain": _parse_ratio,
-    "temperature": _parse_float,
+    "angle": _parse_degrees,
 }
 
-_EXPERIMENT_KEYS: dict[str, Callable[[str, str], object]] = {
-    "apertures": lambda text, key: _parse_list(text, key, _parse_float),
-    "angles": lambda text, key: _parse_list(text, key, _parse_float),
-    "carriers": lambda text, key: _parse_list(text, key, _parse_frequency),
-    "d_min": _parse_float,
-    "d_max": _parse_float,
-    "points": _parse_int,
-    "x_min": _parse_float,
-    "x_max": _parse_float,
-    "x_points": _parse_int,
-    "y_min": _parse_float,
-    "y_max": _parse_float,
-    "y_points": _parse_int,
-    "snr_list": lambda text, key: _parse_list(text, key, _parse_float),
-    "trials": _parse_int,
-    "vr_window": _parse_float,
-    "vt_window": _parse_float,
-    "grid_points": _parse_int,
-    "refine_tolerance": _parse_float,
-    "seed": _parse_int,
-    "variable": lambda text, key: text,
-    "start": _parse_float,
-    "stop": _parse_float,
-    "log": _parse_bool,
+# Parser per annotation, read without its "| None": None is a default, never typed.
+_TYPE_PARSERS: dict[str, Callable[[str, str], object]] = {
+    "float": _parse_float,
+    "int": _parse_int,
+    "bool": _parse_bool,
+    "str": lambda text, key: text,
+    "Sequence[float]": lambda text, key: _parse_list(text, key, _parse_float),
 }
+
+
+def _key_parsers(annotations: Iterable[tuple[str, object]]) -> dict[str, Callable[[str, str], object]]:
+    """Parser per key from its ``(key, annotation)`` pairs, raising at import on a type no parser reads."""
+    kinds: dict[str, str] = {}
+    for key, annotation in annotations:
+        kind = str(annotation).removesuffix(" | None")
+        if kind not in _TYPE_PARSERS:
+            raise TypeError(f"no command-line parser for {key}: {annotation}")
+        if kinds.setdefault(key, kind) != kind:
+            raise TypeError(f"{key} is annotated both {kinds[key]} and {kind}")
+    return {key: _UNIT_KEYS.get(key, _TYPE_PARSERS[kind]) for key, kind in kinds.items()}
+
+
+_SCENARIO_KEYS = _key_parsers((field.name, field.type) for field in fields(ScenarioConfig))
+_EXPERIMENT_KEYS = _key_parsers(
+    (name, parameter.annotation)
+    for _, runner, _ in _commands().values()
+    for name, parameter in list(inspect.signature(runner).parameters.items())[1:]
+)
 
 # Keys that size the run's arrays: every integer key but the seed.
 _COUNT_KEYS = {
     key for key, parse in {**_SCENARIO_KEYS, **_EXPERIMENT_KEYS}.items() if parse is _parse_int and key != "seed"
 }
-
-# Dedicated flags, each stored under the key it sets; they win over the file
-# and over --set.
-_FLAG_KEYS = ("seed", "trials", "snr_list", "variable", "start", "stop", "points", "log")
 
 
 def _normalize_key(key: str) -> str:
@@ -220,39 +242,11 @@ def _collect_raw(args: argparse.Namespace) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         raw[_normalize_key(key)] = value.strip()
-    for key in _FLAG_KEYS:
-        if getattr(args, key, None) is not None:
-            raw[key] = str(getattr(args, key))
+    # Dedicated flags are stored under the key they set, and win over the file and --set.
+    for key, value in vars(args).items():
+        if value is not None and (key in _SCENARIO_KEYS or key in _EXPERIMENT_KEYS):
+            raw[key] = str(value)
     return raw
-
-
-def _commands() -> dict[str, tuple[str, Callable, str | None]]:
-    """Subcommand -> (help text, runner, default output file or None for stdout).
-
-    The file name is formatted with the runner's keyword arguments.  Built
-    per call, so a wrapper rebound on a runner's name here is honoured.
-    """
-    return {
-        "crlb": ("bounds for a single scenario", run_single, None),
-        "sweep": ("sweep one variable to CSV", run_sweep, "sweep_{variable}.csv"),
-        "fig1": (
-            "radial bound vs distance per aperture",
-            run_radial_vs_distance,
-            "fig1_radial_vs_distance.csv",
-        ),
-        "fig2": (
-            "transverse bound vs distance per angle and aperture",
-            run_transverse_vs_distance,
-            "fig2_transverse_vs_distance.csv",
-        ),
-        "fig3": (
-            "carrier comparison with half-wavelength arrays",
-            run_carrier_comparison,
-            "fig3_carrier_comparison.csv",
-        ),
-        "fig4": ("planar map of the transverse bound", run_planar_map, "fig4_planar_map.csv"),
-        "montecarlo": ("estimator MSE vs the bounds", run_montecarlo, "montecarlo.csv"),
-    }
 
 
 class _Parser(argparse.ArgumentParser):

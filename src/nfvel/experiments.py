@@ -91,6 +91,7 @@ class ScenarioConfig:
         return ArrayGeometry(num_elements=self.num_elements, spacing=self.spacing)
 
     def waveform(self) -> WaveformConfig:
+        _require_positive(tx_power=self.tx_power)  # named here: the waveform calls it total_power
         return WaveformConfig(
             carrier=self.carrier,
             num_subcarriers=self.num_subcarriers,
@@ -120,6 +121,7 @@ def _root_inverse(info: np.ndarray) -> np.ndarray:
 
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
     _require_count(2, num_elements=num_elements)  # an aperture spans at least two elements
+    _require_positive(aperture=aperture)  # named here: the array sees only its spacing
     return ArrayGeometry(num_elements, aperture / (num_elements - 1))
 
 

@@ -18,6 +18,7 @@ from nfvel.cli import (
     _UNITS,
     ConfigError,
     _commands,
+    _key_parsers,
     main,
     read_config_file,
 )
@@ -103,6 +104,9 @@ OUT_OF_RANGE_SETTINGS = [
     ("tx_power=5000 dBm", "tx_power: expected a finite number"),
     ("snr_list=0,nan", "snr_list: expected a finite number"),
     ("fig1 d_min=abc", "d_min: cannot parse 'abc' as a number"),
+    ("crlb carrier=1.2.3", "carrier: cannot parse '1.2.3' as a number"),
+    ("crlb snr=. dB", "snr: cannot parse '. dB' as a number"),
+    ("fig3 carriers=6 GHz,1.2.3", "carriers: cannot parse '1.2.3' as a number"),
     ("fig2 angles=,", "angles: empty list"),
     # Finite in dB, but 10**400 overflows and 10**-400 underflows to 0.
     ("snr_list=4000", "snr_list entry 4000.0 dB is outside the float range"),
@@ -172,6 +176,16 @@ OUT_OF_RANGE_SETTINGS = [
     ("vt_window=0", "vt_window must be positive, got 0.0"),
     ("vt_window=-1", "vt_window must be positive, got -1.0"),
     ("refine_tolerance=0", "refine_tolerance must be positive, got 0.0"),
+    # Scenario keys that reach the model under other names are named as typed.
+    ("tx_power=0", "tx_power must be positive, got 0.0"),
+    ("tx_power=-1", "tx_power must be positive, got -1.0"),
+    ("crlb tx_power=-4000 dBm", "tx_power must be positive, got 0.0"),
+    ("crlb aperture=0", "aperture must be positive, got 0.0"),
+    ("crlb aperture=-1", "aperture must be positive, got -1.0"),
+    # The snr is quoted as given, not as its broadcast copy.
+    ("crlb snr=0", "snr must be positive, got 0.0"),
+    ("crlb snr=-1", "snr must be positive, got -1.0"),
+    ("crlb snr=-4000 dB", "snr must be positive, got 0.0"),
     ("sweep --var distance --min 0 --max 1 --points 3", "start must be positive, got 0.0"),
     ("sweep --var distance --min -2 --max 1 --points 3", "start must be positive, got -2.0"),
     ("sweep --var carrier --min 0 --max 6e9 --points 3", "start must be positive, got 0.0"),
@@ -328,6 +342,35 @@ UNIT_CASES = [
 ]
 UNIT_KINDS = {"carrier": "frequency", "symbol_time": "time", "tx_power": "power", "snr": "ratio"}
 
+KEYS = {**_SCENARIO_KEYS, **_EXPERIMENT_KEYS}
+
+# The keys whose values carry a unit, each with one value and its conversion written out.
+UNIT_KEY_CASES = {
+    "carrier": ("28 GHz", 28.0 * 1e9),
+    "subcarrier_spacing": ("120 kHz", 120.0 * 1e3),
+    "carriers": ("6 GHz,28 GHz", [6.0 * 1e9, 28.0 * 1e9]),
+    "symbol_time": ("16.6 ms", 16.6 * 1e-3),
+    "tx_power": ("23 dBm", 10.0 ** (23.0 / 10.0) * 1e-3),
+    "snr": ("-3 dB", 10.0 ** (-3.0 / 10.0)),
+    "noise_figure": ("9 dB", 10.0 ** (9.0 / 10.0)),
+    "tx_gain": ("3 dBi", 10.0 ** (3.0 / 10.0)),
+    "rx_gain": ("0.5 dB", 10.0 ** (0.5 / 10.0)),
+    "angle": ("45", 45.0 / 180.0 * math.pi),
+}
+
+
+def _number_keys():
+    """Keys without a unit whose value is a number or a list of numbers."""
+    keys = []
+    for key, parse in KEYS.items():
+        try:
+            value = parse("1", key)
+        except ConfigError:
+            continue
+        if key not in UNIT_KEY_CASES and not isinstance(value, str):
+            keys.append(key)
+    return keys
+
 
 def _taken_keys(command):
     """Experiment keys that are parameters of the subcommand's runner."""
@@ -375,6 +418,29 @@ class TestUnitParsing:
     @pytest.mark.parametrize(("key", "text", "expected"), UNIT_CASES, ids=[t for _, t, _ in UNIT_CASES])
     def test_every_unit_converts_bit_for_bit(self, key, text, expected):
         assert _SCENARIO_KEYS[key](text, key).hex() == expected.hex()
+
+    @pytest.mark.parametrize(("key", "case"), UNIT_KEY_CASES.items(), ids=list(UNIT_KEY_CASES))
+    def test_every_unit_key_converts_bit_for_bit(self, key, case):
+        text, expected = case
+        # repr round-trips a float, so equal reprs are equal bits.
+        assert repr(KEYS[key](text, key)) == repr(expected)
+
+    @pytest.mark.parametrize("key", _number_keys())
+    def test_other_number_keys_reject_a_unit(self, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: cannot parse '1 GHz'"):
+            KEYS[key]("1 GHz", key)
+
+    def test_key_of_several_runners_has_one_type(self):
+        """d_min is float in fig3 and float | None in fig1 and fig2; one parser reads a float for all three."""
+        kinds = {}
+        for _, runner, _ in _commands().values():
+            for key, parameter in list(inspect.signature(runner).parameters.items())[1:]:
+                kinds.setdefault(key, []).append(parameter.annotation.removesuffix(" | None"))
+        shared = {key: set(found) for key, found in kinds.items() if len(found) > 1}
+        assert set(shared) == {"apertures", "d_min", "d_max", "points"}
+        types = {"float": float, "int": int, "Sequence[float]": list}
+        for key, (kind,) in shared.items():
+            assert type(_EXPERIMENT_KEYS[key]("2", key)) is types[kind]
 
     def test_unit_cases_cover_every_unit(self):
         covered = {(UNIT_KINDS[key], re.sub(r"[-0-9. ]", "", text).lower()) for key, text, _ in UNIT_CASES}
@@ -809,6 +875,13 @@ class TestSubcommandKeys:
                 assert code == 1
                 assert repr(key) in err and command in err
                 assert calls == []
+
+    def test_annotation_no_parser_reads_fails(self):
+        # A runner parameter added later becomes a key, or stops the import with this error.
+        with pytest.raises(TypeError, match=r"^no command-line parser for grid: Sequence\[int\]$"):
+            _key_parsers([("grid", "Sequence[int]")])
+        with pytest.raises(TypeError, match=r"^d_min is annotated both float and int$"):
+            _key_parsers([("d_min", "float | None"), ("d_min", "float"), ("d_min", "int")])
 
     @pytest.mark.parametrize(
         "argv",

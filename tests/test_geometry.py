@@ -469,6 +469,8 @@ POSITIVE_INPUTS = {
     "ArrayGeometry": ("spacing", lambda v: ArrayGeometry(4, v)),
     "ArrayGeometry.half_wavelength": ("carrier", lambda v: ArrayGeometry.half_wavelength(4, v)),
     "TargetState": ("distance", lambda v: TargetState(v, 0.0)),
+    "ScenarioConfig-tx_power": ("tx_power", lambda v: ScenarioConfig(tx_power=v).waveform()),
+    "ScenarioConfig-aperture": ("aperture", lambda v: ScenarioConfig(aperture=v).geometry()),
     "ChannelNoise-gain": ("gain", lambda v: ChannelNoise(v, 1.0)),
     "ChannelNoise-noise_variance": ("noise_variance", lambda v: ChannelNoise(1.0, v)),
     "ChannelNoise.from_snr": ("snr", lambda v: ChannelNoise.from_snr(make_waveform(), v)),
