@@ -130,22 +130,23 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MonteCarloReport:
-    """Empirical MSEs against the matching variance bounds.
+    """Empirical MSEs against the matching variance bounds: one ``montecarlo`` row after its SNR.
 
-    ``mse_*`` average over the trials where the axis was identifiable;
-    ``degenerate_trials`` counts trials where either axis was flagged.
-    Ratios are NaN when the bound is infinite or no trial contributed.
+    The fields are the row's columns, in order, with ``_radial`` and ``_transverse`` written
+    ``_vr`` and ``_vt``.  ``mse_*`` average over the trials where the axis was identifiable, and
+    are None where no trial was; ``ratio_*`` are None where the MSE is or the bound is infinite.
+    ``degenerate_trials`` counts trials where either axis was flagged.  No field holds NaN.
     """
 
     trials: int
-    degenerate_trials: int
-    mse_radial: float
-    mse_transverse: float
+    mse_radial: float | None
+    mse_transverse: float | None
     crlb_radial: float
     crlb_transverse: float
-    ratio_radial: float
-    ratio_transverse: float
+    ratio_radial: float | None
+    ratio_transverse: float | None
     seed: int
+    degenerate_trials: int
 
 
 class MatchedFilter:
@@ -420,8 +421,10 @@ def _axis_points(width: float, curvature: float, cap: int) -> int:
     ``1 - curvature * offset**2``.
 
     The mainlobe's half-power half-width is ``1 / sqrt(2 * curvature)``, and the step is half of it.
-    The count is odd, so the window centre is a point, and 3 to ``cap``; a flat axis takes 3.
+    The count is odd, so the window centre is a point, and 3 to ``cap``, or to ``cap - 1`` for an even
+    ``cap``; a flat axis takes 3.
     """
+    cap -= 1 - cap % 2
     steps = width * math.sqrt(8.0 * curvature)
     if not steps < cap:
         return cap
@@ -515,16 +518,14 @@ def _trial_estimates(scenario: Scenario, noises: Sequence[ChannelNoise], trials:
 
 def _reports(estimates: np.ndarray, truth: Sequence[float], bounds: BoundRows, seed: int) -> list[MonteCarloReport]:
     """The report of each row of trial ``estimates`` ``(rows, 2, trials)`` of ``truth``, against that
-    row of ``bounds``.  An axis's MSE is the mean over the trials that identified it, NaN if none did."""
-    identified = ~np.isnan(estimates)
-    mse = np.full(estimates.shape[:2], math.nan)
-    for row, axis in np.argwhere(identified.any(axis=2)):
+    row of ``bounds``.  An axis's MSE is the mean over the trials that identified it, None if none did;
+    its ratio is None where the MSE is or where the bound is infinite."""
+    degenerate = np.isnan(estimates).any(axis=1).sum(axis=1).tolist()
+    reports = []
+    for row, crlb, flagged in zip(estimates, zip(bounds.radial.tolist(), bounds.transverse.tolist()), degenerate):
         # Python's ** squares each error, which rounds otherwise than numpy's square on some values.
-        found = estimates[row, axis][identified[row, axis]].tolist()
-        mse[row, axis] = np.mean([(v - truth[axis]) ** 2 for v in found])
-    crlb = np.stack([bounds.radial, bounds.transverse], axis=1)
-    # A ratio is NaN where the MSE is or where the bound is infinite.
-    ratio = np.divide(mse, crlb, out=np.full_like(mse, math.nan), where=np.isfinite(crlb) & (crlb > 0.0))
-    degenerate = (~identified).any(axis=1).sum(axis=1)
-    rows = zip(degenerate.tolist(), mse.tolist(), crlb.tolist(), ratio.tolist())
-    return [MonteCarloReport(estimates.shape[2], flagged, *m, *c, *r, seed) for flagged, m, c, r in rows]
+        squares = [[(v - t) ** 2 for v in axis[~np.isnan(axis)].tolist()] for axis, t in zip(row, truth)]
+        mse = [float(np.mean(found)) if found else None for found in squares]
+        ratio = [None if m is None or not 0.0 < c < math.inf else m / c for m, c in zip(mse, crlb)]
+        reports.append(MonteCarloReport(row.shape[1], *mse, *crlb, *ratio, seed, flagged))
+    return reports

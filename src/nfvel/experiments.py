@@ -3,14 +3,14 @@
 Every runner returns a :class:`~nfvel.table.CsvTable` that holds one sequence
 per column, a numpy array in the bound sweeps; writing the table twice with the
 same configuration produces byte-identical files.  Floats are written as ``'%.12e' % v``; non-finite
-bounds are written as ``inf``, an MSE that no trial could estimate as
-``none``, and never NaN.
+bounds are written as ``inf``, a Monte Carlo report's absent MSE or ratio
+(None) as ``none``, and never NaN.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .bounds import (
     transverse_info_half_wavelength,
 )
 from .constants import REFERENCE_TEMPERATURE, SPEED_OF_LIGHT
-from .estimator import MlSearchConfig, Scenario, monte_carlo_reports
+from .estimator import MlSearchConfig, MonteCarloReport, Scenario, monte_carlo_reports
 from .geometry import (
     _COINCIDENCE_RTOL, ArrayGeometry, DegenerateGeometryError, TargetState, _check_angles, _per_point, _require_count,
     _require_positive, _row_blocks,
@@ -122,7 +122,10 @@ def _root_inverse(info: np.ndarray) -> np.ndarray:
 def _aperture_geometry(num_elements: int, aperture: float) -> ArrayGeometry:
     _require_count(2, num_elements=num_elements)  # an aperture spans at least two elements
     _require_positive(aperture=aperture)  # named here: the array sees only its spacing
-    return ArrayGeometry(num_elements, aperture / (num_elements - 1))
+    spacing = aperture / (num_elements - 1)
+    if not spacing > 0.0:
+        raise ValueError(f"aperture {aperture!r} m over {num_elements - 1} gaps underflows to a zero spacing")
+    return ArrayGeometry(num_elements, spacing)
 
 
 def _scenario_meta(config: ScenarioConfig) -> dict:
@@ -201,7 +204,11 @@ def _aperture_defaults(
     if apertures is None:
         base = (config.num_elements - 1) * SPEED_OF_LIGHT / (2.0 * config.carrier)
         apertures = [base, 2.0 * base, 4.0 * base]
-    geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
+    _require_count(2, num_elements=config.num_elements)  # before the loop, whose errors are the apertures'
+    try:
+        geometries = [_aperture_geometry(config.num_elements, aperture) for aperture in apertures]
+    except ValueError as error:  # a spacing that underflows
+        raise ValueError(f"apertures: {error}") from None
     if d_min is None:
         d_min = min(apertures) / 20.0
     if d_max is None:
@@ -510,39 +517,12 @@ def run_montecarlo(
         snrs.append(snr)
     reports = monte_carlo_reports(Scenario(target, geometry, wf, search), snrs, trials, seed)
 
-    def _identified(mse: float, value: float) -> float | None:
-        # An axis that no trial identified (end-fire transverse) has no MSE and no ratio.
-        return None if math.isnan(mse) else value
-
-    columns = (
-        list(snr_list),
-        [r.trials for r in reports],
-        [_identified(r.mse_radial, r.mse_radial) for r in reports],
-        [_identified(r.mse_transverse, r.mse_transverse) for r in reports],
-        [r.crlb_radial for r in reports],
-        [r.crlb_transverse for r in reports],
-        [_identified(r.mse_radial, r.ratio_radial) for r in reports],
-        [_identified(r.mse_transverse, r.ratio_transverse) for r in reports],
-        [r.seed for r in reports],
-        [r.degenerate_trials for r in reports],
-    )
-
+    names = [field.name for field in fields(MonteCarloReport)]
     return _table(
         "montecarlo",
         config,
-        (
-            "snr_db",
-            "trials",
-            "mse_vr",
-            "mse_vt",
-            "crlb_vr",
-            "crlb_vt",
-            "ratio_vr",
-            "ratio_vt",
-            "seed",
-            "degenerate_trials",
-        ),
-        columns,
+        ("snr_db", *(name.replace("_radial", "_vr").replace("_transverse", "_vt") for name in names)),
+        [list(snr_list), *([getattr(report, name) for report in reports] for name in names)],
         snr_db_list=list(snr_list),
         trials=trials,
         seed=seed,

@@ -182,6 +182,13 @@ OUT_OF_RANGE_SETTINGS = [
     ("crlb tx_power=-4000 dBm", "tx_power must be positive, got 0.0"),
     ("crlb aperture=0", "aperture must be positive, got 0.0"),
     ("crlb aperture=-1", "aperture must be positive, got -1.0"),
+    # A positive aperture whose spacing over the elements underflows is named as the aperture.
+    ("crlb aperture=1e-322", "aperture 1e-322 m over 100 gaps underflows to a zero spacing"),
+    ("fig1 apertures=1e-322", "apertures: aperture 1e-322 m over 100 gaps underflows to a zero spacing"),
+    (
+        "sweep --var aperture --min 1e-322 --max 1e-321 --points 2",
+        "aperture 1e-322 m over 100 gaps underflows to a zero spacing",
+    ),
     # The snr is quoted as given, not as its broadcast copy.
     ("crlb snr=0", "snr must be positive, got 0.0"),
     ("crlb snr=-1", "snr must be positive, got -1.0"),
@@ -958,6 +965,7 @@ def test_readme_library_quickstart_runs(capsys):
     out = capsys.readouterr().out
     assert out.count("root-CRLB") == 2
     assert out.count("v_r ") == 3
+    assert out.count("MSE/CRLB") == 2
 
 
 def test_readme_sweep_config_file_runs(tmp_path, capsys):

@@ -290,8 +290,8 @@ class TestMonteCarlo:
         scenario = _mc_scenario(angle=math.pi / 2, transverse_truth=0.0)
         report = monte_carlo_mse(scenario, 1e4, trials=100, seed=9)
         assert report.degenerate_trials == 100
-        assert math.isnan(report.mse_transverse)
-        assert math.isnan(report.ratio_transverse)
+        assert report.mse_transverse is None
+        assert report.ratio_transverse is None
         assert math.isinf(report.crlb_transverse)
         assert math.isfinite(report.mse_radial)
 
@@ -307,6 +307,17 @@ class TestMonteCarlo:
         assert (report.degenerate_trials, found.size) == (34, 66)
         assert report.mse_transverse == float(np.mean(found))
         assert report.ratio_transverse == report.mse_transverse / report.crlb_transverse
+
+    def test_identified_axis_with_an_infinite_bound_has_no_ratio(self):
+        # The MSE stands, and the ratio is None, as where no trial identified the axis: no field is NaN.
+        scenario = _mc_scenario()
+        truth = (scenario.target.radial_velocity, scenario.target.transverse_velocity)
+        estimates = _library_trials(scenario, [_MC_SNR], trials=100, seed=4)
+        bounds = dataclasses.replace(_bounds(scenario, [_MC_SNR]), transverse=np.array([math.inf]))
+        (report,) = estimator._reports(estimates, truth, bounds, seed=4)
+        assert report.degenerate_trials == 0 and math.isfinite(report.mse_transverse)
+        assert (report.crlb_transverse, report.ratio_transverse) == (math.inf, None)
+        assert report.ratio_radial == report.mse_radial / report.crlb_radial
 
     def test_squared_errors_are_python_float_squares(self):
         # With glibc 2.36, Python's ** (libm's pow) squares this error to 1.6819895542397528e-06, and
@@ -560,12 +571,12 @@ def _one_cube_at_a_time(scenario, snr, trials, seed):
         estimates[:, trial] = est.radial, est.transverse
     errors = np.array([[(v - t) ** 2 for v in axis] for axis, t in zip(estimates.tolist(), truth)])
     found = ~np.isnan(errors)
-    mse = [float(np.mean(e[f])) if f.any() else math.nan for e, f in zip(errors, found)]
+    mse = [float(np.mean(e[f])) if f.any() else None for e, f in zip(errors, found)]
     bound = crlb_from_fisher(fisher_info_closed_form(target, geom, wf, snr))
     crlb = [bound.radial, bound.transverse]
-    ratio = [m / c if math.isfinite(c) and c > 0.0 else math.nan for m, c in zip(mse, crlb)]
+    ratio = [m / c if m is not None and math.isfinite(c) and c > 0.0 else None for m, c in zip(mse, crlb)]
     degenerate = int((~found).any(axis=0).sum())
-    return MonteCarloReport(trials, degenerate, *mse, *crlb, *ratio, seed), estimates
+    return MonteCarloReport(trials, *mse, *crlb, *ratio, seed, degenerate), estimates
 
 
 class TestNewtonStep:
@@ -844,11 +855,13 @@ class TestCoarseStatistic:
             (dict(distance=0.05), 41, (35, 41)),
             (dict(num_symbols=1), 41, (3, 3)),  # one symbol: no Doppler phase on either axis
             (dict(), 21, (21, 5)),
+            (dict(), 20, (19, 5)),  # an even cap takes the odd count below it
+            (dict(), 4, (3, 3)),
         ],
-        ids=["default", "golden-offboresight", "golden-endfire", "K64-2m", "5cm", "one-symbol", "cap-21"],
+        ids=["default", "golden-offboresight", "golden-endfire", "K64-2m", "5cm", "one-symbol", "cap-21", "cap-20", "cap-4"],
     )
     def test_each_axis_takes_its_count_from_its_mainlobe(self, scene, grid_points, counts):
-        # A step of half the half-power half-width, odd, from 3 up to grid_points.
+        # A step of half the half-power half-width, odd, from 3 up to grid_points or the odd count below it.
         geom, wf, target, default = _scene_filter(ScenarioConfig(**scene))
         search = dataclasses.replace(default.search, grid_points=grid_points)
         finder = MatchedFilter(geom, wf, target.distance, target.angle, search)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfvel import ArrayGeometry, crossover_distance, experiments
+from nfvel import ArrayGeometry, MonteCarloReport, crossover_distance, experiments
 from nfvel.experiments import (
     CsvTable,
     ScenarioConfig,
@@ -680,6 +680,13 @@ class TestMonteCarloRunner:
             config, snr_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0
         )
         assert again.render() == table.render()
+
+    def test_columns_are_the_report_fields_in_order(self):
+        # After snr_db, one column per MonteCarloReport field, _radial and _transverse as _vr and _vt.
+        table = run_montecarlo(self._config(), snr_list=(20.0,), trials=100, seed=7, vr_window=2.0, vt_window=6.0)
+        names = [field.name for field in dataclasses.fields(MonteCarloReport)]
+        assert table.columns == ("snr_db", *(n.replace("_radial", "_vr").replace("_transverse", "_vt") for n in names))
+        assert table.columns[-1] == "degenerate_trials"
 
     @pytest.mark.parametrize("entry", [10**400, -(10**400)])
     def test_int_entry_past_the_float_range_names_snr_list(self, entry):
